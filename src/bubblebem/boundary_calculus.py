@@ -163,18 +163,21 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex,
                          k: BoundaryOperator | None = None) -> BoundaryOperator:
     """Interior Dirichlet-to-Neumann map S_z^{-1}(1/2 + K_z).
 
-    Well-posed away from interior Dirichlet eigenvalues; proximity is
-    detected through the condition estimate of S_z.
+    Well-posed away from interior Dirichlet eigenvalues.  S_z is factored
+    under the generic condition guard, which trips only when S_z is
+    numerically singular (estimate above CONDITION_LIMIT); it does not
+    detect nearness to an eigenvalue.  On the unit sphere at subdivision 2
+    the largest condition estimate of S_z near z = pi is about 5.6e3.
+
+    The solvers never form this matrix: they factor S and the contrast
+    matrix instead (see scattering._factor_transmission).
     """
     if s is None:
         s = assemble_single_layer(mesh, z)
     if k is None:
         k = assemble_double_layer(mesh, z)
-    try:
-        lu = _guarded_lu(s.matrix, "single layer in the trace-to-flux map")
-    except NumericalGuardError as exc:
-        raise NumericalGuardError(
-            f"interior Dirichlet eigenvalue proximity at z = {z}: {exc}") from exc
+    lu = _guarded_lu(s.matrix, f"single layer S_z at z = {z} in the "
+                               "trace-to-flux map")
     rhs = 0.5 * np.eye(mesh.n_panels) + k.matrix
     return BoundaryOperator(lu_solve(lu, rhs), domain=TRACE, codomain=DENSITY,
                             wavenumber=complex(z), label="DN")
@@ -265,22 +268,26 @@ def contrast_operator(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
                       s_ew: BoundaryOperator | None = None,
                       s_ez: BoundaryOperator | None = None,
                       k_ew: BoundaryOperator | None = None) -> np.ndarray:
-    """Matrix of eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}."""
+    """Matrix of eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}.
+
+    At z == omega the right factor S_{eps z} S_{eps w}^{-1} is the identity,
+    so no single layer is assembled or factored.
+    """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if s_ew is None:
-        s_ew = assemble_single_layer(mesh, eps * omega)
     if k_ew is None:
         k_ew = assemble_double_layer(mesh, eps * omega)
-    if s_ez is None:
-        s_ez = (s_ew if z == omega
-                else assemble_single_layer(mesh, eps * z))
-    lu = _guarded_lu(s_ew.matrix, "single layer at the contracted frequency")
-    # right inverse: X = S_{eps z} S_{eps w}^{-1} via the transposed solve
-    x = lu_solve(lu, s_ez.matrix.T, trans=1).T
     n = mesh.n_panels
-    half_k = 0.5 * np.eye(n) + k_ew.matrix
-    return eps ** 2 * np.eye(n) + (1.0 - eps ** 2) * (half_k @ x)
+    coupling = 0.5 * np.eye(n) + k_ew.matrix
+    if z != omega:
+        if s_ew is None:
+            s_ew = assemble_single_layer(mesh, eps * omega)
+        if s_ez is None:
+            s_ez = assemble_single_layer(mesh, eps * z)
+        lu = _guarded_lu(s_ew.matrix, "single layer at the contracted frequency")
+        # right inverse: X = S_{eps z} S_{eps w}^{-1} via the transposed solve
+        coupling = coupling @ lu_solve(lu, s_ez.matrix.T, trans=1).T
+    return eps ** 2 * np.eye(n) + (1.0 - eps ** 2) * coupling
 
 
 def schur_blocks(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,

@@ -17,6 +17,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -78,6 +79,19 @@ class RunConfig:
         if need_omega:
             if (self.omega is None) == (self.omega_grid is None):
                 raise UsageError("exactly one of omega / omega-grid is required")
+            if not 0 < self.eps < 1:
+                raise UsageError(f"eps must be finite and lie in (0, 1), "
+                                 f"got {self.eps}")
+            if self.omega is not None and not (math.isfinite(self.omega)
+                                               and self.omega > 0):
+                raise UsageError(f"omega must be finite and positive, "
+                                 f"got {self.omega}")
+            grid = self.omega_grid
+            if grid is not None and (
+                    not grid or grid != sorted(grid)
+                    or not all(math.isfinite(w) and w > 0 for w in grid)):
+                raise UsageError("omega grid must be non-empty, finite, "
+                                 f"positive and sorted, got {grid}")
         if self.plane_wave is not None and self.point_source is not None:
             raise UsageError("give only one incident wave")
         for name, value in self.tolerances.items():
@@ -122,19 +136,38 @@ class RunConfig:
 
 def _parse_floats(text: str, n: int | None = None) -> tuple:
     parts = [p for p in text.replace(",", " ").split() if p]
-    values = tuple(float(p) for p in parts)
+    try:
+        values = tuple(float(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"expected numbers, got {text!r}") from None
     if n is not None and len(values) != n:
         raise UsageError(f"expected {n} numbers, got {text!r}")
     return values
 
 
+def _parse_mesh_spec(text: str, n: int) -> tuple:
+    """Sizes followed by a subdivision level, e.g. 'R,SUB' or 'A,B,C,SUB'."""
+    *sizes, sub = _parse_floats(text, n)
+    if not all(math.isfinite(x) and x > 0 for x in sizes):
+        raise UsageError(f"mesh sizes must be finite and positive, "
+                         f"got {text!r}")
+    if not (sub.is_integer() and sub >= 0):
+        raise UsageError(f"subdivision must be a non-negative integer, "
+                         f"got {text!r}")
+    return (*sizes, int(sub))
+
+
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
-        start, stop, step = (float(t) for t in text.split(":"))
+        start, stop, step = _parse_floats(text.replace(":", " "), 3)
+        if not (math.isfinite(start) and math.isfinite(stop)
+                and math.isfinite(step) and step != 0):
+            raise UsageError(f"omega grid needs finite bounds and a finite "
+                             f"nonzero step, got {text!r}")
         count = int(round((stop - start) / step)) + 1
         grid = [start + i * step for i in range(count)]
         return [w for w in grid if w <= stop + 1e-12]
-    return [float(t) for t in text.replace(",", " ").split()]
+    return list(_parse_floats(text))
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -148,16 +181,14 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         if "path" in mesh:
             cfg.mesh_path = mesh["path"]
         if "icosphere" in mesh:
-            r, s = _parse_floats(mesh["icosphere"], 2)
-            cfg.icosphere = (r, int(s))
+            cfg.icosphere = _parse_mesh_spec(mesh["icosphere"], 2)
         if "ellipsoid" in mesh:
-            a, b, c, s = _parse_floats(mesh["ellipsoid"], 4)
-            cfg.ellipsoid = (a, b, c, int(s))
+            cfg.ellipsoid = _parse_mesh_spec(mesh["ellipsoid"], 4)
         prob = parser["problem"] if parser.has_section("problem") else {}
         if "eps" in prob:
-            cfg.eps = float(prob["eps"])
+            cfg.eps, = _parse_floats(prob["eps"], 1)
         if "omega" in prob:
-            cfg.omega = float(prob["omega"])
+            cfg.omega, = _parse_floats(prob["omega"], 1)
         if "omega_grid" in prob:
             cfg.omega_grid = _parse_grid(prob["omega_grid"])
         if "center" in prob:
@@ -174,22 +205,20 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         if "output_dir" in run:
             cfg.output_dir = run["output_dir"]
         if "guard_constant" in run:
-            cfg.guard_constant = float(run["guard_constant"])
+            cfg.guard_constant, = _parse_floats(run["guard_constant"], 1)
         if parser.has_section("tolerances"):
             for key, value in parser["tolerances"].items():
                 if key not in DEFAULT_TOLERANCES:
                     raise UsageError(f"unknown tolerance {key!r}")
-                cfg.tolerances[key] = float(value)
+                cfg.tolerances[key], = _parse_floats(value, 1)
 
     if args.mesh is not None:
         cfg.mesh_path = args.mesh
     if args.icosphere is not None:
-        r, s = _parse_floats(args.icosphere, 2)
-        cfg.icosphere = (r, int(s))
+        cfg.icosphere = _parse_mesh_spec(args.icosphere, 2)
         cfg.mesh_path = None
     if args.ellipsoid is not None:
-        a, b, c, s = _parse_floats(args.ellipsoid, 4)
-        cfg.ellipsoid = (a, b, c, int(s))
+        cfg.ellipsoid = _parse_mesh_spec(args.ellipsoid, 4)
         cfg.mesh_path = None
     if args.eps is not None:
         cfg.eps = args.eps

@@ -25,7 +25,7 @@ from scipy.linalg import lu_solve
 from scipy.optimize import curve_fit
 
 from .boundary_calculus import (NumericalGuardError, SpectralData, _guarded_lu,
-                                dirichlet_to_neumann, spectral_data)
+                                spectral_data)
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         assemble_double_layer, assemble_single_layer,
                         eval_single_layer_potential)
@@ -117,6 +117,11 @@ class ScatteringProblem:
                                               axis=1).max()
             if np.linalg.norm(self.incident.location - self.y0) <= reach:
                 raise ValueError("point source lies inside the scatterer")
+
+    @property
+    def kappa(self) -> float:
+        """Contrast factor 1/eps^2 - 1 of the transmission problem."""
+        return self.eps ** -2 - 1.0
 
     def contract(self, points: np.ndarray) -> np.ndarray:
         """Physical coordinates -> reference coordinates."""
@@ -217,42 +222,60 @@ def _package_field(problem, points, scattered_at, method, spectral=None):
 # Interaction operator and the two solver routes
 
 
-def interaction_operator(problem: ScatteringProblem, z: complex,
-                         dn: BoundaryOperator | None = None,
-                         s_ez: BoundaryOperator | None = None) -> BoundaryOperator:
+def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
+                         kappa: float) -> tuple:
+    """Factor S_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} on ``mesh``,
+    each under the condition guard, without forming DN_w.
+
+    Since DN_w = S_w^{-1}(1/2 + K_w), S_w^{-1} M S_w = I + kappa DN_w S_z and
+
+        (I + kappa DN_w S_z)^{-1} DN_w = S_w^{-1} M^{-1} (1/2 + K_w).
+
+    At z == w the factor S_z S_w^{-1} is the identity and S_z is not built.
+    Returns S_w, 1/2 + K_w and the LU factors of S_w and of M.
+    """
+    # K has the larger assembly temporaries, so it is built before any n x n
+    # matrix is alive; the identity shifts are added in place.
+    diagonal = slice(None, None, mesh.n_panels + 1)
+    half_k = assemble_double_layer(mesh, w).matrix
+    half_k.flat[diagonal] += 0.5
+    s = assemble_single_layer(mesh, w).matrix
+    s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
+    coupling = half_k
+    if z != w:
+        s_z = assemble_single_layer(mesh, z).matrix
+        coupling = half_k @ lu_solve(s_lu, s_z.T, trans=1).T
+    m = kappa * coupling
+    m.flat[diagonal] += 1.0
+    m_lu = _guarded_lu(m, f"contrast matrix M at wavenumber {w:.6g}, "
+                          f"spectral parameter {z:.6g}")
+    return s, half_k, s_lu, m_lu
+
+
+def interaction_operator(problem: ScatteringProblem,
+                         z: complex) -> BoundaryOperator:
     """Frequency-dependent boundary operator of the resolvent difference:
 
         eps (1 - eps^2) (eps^2 + (1 - eps^2) DN_{eps w} S_{eps z})^{-1} DN_{eps w}
+          = eps kappa S_{eps w}^{-1} M^{-1} (1/2 + K_{eps w}),
 
-    assembled exactly from the discrete contracted-wavenumber operators.
+    assembled exactly from the discrete contracted-wavenumber operators
+    (M as in ``_factor_transmission``).
     """
-    eps, mesh = problem.eps, problem.mesh
-    if dn is None:
-        dn = dirichlet_to_neumann(mesh, eps * problem.omega)
-    if s_ez is None:
-        s_ez = assemble_single_layer(mesh, eps * z)
-    core = eps ** 2 * np.eye(mesh.n_panels) \
-        + (1.0 - eps ** 2) * (dn.matrix @ s_ez.matrix)
-    try:
-        lu = _guarded_lu(core, "interaction-operator core")
-    except NumericalGuardError as exc:
-        raise NumericalGuardError(
-            f"interaction operator near-singular at z = {z}: {exc}") from exc
-    matrix = eps * (1.0 - eps ** 2) * lu_solve(lu, dn.matrix)
+    eps = problem.eps
+    _, half_k, s_lu, m_lu = _factor_transmission(
+        problem.mesh, eps * problem.omega, eps * z, problem.kappa)
+    matrix = eps * problem.kappa * lu_solve(s_lu, lu_solve(m_lu, half_k))
     return BoundaryOperator(matrix, domain=TRACE, codomain=DENSITY,
                             wavenumber=complex(z), label="Lambda")
 
 
-def _dilated_boundary_solve(problem: ScatteringProblem, z: complex,
-                            trace_values: np.ndarray) -> np.ndarray:
-    """Apply the interaction operator at spectral parameter z to one trace."""
-    eps, mesh = problem.eps, problem.mesh
-    dn = dirichlet_to_neumann(mesh, eps * problem.omega)
-    s_ez = assemble_single_layer(mesh, eps * z)
-    core = eps ** 2 * np.eye(mesh.n_panels) \
-        + (1.0 - eps ** 2) * (dn.matrix @ s_ez.matrix)
-    lu = _guarded_lu(core, "interaction-operator core")
-    return eps * (1.0 - eps ** 2) * lu_solve(lu, dn.matrix @ trace_values)
+def _transmission_solve(mesh: SurfaceMesh, w: complex, z: complex,
+                        kappa: float, trace: np.ndarray) -> np.ndarray:
+    """(I + kappa DN_w S_z)^{-1} DN_w trace = S_w^{-1} M^{-1} (1/2 + K_w) trace;
+    the factors are released on return."""
+    _, half_k, s_lu, m_lu = _factor_transmission(mesh, w, z, kappa)
+    return lu_solve(s_lu, lu_solve(m_lu, half_k @ trace))
 
 
 def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
@@ -265,7 +288,8 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     """
     eps, omega, mesh = problem.eps, problem.omega, problem.mesh
     trace = problem.incident.evaluate(problem.dilate(mesh.centroids), omega)
-    charge = _dilated_boundary_solve(problem, omega, trace)
+    charge = eps * problem.kappa * _transmission_solve(
+        mesh, eps * omega, eps * omega, problem.kappa, trace)
 
     def scattered_at(pts):
         return -eval_single_layer_potential(
@@ -275,32 +299,22 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     return _package_field(problem, points, scattered_at, "dilated", spectral)
 
 
-def _direct_transmission_solve(scaled: SurfaceMesh, omega: float,
-                               contrast: float, trace_values: np.ndarray):
-    """Solve (I + contrast * DN S) flux = DN trace on the physical boundary."""
-    dn = dirichlet_to_neumann(scaled, omega)
-    s = assemble_single_layer(scaled, omega)
-    system = np.eye(scaled.n_panels) + contrast * (dn.matrix @ s.matrix)
-    lu = _guarded_lu(system, "direct transmission system")
-    flux = lu_solve(lu, dn.matrix @ trace_values)
-    return flux, dn, s
-
-
 def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
                            spectral: SpectralData | None = None,
                            contrast: float | None = None) -> FieldResult:
     """Physical-boundary solve of the transmission integral equation.
 
-    Solves for the interior flux and represents u_sc as a single-layer
+    Solves (I + contrast DN S) flux = DN trace for the interior flux as
+    S^{-1} M^{-1} (1/2 + K) trace and represents u_sc as a single-layer
     potential with strength -(1/eps^2 - 1).  ``contrast`` overrides the
     physical factor (0 recovers the homogeneous medium).
     """
-    eps, omega = problem.eps, problem.omega
+    omega = problem.omega
     if contrast is None:
-        contrast = eps ** -2 - 1.0
+        contrast = problem.kappa
     scaled = problem.scaled_mesh()
     trace = problem.incident.evaluate(scaled.centroids, omega)
-    flux, _, _ = _direct_transmission_solve(scaled, omega, contrast, trace)
+    flux = _transmission_solve(scaled, omega, omega, contrast, trace)
 
     def scattered_at(pts):
         return -contrast * eval_single_layer_potential(
@@ -311,15 +325,15 @@ def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
 
 def transmission_residual(problem: ScatteringProblem) -> float:
     """Interface-condition check of the direct solve: the computed flux must
-    equal DN applied to the total boundary trace (relative residual)."""
-    eps, omega = problem.eps, problem.omega
-    contrast = eps ** -2 - 1.0
+    equal DN applied to the total boundary trace (relative residual), with
+    DN applied through the LU of S."""
+    omega, contrast = problem.omega, problem.kappa
     scaled = problem.scaled_mesh()
     trace = problem.incident.evaluate(scaled.centroids, omega)
-    flux, dn, s = _direct_transmission_solve(scaled, omega, contrast, trace)
-    total_trace = trace - contrast * (s.matrix @ flux)
-    return float(np.linalg.norm(dn.matrix @ total_trace - flux)
-                 / np.linalg.norm(flux))
+    s, half_k, s_lu, m_lu = _factor_transmission(scaled, omega, omega, contrast)
+    flux = lu_solve(s_lu, lu_solve(m_lu, half_k @ trace))
+    dn_total = lu_solve(s_lu, half_k @ (trace - contrast * (s @ flux)))
+    return float(np.linalg.norm(dn_total - flux) / np.linalg.norm(flux))
 
 
 # ----------------------------------------------------------------------------
@@ -578,7 +592,8 @@ def resolvent_correction_kernel(problem: ScatteringProblem, z: complex,
     y = np.asarray(y, dtype=float)
     eps, mesh = problem.eps, problem.mesh
     trace = green_function(z, problem.dilate(mesh.centroids) - y)
-    charge = _dilated_boundary_solve(problem, z, trace)
+    charge = eps * problem.kappa * _transmission_solve(
+        mesh, eps * problem.omega, eps * z, problem.kappa, trace)
     value = -eval_single_layer_potential(
         mesh, BoundaryDensity(charge, space=DENSITY), eps * z,
         problem.contract(x[None, :])) / eps

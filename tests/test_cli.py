@@ -144,6 +144,48 @@ def test_usage_errors(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("solve", ["--eps", "2"]),
+    ("solve", ["--eps", "nan"]),
+    ("solve", ["--omega", "-1"]),
+    ("solve", ["--omega", "nan"]),
+    ("sweep", ["--omega-grid", "1:2:0"]),
+    ("sweep", ["--omega-grid", "1.6,1.5"]),
+    ("solve", ["--icosphere", "a,b"]),
+    ("solve", ["--icosphere", "1.0,nan"]),
+])
+def test_bad_physical_input_is_a_usage_error(tmp_path, capsys, command, bad):
+    args = [command, "--icosphere", "1.0,0", "--eps", "0.05"]
+    if command == "solve" and "--omega" not in bad:
+        args += ["--omega", "1.3"]
+    if command == "sweep":
+        args += ["--method", "uniform"]
+    assert main([*args, *bad, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("method", ["dilated", "direct"])
+def test_solve_route_guards_exit_code(tmp_path, monkeypatch, capsys, method):
+    import bubblebem.boundary_calculus as bc
+    import bubblebem.scattering as sc
+    from bubblebem.boundary_calculus import NumericalGuardError
+    args = ["solve", "--icosphere", "1.0,0", "--eps", "0.05", "--omega", "1.3",
+            "--method", method, "--out", str(tmp_path)]
+    original = sc._guarded_lu
+
+    def trip_m(matrix, context):
+        if context.startswith("contrast matrix M"):
+            raise NumericalGuardError(f"{context}: tripped")
+        return original(matrix, context)
+
+    monkeypatch.setattr(sc, "_guarded_lu", trip_m)
+    assert main(args) == EXIT_GUARD
+    assert "contrast matrix M" in capsys.readouterr().err
+    monkeypatch.setattr(sc, "_guarded_lu", original)
+    monkeypatch.setattr(bc, "CONDITION_LIMIT", 1.0)
+    assert main(args) == EXIT_GUARD
+
+
 def test_config_file_round_trip(tmp_path):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(

@@ -3,8 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from bubblebem.boundary_calculus import k2_resonance_frequency
-from bubblebem.layer_ops import DENSITY, TRACE
+import bubblebem.boundary_calculus as boundary_calculus
+import bubblebem.scattering as scattering
+from bubblebem.boundary_calculus import (NumericalGuardError,
+                                         dirichlet_to_neumann,
+                                         k2_resonance_frequency)
+from bubblebem.layer_ops import (DENSITY, TRACE, BoundaryDensity,
+                                 assemble_single_layer,
+                                 eval_single_layer_potential)
+from bubblebem.mesh import make_icosphere
 from bubblebem.mie import mie_monopole_amplitude, mie_solve
 from bubblebem.scattering import (FitError, PlaneWave, PointSource,
                                   ScatteringProblem, asymptotic_nonresonant,
@@ -125,6 +132,92 @@ def test_contrast_off_means_no_scattering(sphere2, spectral2):
     problem = make_problem(sphere2, 0.05, 1.3)
     fld = scattered_field_direct(problem, OBS, spectral2, contrast=0.0)
     assert np.abs(fld.scattered).max() == 0.0
+
+
+# The solvers factor S and the contrast matrix M instead of forming DN; the
+# reference below is the explicit algebra they replace.
+
+
+def explicit_core_solve(mesh, w, z, shift, weight, rhs):
+    """(shift + weight DN_w S_z)^{-1} DN_w rhs with DN_w formed as a matrix."""
+    dn = dirichlet_to_neumann(mesh, w).matrix
+    core = shift * np.eye(mesh.n_panels) \
+        + weight * (dn @ assemble_single_layer(mesh, z).matrix)
+    return np.linalg.solve(core, dn @ rhs)
+
+
+def rel_gap(value, reference):
+    return np.linalg.norm(value - reference) / np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere2", "ellipsoid2"])
+@pytest.mark.parametrize("omega", [1.3, 1.7])
+def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
+    mesh = request.getfixturevalue(mesh_name)
+    eps = 0.05
+    kappa = eps ** -2 - 1.0
+    problem = make_problem(mesh, eps, omega)
+    for z in (omega, 0.7, 1j):
+        lam = interaction_operator(problem, z).matrix
+        reference = eps * (1 - eps ** 2) * explicit_core_solve(
+            mesh, eps * omega, eps * z, eps ** 2, 1 - eps ** 2,
+            np.eye(mesh.n_panels))
+        assert rel_gap(lam, reference) <= 1e-10, z
+
+    trace = problem.incident.evaluate(problem.dilate(mesh.centroids), omega)
+    charge = eps * (1 - eps ** 2) * explicit_core_solve(
+        mesh, eps * omega, eps * omega, eps ** 2, 1 - eps ** 2, trace)
+    reference = -eval_single_layer_potential(
+        mesh, BoundaryDensity(charge), eps * omega, problem.contract(OBS)) / eps
+    dilated = scattered_field_dilated(problem, OBS)
+    assert rel_gap(dilated.scattered, reference) <= 1e-10
+
+    scaled = problem.scaled_mesh()
+    trace = problem.incident.evaluate(scaled.centroids, omega)
+    flux = explicit_core_solve(scaled, omega, omega, 1.0, kappa, trace)
+    reference = -kappa * eval_single_layer_potential(
+        scaled, BoundaryDensity(flux), omega, OBS)
+    direct = scattered_field_direct(problem, OBS)
+    assert rel_gap(direct.scattered, reference) <= 1e-10
+
+
+ROUTES = {
+    "dilated": lambda p: scattered_field_dilated(p, OBS),
+    "direct": lambda p: scattered_field_direct(p, OBS),
+    "interaction": lambda p: interaction_operator(p, 0.7),
+    "resolvent": lambda p: resolvent_correction_kernel(p, 1j, OBS[0], OBS[1]),
+}
+GUARDED = ("single layer S", "contrast matrix M")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_guards_s_and_m(route, monkeypatch):
+    problem = make_problem(make_icosphere(1.0, 1), 0.05, 1.3)
+    original = scattering._guarded_lu
+    contexts = []
+
+    def recorder(matrix, context):
+        contexts.append(context)
+        return original(matrix, context)
+
+    monkeypatch.setattr(scattering, "_guarded_lu", recorder)
+    ROUTES[route](problem)
+    assert [c.split(" at ")[0] for c in contexts] == list(GUARDED)
+
+    for name in GUARDED:
+        def trip(matrix, context, name=name):
+            if context.startswith(name):
+                raise NumericalGuardError(f"{context}: tripped")
+            return original(matrix, context)
+
+        monkeypatch.setattr(scattering, "_guarded_lu", trip)
+        with pytest.raises(NumericalGuardError, match=name):
+            ROUTES[route](problem)
+
+    monkeypatch.setattr(scattering, "_guarded_lu", original)
+    monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
+    with pytest.raises(NumericalGuardError, match="condition number"):
+        ROUTES[route](problem)
 
 
 def test_transmission_residual_small(sphere2):
