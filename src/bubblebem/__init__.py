@@ -5,11 +5,10 @@ expansions, full finite-contrast scattered fields, closed-form asymptotic
 amplitudes, and the point-interaction resolvent limit."""
 
 from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
-                                SchurBlocks, SpectralData, capacitance,
-                                dirichlet_to_neumann, expansion_residual,
-                                k2_resonance_frequency, minnaert_frequency,
-                                projectors, s0_inner, s0_norm,
-                                s0_operator_norm, schur_blocks, spectral_data)
+                                SpectralData, dirichlet_to_neumann,
+                                expansion_residual, k2_resonance_frequency,
+                                s0_inner, s0_operator_norm, schur_blocks,
+                                spectral_data)
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         SpaceTagError, assemble_double_layer,
                         assemble_series_term_K, assemble_series_term_S,

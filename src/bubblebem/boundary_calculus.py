@@ -1,6 +1,7 @@
-"""Derived boundary objects: equilibrium density, capacitance, Minnaert
-frequency, spectral projectors, the Dirichlet-to-Neumann map, and the
-two-block decomposition of the contrast operator family with its small-scale
+"""Derived boundary objects: the per-mesh spectral data (equilibrium density,
+capacitance, Minnaert frequency, spectral projectors and the series averages
+<K_(2)>, <K_(3)>), the Dirichlet-to-Neumann map, and the two-block
+decomposition of the contrast operator family with its small-scale
 expansions.
 
 All operator-norm statements are evaluated in the norm induced by the
@@ -14,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lapack, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import cho_factor, lapack, lu_factor, lu_solve, solve_triangular
 
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         SpaceTagError, assemble_double_layer,
-                        assemble_series_term_K, assemble_series_term_S,
-                        assemble_single_layer)
+                        assemble_series_term_K, assemble_single_layer)
 from .mesh import SurfaceMesh
 
 CONDITION_LIMIT = 1e12
@@ -46,10 +46,13 @@ def _guarded_lu(matrix: np.ndarray, context: str):
 
 @dataclass
 class SpectralData:
-    """Static boundary data of one mesh, reused across solves.
+    """Everything about one mesh that does not depend on frequency or scale:
+    capacitance, Minnaert frequency, equilibrium density, the projector pair
+    onto constants / mean-free traces and the LU factors of S_0.
 
-    The factorization handle supports concurrent solves (scipy lu_solve only
-    reads it); everything else is immutable arrays.
+    Built once per mesh by ``spectral_data`` and passed to every function
+    that needs these quantities.  The S_0^{-1} Gram factor and the series
+    averages <K_(2)>, <K_(3)> are computed on first use and cached.
     """
 
     mesh: SurfaceMesh
@@ -61,6 +64,8 @@ class SpectralData:
     s0: BoundaryOperator
     s0_lu: tuple
     _gram_chol: object = field(default=None, repr=False)
+    _k2_mean: float | None = field(default=None, repr=False)
+    _k3_mean: complex | None = field(default=None, repr=False)
 
     @property
     def areas(self) -> np.ndarray:
@@ -78,15 +83,34 @@ class SpectralData:
             self._gram_chol = cho_factor(w, lower=True)
         return self._gram_chol
 
+    def k2_average(self) -> float:
+        """<1, K_(2) 1> / <1, 1> in the S_0^{-1} product (a real number)."""
+        if self._k2_mean is None:
+            k2 = assemble_series_term_K(self.mesh, 2)
+            one = BoundaryDensity(np.ones(self.mesh.n_panels), space=TRACE)
+            k2_one = BoundaryDensity(k2.matrix.real @ one.values, space=TRACE)
+            self._k2_mean = float(np.real(s0_inner(self, one, k2_one))) \
+                / self.capacitance
+        return self._k2_mean
 
-def spectral_data(mesh: SurfaceMesh, s0: BoundaryOperator | None = None) -> SpectralData:
+    def k3_average(self) -> complex:
+        """<1, K_(3) 1> / <1, 1> in the S_0^{-1} product (purely imaginary)."""
+        if self._k3_mean is None:
+            k3 = assemble_series_term_K(self.mesh, 3)
+            one = BoundaryDensity(np.ones(self.mesh.n_panels), space=TRACE)
+            k3_one = BoundaryDensity(k3.matrix @ one.values, space=TRACE)
+            self._k3_mean = complex(s0_inner(self, one, k3_one)) \
+                / self.capacitance
+        return self._k3_mean
+
+
+def spectral_data(mesh: SurfaceMesh) -> SpectralData:
     """Equilibrium density, capacitance, Minnaert frequency and projectors.
 
     The static single layer is real symmetric positive definite up to
     quadrature error; its LU factorization is kept for reuse.
     """
-    if s0 is None:
-        s0 = assemble_single_layer(mesh, 0.0)
+    s0 = assemble_single_layer(mesh, 0.0)
     s0_real = BoundaryOperator(np.ascontiguousarray(s0.matrix.real),
                                domain=DENSITY, codomain=TRACE,
                                wavenumber=0.0, label="S")
@@ -111,21 +135,6 @@ def spectral_data(mesh: SurfaceMesh, s0: BoundaryOperator | None = None) -> Spec
     )
 
 
-def capacitance(mesh: SurfaceMesh) -> float:
-    """Total charge of the equilibrium density solving S_0 q = 1."""
-    return spectral_data(mesh).capacitance
-
-
-def minnaert_frequency(mesh: SurfaceMesh) -> float:
-    """sqrt(capacitance / volume)."""
-    return spectral_data(mesh).minnaert_omega
-
-
-def projectors(mesh: SurfaceMesh) -> SpectralData:
-    """Alias of spectral_data; the projectors come with the full bundle."""
-    return spectral_data(mesh)
-
-
 def s0_inner(spectral: SpectralData, phi: BoundaryDensity,
              psi: BoundaryDensity) -> complex:
     """Inner product <S_0^{-1} phi, psi> (conjugate-linear in phi).
@@ -138,11 +147,6 @@ def s0_inner(spectral: SpectralData, phi: BoundaryDensity,
                                 f"is tagged {arg.space}")
     solved = spectral.solve_s0(phi.values)
     return complex(np.conj(solved) @ (spectral.areas * psi.values))
-
-
-def s0_norm(spectral: SpectralData, values: np.ndarray) -> float:
-    v = BoundaryDensity(np.asarray(values, dtype=complex), space=TRACE)
-    return float(np.sqrt(abs(s0_inner(spectral, v, v))))
 
 
 def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
@@ -158,9 +162,7 @@ def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
 # Dirichlet-to-Neumann map
 
 
-def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex,
-                         s: BoundaryOperator | None = None,
-                         k: BoundaryOperator | None = None) -> BoundaryOperator:
+def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
     """Interior Dirichlet-to-Neumann map S_z^{-1}(1/2 + K_z).
 
     Well-posed away from interior Dirichlet eigenvalues.  S_z is factored
@@ -172,10 +174,8 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex,
     The solvers never form this matrix: they factor S and the contrast
     matrix instead (see scattering._factor_transmission).
     """
-    if s is None:
-        s = assemble_single_layer(mesh, z)
-    if k is None:
-        k = assemble_double_layer(mesh, z)
+    s = assemble_single_layer(mesh, z)
+    k = assemble_double_layer(mesh, z)
     lu = _guarded_lu(s.matrix, f"single layer S_z at z = {z} in the "
                                "trace-to-flux map")
     rhs = 0.5 * np.eye(mesh.n_panels) + k.matrix
@@ -217,29 +217,7 @@ class SchurBlocks:
                      / np.linalg.norm(self.full))
 
 
-def k2_average(mesh: SurfaceMesh, spectral: SpectralData,
-               k2: BoundaryOperator | None = None) -> float:
-    """<1, K_(2) 1> / <1, 1> in the S_0^{-1} product (a real number)."""
-    if k2 is None:
-        k2 = assemble_series_term_K(mesh, 2)
-    one = BoundaryDensity(np.ones(mesh.n_panels), space=TRACE)
-    k2_one = BoundaryDensity(k2.matrix.real @ one.values, space=TRACE)
-    return float(np.real(s0_inner(spectral, one, k2_one))) / spectral.capacitance
-
-
-def k3_average(mesh: SurfaceMesh, spectral: SpectralData,
-               k3: BoundaryOperator | None = None) -> complex:
-    """<1, K_(3) 1> / <1, 1> in the S_0^{-1} product (purely imaginary)."""
-    if k3 is None:
-        k3 = assemble_series_term_K(mesh, 3)
-    one = BoundaryDensity(np.ones(mesh.n_panels), space=TRACE)
-    k3_one = BoundaryDensity(k3.matrix @ one.values, space=TRACE)
-    return complex(s0_inner(spectral, one, k3_one)) / spectral.capacitance
-
-
-def k2_resonance_frequency(mesh: SurfaceMesh,
-                           spectral: SpectralData | None = None,
-                           k2: BoundaryOperator | None = None) -> float:
+def k2_resonance_frequency(spectral: SpectralData) -> float:
     """Frequency where the discrete quadratic coefficient 1 + w^2 <K_(2)>
     vanishes.
 
@@ -247,27 +225,23 @@ def k2_resonance_frequency(mesh: SurfaceMesh,
     Minnaert frequency sqrt(capacitance/volume) up to discretization error
     and is the right center for expansion-order studies on a fixed mesh.
     """
-    if spectral is None:
-        spectral = spectral_data(mesh)
-    mean = k2_average(mesh, spectral, k2)
+    mean = spectral.k2_average()
     if mean >= 0:
         raise NumericalGuardError(f"expected a negative K_(2) average, got {mean:g}")
     return float(1.0 / np.sqrt(-mean))
 
 
-def _discrete_coefficients(mesh, spectral, omega, z, k2=None, k3=None):
-    k2m = k2_average(mesh, spectral, k2)
-    k3m = k3_average(mesh, spectral, k3)
+def _discrete_coefficients(spectral, omega, z):
+    k2m = spectral.k2_average()
+    k3m = spectral.k3_average()
     quad = 1.0 + omega ** 2 * k2m
     cubic = (omega ** 3 * k3m
              + omega ** 2 * (z - omega) * (1j * spectral.capacitance / (4 * np.pi)) * k2m)
     return complex(quad), complex(cubic)
 
 
-def contrast_operator(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
-                      s_ew: BoundaryOperator | None = None,
-                      s_ez: BoundaryOperator | None = None,
-                      k_ew: BoundaryOperator | None = None) -> np.ndarray:
+def contrast_operator(mesh: SurfaceMesh, eps: float, omega: complex,
+                      z: complex) -> np.ndarray:
     """Matrix of eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}.
 
     At z == omega the right factor S_{eps z} S_{eps w}^{-1} is the identity,
@@ -275,15 +249,12 @@ def contrast_operator(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if k_ew is None:
-        k_ew = assemble_double_layer(mesh, eps * omega)
+    k_ew = assemble_double_layer(mesh, eps * omega)
     n = mesh.n_panels
     coupling = 0.5 * np.eye(n) + k_ew.matrix
     if z != omega:
-        if s_ew is None:
-            s_ew = assemble_single_layer(mesh, eps * omega)
-        if s_ez is None:
-            s_ez = assemble_single_layer(mesh, eps * z)
+        s_ew = assemble_single_layer(mesh, eps * omega)
+        s_ez = assemble_single_layer(mesh, eps * z)
         lu = _guarded_lu(s_ew.matrix, "single layer at the contracted frequency")
         # right inverse: X = S_{eps z} S_{eps w}^{-1} via the transposed solve
         coupling = coupling @ lu_solve(lu, s_ez.matrix.T, trans=1).T
@@ -291,17 +262,14 @@ def contrast_operator(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
 
 
 def schur_blocks(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
-                 spectral: SpectralData | None = None,
-                 **operators) -> SchurBlocks:
+                 spectral: SpectralData) -> SchurBlocks:
     """Project the contrast operator onto the constants/mean-free splitting.
 
     The complementary block is inverted on the mean-free subspace by a
     bordered solve that pins <1, .>_{S_0^{-1}} = 0, avoiding the spurious
     null direction of the full-space block.
     """
-    if spectral is None:
-        spectral = spectral_data(mesh)
-    m = contrast_operator(mesh, eps, omega, z, **operators)
+    m = contrast_operator(mesh, eps, omega, z)
     p0 = spectral.p0.matrix
     q0 = spectral.q0.matrix
     mp = m @ p0
@@ -326,7 +294,7 @@ def schur_blocks(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
     c00_one = BoundaryDensity(c00 @ one.values, space=TRACE)
     c00_const = s0_inner(spectral, one, c00_one) / spectral.capacitance
 
-    quad, cubic = _discrete_coefficients(mesh, spectral, omega, z)
+    quad, cubic = _discrete_coefficients(spectral, omega, z)
     return SchurBlocks(
         eps=eps, omega=complex(omega), z=complex(z), full=m,
         m00=m00, m01=m01, m10=m10, m11=m11, c00=c00,
@@ -364,23 +332,20 @@ class ExpansionResidual:
 
 
 def expansion_residual(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
-                       spectral: SpectralData | None = None,
-                       resonant: bool | None = None,
-                       **operators) -> ExpansionResidual:
+                       spectral: SpectralData) -> ExpansionResidual:
     """Residual of eps^2 M^{-1} ~ P_0/E (off resonance) or of
     eps^3 M^{-1} ~ coefficient * P_0 (at resonance), in the S_0^{-1} norm.
 
-    Off resonance the limit coefficient is the reciprocal of the discrete
+    ``omega`` counts as resonant when the discrete quadratic coefficient
+    vanishes to 1e-8, as it does at ``k2_resonance_frequency``.  Off
+    resonance the limit coefficient is the reciprocal of the discrete
     quadratic coefficient; at resonance it is the reciprocal of the discrete
     cubic coefficient (the closed forms 1/E_w^0 and (4 pi / c) i/z are
     reported alongside).
     """
-    if spectral is None:
-        spectral = spectral_data(mesh)
-    quad, cubic = _discrete_coefficients(mesh, spectral, omega, z)
-    if resonant is None:
-        resonant = abs(quad) < 1e-8
-    m = contrast_operator(mesh, eps, omega, z, **operators)
+    quad, cubic = _discrete_coefficients(spectral, omega, z)
+    resonant = abs(quad) < 1e-8
+    m = contrast_operator(mesh, eps, omega, z)
     lu = _guarded_lu(m, "contrast operator")
     minv = lu_solve(lu, np.eye(mesh.n_panels, dtype=complex))
     p0 = spectral.p0.matrix

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import boundary_calculus as bc
 from . import scattering as sc
-from .layer_ops import BoundaryDensity, TRACE, assemble_double_layer
+from .layer_ops import assemble_double_layer
 from .mesh import (MeshError, geometric_moments, load_mesh, make_ellipsoid,
                    make_icosphere)
 
@@ -38,6 +38,8 @@ EXIT_GUARD = 2
 EXIT_VERIFY = 3
 
 OUTDIR_ENV = "BUBBLEBEM_OUTDIR"
+
+METHODS = ("direct", "dilated", "uniform", "nonresonant")
 
 DEFAULT_TOLERANCES = {
     "gauss": 1e-12,
@@ -50,6 +52,14 @@ DEFAULT_TOLERANCES = {
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed command lines as UsageError (exit 1), not argparse's
+    own exit status 2, which the CLI reserves for numerical guards."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @dataclass
@@ -94,6 +104,9 @@ class RunConfig:
                                  f"positive and sorted, got {grid}")
         if self.plane_wave is not None and self.point_source is not None:
             raise UsageError("give only one incident wave")
+        if self.method not in METHODS:
+            raise UsageError(f"unknown method {self.method!r}; choose from "
+                             f"{', '.join(METHODS)}")
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise UsageError(f"tolerance {name} must be positive, "
@@ -379,9 +392,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     solver = {"direct": sc.scattered_field_direct,
               "dilated": sc.scattered_field_dilated,
               "uniform": sc.asymptotic_uniform,
-              "nonresonant": sc.asymptotic_nonresonant}.get(cfg.method)
-    if solver is None:
-        raise UsageError(f"unknown method {cfg.method!r}")
+              "nonresonant": sc.asymptotic_nonresonant}[cfg.method]
     fld = solver(problem, points, spectral)
     writer = ArtifactWriter(cfg.output_dir, "solve", cfg)
     rows = [(p[0], p[1], p[2], ui.real, ui.imag, us.real, us.imag,
@@ -451,14 +462,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def verification_checks(cfg: RunConfig, mesh=None, k2_scale: float = 1.0):
-    """The identity/expansion/kernel suite behind ``verify``.
-
-    ``k2_scale`` rescales the quadratic series coefficient before the
-    identity checks; anything but 1.0 is for mutation testing only.
-    """
-    if mesh is None:
-        mesh = cfg.build_mesh()
+def verification_checks(cfg: RunConfig):
+    """The identity/expansion/kernel suite behind ``verify``."""
+    mesh = cfg.build_mesh()
     spectral = bc.spectral_data(mesh)
     checks = []
 
@@ -467,8 +473,8 @@ def verification_checks(cfg: RunConfig, mesh=None, k2_scale: float = 1.0):
     gauss = float(np.abs(0.5 * ones + k0.matrix.real @ ones).max())
     checks.append(("gauss_identity", gauss, cfg.tolerance("gauss"), "max<="))
 
-    k2 = bc.k2_average(mesh, spectral) * k2_scale
-    k3 = bc.k3_average(mesh, spectral)
+    k2 = spectral.k2_average()
+    k3 = spectral.k3_average()
     ratio = mesh.volume / spectral.capacitance
     tol = cfg.tolerance("coefficient_identity")
     quad_err = max(abs(w ** 2 * (k2 + ratio)) / abs(1.0 - w ** 2 * ratio)
@@ -480,7 +486,7 @@ def verification_checks(cfg: RunConfig, mesh=None, k2_scale: float = 1.0):
 
     lo = cfg.tolerance("expansion_ratio_low")
     hi = cfg.tolerance("expansion_ratio_high")
-    what = bc.k2_resonance_frequency(mesh, spectral)
+    what = bc.k2_resonance_frequency(spectral)
     for name, omega in (("offres_expansion_ratio", 1.0),
                         ("res_expansion_ratio", what)):
         r_coarse = bc.expansion_residual(mesh, 0.04, omega, 0.7, spectral)
@@ -556,7 +562,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bubblebem",
         description="Boundary-element solver and resonance analyzer for "
                     "small high-contrast acoustic bubbles")
@@ -581,8 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="DX,DY,DZ")
         p.add_argument("--point-source", dest="point_source", default=None,
                        metavar="X,Y,Z")
-        p.add_argument("--method", default=None,
-                       choices=["direct", "dilated", "uniform", "nonresonant"])
+        p.add_argument("--method", default=None, choices=METHODS)
         p.add_argument("--out", default=None, help="output directory "
                        f"(default . or ${OUTDIR_ENV})")
         p.add_argument("--guard-constant", dest="guard_constant", type=float,
@@ -594,9 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config, args)
         if args.check:
             problems = check_manifest(cfg.output_dir)

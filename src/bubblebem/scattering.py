@@ -17,15 +17,13 @@ and the resolvent correction/point-interaction kernels complete the module.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_solve
 from scipy.optimize import curve_fit
 
-from .boundary_calculus import (NumericalGuardError, SpectralData, _guarded_lu,
-                                spectral_data)
+from .boundary_calculus import NumericalGuardError, SpectralData, _guarded_lu
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         assemble_double_layer, assemble_single_layer,
                         eval_single_layer_potential)
@@ -300,24 +298,20 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
 
 
 def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
-                           spectral: SpectralData | None = None,
-                           contrast: float | None = None) -> FieldResult:
+                           spectral: SpectralData | None = None) -> FieldResult:
     """Physical-boundary solve of the transmission integral equation.
 
-    Solves (I + contrast DN S) flux = DN trace for the interior flux as
-    S^{-1} M^{-1} (1/2 + K) trace and represents u_sc as a single-layer
-    potential with strength -(1/eps^2 - 1).  ``contrast`` overrides the
-    physical factor (0 recovers the homogeneous medium).
+    Solves (I + kappa DN S) flux = DN trace, kappa = 1/eps^2 - 1, for the
+    interior flux as S^{-1} M^{-1} (1/2 + K) trace and represents u_sc as a
+    single-layer potential with strength -kappa.
     """
-    omega = problem.omega
-    if contrast is None:
-        contrast = problem.kappa
+    omega, kappa = problem.omega, problem.kappa
     scaled = problem.scaled_mesh()
     trace = problem.incident.evaluate(scaled.centroids, omega)
-    flux = _transmission_solve(scaled, omega, omega, contrast, trace)
+    flux = _transmission_solve(scaled, omega, omega, kappa, trace)
 
     def scattered_at(pts):
-        return -contrast * eval_single_layer_potential(
+        return -kappa * eval_single_layer_potential(
             scaled, BoundaryDensity(flux, space=DENSITY), omega, pts)
 
     return _package_field(problem, points, scattered_at, "direct", spectral)
@@ -381,10 +375,8 @@ def uniform_amplitude(problem: ScatteringProblem,
 
 
 def asymptotic_nonresonant(problem: ScatteringProblem, points: np.ndarray,
-                           spectral: SpectralData | None = None) -> FieldResult:
+                           spectral: SpectralData) -> FieldResult:
     """Leading-order monopole field away from resonance (rejects omega_M)."""
-    if spectral is None:
-        spectral = spectral_data(problem.mesh)
     return _asymptotic_field(problem, points,
                              nonresonant_amplitude(problem, spectral),
                              "nonresonant", spectral)
@@ -398,10 +390,8 @@ def asymptotic_resonant(problem: ScatteringProblem, points: np.ndarray,
 
 
 def asymptotic_uniform(problem: ScatteringProblem, points: np.ndarray,
-                       spectral: SpectralData | None = None) -> FieldResult:
+                       spectral: SpectralData) -> FieldResult:
     """Lorentzian-type amplitude interpolating both regimes."""
-    if spectral is None:
-        spectral = spectral_data(problem.mesh)
     return _asymptotic_field(problem, points,
                              uniform_amplitude(problem, spectral),
                              "uniform", spectral)
@@ -413,16 +403,15 @@ def lorentzian_halfwidth(eps: float, spectral: SpectralData) -> float:
     return eps * spectral.minnaert_omega ** 3 * spectral.capacitance / (4 * np.pi)
 
 
-def radiation_defect(problem: ScatteringProblem, solver=scattered_field_dilated,
-                     step: float = 1e-4) -> float:
-    """Discrete outgoing-wave check on the fit sphere.
+def radiation_defect(problem: ScatteringProblem, step: float = 1e-4) -> float:
+    """Discrete outgoing-wave check on the fit sphere (dilated solve).
 
     Returns max |d u_sc/dr - i omega u_sc| * r / max|u_sc|; an exact outgoing
     monopole gives 1, an incoming wave gives O(omega r) >> 1.
     """
     pts, radius = far_field_points(problem)
     rays = (pts - problem.y0) / radius
-    fld = solver(problem, np.vstack([pts, pts + step * rays]))
+    fld = scattered_field_dilated(problem, np.vstack([pts, pts + step * rays]))
     n = len(pts)
     du = (fld.scattered[n:] - fld.scattered[:n]) / step
     defect = np.abs(du - 1j * problem.omega * fld.scattered[:n])
@@ -456,8 +445,7 @@ class SweepResult:
 
 
 def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
-                    spectral: SpectralData | None = None,
-                    workers: int = 1) -> SweepResult:
+                    spectral: SpectralData) -> SweepResult:
     """Amplitude table over a sorted positive frequency grid.
 
     Per-frequency solver failures are recorded in the row and the sweep
@@ -467,8 +455,6 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     grid = [float(w) for w in omega_grid]
     if any(w <= 0 for w in grid) or grid != sorted(grid):
         raise ValueError("frequency grid must be sorted and positive")
-    if spectral is None:
-        spectral = spectral_data(problem.mesh)
     solvers = {"direct": scattered_field_direct,
                "dilated": scattered_field_dilated}
     if method not in solvers and method not in ("uniform", "nonresonant"):
@@ -504,12 +490,8 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
             return SweepRow(omega, None, None, unif, nonres, reso, guard,
                             error=str(exc))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(w) for w in grid]
-    return SweepResult(method=method, eps=problem.eps, rows=rows)
+    return SweepResult(method=method, eps=problem.eps,
+                       rows=[one(w) for w in grid])
 
 
 @dataclass

@@ -12,9 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bubblebem.boundary_calculus import (expansion_residual, k2_average,
-                                         k2_resonance_frequency, k3_average,
-                                         spectral_data)
+from bubblebem.boundary_calculus import (expansion_residual,
+                                         k2_resonance_frequency, spectral_data)
 from bubblebem.layer_ops import assemble_double_layer
 from bubblebem.mesh import make_ellipsoid, make_icosphere
 from bubblebem.mie import mie_monopole_amplitude, mie_solve
@@ -84,8 +83,8 @@ def test_c03_coefficient_identities():
     for name, mesh in (("icosphere", make_icosphere(1.0, 3)),
                        ("ellipsoid", make_ellipsoid((1.0, 1.3, 1.7), 3))):
         data = spectral_data(mesh)
-        k2m = k2_average(mesh, data)
-        k3m = k3_average(mesh, data)
+        k2m = data.k2_average()
+        k3m = data.k3_average()
         wm2 = data.minnaert_omega ** 2
         quad_gap = max(abs((1 + w ** 2 * k2m) - (1 - w ** 2 / wm2))
                        / abs(1 - w ** 2 / wm2) for w in (0.5, 1.0, 2.0))
@@ -98,7 +97,7 @@ def test_c03_coefficient_identities():
 
 
 def test_c04_expansion_ratios(sphere3, spectral3):
-    what = k2_resonance_frequency(sphere3, spectral3)
+    what = k2_resonance_frequency(spectral3)
     detail = []
     ok = True
     for omega, tag in ((1.0, "off-resonance"), (what, "resonant")):
@@ -200,7 +199,7 @@ def test_c09_pointwise_resolvent_rates(sphere3, spectral3):
     """
     x = np.array([1.2, 0.3, -0.4])
     y = np.array([-0.8, 0.9, 1.1])
-    what = k2_resonance_frequency(sphere3, spectral3)
+    what = k2_resonance_frequency(spectral3)
     limit = 4 * np.pi * green_function(1j, x[None])[0] \
         * green_function(1j, y[None])[0]
     eps_list = (0.2, 0.1, 0.05)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bubblebem.boundary_calculus import (NumericalGuardError, _guarded_lu,
-                                         capacitance, dirichlet_to_neumann,
-                                         expansion_residual, k2_average,
-                                         k2_resonance_frequency, k3_average,
-                                         minnaert_frequency, s0_inner,
+                                         dirichlet_to_neumann,
+                                         expansion_residual,
+                                         k2_resonance_frequency, s0_inner,
                                          s0_operator_norm, schur_blocks,
                                          spectral_data)
 from bubblebem.layer_ops import (TRACE, BoundaryDensity, SpaceTagError,
                                  assemble_series_term_K)
-from bubblebem.mesh import make_icosphere, scale_about
+from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
 
 
 # ----------------------------------------------------------------------------
@@ -60,34 +62,45 @@ def test_projector_identities(spectral2, sphere2):
 # capacitance and Minnaert frequency
 
 
-def test_capacitance_unit_sphere(sphere3):
-    assert capacitance(sphere3) == pytest.approx(4 * np.pi, rel=2e-2)
+def test_capacitance_unit_sphere(spectral3):
+    assert spectral3.capacitance == pytest.approx(4 * np.pi, rel=2e-2)
 
 
 def test_capacitance_scaling():
-    mesh = make_icosphere(2.0, 2)
-    assert capacitance(mesh) == pytest.approx(8 * np.pi, rel=2e-2)
+    data = spectral_data(make_icosphere(2.0, 2))
+    assert data.capacitance == pytest.approx(8 * np.pi, rel=2e-2)
 
 
 def test_capacitance_positive(ellipsoid2):
-    assert capacitance(ellipsoid2) > 0
+    assert spectral_data(ellipsoid2).capacitance > 0
 
 
-def test_minnaert_unit_sphere(sphere3):
-    assert minnaert_frequency(sphere3) == pytest.approx(np.sqrt(3), rel=1.5e-2)
+def test_minnaert_unit_sphere(spectral3):
+    assert spectral3.minnaert_omega == pytest.approx(np.sqrt(3), rel=1.5e-2)
 
 
 def test_minnaert_radius_scaling():
-    mesh = make_icosphere(3.0, 2)
-    assert minnaert_frequency(mesh) == pytest.approx(np.sqrt(3) / 3.0, rel=1.5e-2)
+    data = spectral_data(make_icosphere(3.0, 2))
+    assert data.minnaert_omega == pytest.approx(np.sqrt(3) / 3.0, rel=1.5e-2)
 
 
-def test_minnaert_exact_discrete_scaling(sphere2):
-    # the discrete formulas scale exactly: omega_M(s*mesh) * s = omega_M(mesh)
-    s = 3.0
-    scaled = scale_about(sphere2, s, np.zeros(3))
-    assert minnaert_frequency(scaled) * s == pytest.approx(
-        minnaert_frequency(sphere2), rel=1e-12)
+SCALING_MESHES = (make_icosphere(1.0, 1), make_ellipsoid((1.0, 1.3, 1.7), 1))
+SCALING_DATA = [spectral_data(mesh) for mesh in SCALING_MESHES]
+
+
+@settings(max_examples=30, deadline=None)
+@given(scale=st.floats(0.2, 5.0),
+       shift=st.lists(st.floats(-10 / np.sqrt(3), 10 / np.sqrt(3)),
+                      min_size=3, max_size=3))
+def test_minnaert_exact_discrete_scaling(scale, shift):
+    # the discrete formulas are exact under x -> s x + t (|t| <= 10): the
+    # capacitance scales like s and omega_M like 1/s, independent of t
+    for mesh, data in zip(SCALING_MESHES, SCALING_DATA):
+        moved = spectral_data(affine_transform(mesh, scale * np.eye(3), shift))
+        assert moved.capacitance / scale == pytest.approx(data.capacitance,
+                                                          rel=1e-12)
+        assert moved.minnaert_omega * scale == pytest.approx(
+            data.minnaert_omega, rel=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -134,7 +147,7 @@ def test_condition_guard_trips():
 def test_quadratic_coefficient_identity(mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     spectral = spectral_data(mesh)
-    k2m = k2_average(mesh, spectral)
+    k2m = spectral.k2_average()
     wm2 = spectral.minnaert_omega ** 2
     for omega in (0.5, 1.0, 2.0):
         lhs = 1.0 + omega ** 2 * k2m
@@ -146,13 +159,13 @@ def test_quadratic_coefficient_identity(mesh_name, request):
 def test_cubic_coefficient_identity(mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     spectral = spectral_data(mesh)
-    k3m = k3_average(mesh, spectral)
+    k3m = spectral.k3_average()
     target = -1j * mesh.volume / (4 * np.pi)
     assert abs(k3m - target) <= 2e-2 * abs(target)
 
 
 def test_k2_resonance_close_to_minnaert(sphere2, spectral2):
-    what = k2_resonance_frequency(sphere2, spectral2)
+    what = k2_resonance_frequency(spectral2)
     assert what == pytest.approx(spectral2.minnaert_omega, rel=2e-2)
 
 
@@ -186,7 +199,7 @@ def test_schur_nonresonant_scaling(sphere2, spectral2):
 
 
 def test_schur_resonant_scaling(sphere2, spectral2):
-    what = k2_resonance_frequency(sphere2, spectral2)
+    what = k2_resonance_frequency(spectral2)
     values = {}
     for eps in (0.02, 0.01):
         blocks = schur_blocks(sphere2, eps, what, 0.7, spectral=spectral2)
@@ -223,7 +236,7 @@ def test_expansion_residual_offres_ratio(sphere2, spectral2):
 
 
 def test_expansion_residual_resonant_ratio(sphere2, spectral2):
-    what = k2_resonance_frequency(sphere2, spectral2)
+    what = k2_resonance_frequency(spectral2)
     coarse = expansion_residual(sphere2, 0.04, what, 0.7, spectral=spectral2)
     fine = expansion_residual(sphere2, 0.02, what, 0.7, spectral=spectral2)
     assert coarse.resonant
@@ -258,9 +271,8 @@ def test_dn_factorization_small_z_consistency(sphere2, spectral2):
     residuals = []
     zs = (0.2, 0.4)
     for z in zs:
-        s = assemble_single_layer(sphere2, z)
-        dn = dirichlet_to_neumann(sphere2, z, s=s)
-        lhs = s.matrix @ dn.matrix
+        s = assemble_single_layer(sphere2, z).matrix
+        lhs = s @ dirichlet_to_neumann(sphere2, z).matrix
         residuals.append(np.linalg.norm(lhs - static - z ** 2 * k2, 2))
     order = np.log(residuals[1] / residuals[0]) / np.log(zs[1] / zs[0])
     assert order >= 2.5

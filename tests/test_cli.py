@@ -6,7 +6,7 @@ import pytest
 
 from bubblebem.cli import (EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            RunConfig, UsageError, main, verification_checks)
-from bubblebem.mesh import make_icosphere, save_off
+from bubblebem.mesh import save_off
 
 
 def run(tmp_path, *args):
@@ -153,15 +153,33 @@ def test_usage_errors(tmp_path):
     ("sweep", ["--omega-grid", "1.6,1.5"]),
     ("solve", ["--icosphere", "a,b"]),
     ("solve", ["--icosphere", "1.0,nan"]),
+    ("solve", ["--eps", "abc"]),
+    ("solve", ["--method", "bogus"]),
+    ("solve", ["--nope"]),
+    ("bogus", []),
+    ("sweep", ["--config", "[problem]\nomega_grid = 1.5:1.9:0.1\n"
+                           "[run]\nmethod = bogus\n"]),
 ])
 def test_bad_physical_input_is_a_usage_error(tmp_path, capsys, command, bad):
+    if bad[0:1] == ["--config"]:
+        path = tmp_path / "run.ini"
+        path.write_text(bad[1])
+        bad = ["--config", str(path)]
     args = [command, "--icosphere", "1.0,0", "--eps", "0.05"]
     if command == "solve" and "--omega" not in bad:
         args += ["--omega", "1.3"]
-    if command == "sweep":
+    if command == "sweep" and "--config" not in bad:
         args += ["--method", "uniform"]
     assert main([*args, *bad, "--out", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 @pytest.mark.parametrize("method", ["dilated", "direct"])
@@ -233,12 +251,18 @@ def test_verify_suite_passes(tmp_path):
     assert all(r[header.index("pass")] == "1" for r in rows)
 
 
-def test_verify_mutation_fails():
+def test_verify_mutation_fails(monkeypatch):
     # a sign error in the quadratic series coefficient must break the
-    # capacitance/volume identity check
+    # capacitance/volume identity check; the resonance frequency derived from
+    # that coefficient is pinned to its true value so the suite runs through
+    import bubblebem.boundary_calculus as bc
     cfg = RunConfig(icosphere=(1.0, 1))
-    checks = verification_checks(cfg, mesh=make_icosphere(1.0, 1),
-                                 k2_scale=-1.0)
+    resonance = bc.k2_resonance_frequency(bc.spectral_data(cfg.build_mesh()))
+    k2_average = bc.SpectralData.k2_average
+    monkeypatch.setattr(bc.SpectralData, "k2_average",
+                        lambda self: -k2_average(self))
+    monkeypatch.setattr(bc, "k2_resonance_frequency", lambda data: resonance)
+    checks = verification_checks(cfg)
     by_name = {name: (value, bound, mode)
                for name, value, bound, mode in checks}
     value, bound, _ = by_name["quadratic_coefficient_identity"]

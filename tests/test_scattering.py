@@ -55,7 +55,7 @@ def test_interaction_scaling_off_resonance(sphere2, spectral2):
 
 
 def test_interaction_scaling_at_resonance(sphere2, spectral2):
-    what = k2_resonance_frequency(sphere2, spectral2)
+    what = k2_resonance_frequency(spectral2)
     norms = []
     eps_list = (0.04, 0.02, 0.01)
     for eps in eps_list:
@@ -126,12 +126,6 @@ def test_reciprocity_on_the_sphere(sphere2, spectral2):
     assert np.abs(np.abs(f1.scattered) - np.abs(f2.scattered)).max() \
         <= 1e-10 * np.abs(f1.scattered).max()
     assert abs(f1.amplitude) == pytest.approx(abs(f2.amplitude), rel=1e-10)
-
-
-def test_contrast_off_means_no_scattering(sphere2, spectral2):
-    problem = make_problem(sphere2, 0.05, 1.3)
-    fld = scattered_field_direct(problem, OBS, spectral2, contrast=0.0)
-    assert np.abs(fld.scattered).max() == 0.0
 
 
 # The solvers factor S and the contrast matrix M instead of forming DN; the
@@ -457,15 +451,6 @@ def test_sweep_nonresonant_failure_recorded(sphere2, spectral2):
     assert sweep.rows[0].amplitude is not None
 
 
-def test_sweep_workers_deterministic(sphere2, spectral2):
-    problem = make_problem(sphere2, 0.05, 1.6)
-    grid = np.arange(1.5, 1.9001, 0.1)
-    serial = frequency_sweep(problem, grid, "uniform", spectral2, workers=1)
-    parallel = frequency_sweep(problem, grid, "uniform", spectral2, workers=4)
-    assert [r.amplitude for r in serial.rows] \
-        == [r.amplitude for r in parallel.rows]
-
-
 def test_peak_fit_on_synthetic_uniform(sphere2, spectral2):
     from scipy.optimize import minimize_scalar
     problem = make_problem(sphere2, 0.05, 1.6)
@@ -548,7 +533,7 @@ def test_resolvent_kernel_resonant_limit(sphere2, spectral2):
     # the kernel approaches the point-interaction correction
     # 4 pi (i/z) G_z(x - y0) G_z(y - y0); the measured pointwise rate is
     # first order (all expansions carry integer powers pointwise)
-    what = k2_resonance_frequency(sphere2, spectral2)
+    what = k2_resonance_frequency(spectral2)
     x, y = OBS[0], OBS[1]
     limit = 4 * np.pi * green_function(1j, x[None])[0] \
         * green_function(1j, y[None])[0]
