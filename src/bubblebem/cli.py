@@ -2,7 +2,13 @@
 frequency sweeps, and the verification suite.
 
 Configuration is flat ``key = value`` text with sections (read by
-configparser); every flag mirrors a config key and wins over the file.
+configparser).  Each setting is declared once, as a row of ``_SETTINGS``:
+config section and key, flag, RunConfig field, parser and exclusive group.
+Settings apply in order: defaults, then the config file, then the flags.
+The exclusive groups are the mesh source (path / icosphere / ellipsoid),
+the frequency (omega / omega_grid) and the incident wave (plane_wave /
+point_source): a member that one source gives replaces the whole group,
+and one source giving two members of a group is a usage error.
 Each command writes its artifacts as CSV (17 significant digits, complex
 values as re/im column pairs) plus a manifest with sha256 checksums;
 re-running with --check verifies the artifacts against the manifest.
@@ -22,7 +28,9 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,7 +72,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Everything one command needs; mirrors the config file and flags."""
+    """Everything one command needs: one field per row of ``_SETTINGS``
+    plus the verify tolerances."""
 
     mesh_path: str | None = None
     icosphere: tuple[float, int] | None = None
@@ -81,14 +90,7 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def validate(self, need_omega: bool) -> None:
-        sources = [self.mesh_path is not None, self.icosphere is not None,
-                   self.ellipsoid is not None]
-        if sum(sources) > 1:
-            raise UsageError("give only one mesh source (path, icosphere, "
-                             "or ellipsoid)")
         if need_omega:
-            if (self.omega is None) == (self.omega_grid is None):
-                raise UsageError("exactly one of omega / omega-grid is required")
             if not 0 < self.eps < 1:
                 raise UsageError(f"eps must be finite and lie in (0, 1), "
                                  f"got {self.eps}")
@@ -102,8 +104,6 @@ class RunConfig:
                     or not all(math.isfinite(w) and w > 0 for w in grid)):
                 raise UsageError("omega grid must be non-empty, finite, "
                                  f"positive and sorted, got {grid}")
-        if self.plane_wave is not None and self.point_source is not None:
-            raise UsageError("give only one incident wave")
         if self.method not in METHODS:
             raise UsageError(f"unknown method {self.method!r}; choose from "
                              f"{', '.join(METHODS)}")
@@ -131,20 +131,10 @@ class RunConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def echo(self) -> dict:
-        return {
-            "mesh_path": self.mesh_path,
-            "icosphere": self.icosphere,
-            "ellipsoid": self.ellipsoid,
-            "eps": self.eps,
-            "omega": self.omega,
-            "omega_grid": self.omega_grid,
-            "center": self.center,
-            "plane_wave": self.plane_wave,
-            "point_source": self.point_source,
-            "method": self.method,
-            "guard_constant": self.guard_constant,
-            "tolerances": dict(self.tolerances),
-        }
+        """The settings that identify a run: every field but output_dir."""
+        echo = asdict(self)
+        del echo["output_dir"]
+        return echo
 
 
 def _parse_floats(text: str, n: int | None = None) -> tuple:
@@ -156,6 +146,11 @@ def _parse_floats(text: str, n: int | None = None) -> tuple:
     if n is not None and len(values) != n:
         raise UsageError(f"expected {n} numbers, got {text!r}")
     return values
+
+
+def _parse_float(text: str) -> float:
+    value, = _parse_floats(text, 1)
+    return value
 
 
 def _parse_mesh_spec(text: str, n: int) -> tuple:
@@ -183,80 +178,79 @@ def _parse_grid(text: str) -> list[float]:
     return list(_parse_floats(text))
 
 
+class _Setting(NamedTuple):
+    section: str
+    key: str
+    flag: str
+    attr: str                       # RunConfig field
+    parse: Callable[[str], object]
+    group: str | None = None        # exclusive group
+    metavar: str | None = None
+
+
+_SETTINGS = (
+    _Setting("mesh", "path", "--mesh", "mesh_path", str, "mesh", "PATH"),
+    _Setting("mesh", "icosphere", "--icosphere", "icosphere",
+             partial(_parse_mesh_spec, n=2), "mesh", "R,SUB"),
+    _Setting("mesh", "ellipsoid", "--ellipsoid", "ellipsoid",
+             partial(_parse_mesh_spec, n=4), "mesh", "A,B,C,SUB"),
+    _Setting("problem", "eps", "--eps", "eps", _parse_float),
+    _Setting("problem", "omega", "--omega", "omega", _parse_float,
+             "frequency"),
+    _Setting("problem", "omega_grid", "--omega-grid", "omega_grid",
+             _parse_grid, "frequency", "START:STOP:STEP"),
+    _Setting("problem", "center", "--center", "center",
+             partial(_parse_floats, n=3), None, "X,Y,Z"),
+    _Setting("incident", "plane_wave", "--plane-wave", "plane_wave",
+             partial(_parse_floats, n=3), "incident", "DX,DY,DZ"),
+    _Setting("incident", "point_source", "--point-source", "point_source",
+             partial(_parse_floats, n=3), "incident", "X,Y,Z"),
+    _Setting("run", "method", "--method", "method", str, None,
+             "{" + ",".join(METHODS) + "}"),
+    _Setting("run", "output_dir", "--out", "output_dir", str, None, "DIR"),
+    _Setting("run", "guard_constant", "--guard-constant", "guard_constant",
+             _parse_float),
+)
+
+
+def _apply(cfg: RunConfig, given: list) -> None:
+    """Apply one source's settings, given as (setting, name, text) triples.
+
+    A member of an exclusive group replaces the whole group; two members
+    of one group from the same source are a usage error.
+    """
+    named = {}
+    for setting, name, text in given:
+        if setting.group is not None:
+            if setting.group in named:
+                raise UsageError(f"give only one of {named[setting.group]} "
+                                 f"and {name}")
+            named[setting.group] = name
+            for other in _SETTINGS:
+                if other.group == setting.group:
+                    setattr(cfg, other.attr, None)
+        setattr(cfg, setting.attr, setting.parse(text))
+
+
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file at ``path``, then the flags."""
     cfg = RunConfig()
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise UsageError(f"config file {path!r} not found")
-        mesh = parser["mesh"] if parser.has_section("mesh") else {}
-        if "path" in mesh:
-            cfg.mesh_path = mesh["path"]
-        if "icosphere" in mesh:
-            cfg.icosphere = _parse_mesh_spec(mesh["icosphere"], 2)
-        if "ellipsoid" in mesh:
-            cfg.ellipsoid = _parse_mesh_spec(mesh["ellipsoid"], 4)
-        prob = parser["problem"] if parser.has_section("problem") else {}
-        if "eps" in prob:
-            cfg.eps, = _parse_floats(prob["eps"], 1)
-        if "omega" in prob:
-            cfg.omega, = _parse_floats(prob["omega"], 1)
-        if "omega_grid" in prob:
-            cfg.omega_grid = _parse_grid(prob["omega_grid"])
-        if "center" in prob:
-            cfg.center = _parse_floats(prob["center"], 3)
-        inc = parser["incident"] if parser.has_section("incident") else {}
-        if "plane_wave" in inc:
-            cfg.plane_wave = _parse_floats(inc["plane_wave"], 3)
-        if "point_source" in inc:
-            cfg.point_source = _parse_floats(inc["point_source"], 3)
-            cfg.plane_wave = None
-        run = parser["run"] if parser.has_section("run") else {}
-        if "method" in run:
-            cfg.method = run["method"]
-        if "output_dir" in run:
-            cfg.output_dir = run["output_dir"]
-        if "guard_constant" in run:
-            cfg.guard_constant, = _parse_floats(run["guard_constant"], 1)
+        _apply(cfg, [(s, f"[{s.section}] {s.key}", parser.get(s.section, s.key))
+                     for s in _SETTINGS if parser.has_option(s.section, s.key)])
         if parser.has_section("tolerances"):
             for key, value in parser["tolerances"].items():
                 if key not in DEFAULT_TOLERANCES:
                     raise UsageError(f"unknown tolerance {key!r}")
-                cfg.tolerances[key], = _parse_floats(value, 1)
-
-    if args.mesh is not None:
-        cfg.mesh_path = args.mesh
-    if args.icosphere is not None:
-        cfg.icosphere = _parse_mesh_spec(args.icosphere, 2)
-        cfg.mesh_path = None
-    if args.ellipsoid is not None:
-        cfg.ellipsoid = _parse_mesh_spec(args.ellipsoid, 4)
-        cfg.mesh_path = None
-    if args.eps is not None:
-        cfg.eps = args.eps
-    if args.omega is not None:
-        cfg.omega = args.omega
-        cfg.omega_grid = None
-    if args.omega_grid is not None:
-        cfg.omega_grid = _parse_grid(args.omega_grid)
-        cfg.omega = None
-    if args.center is not None:
-        cfg.center = _parse_floats(args.center, 3)
-    if args.plane_wave is not None:
-        cfg.plane_wave = _parse_floats(args.plane_wave, 3)
-        cfg.point_source = None
-    if args.point_source is not None:
-        cfg.point_source = _parse_floats(args.point_source, 3)
-        cfg.plane_wave = None
-    if args.method is not None:
-        cfg.method = args.method
-    if args.out is not None:
-        cfg.output_dir = args.out
-    elif cfg.output_dir == "." and os.environ.get(OUTDIR_ENV):
+                cfg.tolerances[key] = _parse_float(value)
+    _apply(cfg, [(s, s.flag, getattr(args, s.attr)) for s in _SETTINGS
+                 if getattr(args, s.attr) is not None])
+    if (args.output_dir is None and cfg.output_dir == "."
+            and os.environ.get(OUTDIR_ENV)):
         cfg.output_dir = os.environ[OUTDIR_ENV]
-    if args.guard_constant is not None:
-        cfg.guard_constant = args.guard_constant
     return cfg
 
 
@@ -561,6 +555,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 # Entry point
 
 
+_EPILOG = ("Settings apply in order: defaults, the --config file, the flags; "
+           "each flag mirrors a config key. A mesh source, frequency or "
+           "incident wave replaces the one an earlier source gave; giving "
+           "two in one source is an error. --out defaults to . or "
+           f"${OUTDIR_ENV}.")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bubblebem",
@@ -573,25 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
             ("solve", "scattered field at one frequency"),
             ("sweep", "amplitude sweep over a frequency grid plus peak fit"),
             ("verify", "identity/expansion/kernel verification suite")):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, epilog=_EPILOG)
         p.add_argument("--config", default=None, help="INI-style config file")
-        p.add_argument("--mesh", default=None, help="OFF/OBJ mesh path")
-        p.add_argument("--icosphere", default=None, metavar="R,SUB")
-        p.add_argument("--ellipsoid", default=None, metavar="A,B,C,SUB")
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--omega-grid", dest="omega_grid", default=None,
-                       metavar="START:STOP:STEP")
-        p.add_argument("--center", default=None, metavar="X,Y,Z")
-        p.add_argument("--plane-wave", dest="plane_wave", default=None,
-                       metavar="DX,DY,DZ")
-        p.add_argument("--point-source", dest="point_source", default=None,
-                       metavar="X,Y,Z")
-        p.add_argument("--method", default=None, choices=METHODS)
-        p.add_argument("--out", default=None, help="output directory "
-                       f"(default . or ${OUTDIR_ENV})")
-        p.add_argument("--guard-constant", dest="guard_constant", type=float,
-                       default=None)
+        for setting in _SETTINGS:
+            p.add_argument(setting.flag, dest=setting.attr,
+                           metavar=setting.metavar)
         p.add_argument("--check", action="store_true",
                        help="verify artifact checksums against the manifest "
                             "instead of running")

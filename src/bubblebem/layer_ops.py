@@ -9,6 +9,11 @@ by the regular rule.
 Matrix convention: entry (i, j) approximates the integral of the kernel over
 panel j, observed at the centroid of panel i, so matrices act directly on
 per-panel coefficient vectors.
+
+Every kernel runs the same pass, ``_row_chunks``: observation points in
+chunks of ``_ROW_CHUNK`` rows against all quadrature nodes, so memory stays
+O(_ROW_CHUNK * 6n); ``_panel_sum`` folds each panel's 6 node values.  The
+chunk size changes no matrix entry.
 """
 
 from __future__ import annotations
@@ -196,33 +201,62 @@ def _check_im(z: complex) -> complex:
     return z
 
 
+def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
+                normals: np.ndarray | None = None):
+    """The one chunked pass of every kernel: targets against all nodes.
+
+    Yields, for each chunk of at most ``_ROW_CHUNK`` targets x, the row
+    slice, the distances |x-y| to every node y (rows, nodes) and, given the
+    per-panel ``normals``, ν(y)·(x-y).  The displacement block is freed
+    before the caller allocates, so kernels that need only |x-y| never hold
+    it.
+    """
+    flat_nodes = nodes.reshape(-1, 3)
+    # ν(y) is constant on each source panel
+    flat_nu = None if normals is None else np.repeat(normals, 6, axis=0)
+    for lo in range(0, len(targets), _ROW_CHUNK):
+        rows = slice(lo, min(lo + _ROW_CHUNK, len(targets)))
+        diff = targets[rows, None, :] - flat_nodes[None, :, :]
+        r = np.linalg.norm(diff, axis=2)
+        numer = (None if flat_nu is None
+                 else np.einsum("ijk,jk->ij", diff, flat_nu))
+        del diff
+        yield rows, r, numer
+
+
+def _panel_sum(vals: np.ndarray) -> np.ndarray:
+    """Sum each source panel's 6 node values: (rows, 6n) -> (rows, n)."""
+    return vals.reshape(len(vals), -1, 6).sum(axis=2)
+
+
+def _self_offsets(mesh: SurfaceMesh, nodes: np.ndarray):
+    """Centroid-to-own-node displacements (n, 6, 3) and distances (n, 6)."""
+    diff = mesh.centroids[:, None, :] - nodes
+    return diff, np.linalg.norm(diff, axis=2)
+
+
 def assemble_single_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
     """Single-layer boundary operator S_z with kernel e^{iz r}/(4π r)."""
     z = _check_im(z)
     nodes, weights = panel_quadrature(mesh)
     n = mesh.n_panels
-    flat_nodes = nodes.reshape(-1, 3)
     flat_w = weights.reshape(-1)
     out = np.empty((n, n), dtype=complex)
     use_complex = z != 0
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
-        r = np.linalg.norm(mesh.centroids[lo:hi, None, :] - flat_nodes[None, :, :],
-                           axis=2)
+    for rows, r, _ in _row_chunks(mesh.centroids, nodes):
         if use_complex:
             vals = np.exp(1j * z * r)
             vals /= r
         else:
             vals = 1.0 / r
         vals *= flat_w
-        out[lo:hi] = vals.reshape(hi - lo, n, 6).sum(axis=2) / (4.0 * np.pi)
+        out[rows] = _panel_sum(vals) / (4.0 * np.pi)
 
     # Self panel: the 1/r part integrates in closed form; the remainder
     # (e^{izr}-1)/(4πr) is bounded and the regular rule applies.
     diag = _self_panel_inverse_distance(mesh).astype(complex)
     if use_complex:
-        idx = np.arange(n)
-        rself = np.linalg.norm(mesh.centroids[:, None, :] - nodes[idx], axis=2)
+        _, rself = _self_offsets(mesh, nodes)
         smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
         diag = diag + np.sum(smooth * weights, axis=1)
     out[np.arange(n), np.arange(n)] = diag
@@ -242,37 +276,27 @@ def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
     z = _check_im(z)
     nodes, weights = panel_quadrature(mesh)
     n = mesh.n_panels
-    flat_nodes = nodes.reshape(-1, 3)
     flat_w = weights.reshape(-1)
-    # ν(y) is constant on each source panel
-    flat_nu = np.repeat(mesh.normals, 6, axis=0)
     out = np.empty((n, n), dtype=complex)
     static_rowsum = np.empty(n)
     use_complex = z != 0
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
-        diff = mesh.centroids[lo:hi, None, :] - flat_nodes[None, :, :]
-        r = np.linalg.norm(diff, axis=2)
-        numer = np.einsum("ijk,jk->ij", diff, flat_nu)
+    for rows, r, numer in _row_chunks(mesh.centroids, nodes, mesh.normals):
         static = numer / (4.0 * np.pi * r ** 3)
         static *= flat_w
-        block0 = static.reshape(hi - lo, n, 6).sum(axis=2)
+        block0 = _panel_sum(static)
         if use_complex:
-            vals = static * ((1.0 - 1j * z * r) * np.exp(1j * z * r))
-            block = vals.reshape(hi - lo, n, 6).sum(axis=2)
+            block = _panel_sum(static * ((1.0 - 1j * z * r)
+                                         * np.exp(1j * z * r)))
         else:
             block = block0.astype(complex)
-        rows = np.arange(lo, hi)
-        block0[rows - lo, rows] = 0.0
-        block[rows - lo, rows] = 0.0
-        out[lo:hi] = block
-        static_rowsum[lo:hi] = block0.sum(axis=1)
+        np.fill_diagonal(block0[:, rows], 0.0)
+        np.fill_diagonal(block[:, rows], 0.0)
+        out[rows] = block
+        static_rowsum[rows] = block0.sum(axis=1)
 
     diag = (-0.5 - static_rowsum).astype(complex)
     if use_complex:
-        idx = np.arange(n)
-        diff = mesh.centroids[:, None, :] - nodes[idx]
-        r = np.linalg.norm(diff, axis=2)
+        diff, r = _self_offsets(mesh, nodes)
         numer = np.einsum("ijk,ik->ij", diff, mesh.normals)
         smooth = numer * ((1.0 - 1j * z * r) * np.exp(1j * z * r) - 1.0)
         smooth /= 4.0 * np.pi * r ** 3
@@ -297,17 +321,13 @@ def assemble_series_term_S(mesh: SurfaceMesh, n: int) -> BoundaryOperator:
     _series_range_check(n, 1)
     nodes, weights = panel_quadrature(mesh)
     npan = mesh.n_panels
-    flat_nodes = nodes.reshape(-1, 3)
     flat_w = weights.reshape(-1)
     coeff = (1j ** n) / (4.0 * np.pi * float(math.factorial(n)))
     out = np.empty((npan, npan), dtype=complex)
-    for lo in range(0, npan, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, npan)
-        r = np.linalg.norm(mesh.centroids[lo:hi, None, :] - flat_nodes[None, :, :],
-                           axis=2)
+    for rows, r, _ in _row_chunks(mesh.centroids, nodes):
         vals = r ** (n - 1) if n > 1 else np.ones_like(r)
         vals = vals * flat_w
-        out[lo:hi] = coeff * vals.reshape(hi - lo, npan, 6).sum(axis=2)
+        out[rows] = coeff * _panel_sum(vals)
     return BoundaryOperator(out, domain=DENSITY, codomain=TRACE,
                             wavenumber=None, label=f"S_({n})")
 
@@ -321,23 +341,16 @@ def assemble_series_term_K(mesh: SurfaceMesh, n: int) -> BoundaryOperator:
     _series_range_check(n, 2)
     nodes, weights = panel_quadrature(mesh)
     npan = mesh.n_panels
-    flat_nodes = nodes.reshape(-1, 3)
     flat_w = weights.reshape(-1)
-    flat_nu = np.repeat(mesh.normals, 6, axis=0)
     coeff = -(n - 1) * (1j ** n) / (4.0 * np.pi * float(math.factorial(n)))
     out = np.empty((npan, npan), dtype=complex)
-    for lo in range(0, npan, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, npan)
-        diff = mesh.centroids[lo:hi, None, :] - flat_nodes[None, :, :]
-        r = np.linalg.norm(diff, axis=2)
-        numer = np.einsum("ijk,jk->ij", diff, flat_nu)
+    for rows, r, numer in _row_chunks(mesh.centroids, nodes, mesh.normals):
         vals = numer * r ** (n - 3)
         vals *= flat_w
-        block = coeff * vals.reshape(hi - lo, npan, 6).sum(axis=2)
+        block = coeff * _panel_sum(vals)
         # flat self panel: ν ⟂ (x-y) exactly; drop the rounding residue
-        rows = np.arange(lo, hi)
-        block[rows - lo, rows] = 0.0
-        out[lo:hi] = block
+        np.fill_diagonal(block[:, rows], 0.0)
+        out[rows] = block
     return BoundaryOperator(out, domain=TRACE, codomain=TRACE,
                             wavenumber=None, label=f"K_({n})")
 
@@ -361,26 +374,20 @@ def eval_single_layer_potential(mesh: SurfaceMesh,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_clearance(mesh, points)
     nodes, weights = panel_quadrature(mesh)
-    flat_nodes = nodes.reshape(-1, 3)
     flat_w = weights.reshape(-1)
     out = np.empty(len(points), dtype=complex)
-    for lo in range(0, len(points), _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, len(points))
-        r = np.linalg.norm(points[lo:hi, None, :] - flat_nodes[None, :, :], axis=2)
+    for rows, r, _ in _row_chunks(points, nodes):
         vals = np.exp(1j * z * r) / (4.0 * np.pi * r) * flat_w
-        panel_ints = vals.reshape(hi - lo, mesh.n_panels, 6).sum(axis=2)
-        out[lo:hi] = panel_ints @ coeff
+        out[rows] = _panel_sum(vals) @ coeff
     return out
 
 
 def _check_clearance(mesh: SurfaceMesh, points: np.ndarray) -> None:
     clearance = float(mesh.panel_diameters().max())
-    for lo in range(0, len(points), _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, len(points))
-        d = np.linalg.norm(points[lo:hi, None, :] - mesh.centroids[None, :, :],
-                           axis=2).min(axis=1)
+    for rows, r, _ in _row_chunks(points, mesh.centroids):
+        d = r.min(axis=1)
         if np.any(d < clearance):
-            bad = lo + int(np.argmin(d))
+            bad = rows.start + int(np.argmin(d))
             raise ValueError(
                 f"evaluation point {bad} is {d.min():.3g} from the surface, "
                 f"closer than one panel diameter ({clearance:.3g})")

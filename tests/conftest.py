@@ -34,6 +34,6 @@ def spectral3(sphere3):
     return spectral_data(sphere3)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -25,14 +25,17 @@ def test_inner_product_of_ones_is_capacitance(spectral2, sphere2):
         spectral2.capacitance, rel=1e-13)
 
 
-def test_inner_product_hermitian(spectral2, sphere2, rng):
+def test_inner_product_hermitian(spectral2, sphere2):
     # exact symmetry of S_0 holds only up to quadrature error, which bounds
-    # the Hermitian defect of the induced product
-    phi = BoundaryDensity(rng.normal(size=sphere2.n_panels), space=TRACE)
-    psi = BoundaryDensity(rng.normal(size=sphere2.n_panels), space=TRACE)
-    a = s0_inner(spectral2, phi, psi)
-    b = s0_inner(spectral2, psi, phi)
-    assert a == pytest.approx(np.conj(b), rel=2e-2)
+    # the Hermitian defect of the induced product: its Gram matrix
+    # W[i, j] = <S_0^{-1} e_i, e_j>, i.e. W = S_0^{-T} diag(areas)
+    basis = np.eye(sphere2.n_panels)
+    gram = spectral2.solve_s0(basis).conj().T * spectral2.areas
+    phi, psi = (BoundaryDensity(basis[i], space=TRACE) for i in (3, 200))
+    assert s0_inner(spectral2, phi, psi) == pytest.approx(gram[3, 200],
+                                                          rel=1e-12)
+    assert (np.linalg.norm(gram - gram.conj().T, 2)
+            <= 2e-2 * np.linalg.norm(gram, 2))
 
 
 def test_inner_product_positive(spectral2, sphere2, rng):

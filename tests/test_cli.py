@@ -6,7 +6,7 @@ import pytest
 
 from bubblebem.cli import (EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            RunConfig, UsageError, main, verification_checks)
-from bubblebem.mesh import save_off
+from bubblebem.mesh import make_icosphere, save_off
 
 
 def run(tmp_path, *args):
@@ -159,8 +159,15 @@ def test_usage_errors(tmp_path):
     ("bogus", []),
     ("sweep", ["--config", "[problem]\nomega_grid = 1.5:1.9:0.1\n"
                            "[run]\nmethod = bogus\n"]),
+    ("solve", ["--mesh", "m.off"]),
+    ("solve", ["--plane-wave", "0,0,1", "--point-source", "0,0,3"]),
+    ("solve", ["--config", "[incident]\nplane_wave = 0, 0, 1\n"
+                           "point_source = 0, 0, 3\n"]),
 ])
-def test_bad_physical_input_is_a_usage_error(tmp_path, capsys, command, bad):
+def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                             command, bad):
+    monkeypatch.chdir(tmp_path)
+    save_off(make_icosphere(1.0, 0), "m.off")
     if bad[0:1] == ["--config"]:
         path = tmp_path / "run.ini"
         path.write_text(bad[1])
@@ -179,7 +186,30 @@ def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage:")
+    out = capsys.readouterr().out
+    assert out.startswith("usage:")
+    if argv[0] == "solve":
+        for flag in ("--config", "--mesh", "--icosphere", "--ellipsoid",
+                     "--eps", "--omega", "--omega-grid", "--center",
+                     "--plane-wave", "--point-source", "--method", "--out",
+                     "--guard-constant", "--check"):
+            assert flag in out
+
+
+def test_flag_replaces_config_mesh_source(tmp_path, capsys):
+    from test_mesh import cube
+    mesh_path = tmp_path / "cube.off"
+    save_off(cube(), str(mesh_path))
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[mesh]\nicosphere = 1.0, 1\n")
+    assert run(tmp_path, "geometry", "--config", str(cfg_path),
+               "--mesh", str(mesh_path)) == EXIT_OK
+    _, rows = read_csv(tmp_path / "geometry.csv")
+    assert {r[0]: r[1] for r in rows}["panels"] == "12"
+    # two members of one group from the same source name both flags
+    assert run(tmp_path, "geometry", "--mesh", str(mesh_path),
+               "--icosphere", "1.0,0") == EXIT_USAGE
+    assert "--mesh and --icosphere" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["dilated", "direct"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bubblebem import layer_ops
 from bubblebem.layer_ops import (DENSITY, TRACE, BoundaryDensity,
                                  BoundaryOperator, SpaceTagError,
                                  assemble_double_layer, assemble_series_term_K,
@@ -8,7 +9,7 @@ from bubblebem.layer_ops import (DENSITY, TRACE, BoundaryDensity,
                                  eval_single_layer_potential, load_operator,
                                  panel_quadrature, save_operator,
                                  triangle_inverse_distance_integral)
-from bubblebem.mesh import make_icosphere, scale_about
+from bubblebem.mesh import make_ellipsoid, make_icosphere, scale_about
 
 
 def duality_opnorm_gap(mesh, matrix):
@@ -311,3 +312,39 @@ def test_nonfinite_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         BoundaryOperator(np.array([[1.0, np.nan], [0.0, 1.0]]),
                          domain=TRACE, codomain=TRACE)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
+    # the row chunk bounds memory only; the results must not depend on it
+    mesh = make_ellipsoid((1.0, 1.3, 1.7), 1)
+    density = np.linspace(-1.0, 1.0, mesh.n_panels) + 0.5j
+    angles = np.linspace(0.0, 6.0, 20)
+    points = np.column_stack([3 * np.cos(angles), 3 * np.sin(angles),
+                              np.full(20, 0.9)])
+
+    def matrices():
+        return ([assemble(mesh, z).matrix for z in (0.0, 1.0 + 1.0j)
+                 for assemble in (assemble_single_layer,
+                                  assemble_double_layer)]
+                + [assemble_series_term_S(mesh, n).matrix for n in range(1, 7)]
+                + [assemble_series_term_K(mesh, n).matrix for n in range(2, 7)])
+
+    def potentials():
+        return [eval_single_layer_potential(mesh, density, z, points)
+                for z in (0.0, 1.6)]
+
+    default_matrices, default_potentials = matrices(), potentials()
+    monkeypatch.setattr(layer_ops, "_ROW_CHUNK", chunk)
+    for expected, got in zip(default_matrices, matrices(), strict=True):
+        assert got.tobytes() == expected.tobytes()
+    for expected, got in zip(default_potentials, potentials(), strict=True):
+        if chunk > 1:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            # a one-row chunk sends the panel-by-density product down numpy's
+            # vector-dot path, which sums in another order than the
+            # matrix-vector one
+            np.testing.assert_allclose(
+                got, expected, rtol=0,
+                atol=8 * np.finfo(float).eps * np.abs(expected).max())
