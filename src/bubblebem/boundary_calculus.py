@@ -1,6 +1,7 @@
 """Derived boundary objects: the per-mesh spectral data (equilibrium density,
 capacitance, Minnaert frequency, spectral projectors and the series averages
-<K_(2)>, <K_(3)>), the Dirichlet-to-Neumann map, and the two-block
+<K_(2)>, <K_(3)>), the Dirichlet-to-Neumann map, the guarded factors of S
+and of the contrast matrix M that every solver uses, and the two-block
 decomposition of the contrast operator family with its small-scale
 expansions.
 
@@ -159,7 +160,19 @@ def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Dirichlet-to-Neumann map
+# Dirichlet-to-Neumann map and the transmission factors
+
+
+def _dn_factors(mesh: SurfaceMesh, w: complex) -> tuple:
+    """S_w, 1/2 + K_w and the guarded LU of S_w: the factors of
+    DN_w = S_w^{-1}(1/2 + K_w)."""
+    # K has the larger assembly temporaries, so it is built before any n x n
+    # matrix is alive; the identity shift is added in place.
+    half_k = assemble_double_layer(mesh, w).matrix
+    half_k.flat[::mesh.n_panels + 1] += 0.5
+    s = assemble_single_layer(mesh, w).matrix
+    s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
+    return s, half_k, s_lu
 
 
 def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
@@ -172,15 +185,37 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
     the largest condition estimate of S_z near z = pi is about 5.6e3.
 
     The solvers never form this matrix: they factor S and the contrast
-    matrix instead (see scattering._factor_transmission).
+    matrix instead (see ``_factor_transmission``).
     """
-    s = assemble_single_layer(mesh, z)
-    k = assemble_double_layer(mesh, z)
-    lu = _guarded_lu(s.matrix, f"single layer S_z at z = {z} in the "
-                               "trace-to-flux map")
-    rhs = 0.5 * np.eye(mesh.n_panels) + k.matrix
-    return BoundaryOperator(lu_solve(lu, rhs), domain=TRACE, codomain=DENSITY,
-                            wavenumber=complex(z), label="DN")
+    _, half_k, s_lu = _dn_factors(mesh, z)
+    return BoundaryOperator(lu_solve(s_lu, half_k), domain=TRACE,
+                            codomain=DENSITY, wavenumber=complex(z), label="DN")
+
+
+def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
+                         kappa: float) -> tuple:
+    """Factor S_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} on ``mesh``,
+    each under the condition guard, without forming DN_w.
+
+    Since DN_w = S_w^{-1}(1/2 + K_w), S_w^{-1} M S_w = I + kappa DN_w S_z and
+
+        (I + kappa DN_w S_z)^{-1} DN_w = S_w^{-1} M^{-1} (1/2 + K_w).
+
+    At z == w the factor S_z S_w^{-1} is the identity and S_z is not built.
+    This is the only place M is formed: the solvers, ``schur_blocks`` and
+    ``expansion_residual`` all read it from here.  Returns S_w, 1/2 + K_w,
+    the LU factors of S_w, M and the LU factors of M.
+    """
+    s, half_k, s_lu = _dn_factors(mesh, w)
+    coupling = half_k
+    if z != w:
+        s_z = assemble_single_layer(mesh, z).matrix
+        coupling = half_k @ lu_solve(s_lu, s_z.T, trans=1).T
+    m = kappa * coupling
+    m.flat[::mesh.n_panels + 1] += 1.0
+    m_lu = _guarded_lu(m, f"contrast matrix M at wavenumber {w:.6g}, "
+                          f"spectral parameter {z:.6g}")
+    return s, half_k, s_lu, m, m_lu
 
 
 # ----------------------------------------------------------------------------
@@ -189,9 +224,10 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
 
 @dataclass
 class SchurBlocks:
-    """Two-block split of eps^2 + (1-eps^2)(1/2+K_{eps w})S_{eps z}S_{eps w}^{-1}.
+    """Two-block split of the contrast operator
+    eps^2 M = eps^2 + (1-eps^2)(1/2+K_{eps w})S_{eps z}S_{eps w}^{-1}.
 
-    Blocks live in the full panel basis (each is P_i M P_j); the Schur
+    Blocks live in the full panel basis (each is P_i eps^2 M P_j); the Schur
     complement of the constants block is computed with the complementary
     block inverted on the mean-free subspace by a bordered solve.
     """
@@ -206,8 +242,6 @@ class SchurBlocks:
     m11: np.ndarray
     c00: np.ndarray
     c00_on_constants: complex
-    e_omega_0: complex          # 1 - omega^2/omega_M^2 from capacitance/volume
-    e_omega_1: complex          # -i omega^3 |Omega| / 4 pi
     quadratic_coefficient: complex   # discrete eps^2 coefficient on constants
     cubic_coefficient: complex       # discrete eps^3 coefficient on constants
 
@@ -240,38 +274,27 @@ def _discrete_coefficients(spectral, omega, z):
     return complex(quad), complex(cubic)
 
 
-def contrast_operator(mesh: SurfaceMesh, eps: float, omega: complex,
-                      z: complex) -> np.ndarray:
-    """Matrix of eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}.
-
-    At z == omega the right factor S_{eps z} S_{eps w}^{-1} is the identity,
-    so no single layer is assembled or factored.
-    """
+def _contrast_factors(spectral: SpectralData, eps: float, omega: complex,
+                      z: complex) -> tuple:
+    """``_factor_transmission`` on the reference mesh at eps*omega, eps*z and
+    kappa = 1/eps^2 - 1, where eps^2 M is the contrast operator
+    eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    k_ew = assemble_double_layer(mesh, eps * omega)
-    n = mesh.n_panels
-    coupling = 0.5 * np.eye(n) + k_ew.matrix
-    if z != omega:
-        s_ew = assemble_single_layer(mesh, eps * omega)
-        s_ez = assemble_single_layer(mesh, eps * z)
-        lu = _guarded_lu(s_ew.matrix, "single layer at the contracted frequency")
-        # right inverse: X = S_{eps z} S_{eps w}^{-1} via the transposed solve
-        coupling = coupling @ lu_solve(lu, s_ez.matrix.T, trans=1).T
-    return eps ** 2 * np.eye(n) + (1.0 - eps ** 2) * coupling
+    return _factor_transmission(spectral.mesh, eps * omega, eps * z,
+                                eps ** -2 - 1.0)
 
 
-def schur_blocks(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
-                 spectral: SpectralData) -> SchurBlocks:
+def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
+                 z: complex) -> SchurBlocks:
     """Project the contrast operator onto the constants/mean-free splitting.
 
     The complementary block is inverted on the mean-free subspace by a
     bordered solve that pins <1, .>_{S_0^{-1}} = 0, avoiding the spurious
     null direction of the full-space block.
     """
-    m = contrast_operator(mesh, eps, omega, z)
+    m = eps ** 2 * _contrast_factors(spectral, eps, omega, z)[3]
     p0 = spectral.p0.matrix
-    q0 = spectral.q0.matrix
     mp = m @ p0
     mq = m - mp
     m00 = p0 @ mp
@@ -279,7 +302,7 @@ def schur_blocks(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
     m01 = p0 @ mq
     m11 = mq - m01
 
-    n = mesh.n_panels
+    n = spectral.mesh.n_panels
     constraint = spectral.q_eq.values * spectral.areas
     bordered = np.zeros((n + 1, n + 1), dtype=complex)
     bordered[:n, :n] = m11
@@ -299,8 +322,6 @@ def schur_blocks(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
         eps=eps, omega=complex(omega), z=complex(z), full=m,
         m00=m00, m01=m01, m10=m10, m11=m11, c00=c00,
         c00_on_constants=complex(c00_const),
-        e_omega_0=complex(1.0 - omega ** 2 / spectral.minnaert_omega ** 2),
-        e_omega_1=complex(-1j * omega ** 3 * mesh.volume / (4 * np.pi)),
         quadratic_coefficient=quad,
         cubic_coefficient=cubic,
     )
@@ -331,10 +352,11 @@ class ExpansionResidual:
             / abs(self.formula_coefficient)
 
 
-def expansion_residual(mesh: SurfaceMesh, eps: float, omega: complex, z: complex,
-                       spectral: SpectralData) -> ExpansionResidual:
-    """Residual of eps^2 M^{-1} ~ P_0/E (off resonance) or of
-    eps^3 M^{-1} ~ coefficient * P_0 (at resonance), in the S_0^{-1} norm.
+def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
+                       z: complex) -> ExpansionResidual:
+    """Residual of M^{-1} ~ P_0/E (off resonance) or of
+    eps M^{-1} ~ coefficient * P_0 (at resonance), in the S_0^{-1} norm,
+    with M = eps^{-2} times the contrast operator (``_factor_transmission``).
 
     ``omega`` counts as resonant when the discrete quadratic coefficient
     vanishes to 1e-8, as it does at ``k2_resonance_frequency``.  Off
@@ -345,21 +367,20 @@ def expansion_residual(mesh: SurfaceMesh, eps: float, omega: complex, z: complex
     """
     quad, cubic = _discrete_coefficients(spectral, omega, z)
     resonant = abs(quad) < 1e-8
-    m = contrast_operator(mesh, eps, omega, z)
-    lu = _guarded_lu(m, "contrast operator")
-    minv = lu_solve(lu, np.eye(mesh.n_panels, dtype=complex))
+    m_lu = _contrast_factors(spectral, eps, omega, z)[4]
+    minv = lu_solve(m_lu, np.eye(spectral.mesh.n_panels, dtype=complex))
     p0 = spectral.p0.matrix
     if resonant:
         if z == 0:
             raise ValueError("the resonant expansion needs z != 0")
         reference = 1.0 / cubic
         formula = (4 * np.pi / spectral.capacitance) * (1j / z)
-        diff = eps ** 3 * minv - reference * p0
+        diff = eps * minv - reference * p0
         order = 3
     else:
         reference = 1.0 / quad
         formula = 1.0 / (1.0 - omega ** 2 / spectral.minnaert_omega ** 2)
-        diff = eps ** 2 * minv - reference * p0
+        diff = minv - reference * p0
         order = 2
     return ExpansionResidual(
         eps=eps, omega=complex(omega), z=complex(z), resonant=bool(resonant),

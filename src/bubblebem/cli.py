@@ -233,8 +233,9 @@ def _apply(cfg: RunConfig, given: list) -> None:
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file at ``path``, then the flags."""
-    cfg = RunConfig()
+    """Defaults (with $BUBBLEBEM_OUTDIR as the default output directory),
+    then the config file at ``path``, then the flags."""
+    cfg = RunConfig(output_dir=os.environ.get(OUTDIR_ENV) or ".")
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         if not parser.read(path):
@@ -248,9 +249,6 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
                 cfg.tolerances[key] = _parse_float(value)
     _apply(cfg, [(s, s.flag, getattr(args, s.attr)) for s in _SETTINGS
                  if getattr(args, s.attr) is not None])
-    if (args.output_dir is None and cfg.output_dir == "."
-            and os.environ.get(OUTDIR_ENV)):
-        cfg.output_dir = os.environ[OUTDIR_ENV]
     return cfg
 
 
@@ -483,8 +481,8 @@ def verification_checks(cfg: RunConfig):
     what = bc.k2_resonance_frequency(spectral)
     for name, omega in (("offres_expansion_ratio", 1.0),
                         ("res_expansion_ratio", what)):
-        r_coarse = bc.expansion_residual(mesh, 0.04, omega, 0.7, spectral)
-        r_fine = bc.expansion_residual(mesh, 0.02, omega, 0.7, spectral)
+        r_coarse = bc.expansion_residual(spectral, 0.04, omega, 0.7)
+        r_fine = bc.expansion_residual(spectral, 0.02, omega, 0.7)
         checks.append((name, r_coarse.residual / r_fine.residual, (lo, hi),
                        "range"))
 
@@ -559,7 +557,8 @@ _EPILOG = ("Settings apply in order: defaults, the --config file, the flags; "
            "each flag mirrors a config key. A mesh source, frequency or "
            "incident wave replaces the one an earlier source gave; giving "
            "two in one source is an error. --out defaults to . or "
-           f"${OUTDIR_ENV}.")
+           f"${OUTDIR_ENV}. A value with a leading minus needs the "
+           "--flag=value form, e.g. --center=-1,0,0.")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,10 +23,12 @@ import numpy as np
 from scipy.linalg import lu_solve
 from scipy.optimize import curve_fit
 
-from .boundary_calculus import NumericalGuardError, SpectralData, _guarded_lu
+from .boundary_calculus import (NumericalGuardError, SpectralData,
+                                _factor_transmission)
+# assemble_single_layer is not called here; it stays importable from this
+# module because perfbench's tracer test looks it up in every namespace.
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
-                        assemble_double_layer, assemble_single_layer,
-                        eval_single_layer_potential)
+                        assemble_single_layer, eval_single_layer_potential)
 from .mesh import SurfaceMesh, build_mesh, surface_centroid
 
 FIT_POINTS = 64
@@ -220,36 +222,6 @@ def _package_field(problem, points, scattered_at, method, spectral=None):
 # Interaction operator and the two solver routes
 
 
-def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
-                         kappa: float) -> tuple:
-    """Factor S_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} on ``mesh``,
-    each under the condition guard, without forming DN_w.
-
-    Since DN_w = S_w^{-1}(1/2 + K_w), S_w^{-1} M S_w = I + kappa DN_w S_z and
-
-        (I + kappa DN_w S_z)^{-1} DN_w = S_w^{-1} M^{-1} (1/2 + K_w).
-
-    At z == w the factor S_z S_w^{-1} is the identity and S_z is not built.
-    Returns S_w, 1/2 + K_w and the LU factors of S_w and of M.
-    """
-    # K has the larger assembly temporaries, so it is built before any n x n
-    # matrix is alive; the identity shifts are added in place.
-    diagonal = slice(None, None, mesh.n_panels + 1)
-    half_k = assemble_double_layer(mesh, w).matrix
-    half_k.flat[diagonal] += 0.5
-    s = assemble_single_layer(mesh, w).matrix
-    s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
-    coupling = half_k
-    if z != w:
-        s_z = assemble_single_layer(mesh, z).matrix
-        coupling = half_k @ lu_solve(s_lu, s_z.T, trans=1).T
-    m = kappa * coupling
-    m.flat[diagonal] += 1.0
-    m_lu = _guarded_lu(m, f"contrast matrix M at wavenumber {w:.6g}, "
-                          f"spectral parameter {z:.6g}")
-    return s, half_k, s_lu, m_lu
-
-
 def interaction_operator(problem: ScatteringProblem,
                          z: complex) -> BoundaryOperator:
     """Frequency-dependent boundary operator of the resolvent difference:
@@ -258,10 +230,10 @@ def interaction_operator(problem: ScatteringProblem,
           = eps kappa S_{eps w}^{-1} M^{-1} (1/2 + K_{eps w}),
 
     assembled exactly from the discrete contracted-wavenumber operators
-    (M as in ``_factor_transmission``).
+    (M as in ``boundary_calculus._factor_transmission``).
     """
     eps = problem.eps
-    _, half_k, s_lu, m_lu = _factor_transmission(
+    _, half_k, s_lu, _, m_lu = _factor_transmission(
         problem.mesh, eps * problem.omega, eps * z, problem.kappa)
     matrix = eps * problem.kappa * lu_solve(s_lu, lu_solve(m_lu, half_k))
     return BoundaryOperator(matrix, domain=TRACE, codomain=DENSITY,
@@ -272,8 +244,20 @@ def _transmission_solve(mesh: SurfaceMesh, w: complex, z: complex,
                         kappa: float, trace: np.ndarray) -> np.ndarray:
     """(I + kappa DN_w S_z)^{-1} DN_w trace = S_w^{-1} M^{-1} (1/2 + K_w) trace;
     the factors are released on return."""
-    _, half_k, s_lu, m_lu = _factor_transmission(mesh, w, z, kappa)
+    _, half_k, s_lu, _, m_lu = _factor_transmission(mesh, w, z, kappa)
     return lu_solve(s_lu, lu_solve(m_lu, half_k @ trace))
+
+
+def _dilated_potential(problem: ScatteringProblem, z: complex, incident):
+    """u_sc = -(1/eps) SL_{eps z}[Lambda_z trace] o contract as a function of
+    physical points, where trace is ``incident`` at the images of the panel
+    centroids and Lambda_z is the interaction operator."""
+    eps, mesh = problem.eps, problem.mesh
+    trace = incident(problem.dilate(mesh.centroids))
+    charge = BoundaryDensity(eps * problem.kappa * _transmission_solve(
+        mesh, eps * problem.omega, eps * z, problem.kappa, trace), space=DENSITY)
+    return lambda pts: -eval_single_layer_potential(
+        mesh, charge, eps * z, problem.contract(pts)) / eps
 
 
 def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
@@ -284,16 +268,9 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     centroids; the single-layer potential at contracted wavenumber eps*omega
     is mapped back to physical coordinates by the similarity.
     """
-    eps, omega, mesh = problem.eps, problem.omega, problem.mesh
-    trace = problem.incident.evaluate(problem.dilate(mesh.centroids), omega)
-    charge = eps * problem.kappa * _transmission_solve(
-        mesh, eps * omega, eps * omega, problem.kappa, trace)
-
-    def scattered_at(pts):
-        return -eval_single_layer_potential(
-            mesh, BoundaryDensity(charge, space=DENSITY), eps * omega,
-            problem.contract(pts)) / eps
-
+    omega = problem.omega
+    scattered_at = _dilated_potential(
+        problem, omega, lambda pts: problem.incident.evaluate(pts, omega))
     return _package_field(problem, points, scattered_at, "dilated", spectral)
 
 
@@ -324,7 +301,8 @@ def transmission_residual(problem: ScatteringProblem) -> float:
     omega, contrast = problem.omega, problem.kappa
     scaled = problem.scaled_mesh()
     trace = problem.incident.evaluate(scaled.centroids, omega)
-    s, half_k, s_lu, m_lu = _factor_transmission(scaled, omega, omega, contrast)
+    s, half_k, s_lu, _, m_lu = _factor_transmission(scaled, omega, omega,
+                                                    contrast)
     flux = lu_solve(s_lu, lu_solve(m_lu, half_k @ trace))
     dn_total = lu_solve(s_lu, half_k @ (trace - contrast * (s @ flux)))
     return float(np.linalg.norm(dn_total - flux) / np.linalg.norm(flux))
@@ -572,14 +550,9 @@ def resolvent_correction_kernel(problem: ScatteringProblem, z: complex,
         raise ValueError(f"resolvent kernel needs Im z > 0, got z = {z}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    eps, mesh = problem.eps, problem.mesh
-    trace = green_function(z, problem.dilate(mesh.centroids) - y)
-    charge = eps * problem.kappa * _transmission_solve(
-        mesh, eps * problem.omega, eps * z, problem.kappa, trace)
-    value = -eval_single_layer_potential(
-        mesh, BoundaryDensity(charge, space=DENSITY), eps * z,
-        problem.contract(x[None, :])) / eps
-    return complex(value[0])
+    potential = _dilated_potential(problem, z,
+                                   lambda pts: green_function(z, pts - y))
+    return complex(potential(x[None, :])[0])
 
 
 def point_perturbation_kernel(z: complex, y0: np.ndarray, x: np.ndarray,

@@ -102,10 +102,8 @@ def test_c04_expansion_ratios(sphere3, spectral3):
     ok = True
     for omega, tag in ((1.0, "off-resonance"), (what, "resonant")):
         for z in (0.5, 0.7):
-            coarse = expansion_residual(sphere3, 0.04, omega, z,
-                                        spectral=spectral3)
-            fine = expansion_residual(sphere3, 0.02, omega, z,
-                                      spectral=spectral3)
+            coarse = expansion_residual(spectral3, 0.04, omega, z)
+            fine = expansion_residual(spectral3, 0.02, omega, z)
             ratio = coarse.residual / fine.residual
             ok = ok and 1.6 <= ratio <= 2.6
             detail.append(f"{tag} z={z}: {ratio:.2f}")

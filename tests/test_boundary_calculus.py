@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblebem.boundary_calculus import (NumericalGuardError, _guarded_lu,
+from bubblebem.boundary_calculus import (NumericalGuardError,
+                                         _contrast_factors, _guarded_lu,
                                          dirichlet_to_neumann,
                                          expansion_residual,
                                          k2_resonance_frequency, s0_inner,
                                          s0_operator_norm, schur_blocks,
                                          spectral_data)
 from bubblebem.layer_ops import (TRACE, BoundaryDensity, SpaceTagError,
-                                 assemble_series_term_K)
+                                 assemble_double_layer, assemble_series_term_K,
+                                 assemble_single_layer)
 from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
 
 
@@ -176,51 +178,49 @@ def test_k2_resonance_close_to_minnaert(sphere2, spectral2):
 # block decomposition and its expansions
 
 
-def test_recomposition(sphere2, spectral2):
-    blocks = schur_blocks(sphere2, 0.05, 1.0, 0.7, spectral=spectral2)
+def test_recomposition(spectral2):
+    blocks = schur_blocks(spectral2, 0.05, 1.0, 0.7)
     assert blocks.recomposition_residual() <= 1e-10
 
 
-def test_block_structure_smallness(sphere2, spectral2):
+def test_block_structure_smallness(spectral2):
     # off-diagonal blocks are O(eps^2); the diagonal trace block is O(1)
-    blocks = schur_blocks(sphere2, 0.02, 1.0, 0.7, spectral=spectral2)
+    blocks = schur_blocks(spectral2, 0.02, 1.0, 0.7)
     norm_m = np.linalg.norm(blocks.full, 2)
     assert np.linalg.norm(blocks.m10, 2) <= 1e-2 * norm_m
     assert np.linalg.norm(blocks.m00, 2) <= 1e-2 * norm_m
 
 
-def test_schur_nonresonant_scaling(sphere2, spectral2):
+def test_schur_nonresonant_scaling(spectral2):
     values = {}
     for eps in (0.02, 0.01):
-        blocks = schur_blocks(sphere2, eps, 1.0, 1.0, spectral=spectral2)
+        blocks = schur_blocks(spectral2, eps, 1.0, 1.0)
         values[eps] = blocks.c00_on_constants
     power = np.log(abs(values[0.02] / values[0.01])) / np.log(2.0)
     assert abs(power - 2.0) <= 0.1
-    quad = schur_blocks(sphere2, 0.02, 1.0, 1.0,
-                        spectral=spectral2).quadratic_coefficient
+    quad = schur_blocks(spectral2, 0.02, 1.0, 1.0).quadratic_coefficient
     assert values[0.01] == pytest.approx(quad * 0.01 ** 2, rel=5e-2)
 
 
-def test_schur_resonant_scaling(sphere2, spectral2):
+def test_schur_resonant_scaling(spectral2):
     what = k2_resonance_frequency(spectral2)
     values = {}
     for eps in (0.02, 0.01):
-        blocks = schur_blocks(sphere2, eps, what, 0.7, spectral=spectral2)
+        blocks = schur_blocks(spectral2, eps, what, 0.7)
         values[eps] = blocks.c00_on_constants
     power = np.log(abs(values[0.02] / values[0.01])) / np.log(2.0)
     assert abs(power - 3.0) <= 0.15
     # the resonant cubic coefficient matches -i (c/4 pi) z within the
     # discretization gap of the coefficient identities
-    cubic = schur_blocks(sphere2, 0.02, what, 0.7,
-                         spectral=spectral2).cubic_coefficient
+    cubic = schur_blocks(spectral2, 0.02, what, 0.7).cubic_coefficient
     formula = -1j * spectral2.capacitance / (4 * np.pi) * 0.7
     assert cubic == pytest.approx(formula, rel=2e-2)
 
 
-def test_m11_invertible_on_mean_free(sphere2, spectral2):
+def test_m11_invertible_on_mean_free(spectral2):
     smallest = []
     for eps in (0.08, 0.04, 0.02):
-        blocks = schur_blocks(sphere2, eps, 1.0, 0.7, spectral=spectral2)
+        blocks = schur_blocks(spectral2, eps, 1.0, 0.7)
         sv = np.linalg.svd(blocks.m11, compute_uv=False)
         # one singular value is the deflated null direction; the next must
         # stay bounded away from zero as eps -> 0
@@ -229,19 +229,45 @@ def test_m11_invertible_on_mean_free(sphere2, spectral2):
     assert max(smallest) <= 2.0 * min(smallest)
 
 
-def test_expansion_residual_offres_ratio(sphere2, spectral2):
-    coarse = expansion_residual(sphere2, 0.04, 1.0, 0.7, spectral=spectral2)
-    fine = expansion_residual(sphere2, 0.02, 1.0, 0.7, spectral=spectral2)
+@pytest.mark.parametrize("mesh_name", ["sphere2", "ellipsoid2"])
+def test_schur_full_is_the_contrast_operator(mesh_name, request):
+    # eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}, rebuilt
+    # from the public assemblers with a dense solve
+    mesh = request.getfixturevalue(mesh_name)
+    spectral = spectral_data(mesh)
+    eps, omega, z = 0.04, 1.0, 0.7
+    n = mesh.n_panels
+    half_k = 0.5 * np.eye(n) + assemble_double_layer(mesh, eps * omega).matrix
+    s_w = assemble_single_layer(mesh, eps * omega).matrix
+    s_z = assemble_single_layer(mesh, eps * z).matrix
+    x = np.linalg.solve(s_w.T, s_z.T).T
+    reference = eps ** 2 * np.eye(n) + (1 - eps ** 2) * (half_k @ x)
+    full = schur_blocks(spectral, eps, omega, z).full
+    assert (np.linalg.norm(full - reference)
+            <= 1e-12 * np.linalg.norm(reference))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("family", [schur_blocks, expansion_residual])
+def test_contrast_family_rejects_eps_outside_unit_interval(family, eps,
+                                                           spectral2):
+    with pytest.raises(ValueError, match="eps must lie in"):
+        family(spectral2, eps, 1.0, 0.7)
+
+
+def test_expansion_residual_offres_ratio(spectral2):
+    coarse = expansion_residual(spectral2, 0.04, 1.0, 0.7)
+    fine = expansion_residual(spectral2, 0.02, 1.0, 0.7)
     assert not coarse.resonant
     ratio = coarse.residual / fine.residual
     assert 1.6 <= ratio <= 2.6
     assert coarse.coefficient_gap <= 2e-2
 
 
-def test_expansion_residual_resonant_ratio(sphere2, spectral2):
+def test_expansion_residual_resonant_ratio(spectral2):
     what = k2_resonance_frequency(spectral2)
-    coarse = expansion_residual(sphere2, 0.04, what, 0.7, spectral=spectral2)
-    fine = expansion_residual(sphere2, 0.02, what, 0.7, spectral=spectral2)
+    coarse = expansion_residual(spectral2, 0.04, what, 0.7)
+    fine = expansion_residual(spectral2, 0.02, what, 0.7)
     assert coarse.resonant
     ratio = coarse.residual / fine.residual
     assert 1.6 <= ratio <= 2.6
@@ -249,15 +275,13 @@ def test_expansion_residual_resonant_ratio(sphere2, spectral2):
 
 
 def test_contrast_family_limit_direction(sphere2, spectral2):
-    # M(eps) approaches the mean-free static block as eps -> 0
-    from bubblebem.boundary_calculus import contrast_operator
-    from bubblebem.layer_ops import assemble_double_layer
+    # eps^2 M(eps) approaches the mean-free static block as eps -> 0
     k0 = assemble_double_layer(sphere2, 0.0).matrix
     q0 = spectral2.q0.matrix
     target = q0 @ (0.5 * np.eye(sphere2.n_panels) + k0) @ q0
     gaps = []
     for eps in (0.04, 0.02, 0.01):
-        m = contrast_operator(sphere2, eps, 1.0, 0.7)
+        m = eps ** 2 * _contrast_factors(spectral2, eps, 1.0, 0.7)[3]
         gaps.append(s0_operator_norm(spectral2, m - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-2
@@ -266,7 +290,6 @@ def test_contrast_family_limit_direction(sphere2, spectral2):
 def test_dn_factorization_small_z_consistency(sphere2, spectral2):
     # S_z DN_z - (Q0 (1/2+K0) Q0 + z^2 K_(2)) shrinks at cubic order in z
     # (a fixed quadrature-level floor sets in below z ~ 0.1)
-    from bubblebem.layer_ops import assemble_double_layer, assemble_single_layer
     k0 = assemble_double_layer(sphere2, 0.0).matrix
     k2 = assemble_series_term_K(sphere2, 2).matrix
     q0 = spectral2.q0.matrix

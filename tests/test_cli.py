@@ -194,6 +194,8 @@ def test_help_exits_zero(capsys, argv):
                      "--plane-wave", "--point-source", "--method", "--out",
                      "--guard-constant", "--check"):
             assert flag in out
+        # argparse may wrap the epilog at a hyphen
+        assert "--center=-1,0,0." in "".join(out.split())
 
 
 def test_flag_replaces_config_mesh_source(tmp_path, capsys):
@@ -215,21 +217,20 @@ def test_flag_replaces_config_mesh_source(tmp_path, capsys):
 @pytest.mark.parametrize("method", ["dilated", "direct"])
 def test_solve_route_guards_exit_code(tmp_path, monkeypatch, capsys, method):
     import bubblebem.boundary_calculus as bc
-    import bubblebem.scattering as sc
     from bubblebem.boundary_calculus import NumericalGuardError
     args = ["solve", "--icosphere", "1.0,0", "--eps", "0.05", "--omega", "1.3",
             "--method", method, "--out", str(tmp_path)]
-    original = sc._guarded_lu
+    original = bc._guarded_lu
 
     def trip_m(matrix, context):
         if context.startswith("contrast matrix M"):
             raise NumericalGuardError(f"{context}: tripped")
         return original(matrix, context)
 
-    monkeypatch.setattr(sc, "_guarded_lu", trip_m)
+    monkeypatch.setattr(bc, "_guarded_lu", trip_m)
     assert main(args) == EXIT_GUARD
     assert "contrast matrix M" in capsys.readouterr().err
-    monkeypatch.setattr(sc, "_guarded_lu", original)
+    monkeypatch.setattr(bc, "_guarded_lu", original)
     monkeypatch.setattr(bc, "CONDITION_LIMIT", 1.0)
     assert main(args) == EXIT_GUARD
 
@@ -261,6 +262,22 @@ def test_outdir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("BUBBLEBEM_OUTDIR", str(tmp_path / "envout"))
     assert main(["geometry", "--icosphere", "1.0,1"]) == EXIT_OK
     assert (tmp_path / "envout" / "geometry.csv").exists()
+
+
+def test_config_output_dir_beats_environment_variable(tmp_path, monkeypatch):
+    # defaults (with the environment variable), then the file, then the flags
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BUBBLEBEM_OUTDIR", str(tmp_path / "envout"))
+    (tmp_path / "run.ini").write_text("[run]\noutput_dir = .\n")
+    assert main(["geometry", "--icosphere", "1.0,1",
+                 "--config", "run.ini"]) == EXIT_OK
+    assert (tmp_path / "geometry.csv").exists()
+    assert not (tmp_path / "envout").exists()
+
+
+def test_negative_vector_value_in_equals_form(tmp_path):
+    assert run(tmp_path, "geometry", "--icosphere", "1,0",
+               "--center=-1,0,0") == EXIT_OK
 
 
 def test_numerical_guard_exit_code(tmp_path, monkeypatch):

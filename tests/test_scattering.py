@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import bubblebem.boundary_calculus as boundary_calculus
-import bubblebem.scattering as scattering
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          dirichlet_to_neumann,
-                                         k2_resonance_frequency)
+                                         expansion_residual,
+                                         k2_resonance_frequency, spectral_data)
 from bubblebem.layer_ops import (DENSITY, TRACE, BoundaryDensity,
                                  assemble_single_layer,
                                  eval_single_layer_potential)
@@ -175,26 +175,29 @@ def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
     assert rel_gap(direct.scattered, reference) <= 1e-10
 
 
+SUB1 = make_icosphere(1.0, 1)
+SPECTRAL1 = spectral_data(SUB1)
 ROUTES = {
     "dilated": lambda p: scattered_field_dilated(p, OBS),
     "direct": lambda p: scattered_field_direct(p, OBS),
     "interaction": lambda p: interaction_operator(p, 0.7),
     "resolvent": lambda p: resolvent_correction_kernel(p, 1j, OBS[0], OBS[1]),
+    "expansion": lambda p: expansion_residual(SPECTRAL1, p.eps, p.omega, 0.7),
 }
 GUARDED = ("single layer S", "contrast matrix M")
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_each_route_guards_s_and_m(route, monkeypatch):
-    problem = make_problem(make_icosphere(1.0, 1), 0.05, 1.3)
-    original = scattering._guarded_lu
+    problem = make_problem(SUB1, 0.05, 1.3)
+    original = boundary_calculus._guarded_lu
     contexts = []
 
     def recorder(matrix, context):
         contexts.append(context)
         return original(matrix, context)
 
-    monkeypatch.setattr(scattering, "_guarded_lu", recorder)
+    monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorder)
     ROUTES[route](problem)
     assert [c.split(" at ")[0] for c in contexts] == list(GUARDED)
 
@@ -204,11 +207,11 @@ def test_each_route_guards_s_and_m(route, monkeypatch):
                 raise NumericalGuardError(f"{context}: tripped")
             return original(matrix, context)
 
-        monkeypatch.setattr(scattering, "_guarded_lu", trip)
+        monkeypatch.setattr(boundary_calculus, "_guarded_lu", trip)
         with pytest.raises(NumericalGuardError, match=name):
             ROUTES[route](problem)
 
-    monkeypatch.setattr(scattering, "_guarded_lu", original)
+    monkeypatch.setattr(boundary_calculus, "_guarded_lu", original)
     monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
     with pytest.raises(NumericalGuardError, match="condition number"):
         ROUTES[route](problem)
