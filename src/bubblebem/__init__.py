@@ -10,10 +10,11 @@ from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
                                 s0_inner, s0_operator_norm, schur_blocks,
                                 spectral_data)
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
-                        SpaceTagError, assemble_double_layer,
-                        assemble_series_term_K, assemble_series_term_S,
-                        assemble_single_layer, eval_single_layer_potential,
-                        load_operator, save_operator)
+                        SeriesStack, SpaceTagError, assemble_double_layer,
+                        assemble_series_stack, assemble_series_term_K,
+                        assemble_series_term_S, assemble_single_layer,
+                        eval_single_layer_potential, load_operator,
+                        save_operator, series_tail_bound)
 from .mesh import (MeshError, SurfaceMesh, affine_transform, build_mesh,
                    geometric_moments, load_mesh, make_ellipsoid,
                    make_icosphere, save_off, scale_about, surface_centroid)

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg import cho_factor, lapack, lu_factor, lu_solve, solve_triangular
 
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
-                        SpaceTagError, assemble_double_layer,
-                        assemble_series_term_K, assemble_single_layer)
+                        SeriesStack, SpaceTagError, assemble_double_layer,
+                        assemble_series_stack, assemble_single_layer)
 from .mesh import SurfaceMesh
 
 CONDITION_LIMIT = 1e12
@@ -53,7 +53,8 @@ class SpectralData:
 
     Built once per mesh by ``spectral_data`` and passed to every function
     that needs these quantities.  The S_0^{-1} Gram factor and the series
-    averages <K_(2)>, <K_(3)> are computed on first use and cached.
+    averages <K_(2)>, <K_(3)> (both from one order-3 series pass) are
+    computed on first use and cached.
     """
 
     mesh: SurfaceMesh
@@ -65,8 +66,7 @@ class SpectralData:
     s0: BoundaryOperator
     s0_lu: tuple
     _gram_chol: object = field(default=None, repr=False)
-    _k2_mean: float | None = field(default=None, repr=False)
-    _k3_mean: complex | None = field(default=None, repr=False)
+    _k_means: tuple | None = field(default=None, repr=False)
 
     @property
     def areas(self) -> np.ndarray:
@@ -84,25 +84,24 @@ class SpectralData:
             self._gram_chol = cho_factor(w, lower=True)
         return self._gram_chol
 
+    def _series_means(self) -> tuple:
+        """<1, B_n 1> / <1, 1> for n = 2, 3, with K_(n) = i^n B_n."""
+        if self._k_means is None:
+            double = assemble_series_stack(self.mesh, 3, self.s0.matrix).double
+            one = BoundaryDensity(np.ones(self.mesh.n_panels), space=TRACE)
+            self._k_means = tuple(
+                s0_inner(self, one, BoundaryDensity(double[n] @ one.values,
+                                                    space=TRACE)).real
+                / self.capacitance for n in (2, 3))
+        return self._k_means
+
     def k2_average(self) -> float:
         """<1, K_(2) 1> / <1, 1> in the S_0^{-1} product (a real number)."""
-        if self._k2_mean is None:
-            k2 = assemble_series_term_K(self.mesh, 2)
-            one = BoundaryDensity(np.ones(self.mesh.n_panels), space=TRACE)
-            k2_one = BoundaryDensity(k2.matrix.real @ one.values, space=TRACE)
-            self._k2_mean = float(np.real(s0_inner(self, one, k2_one))) \
-                / self.capacitance
-        return self._k2_mean
+        return -self._series_means()[0]
 
     def k3_average(self) -> complex:
         """<1, K_(3) 1> / <1, 1> in the S_0^{-1} product (purely imaginary)."""
-        if self._k3_mean is None:
-            k3 = assemble_series_term_K(self.mesh, 3)
-            one = BoundaryDensity(np.ones(self.mesh.n_panels), space=TRACE)
-            k3_one = BoundaryDensity(k3.matrix @ one.values, space=TRACE)
-            self._k3_mean = complex(s0_inner(self, one, k3_one)) \
-                / self.capacitance
-        return self._k3_mean
+        return -1j * self._series_means()[1]
 
 
 def spectral_data(mesh: SurfaceMesh) -> SpectralData:
@@ -163,14 +162,18 @@ def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
 # Dirichlet-to-Neumann map and the transmission factors
 
 
-def _dn_factors(mesh: SurfaceMesh, w: complex) -> tuple:
+def _dn_factors(mesh: SurfaceMesh, w: complex,
+                stack: SeriesStack | None = None) -> tuple:
     """S_w, 1/2 + K_w and the guarded LU of S_w: the factors of
-    DN_w = S_w^{-1}(1/2 + K_w)."""
+    DN_w = S_w^{-1}(1/2 + K_w).  Given a series ``stack`` of ``mesh``, S_w
+    and K_w are its Horner sums instead of exact assemblies."""
     # K has the larger assembly temporaries, so it is built before any n x n
     # matrix is alive; the identity shift is added in place.
-    half_k = assemble_double_layer(mesh, w).matrix
+    half_k = (assemble_double_layer(mesh, w).matrix if stack is None
+              else stack.double_layer(w))
     half_k.flat[::mesh.n_panels + 1] += 0.5
-    s = assemble_single_layer(mesh, w).matrix
+    s = (assemble_single_layer(mesh, w).matrix if stack is None
+         else stack.single_layer(w))
     s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
     return s, half_k, s_lu
 
@@ -193,9 +196,10 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
 
 
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
-                         kappa: float) -> tuple:
+                         kappa: float, stack: SeriesStack | None = None) -> tuple:
     """Factor S_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} on ``mesh``,
-    each under the condition guard, without forming DN_w.
+    each under the condition guard, without forming DN_w.  A series
+    ``stack`` of ``mesh`` replaces the exact S_w and K_w (``_dn_factors``).
 
     Since DN_w = S_w^{-1}(1/2 + K_w), S_w^{-1} M S_w = I + kappa DN_w S_z and
 
@@ -206,7 +210,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     ``expansion_residual`` all read it from here.  Returns S_w, 1/2 + K_w,
     the LU factors of S_w, M and the LU factors of M.
     """
-    s, half_k, s_lu = _dn_factors(mesh, w)
+    s, half_k, s_lu = _dn_factors(mesh, w, stack)
     coupling = half_k
     if z != w:
         s_z = assemble_single_layer(mesh, z).matrix

@@ -416,6 +416,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     problem = _make_problem(cfg, mesh, cfg.omega_grid[0])
     sweep = sc.frequency_sweep(problem, cfg.omega_grid, cfg.method, spectral)
     writer = ArtifactWriter(cfg.output_dir, "sweep", cfg)
+    writer.warnings.extend(sweep.warnings)
+    for note in sweep.warnings:
+        print(f"warning: {note}")
     rows = []
     for r in sweep.rows:
         amp = r.amplitude if r.amplitude is not None else complex("nan")

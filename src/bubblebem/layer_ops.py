@@ -14,6 +14,11 @@ Every kernel runs the same pass, ``_row_chunks``: observation points in
 chunks of ``_ROW_CHUNK`` rows against all quadrature nodes, so memory stays
 O(_ROW_CHUNK * 6n); ``_panel_sum`` folds each panel's 6 node values.  The
 chunk size changes no matrix entry.
+
+``assemble_series_stack`` builds the real terms of the wavenumber series of
+S_z and K_z in one such pass; a ``SeriesStack`` then gives S_z and K_z by
+Horner's rule within a stated elementwise tail bound, which is how a
+frequency sweep assembles its mesh only once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,10 @@ from .mesh import SurfaceMesh
 TRACE = "H+1/2"      # Dirichlet-trace-like data
 DENSITY = "H-1/2"    # surface-density-like data
 
-SERIES_MAX_ORDER = 6
+# Highest series order: what the tail bound needs at |z| * diameter = 1,
+# the package's validity threshold eps * omega * diameter.
+SERIES_MAX_ORDER = 17
+SERIES_TAIL_TARGET = 1e-13
 
 _ROW_CHUNK = 128
 
@@ -207,9 +215,9 @@ def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
 
     Yields, for each chunk of at most ``_ROW_CHUNK`` targets x, the row
     slice, the distances |x-y| to every node y (rows, nodes) and, given the
-    per-panel ``normals``, ν(y)·(x-y).  The displacement block is freed
-    before the caller allocates, so kernels that need only |x-y| never hold
-    it.
+    per-panel ``normals``, ν(y)·(x-y).  The displacement block is squared in
+    place for |x-y| (the same operations as ``np.linalg.norm`` without its
+    two block-sized temporaries) and freed before the caller allocates.
     """
     flat_nodes = nodes.reshape(-1, 3)
     # ν(y) is constant on each source panel
@@ -217,11 +225,15 @@ def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
     for lo in range(0, len(targets), _ROW_CHUNK):
         rows = slice(lo, min(lo + _ROW_CHUNK, len(targets)))
         diff = targets[rows, None, :] - flat_nodes[None, :, :]
-        r = np.linalg.norm(diff, axis=2)
         numer = (None if flat_nu is None
                  else np.einsum("ijk,jk->ij", diff, flat_nu))
+        np.square(diff, out=diff)
+        r = np.sqrt(np.add.reduce(diff, axis=2))
         del diff
         yield rows, r, numer
+        # a caller that drops its references frees this chunk before the
+        # next one is computed
+        del r, numer
 
 
 def _panel_sum(vals: np.ndarray) -> np.ndarray:
@@ -306,6 +318,114 @@ def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
                             wavenumber=z, label="K")
 
 
+# ----------------------------------------------------------------------------
+# Wavenumber series: S_z = Σ (iz)^n A_n and K_z = Σ (iz)^n B_n
+
+
+def series_tail_bound(rho: float, order: int) -> float:
+    """Elementwise relative bound on the tail of both series past ``order``,
+    rho = |z| * diameter, for Im z >= 0: rho^{N+1} e^{2 rho} / N!.
+
+    The single layer's tail is smaller by a factor N+1; the double layer's
+    carries the (1-n) factor of its terms (docs/scaling_identities.md).
+    """
+    return rho ** (order + 1) * math.exp(2.0 * rho) / math.factorial(order)
+
+
+def _series_order(rho: float) -> int | None:
+    """Smallest order whose tail bound meets SERIES_TAIL_TARGET, or None
+    when that needs more than SERIES_MAX_ORDER terms."""
+    return next((n for n in range(SERIES_MAX_ORDER + 1)
+                 if series_tail_bound(rho, n) <= SERIES_TAIL_TARGET), None)
+
+
+def _series_terms(mesh: SurfaceMesh, order: int) -> tuple[list, list]:
+    """Real series terms up to ``order`` in one chunked pass.
+
+    Returns [None, A_1, ..., A_N] and [B_0, None, B_2, ..., B_N] with
+    A_n = (1/4π n!) |x-y|^{n-1} and B_n = ((1-n)/4π n!) ν(y)·(x-y) |x-y|^{n-3}
+    under the regular rule; the node values are raised to successive powers
+    of r in place.  B_0 is the static double layer with its solid-angle
+    diagonal; B_n (n >= 2) vanishes on flat self panels.  B_1 = 0.
+    """
+    nodes, weights = panel_quadrature(mesh)
+    n = mesh.n_panels
+    flat_w = weights.reshape(-1)
+    single = [None] + [np.empty((n, n)) for _ in range(order)]
+    double = [np.empty((n, n)) if k != 1 else None for k in range(order + 1)]
+    static_rowsum = np.empty(n)
+    for rows, r, numer in _row_chunks(mesh.centroids, nodes, mesh.normals):
+        k_vals = numer / (4.0 * np.pi * r ** 3)
+        k_vals *= flat_w
+        block = _panel_sum(k_vals)
+        np.fill_diagonal(block[:, rows], 0.0)
+        double[0][rows] = block
+        static_rowsum[rows] = block.sum(axis=1)
+        s_vals = np.empty_like(r)
+        s_vals[:] = flat_w / (4.0 * np.pi)
+        for k in range(1, order + 1):
+            k_vals *= r
+            if k > 1:
+                s_vals *= r
+                block = _panel_sum(k_vals) * ((1 - k) / math.factorial(k))
+                # flat self panel: ν ⟂ (x-y) exactly; drop the rounding residue
+                np.fill_diagonal(block[:, rows], 0.0)
+                double[k][rows] = block
+            single[k][rows] = _panel_sum(s_vals) / math.factorial(k)
+        del r, numer, k_vals, s_vals
+    double[0][np.arange(n), np.arange(n)] = -0.5 - static_rowsum
+    return single, double
+
+
+@dataclass
+class SeriesStack:
+    """Real series terms of S_z and K_z on one mesh, up to ``order``.
+
+    S_z = Σ (iz)^n A_n with A_0 the static single layer (closed-form self
+    panel), and K_z = Σ (iz)^n B_n with B_1 = 0.  Evaluated by Horner in iz
+    at the order the tail bound needs for |z| * diameter; 8 n^2 bytes per
+    stored term.
+    """
+
+    single: list      # A_0, A_1, ..., A_N
+    double: list      # B_0, None, B_2, ..., B_N
+    diameter: float
+
+    @property
+    def order(self) -> int:
+        return len(self.single) - 1
+
+    def _horner(self, terms: list, z: complex) -> np.ndarray:
+        z = _check_im(z)
+        needed = _series_order(abs(z) * self.diameter)
+        if needed is None or needed > self.order:
+            raise ValueError(f"series stack of order {self.order} does not "
+                             f"reach wavenumber {z:.6g}")
+        iz = 1j * z
+        acc = np.zeros(terms[0].shape, dtype=complex)
+        for term in reversed(terms[:needed + 1]):
+            acc *= iz
+            if term is not None:
+                acc += term
+        return acc
+
+    def single_layer(self, z: complex) -> np.ndarray:
+        return self._horner(self.single, z)
+
+    def double_layer(self, z: complex) -> np.ndarray:
+        return self._horner(self.double, z)
+
+
+def assemble_series_stack(mesh: SurfaceMesh, order: int,
+                          s0: np.ndarray) -> SeriesStack:
+    """Series terms of S and K up to ``order`` from one chunked pass; A_0 is
+    the given real static single layer (``SpectralData.s0``)."""
+    _series_range_check(order, 0)
+    single, double = _series_terms(mesh, order)
+    single[0] = s0
+    return SeriesStack(single, double, mesh.diameter)
+
+
 def _series_range_check(n: int, low: int) -> None:
     if not low <= n <= SERIES_MAX_ORDER:
         raise ValueError(f"series order must be in [{low}, {SERIES_MAX_ORDER}], "
@@ -313,45 +433,26 @@ def _series_range_check(n: int, low: int) -> None:
 
 
 def assemble_series_term_S(mesh: SurfaceMesh, n: int) -> BoundaryOperator:
-    """Coefficient operator of z^n in the single-layer expansion.
+    """Coefficient operator i^n A_n of z^n in the single-layer expansion.
 
     Kernel (i^n / 4π n!) |x-y|^{n-1}; smooth for n >= 1, so one regular rule
     serves all panels including the self panel.
     """
     _series_range_check(n, 1)
-    nodes, weights = panel_quadrature(mesh)
-    npan = mesh.n_panels
-    flat_w = weights.reshape(-1)
-    coeff = (1j ** n) / (4.0 * np.pi * float(math.factorial(n)))
-    out = np.empty((npan, npan), dtype=complex)
-    for rows, r, _ in _row_chunks(mesh.centroids, nodes):
-        vals = r ** (n - 1) if n > 1 else np.ones_like(r)
-        vals = vals * flat_w
-        out[rows] = coeff * _panel_sum(vals)
-    return BoundaryOperator(out, domain=DENSITY, codomain=TRACE,
+    return BoundaryOperator((1j ** n) * _series_terms(mesh, n)[0][n],
+                            domain=DENSITY, codomain=TRACE,
                             wavenumber=None, label=f"S_({n})")
 
 
 def assemble_series_term_K(mesh: SurfaceMesh, n: int) -> BoundaryOperator:
-    """Coefficient operator of z^n in the double-layer expansion.
+    """Coefficient operator i^n B_n of z^n in the double-layer expansion.
 
     Kernel -(n-1)(i^n / 4π n!) ν(y)·(x-y) |x-y|^{n-3}; bounded for n = 2,
     smooth for n >= 3, and identically zero on flat self panels.
     """
     _series_range_check(n, 2)
-    nodes, weights = panel_quadrature(mesh)
-    npan = mesh.n_panels
-    flat_w = weights.reshape(-1)
-    coeff = -(n - 1) * (1j ** n) / (4.0 * np.pi * float(math.factorial(n)))
-    out = np.empty((npan, npan), dtype=complex)
-    for rows, r, numer in _row_chunks(mesh.centroids, nodes, mesh.normals):
-        vals = numer * r ** (n - 3)
-        vals *= flat_w
-        block = coeff * _panel_sum(vals)
-        # flat self panel: ν ⟂ (x-y) exactly; drop the rounding residue
-        np.fill_diagonal(block[:, rows], 0.0)
-        out[rows] = block
-    return BoundaryOperator(out, domain=TRACE, codomain=TRACE,
+    return BoundaryOperator((1j ** n) * _series_terms(mesh, n)[1][n],
+                            domain=TRACE, codomain=TRACE,
                             wavenumber=None, label=f"K_({n})")
 
 

@@ -27,12 +27,18 @@ from .boundary_calculus import (NumericalGuardError, SpectralData,
                                 _factor_transmission)
 # assemble_single_layer is not called here; it stays importable from this
 # module because perfbench's tracer test looks it up in every namespace.
-from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
-                        assemble_single_layer, eval_single_layer_potential)
+from .layer_ops import (DENSITY, SERIES_MAX_ORDER, TRACE, BoundaryDensity,
+                        BoundaryOperator, SeriesStack, _series_order,
+                        assemble_series_stack, assemble_single_layer,
+                        eval_single_layer_potential)
 from .mesh import SurfaceMesh, build_mesh, surface_centroid
 
 FIT_POINTS = 64
 FIT_RADIUS_FACTOR = 10.0
+
+# Largest series stack (bytes of real coefficient matrices) one dilated
+# sweep may hold; past it the sweep assembles S and K at every frequency.
+SERIES_STACK_LIMIT = 2 ** 29
 
 
 class FitError(RuntimeError):
@@ -241,21 +247,24 @@ def interaction_operator(problem: ScatteringProblem,
 
 
 def _transmission_solve(mesh: SurfaceMesh, w: complex, z: complex,
-                        kappa: float, trace: np.ndarray) -> np.ndarray:
+                        kappa: float, trace: np.ndarray,
+                        stack: SeriesStack | None = None) -> np.ndarray:
     """(I + kappa DN_w S_z)^{-1} DN_w trace = S_w^{-1} M^{-1} (1/2 + K_w) trace;
     the factors are released on return."""
-    _, half_k, s_lu, _, m_lu = _factor_transmission(mesh, w, z, kappa)
+    _, half_k, s_lu, _, m_lu = _factor_transmission(mesh, w, z, kappa, stack)
     return lu_solve(s_lu, lu_solve(m_lu, half_k @ trace))
 
 
-def _dilated_potential(problem: ScatteringProblem, z: complex, incident):
+def _dilated_potential(problem: ScatteringProblem, z: complex, incident,
+                       stack: SeriesStack | None = None):
     """u_sc = -(1/eps) SL_{eps z}[Lambda_z trace] o contract as a function of
     physical points, where trace is ``incident`` at the images of the panel
     centroids and Lambda_z is the interaction operator."""
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
     charge = BoundaryDensity(eps * problem.kappa * _transmission_solve(
-        mesh, eps * problem.omega, eps * z, problem.kappa, trace), space=DENSITY)
+        mesh, eps * problem.omega, eps * z, problem.kappa, trace, stack),
+        space=DENSITY)
     return lambda pts: -eval_single_layer_potential(
         mesh, charge, eps * z, problem.contract(pts)) / eps
 
@@ -268,9 +277,15 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     centroids; the single-layer potential at contracted wavenumber eps*omega
     is mapped back to physical coordinates by the similarity.
     """
+    return _solve_dilated(problem, points, spectral, None)
+
+
+def _solve_dilated(problem, points, spectral, stack):
+    """``scattered_field_dilated`` with S and K from a series ``stack`` of
+    the reference mesh, or assembled exactly when it is None."""
     omega = problem.omega
     scattered_at = _dilated_potential(
-        problem, omega, lambda pts: problem.incident.evaluate(pts, omega))
+        problem, omega, lambda pts: problem.incident.evaluate(pts, omega), stack)
     return _package_field(problem, points, scattered_at, "dilated", spectral)
 
 
@@ -417,9 +432,40 @@ class SweepResult:
     method: str
     eps: float
     rows: list[SweepRow]
+    warnings: list[str] = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
+
+
+def _sweep_stack(problem: ScatteringProblem, grid: list[float],
+                 spectral: SpectralData) -> tuple:
+    """The series stack a dilated sweep evaluates S and K from, or None,
+    plus a note for every fallback to exact assembly.
+
+    The order is the one the tail bound needs at the largest contracted
+    wavenumber eps * omega that SERIES_MAX_ORDER reaches; frequencies past
+    that, and every frequency when the stack would exceed
+    SERIES_STACK_LIMIT bytes, are assembled exactly.
+    """
+    mesh = problem.mesh
+    orders = [_series_order(problem.eps * w * mesh.diameter) for w in grid]
+    reached = [o for o in orders if o is not None]
+    notes = []
+    if len(reached) < len(grid):
+        notes.append(f"series stack: {len(grid) - len(reached)} frequencies "
+                     f"from omega = {grid[len(reached)]:g} need more than "
+                     f"{SERIES_MAX_ORDER} terms; S and K assembled exactly there")
+    if not reached:
+        return None, notes
+    order = max(reached)
+    size = 16 * order * mesh.n_panels ** 2
+    if size > SERIES_STACK_LIMIT:
+        notes.append(f"series stack of order {order} needs {size:d} bytes, "
+                     f"above the limit of {SERIES_STACK_LIMIT:d}; S and K "
+                     "assembled exactly at every frequency")
+        return None, notes
+    return assemble_series_stack(mesh, order, spectral.s0.matrix), notes
 
 
 def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
@@ -428,15 +474,28 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
 
     Per-frequency solver failures are recorded in the row and the sweep
     continues; rows inside |omega - omega_M| < guard_constant * eps carry a
-    warning flag rather than an error.
+    warning flag rather than an error.  A dilated sweep assembles the
+    reference mesh once, as a series stack (``_sweep_stack``), and
+    evaluates S and K at each frequency from it; every fallback to exact
+    assembly is listed in the result's warnings.
     """
     grid = [float(w) for w in omega_grid]
     if any(w <= 0 for w in grid) or grid != sorted(grid):
         raise ValueError("frequency grid must be sorted and positive")
-    solvers = {"direct": scattered_field_direct,
-               "dilated": scattered_field_dilated}
-    if method not in solvers and method not in ("uniform", "nonresonant"):
+    if method not in ("direct", "dilated", "uniform", "nonresonant"):
         raise ValueError(f"unknown sweep method {method!r}")
+    stack, notes = (_sweep_stack(problem, grid, spectral)
+                    if method == "dilated" else (None, []))
+    diameter = problem.mesh.diameter
+
+    def solve(sub: ScatteringProblem) -> FieldResult:
+        # the fit sphere is the only sample set a sweep row needs
+        points = np.empty((0, 3))
+        if method == "direct":
+            return scattered_field_direct(sub, points, spectral)
+        reached = _series_order(sub.eps * sub.omega * diameter) is not None
+        return _solve_dilated(sub, points, spectral,
+                              stack if reached else None)
 
     def one(omega: float) -> SweepRow:
         sub = ScatteringProblem(problem.mesh, problem.eps, omega,
@@ -460,8 +519,7 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                     raise ValueError("off-resonance formula undefined at omega_M")
                 amp = nonres
             else:
-                fld = solvers[method](sub, far_field_points(sub)[0], spectral)
-                amp = fld.amplitude
+                amp = solve(sub).amplitude
             return SweepRow(omega, complex(amp), float(abs(amp) ** 2), unif,
                             nonres, reso, guard)
         except (NumericalGuardError, ValueError) as exc:
@@ -469,7 +527,7 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                             error=str(exc))
 
     return SweepResult(method=method, eps=problem.eps,
-                       rows=[one(w) for w in grid])
+                       rows=[one(w) for w in grid], warnings=notes)
 
 
 @dataclass

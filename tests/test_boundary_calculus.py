@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bubblebem.boundary_calculus as boundary_calculus
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          _contrast_factors, _guarded_lu,
                                          dirichlet_to_neumann,
@@ -172,6 +173,28 @@ def test_cubic_coefficient_identity(mesh_name, request):
 def test_k2_resonance_close_to_minnaert(sphere2, spectral2):
     what = k2_resonance_frequency(spectral2)
     assert what == pytest.approx(spectral2.minnaert_omega, rel=2e-2)
+
+
+def test_series_averages_share_one_pass(monkeypatch):
+    mesh = make_icosphere(1.0, 1)
+    data = spectral_data(mesh)
+    orders = []
+    original = boundary_calculus.assemble_series_stack
+
+    def counted(mesh, order, s0):
+        orders.append(order)
+        return original(mesh, order, s0)
+
+    monkeypatch.setattr(boundary_calculus, "assemble_series_stack", counted)
+    k2, k3 = data.k2_average(), data.k3_average()
+    assert (data.k2_average(), data.k3_average()) == (k2, k3)
+    assert orders == [3]
+    one = BoundaryDensity(np.ones(mesh.n_panels), space=TRACE)
+    for n, mean in ((2, k2), (3, k3)):
+        k_one = BoundaryDensity(assemble_series_term_K(mesh, n).matrix
+                                @ one.values, space=TRACE)
+        assert mean == pytest.approx(s0_inner(data, one, k_one)
+                                     / data.capacitance, rel=1e-13)
 
 
 # ----------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblebem import layer_ops
-from bubblebem.layer_ops import (DENSITY, TRACE, BoundaryDensity,
-                                 BoundaryOperator, SpaceTagError,
-                                 assemble_double_layer, assemble_series_term_K,
+from bubblebem.layer_ops import (DENSITY, SERIES_MAX_ORDER, SERIES_TAIL_TARGET,
+                                 TRACE, BoundaryDensity, BoundaryOperator,
+                                 SpaceTagError, assemble_double_layer,
+                                 assemble_series_stack, assemble_series_term_K,
                                  assemble_series_term_S, assemble_single_layer,
                                  eval_single_layer_potential, load_operator,
                                  panel_quadrature, save_operator,
+                                 series_tail_bound,
                                  triangle_inverse_distance_integral)
 from bubblebem.mesh import make_ellipsoid, make_icosphere, scale_about
 
@@ -242,9 +246,69 @@ def test_series_order_bounds(sphere2):
     with pytest.raises(ValueError):
         assemble_series_term_S(sphere2, 0)
     with pytest.raises(ValueError):
-        assemble_series_term_S(sphere2, 7)
+        assemble_series_term_S(sphere2, SERIES_MAX_ORDER + 1)
     with pytest.raises(ValueError):
         assemble_series_term_K(sphere2, 1)
+
+
+# ----------------------------------------------------------------------------
+# the wavenumber series stack
+
+
+def _sub1_stack(mesh):
+    s0 = assemble_single_layer(mesh, 0.0).matrix.real
+    return mesh, assemble_series_stack(mesh, SERIES_MAX_ORDER, s0)
+
+
+SUB1_STACKS = {"sphere": _sub1_stack(make_icosphere(1.0, 1)),
+               "ellipsoid": _sub1_stack(make_ellipsoid((1.0, 1.3, 1.7), 1))}
+
+
+def test_series_max_order_reaches_the_validity_threshold():
+    # eps * omega * diameter <= 1 is the validity regime: the highest order
+    # is the one its edge needs
+    assert layer_ops._series_order(1.0) == SERIES_MAX_ORDER
+    assert series_tail_bound(1.0, SERIES_MAX_ORDER - 1) > SERIES_TAIL_TARGET
+    assert layer_ops._series_order(2.0) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(SUB1_STACKS)),
+       rho=st.floats(0.0, 1.0), angle=st.floats(0.0, np.pi))
+def test_series_stack_matches_exact_assembly(name, rho, angle):
+    # Horner sums against exact assembly, elementwise within the tail
+    # bound the evaluation order guarantees, plus rounding
+    mesh, stack = SUB1_STACKS[name]
+    z = rho / mesh.diameter * np.exp(1j * angle)
+    bound = series_tail_bound(rho, layer_ops._series_order(rho))
+    for horner, exact in ((stack.single_layer(z),
+                           assemble_single_layer(mesh, z).matrix),
+                          (stack.double_layer(z),
+                           assemble_double_layer(mesh, z).matrix)):
+        rounding = 64 * np.finfo(float).eps * np.abs(exact).max()
+        assert np.all(np.abs(horner - exact)
+                      <= bound * np.abs(exact) + rounding)
+
+
+def test_series_stack_refuses_beyond_its_order():
+    mesh, _ = SUB1_STACKS["sphere"]
+    stack = assemble_series_stack(mesh, 4, np.zeros((mesh.n_panels,) * 2))
+    assert stack.order == 4
+    with pytest.raises(ValueError, match="does not reach"):
+        stack.single_layer(0.5)
+    with pytest.raises(ValueError, match="Im z"):
+        stack.double_layer(-0.01j)
+
+
+def test_series_terms_are_slices_of_the_stack(sphere2):
+    stack = assemble_series_stack(sphere2, 3, np.zeros((sphere2.n_panels,) * 2))
+    assert np.array_equal(assemble_series_term_S(sphere2, 3).matrix,
+                          -1j * stack.single[3])
+    assert np.array_equal(assemble_series_term_K(sphere2, 2).matrix,
+                          -stack.double[2] + 0j)
+    assert stack.double[1] is None
+    k0 = assemble_double_layer(sphere2, 0.0).matrix
+    assert np.abs(stack.double[0] - k0).max() <= 1e-15 * np.abs(k0).max()
 
 
 # ----------------------------------------------------------------------------
@@ -324,11 +388,15 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
                               np.full(20, 0.9)])
 
     def matrices():
+        stack = assemble_series_stack(mesh, SERIES_MAX_ORDER,
+                                      np.zeros((mesh.n_panels,) * 2))
         return ([assemble(mesh, z).matrix for z in (0.0, 1.0 + 1.0j)
                  for assemble in (assemble_single_layer,
                                   assemble_double_layer)]
                 + [assemble_series_term_S(mesh, n).matrix for n in range(1, 7)]
-                + [assemble_series_term_K(mesh, n).matrix for n in range(2, 7)])
+                + [assemble_series_term_K(mesh, n).matrix for n in range(2, 7)]
+                + [term for terms in (stack.single[1:], stack.double)
+                   for term in terms if term is not None])
 
     def potentials():
         return [eval_single_layer_potential(mesh, density, z, points)

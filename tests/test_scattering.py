@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bubblebem.boundary_calculus as boundary_calculus
+import bubblebem.scattering as scattering
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          dirichlet_to_neumann,
                                          expansion_residual,
@@ -501,6 +502,70 @@ def test_bem_sweep_has_interior_peak_near_minnaert(sphere2, spectral2):
     assert int(np.argmax(abs2)) not in (0, len(abs2) - 1)
     peak = resonance_peak(sweep)
     assert abs(peak.omega_peak - spectral2.minnaert_omega) <= 0.1
+
+
+def sweep_amplitudes(sweep):
+    return np.array([row.amplitude for row in sweep.rows])
+
+
+def test_dilated_sweep_stack_matches_exact_assembly(sphere2, spectral2,
+                                                    monkeypatch):
+    problem = make_problem(sphere2, 0.05, 1.5, y0=np.zeros(3))
+    grid = np.round(np.arange(1.5, 2.0001, 0.1), 10)
+    stacked = frequency_sweep(problem, grid, "dilated", spectral2)
+    assert stacked.warnings == []
+    monkeypatch.setattr(scattering, "SERIES_STACK_LIMIT", 0)
+    exact = frequency_sweep(problem, grid, "dilated", spectral2)
+    assert len(exact.warnings) == 1
+    assert "assembled exactly at every frequency" in exact.warnings[0]
+    a, b = sweep_amplitudes(stacked), sweep_amplitudes(exact)
+    assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def count_assemblies(monkeypatch):
+    """Record the wavenumber of every exact S and K assembly made through
+    boundary_calculus and the order of every series stack built."""
+    calls = {"single": [], "double": [], "stack": []}
+    for kind, module, name in (
+            ("single", boundary_calculus, "assemble_single_layer"),
+            ("double", boundary_calculus, "assemble_double_layer"),
+            ("stack", scattering, "assemble_series_stack")):
+        original = getattr(module, name)
+
+        def counted(mesh, arg, *rest, original=original, kind=kind):
+            calls[kind].append(arg)
+            return original(mesh, arg, *rest)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_dilated_sweep_assembles_once(monkeypatch):
+    problem = make_problem(SUB1, 0.05, 1.5)
+    calls = count_assemblies(monkeypatch)
+    sweep = frequency_sweep(problem, [1.5, 1.6, 1.7, 1.8], "dilated",
+                            SPECTRAL1)
+    assert all(row.error is None for row in sweep.rows)
+    assert [z for z in calls["single"] + calls["double"] if z != 0] == []
+    assert len(calls["stack"]) == 1
+
+    calls = count_assemblies(monkeypatch)
+    scattered_field_dilated(problem, OBS, SPECTRAL1)
+    assert (len(calls["single"]), len(calls["double"])) == (1, 1)
+    assert calls["stack"] == []
+
+
+def test_sweep_past_the_highest_order_is_assembled_exactly(monkeypatch):
+    # eps * omega * diameter = 0.6 is within the stack's reach, 1.2 is not
+    problem = make_problem(SUB1, 0.3, 1.0)
+    calls = count_assemblies(monkeypatch)
+    sweep = frequency_sweep(problem, [1.0, 2.0], "dilated", SPECTRAL1)
+    assert all(row.error is None for row in sweep.rows)
+    assert len(calls["stack"]) == 1
+    assert calls["single"] == calls["double"] == [0.6]
+    assert len(sweep.warnings) == 1 and "omega = 2" in sweep.warnings[0]
+    exact = scattered_field_dilated(make_problem(SUB1, 0.3, 2.0), OBS)
+    assert sweep.rows[1].amplitude == pytest.approx(exact.amplitude, rel=1e-12)
 
 
 # ----------------------------------------------------------------------------
