@@ -20,7 +20,7 @@ from .mesh import (MeshError, SurfaceMesh, affine_transform, build_mesh,
                    make_icosphere, save_off, scale_about, surface_centroid)
 from .mie import (MieSolution, load_fixture, mie_eval, mie_monopole_amplitude,
                   mie_partial_wave_matrix, mie_solve, save_fixture)
-from .scattering import (FieldResult, FitError, PeakFit, PlaneWave,
+from .scattering import (METHODS, FieldResult, FitError, PeakFit, PlaneWave,
                          PointSource, ScatteringProblem, SweepResult,
                          SweepRow, asymptotic_nonresonant, asymptotic_resonant,
                          asymptotic_uniform, far_field_points, fit_monopole,
@@ -28,7 +28,7 @@ from .scattering import (FieldResult, FitError, PeakFit, PlaneWave,
                          lorentzian_halfwidth, monopole_amplitude,
                          point_perturbation_kernel, radiation_defect,
                          resolvent_correction_kernel, resonance_peak,
-                         scattered_field_dilated, scattered_field_direct,
-                         transmission_residual)
+                         scattered_field, scattered_field_dilated,
+                         scattered_field_direct, transmission_residual)
 
 __version__ = "0.1.0"

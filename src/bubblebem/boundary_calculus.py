@@ -165,15 +165,17 @@ def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
 def _dn_factors(mesh: SurfaceMesh, w: complex,
                 stack: SeriesStack | None = None) -> tuple:
     """S_w, 1/2 + K_w and the guarded LU of S_w: the factors of
-    DN_w = S_w^{-1}(1/2 + K_w).  Given a series ``stack`` of ``mesh``, S_w
-    and K_w are its Horner sums instead of exact assemblies."""
+    DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
+    reaches w, S_w and K_w are its Horner sums; everywhere else they are
+    assembled exactly.  This is the one place that choice is made."""
+    from_stack = stack is not None and stack.reaches(w)
     # K has the larger assembly temporaries, so it is built before any n x n
     # matrix is alive; the identity shift is added in place.
-    half_k = (assemble_double_layer(mesh, w).matrix if stack is None
-              else stack.double_layer(w))
+    half_k = (stack.double_layer(w) if from_stack
+              else assemble_double_layer(mesh, w).matrix)
     half_k.flat[::mesh.n_panels + 1] += 0.5
-    s = (assemble_single_layer(mesh, w).matrix if stack is None
-         else stack.single_layer(w))
+    s = (stack.single_layer(w) if from_stack
+         else assemble_single_layer(mesh, w).matrix)
     s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
     return s, half_k, s_lu
 
@@ -198,8 +200,8 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
                          kappa: float, stack: SeriesStack | None = None) -> tuple:
     """Factor S_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} on ``mesh``,
-    each under the condition guard, without forming DN_w.  A series
-    ``stack`` of ``mesh`` replaces the exact S_w and K_w (``_dn_factors``).
+    each under the condition guard, without forming DN_w.  S_w and K_w come
+    from a series ``stack`` of ``mesh`` where it reaches w (``_dn_factors``).
 
     Since DN_w = S_w^{-1}(1/2 + K_w), S_w^{-1} M S_w = I + kappa DN_w S_z and
 

@@ -10,8 +10,9 @@ the frequency (omega / omega_grid) and the incident wave (plane_wave /
 point_source): a member that one source gives replaces the whole group,
 and one source giving two members of a group is a usage error.
 Each command writes its artifacts as CSV (17 significant digits, complex
-values as re/im column pairs) plus a manifest with sha256 checksums;
-re-running with --check verifies the artifacts against the manifest.
+values as re/im column pairs, a missing one nan in both) plus a manifest
+with sha256 checksums; re-running with --check verifies the artifacts
+against the manifest.
 
 Exit codes: 0 pass, 1 usage error, 2 numerical guard tripped,
 3 verification failure.
@@ -46,8 +47,6 @@ EXIT_GUARD = 2
 EXIT_VERIFY = 3
 
 OUTDIR_ENV = "BUBBLEBEM_OUTDIR"
-
-METHODS = ("direct", "dilated", "uniform", "nonresonant")
 
 DEFAULT_TOLERANCES = {
     "gauss": 1e-12,
@@ -104,9 +103,9 @@ class RunConfig:
                     or not all(math.isfinite(w) and w > 0 for w in grid)):
                 raise UsageError("omega grid must be non-empty, finite, "
                                  f"positive and sorted, got {grid}")
-        if self.method not in METHODS:
+        if self.method not in sc.METHODS:
             raise UsageError(f"unknown method {self.method!r}; choose from "
-                             f"{', '.join(METHODS)}")
+                             f"{', '.join(sc.METHODS)}")
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise UsageError(f"tolerance {name} must be positive, "
@@ -206,7 +205,7 @@ _SETTINGS = (
     _Setting("incident", "point_source", "--point-source", "point_source",
              partial(_parse_floats, n=3), "incident", "X,Y,Z"),
     _Setting("run", "method", "--method", "method", str, None,
-             "{" + ",".join(METHODS) + "}"),
+             "{" + ",".join(sc.METHODS) + "}"),
     _Setting("run", "output_dir", "--out", "output_dir", str, None, "DIR"),
     _Setting("run", "guard_constant", "--guard-constant", "guard_constant",
              _parse_float),
@@ -281,10 +280,20 @@ class ArtifactWriter:
         os.makedirs(outdir, exist_ok=True)
 
     def write_csv(self, name: str, header: list[str], rows) -> str:
+        """Write one CSV artifact.  Each column pair re_X, im_X of the
+        header takes one complex value of a row; a missing one (None) is
+        nan in both columns."""
         path = os.path.join(self.outdir, name)
+        pairs = [col.startswith("re_") for col in header
+                 if not col.startswith("im_")]
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            cells = []
+            for value, pair in zip(row, pairs, strict=True):
+                if pair and value is None:
+                    value = complex(math.nan, math.nan)
+                cells += [value.real, value.imag] if pair else [value]
+            lines.append(",".join(_fmt(v) for v in cells))
         payload = "\n".join(lines) + "\n"
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(payload)
@@ -381,20 +390,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     spectral = bc.spectral_data(mesh)
     problem = _make_problem(cfg, mesh, cfg.omega)
     points, _ = sc.far_field_points(problem)
-    solver = {"direct": sc.scattered_field_direct,
-              "dilated": sc.scattered_field_dilated,
-              "uniform": sc.asymptotic_uniform,
-              "nonresonant": sc.asymptotic_nonresonant}[cfg.method]
-    fld = solver(problem, points, spectral)
+    fld = sc.scattered_field(problem, points, cfg.method, spectral)
     writer = ArtifactWriter(cfg.output_dir, "solve", cfg)
-    rows = [(p[0], p[1], p[2], ui.real, ui.imag, us.real, us.imag,
-             ut.real, ut.imag)
-            for p, ui, us, ut in zip(fld.points, fld.incident, fld.scattered,
-                                     fld.total)]
     writer.write_csv("fields.csv",
                      ["x", "y", "z", "re_incident", "im_incident",
                       "re_scattered", "im_scattered", "re_total", "im_total"],
-                     rows)
+                     [(*p, ui, us, ut) for p, ui, us, ut in zip(
+                         fld.points, fld.incident, fld.scattered, fld.total)])
     writer.write_csv("summary.csv",
                      ["quantity", "value"],
                      [("re_amplitude", fld.amplitude.real),
@@ -402,9 +404,8 @@ def cmd_solve(cfg: RunConfig) -> int:
                       ("fit_residual", fld.fit_residual),
                       ("guard_band", problem.in_guard_band(spectral))])
     writer.warnings.extend(fld.warnings)
-    if problem.in_guard_band(spectral):
-        print(f"warning: omega within {cfg.guard_constant:g}*eps of the "
-              "Minnaert frequency (quasi-resonant band)")
+    for note in fld.warnings:
+        print(f"warning: {note}")
     writer.finalize()
     print(f"amplitude={fld.amplitude:.10g} residual={fld.fit_residual:.3g}")
     return EXIT_OK
@@ -413,33 +414,24 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     mesh = cfg.build_mesh()
     spectral = bc.spectral_data(mesh)
-    problem = _make_problem(cfg, mesh, cfg.omega_grid[0])
+    # built at the highest frequency, so that its validity warning covers
+    # the whole grid
+    problem = _make_problem(cfg, mesh, cfg.omega_grid[-1])
     sweep = sc.frequency_sweep(problem, cfg.omega_grid, cfg.method, spectral)
     writer = ArtifactWriter(cfg.output_dir, "sweep", cfg)
     writer.warnings.extend(sweep.warnings)
     for note in sweep.warnings:
         print(f"warning: {note}")
-    rows = []
-    for r in sweep.rows:
-        amp = r.amplitude if r.amplitude is not None else complex("nan")
-        nonres = (r.prediction_nonresonant
-                  if r.prediction_nonresonant is not None else complex("nan"))
-        rows.append((r.omega, amp.real, amp.imag,
-                     r.abs2 if r.abs2 is not None else float("nan"),
-                     r.prediction_uniform.real, r.prediction_uniform.imag,
-                     nonres.real, nonres.imag,
-                     r.prediction_resonant.real, r.prediction_resonant.imag,
-                     r.guard_band))
-        if r.error:
-            writer.warnings.append(f"omega={r.omega}: {r.error}")
-        if r.guard_band:
-            writer.warnings.append(f"omega={r.omega}: quasi-resonant guard band")
+    writer.warnings.extend(f"omega={r.omega}: {r.error}"
+                           for r in sweep.rows if r.error)
     writer.write_csv("sweep.csv",
                      ["omega", "re_amplitude", "im_amplitude", "abs2",
                       "re_uniform", "im_uniform", "re_nonresonant",
                       "im_nonresonant", "re_resonant", "im_resonant",
                       "guard_band"],
-                     rows)
+                     [(r.omega, r.amplitude, r.abs2, r.prediction_uniform,
+                       r.prediction_nonresonant, r.prediction_resonant,
+                       r.guard_band) for r in sweep.rows])
     try:
         peak = sc.resonance_peak(sweep)
         writer.write_csv("peak.csv",
@@ -458,26 +450,27 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def verification_checks(cfg: RunConfig):
-    """The identity/expansion/kernel suite behind ``verify``."""
+    """The identity/expansion/kernel suite behind ``verify``: one
+    (name, value, low, high, gated) row per check, the columns of
+    verify.csv.  A gated check passes when low <= value <= high; the
+    others are reported with a confidence interval [low, high]."""
     mesh = cfg.build_mesh()
     spectral = bc.spectral_data(mesh)
-    checks = []
 
     k0 = assemble_double_layer(mesh, 0.0)
     ones = np.ones(mesh.n_panels)
     gauss = float(np.abs(0.5 * ones + k0.matrix.real @ ones).max())
-    checks.append(("gauss_identity", gauss, cfg.tolerance("gauss"), "max<="))
-
     k2 = spectral.k2_average()
     k3 = spectral.k3_average()
     ratio = mesh.volume / spectral.capacitance
-    tol = cfg.tolerance("coefficient_identity")
     quad_err = max(abs(w ** 2 * (k2 + ratio)) / abs(1.0 - w ** 2 * ratio)
                    for w in (0.5, 1.0, 2.0))
-    checks.append(("quadratic_coefficient_identity", quad_err, tol, "max<="))
     cubic_err = abs(k3 + 1j * mesh.volume / (4 * np.pi)) \
         / (mesh.volume / (4 * np.pi))
-    checks.append(("cubic_coefficient_identity", cubic_err, tol, "max<="))
+    tol = cfg.tolerance("coefficient_identity")
+    checks = [("gauss_identity", gauss, -math.inf, cfg.tolerance("gauss"), True),
+              ("quadratic_coefficient_identity", quad_err, -math.inf, tol, True),
+              ("cubic_coefficient_identity", cubic_err, -math.inf, tol, True)]
 
     lo = cfg.tolerance("expansion_ratio_low")
     hi = cfg.tolerance("expansion_ratio_high")
@@ -486,8 +479,8 @@ def verification_checks(cfg: RunConfig):
                         ("res_expansion_ratio", what)):
         r_coarse = bc.expansion_residual(spectral, 0.04, omega, 0.7)
         r_fine = bc.expansion_residual(spectral, 0.02, omega, 0.7)
-        checks.append((name, r_coarse.residual / r_fine.residual, (lo, hi),
-                       "range"))
+        checks.append((name, r_coarse.residual / r_fine.residual, lo, hi,
+                       True))
 
     x = np.array([1.2, 0.3, -0.4])
     y = np.array([-0.8, 0.9, 1.1])
@@ -497,9 +490,9 @@ def verification_checks(cfg: RunConfig):
             * sc.green_function(1j, (y - center)[None, :])[0])
     eps_list = (0.2, 0.1, 0.05)
     window = cfg.tolerance("kernel_rate_window")
-    for name, omega, target, expected, informational in (
-            ("krein_kernel_offres_rate", 1.0, 0.0, 1.0, False),
-            ("krein_kernel_res_rate", what, glim, 0.5, True)):
+    for name, omega, target, expected, gated in (
+            ("krein_kernel_offres_rate", 1.0, 0.0, 1.0, True),
+            ("krein_kernel_res_rate", what, glim, 0.5, False)):
         errs = []
         for eps in eps_list:
             prob = sc.ScatteringProblem(mesh, eps, omega, cfg.incident(),
@@ -512,13 +505,10 @@ def verification_checks(cfg: RunConfig):
         stderr = float(np.sqrt(np.sum(resid ** 2) / 1)
                        / np.sqrt(np.sum((np.log(eps_list)
                                          - np.mean(np.log(eps_list))) ** 2)))
-        if informational:
-            # reported with its confidence interval, not gated
-            checks.append((name, float(slope), (slope - 2 * stderr,
-                                                slope + 2 * stderr), "report"))
-        else:
-            checks.append((name, float(slope),
-                           (expected - window, expected + window), "range"))
+        # the resonant rate is reported with its confidence interval
+        low, high = ((expected - window, expected + window) if gated
+                     else (slope - 2 * stderr, slope + 2 * stderr))
+        checks.append((name, float(slope), low, high, gated))
     return checks
 
 
@@ -526,30 +516,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks = verification_checks(cfg)
     writer = ArtifactWriter(cfg.output_dir, "verify", cfg)
     rows = []
-    exit_code = EXIT_OK
-    for name, value, threshold, mode in checks:
-        if mode == "max<=":
-            ok = value <= threshold
-            detail = f"<= {threshold:g}"
-            low, high = float("-inf"), threshold
-        elif mode == "range":
-            ok = threshold[0] <= value <= threshold[1]
-            detail = f"in [{threshold[0]:g}, {threshold[1]:g}]"
-            low, high = threshold
-        else:  # report
-            ok = True
-            detail = f"CI [{threshold[0]:.3g}, {threshold[1]:.3g}]"
-            low, high = threshold
+    for name, value, low, high, gated in checks:
+        ok = not gated or low <= value <= high
         rows.append((name, value, low, high, ok))
-        status = "pass" if ok else "FAIL"
-        print(f"{status}  {name}: {value:.6g} ({detail})")
-        if not ok:
-            exit_code = EXIT_VERIFY
+        bounds = (f"in [{low:g}, {high:g}]" if gated
+                  else f"CI [{low:.3g}, {high:.3g}]")
+        print(f"{'pass' if ok else 'FAIL'}  {name}: {value:.6g} ({bounds})")
     writer.write_csv("verify.csv",
                      ["check", "value", "bound_low", "bound_high", "pass"],
                      rows)
     writer.finalize()
-    return exit_code
+    return EXIT_OK if all(row[-1] for row in rows) else EXIT_VERIFY
 
 
 # ----------------------------------------------------------------------------

@@ -263,6 +263,7 @@ def assemble_single_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
             vals = 1.0 / r
         vals *= flat_w
         out[rows] = _panel_sum(vals) / (4.0 * np.pi)
+        del r, vals
 
     # Self panel: the 1/r part integrates in closed form; the remainder
     # (e^{izr}-1)/(4πr) is bounded and the regular rule applies.
@@ -305,6 +306,7 @@ def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
         np.fill_diagonal(block[:, rows], 0.0)
         out[rows] = block
         static_rowsum[rows] = block0.sum(axis=1)
+        del r, numer, static, block0, block
 
     diag = (-0.5 - static_rowsum).astype(complex)
     if use_complex:
@@ -395,14 +397,20 @@ class SeriesStack:
     def order(self) -> int:
         return len(self.single) - 1
 
+    def reaches(self, z: complex) -> bool:
+        """Whether the tail bound at |z| * diameter is met within this
+        stack's order, so that S_z and K_z may be read from it."""
+        needed = _series_order(abs(z) * self.diameter)
+        return needed is not None and needed <= self.order
+
     def _horner(self, terms: list, z: complex) -> np.ndarray:
         z = _check_im(z)
-        needed = _series_order(abs(z) * self.diameter)
-        if needed is None or needed > self.order:
+        if not self.reaches(z):
             raise ValueError(f"series stack of order {self.order} does not "
                              f"reach wavenumber {z:.6g}")
         iz = 1j * z
         acc = np.zeros(terms[0].shape, dtype=complex)
+        needed = _series_order(abs(z) * self.diameter)
         for term in reversed(terms[:needed + 1]):
             acc *= iz
             if term is not None:

@@ -16,6 +16,7 @@ and the resolvent correction/point-interaction kernels complete the module.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +33,8 @@ from .layer_ops import (DENSITY, SERIES_MAX_ORDER, TRACE, BoundaryDensity,
                         assemble_series_stack, assemble_single_layer,
                         eval_single_layer_potential)
 from .mesh import SurfaceMesh, build_mesh, surface_centroid
+
+METHODS = ("direct", "dilated", "uniform", "nonresonant")
 
 FIT_POINTS = 64
 FIT_RADIUS_FACTOR = 10.0
@@ -106,8 +109,9 @@ class ScatteringProblem:
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be finite and positive, "
+                             f"got {self.omega}")
         if self.y0 is None:
             self.y0 = surface_centroid(self.mesh)
         else:
@@ -138,8 +142,7 @@ class ScatteringProblem:
         return self.y0 + self.eps * (np.atleast_2d(points) - self.y0)
 
     def scaled_mesh(self) -> SurfaceMesh:
-        vertices = self.y0 + self.eps * (self.mesh.vertices - self.y0)
-        return build_mesh(vertices, self.mesh.triangles)
+        return build_mesh(self.dilate(self.mesh.vertices), self.mesh.triangles)
 
     def in_guard_band(self, spectral: SpectralData) -> bool:
         return abs(self.omega - spectral.minnaert_omega) \
@@ -205,23 +208,31 @@ def monopole_amplitude(fld: FieldResult, omega: float,
     return fit_monopole(fld.points, fld.scattered, omega, np.asarray(y0, float))
 
 
-def _package_field(problem, points, scattered_at, method, spectral=None):
-    """Assemble a FieldResult: user points + canonical fit sphere."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    fit_pts, _ = far_field_points(problem)
-    all_pts = np.vstack([points, fit_pts])
-    usc = scattered_at(all_pts)
+def _field_result(problem, points, scattered, amplitude, residual, method,
+                  spectral):
+    """FieldResult at ``points`` with the incident and total fields; given
+    ``spectral``, it notes an omega inside the quasi-resonant guard band."""
     uin = problem.incident.evaluate(points, problem.omega)
-    amplitude, residual = fit_monopole(fit_pts, usc[len(points):],
-                                       problem.omega, problem.y0)
     notes = []
     if spectral is not None and problem.in_guard_band(spectral):
         notes.append(
             f"omega within {problem.guard_constant:g}*eps of the Minnaert "
             "frequency: quasi-resonant guard band")
-    return FieldResult(points=points, incident=uin, scattered=usc[:len(points)],
-                       total=uin + usc[:len(points)], amplitude=amplitude,
+    return FieldResult(points=points, incident=uin, scattered=scattered,
+                       total=uin + scattered, amplitude=complex(amplitude),
                        fit_residual=residual, method=method, warnings=notes)
+
+
+def _package_field(problem, points, scattered_at, method, spectral):
+    """FieldResult of a solve: user points plus the canonical fit sphere,
+    which gives the monopole amplitude."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    fit_pts, _ = far_field_points(problem)
+    usc = scattered_at(np.vstack([points, fit_pts]))
+    amplitude, residual = fit_monopole(fit_pts, usc[len(points):],
+                                       problem.omega, problem.y0)
+    return _field_result(problem, points, usc[:len(points)], amplitude,
+                         residual, method, spectral)
 
 
 # ----------------------------------------------------------------------------
@@ -281,8 +292,8 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
 
 
 def _solve_dilated(problem, points, spectral, stack):
-    """``scattered_field_dilated`` with S and K from a series ``stack`` of
-    the reference mesh, or assembled exactly when it is None."""
+    """``scattered_field_dilated`` with S and K read from a series ``stack``
+    of the reference mesh where it reaches."""
     omega = problem.omega
     scattered_at = _dilated_potential(
         problem, omega, lambda pts: problem.incident.evaluate(pts, omega), stack)
@@ -329,14 +340,9 @@ def transmission_residual(problem: ScatteringProblem) -> float:
 
 def _asymptotic_field(problem, points, amplitude, method, spectral):
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    uin = problem.incident.evaluate(points, problem.omega)
     usc = amplitude * green_function(problem.omega, points - problem.y0)
-    notes = []
-    if spectral is not None and problem.in_guard_band(spectral):
-        notes.append("inside the quasi-resonant guard band")
-    return FieldResult(points=points, incident=uin, scattered=usc,
-                       total=uin + usc, amplitude=complex(amplitude),
-                       fit_residual=0.0, method=method, warnings=notes)
+    return _field_result(problem, points, usc, amplitude, 0.0, method,
+                         spectral)
 
 
 def _incident_at_center(problem) -> complex:
@@ -388,6 +394,30 @@ def asymptotic_uniform(problem: ScatteringProblem, points: np.ndarray,
     return _asymptotic_field(problem, points,
                              uniform_amplitude(problem, spectral),
                              "uniform", spectral)
+
+
+def scattered_field(problem: ScatteringProblem, points: np.ndarray, method: str,
+                    spectral: SpectralData,
+                    stack: SeriesStack | None = None) -> FieldResult:
+    """The field of ``method``, one of METHODS: the direct or the dilated
+    solve, or the uniform or off-resonance asymptotic amplitude.
+
+    A dilated solve given a series ``stack`` of the reference mesh reads S
+    and K from it where it reaches (``boundary_calculus._dn_factors``);
+    without one it is ``scattered_field_dilated``.
+    """
+    if method == "direct":
+        return scattered_field_direct(problem, points, spectral)
+    if method == "dilated":
+        return (scattered_field_dilated(problem, points, spectral)
+                if stack is None else
+                _solve_dilated(problem, points, spectral, stack))
+    if method == "uniform":
+        return asymptotic_uniform(problem, points, spectral)
+    if method == "nonresonant":
+        return asymptotic_nonresonant(problem, points, spectral)
+    raise ValueError(f"unknown method {method!r}; choose from "
+                     f"{', '.join(METHODS)}")
 
 
 def lorentzian_halfwidth(eps: float, spectral: SpectralData) -> float:
@@ -470,61 +500,45 @@ def _sweep_stack(problem: ScatteringProblem, grid: list[float],
 
 def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                     spectral: SpectralData) -> SweepResult:
-    """Amplitude table over a sorted positive frequency grid.
+    """Amplitude table of ``method`` (one of METHODS) over a sorted, finite,
+    positive frequency grid.
 
     Per-frequency solver failures are recorded in the row and the sweep
     continues; rows inside |omega - omega_M| < guard_constant * eps carry a
     warning flag rather than an error.  A dilated sweep assembles the
-    reference mesh once, as a series stack (``_sweep_stack``), and
-    evaluates S and K at each frequency from it; every fallback to exact
-    assembly is listed in the result's warnings.
+    reference mesh once, as a series stack (``_sweep_stack``), and hands it
+    to every row; every fallback to exact assembly is listed in the
+    result's warnings.
     """
     grid = [float(w) for w in omega_grid]
-    if any(w <= 0 for w in grid) or grid != sorted(grid):
-        raise ValueError("frequency grid must be sorted and positive")
-    if method not in ("direct", "dilated", "uniform", "nonresonant"):
+    if (not all(math.isfinite(w) and w > 0 for w in grid)
+            or grid != sorted(grid)):
+        raise ValueError("frequency grid must be sorted, finite and positive")
+    if method not in METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
     stack, notes = (_sweep_stack(problem, grid, spectral)
                     if method == "dilated" else (None, []))
-    diameter = problem.mesh.diameter
-
-    def solve(sub: ScatteringProblem) -> FieldResult:
-        # the fit sphere is the only sample set a sweep row needs
-        points = np.empty((0, 3))
-        if method == "direct":
-            return scattered_field_direct(sub, points, spectral)
-        reached = _series_order(sub.eps * sub.omega * diameter) is not None
-        return _solve_dilated(sub, points, spectral,
-                              stack if reached else None)
 
     def one(omega: float) -> SweepRow:
         sub = ScatteringProblem(problem.mesh, problem.eps, omega,
                                 problem.incident, y0=problem.y0,
                                 guard_constant=problem.guard_constant,
                                 validity_threshold=np.inf)
-        wm = spectral.minnaert_omega
         try:
-            nonres = (None if omega == wm
-                      else nonresonant_amplitude(sub, spectral))
+            nonres = nonresonant_amplitude(sub, spectral)
         except ValueError:
             nonres = None
-        unif = uniform_amplitude(sub, spectral)
-        reso = resonant_amplitude(sub)
-        guard = sub.in_guard_band(spectral)
+        row = SweepRow(omega, None, None, uniform_amplitude(sub, spectral),
+                       nonres, resonant_amplitude(sub),
+                       sub.in_guard_band(spectral))
         try:
-            if method == "uniform":
-                amp = unif
-            elif method == "nonresonant":
-                if nonres is None:
-                    raise ValueError("off-resonance formula undefined at omega_M")
-                amp = nonres
-            else:
-                amp = solve(sub).amplitude
-            return SweepRow(omega, complex(amp), float(abs(amp) ** 2), unif,
-                            nonres, reso, guard)
+            # the fit sphere is the only sample set a sweep row needs
+            row.amplitude = scattered_field(sub, np.empty((0, 3)), method,
+                                            spectral, stack).amplitude
+            row.abs2 = float(abs(row.amplitude) ** 2)
         except (NumericalGuardError, ValueError) as exc:
-            return SweepRow(omega, None, None, unif, nonres, reso, guard,
-                            error=str(exc))
+            row.error = str(exc)
+        return row
 
     return SweepResult(method=method, eps=problem.eps,
                        rows=[one(w) for w in grid], warnings=notes)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from bubblebem.boundary_calculus import spectral_data
 from bubblebem.cli import (EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            RunConfig, UsageError, main, verification_checks)
 from bubblebem.mesh import make_icosphere, save_off
@@ -112,6 +113,29 @@ def test_sweep_uniform_columns_match(tmp_path):
     i_w = header.index("omega")
     flagged = [float(r[i_w]) for r in rows if r[i_guard] == "1"]
     assert flagged  # the grid crosses the Minnaert frequency
+
+
+def test_sweep_validity_warning_covers_the_highest_frequency(tmp_path,
+                                                            capsys):
+    # eps * omega * diameter is 0.6 at omega = 1.0 and 1.2 at omega = 2.0
+    assert main(["sweep", "--icosphere", "1,1", "--eps", "0.3",
+                 "--omega-grid", "1.0:2.0:0.5", "--method", "uniform",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert "exceeds the validity threshold" in capsys.readouterr().out
+
+
+def test_missing_complex_value_is_nan_in_both_columns(tmp_path):
+    # the off-resonance formula is undefined at omega_M: that row fails
+    wm = spectral_data(make_icosphere(1.0, 1)).minnaert_omega
+    assert main(["sweep", "--icosphere", "1.0,1", "--method", "nonresonant",
+                 "--omega-grid", f"1.5,{wm!r},1.9",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    header, rows = read_csv(tmp_path / "sweep.csv")
+    failed = dict(zip(header, rows[1]))
+    for column in ("re_amplitude", "im_amplitude", "abs2",
+                   "re_nonresonant", "im_nonresonant"):
+        assert failed[column] == "nan", column
+    assert all(v != "nan" for v in dict(zip(header, rows[0])).values())
 
 
 def test_manifest_check_detects_tampering(tmp_path):
@@ -310,7 +334,7 @@ def test_verify_mutation_fails(monkeypatch):
                         lambda self: -k2_average(self))
     monkeypatch.setattr(bc, "k2_resonance_frequency", lambda data: resonance)
     checks = verification_checks(cfg)
-    by_name = {name: (value, bound, mode)
-               for name, value, bound, mode in checks}
-    value, bound, _ = by_name["quadratic_coefficient_identity"]
-    assert value > bound
+    by_name = {name: (value, high, gated)
+               for name, value, low, high, gated in checks}
+    value, bound, gated = by_name["quadratic_coefficient_identity"]
+    assert gated and value > bound

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,35 @@ def test_series_stack_refuses_beyond_its_order():
         stack.single_layer(0.5)
     with pytest.raises(ValueError, match="Im z"):
         stack.double_layer(-0.01j)
+
+
+def test_single_layer_assembly_frees_each_chunk(sphere2):
+    # each row chunk's temporaries are dropped before the next chunk is
+    # built: holding them lifted this peak to 16.6 MiB, without them it is
+    # 11.0 MiB, for a 1.6 MiB result
+    started = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assemble_single_layer(sphere2, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not started:
+            tracemalloc.stop()
+    assert peak - start <= 13 * 2 ** 20
+
+
+def test_series_stack_reaches_where_its_order_meets_the_tail_target():
+    # the order-4 bound meets the target near |z| * diameter = 0.0048
+    mesh, _ = SUB1_STACKS["sphere"]
+    stack = assemble_series_stack(mesh, 4, np.zeros((mesh.n_panels,) * 2))
+    reached = []
+    for z in np.linspace(0.0, 0.01, 101) / mesh.diameter:
+        reached.append(stack.reaches(z))
+        assert reached[-1] == (series_tail_bound(z * mesh.diameter, 4)
+                               <= SERIES_TAIL_TARGET)
+    assert reached[0] and not reached[-1]
 
 
 def test_series_terms_are_slices_of_the_stack(sphere2):

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 import bubblebem.boundary_calculus as boundary_calculus
 import bubblebem.scattering as scattering
@@ -10,11 +13,12 @@ from bubblebem.boundary_calculus import (NumericalGuardError,
                                          expansion_residual,
                                          k2_resonance_frequency, spectral_data)
 from bubblebem.layer_ops import (DENSITY, TRACE, BoundaryDensity,
+                                 assemble_double_layer, assemble_series_stack,
                                  assemble_single_layer,
                                  eval_single_layer_potential)
-from bubblebem.mesh import make_icosphere
+from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
 from bubblebem.mie import mie_monopole_amplitude, mie_solve
-from bubblebem.scattering import (FitError, PlaneWave, PointSource,
+from bubblebem.scattering import (METHODS, FitError, PlaneWave, PointSource,
                                   ScatteringProblem, asymptotic_nonresonant,
                                   asymptotic_resonant, asymptotic_uniform,
                                   far_field_points, fit_monopole,
@@ -22,7 +26,8 @@ from bubblebem.scattering import (FitError, PlaneWave, PointSource,
                                   interaction_operator, lorentzian_halfwidth,
                                   monopole_amplitude, point_perturbation_kernel,
                                   radiation_defect, resolvent_correction_kernel,
-                                  resonance_peak, scattered_field_dilated,
+                                  resonance_peak, scattered_field,
+                                  scattered_field_dilated,
                                   scattered_field_direct, spherical_point_set,
                                   transmission_residual, uniform_amplitude)
 
@@ -251,11 +256,84 @@ def test_point_source_inside_rejected(sphere2):
                           PointSource(np.array([0.0, 0.0, 0.05])))
 
 
+@settings(max_examples=20, deadline=None)
+@given(axes=st.lists(st.floats(0.7, 1.5), min_size=3, max_size=3),
+       angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+       shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+       eps=st.floats(0.02, 0.2), size=st.floats(0.05, 1.0))
+def test_direct_and_dilated_agree_on_moved_ellipsoids(axes, angles, shift,
+                                                      eps, size):
+    # the two routes are one transmission problem under the similarity
+    # x = y0 + eps (y - y0), for any placement of any shape; size is
+    # eps * omega * diameter, at most the validity threshold
+    rotation = Rotation.from_euler("zyz", angles).as_matrix()
+    mesh = affine_transform(make_ellipsoid(tuple(axes), 1), rotation, shift)
+    problem = make_problem(mesh, eps, size / (eps * mesh.diameter),
+                           direction=(0.3, -0.5, 0.8))
+    points = problem.y0 + OBS
+    dilated = scattered_field_dilated(problem, points)
+    direct = scattered_field_direct(problem, points)
+    assert np.abs(dilated.scattered - direct.scattered).max() \
+        <= 1e-6 * np.abs(direct.scattered).max()
+    assert abs(dilated.amplitude - direct.amplitude) \
+        <= 1e-6 * abs(direct.amplitude)
+
+
 def test_validity_warning():
     from bubblebem.mesh import make_icosphere
     mesh = make_icosphere(1.0, 1)
     with pytest.warns(UserWarning, match="validity"):
         ScatteringProblem(mesh, 0.5, 2.0, PlaneWave(np.array([0, 0, 1.0])))
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0])
+def test_problem_rejects_a_nonfinite_or_nonpositive_omega(omega):
+    with pytest.raises(ValueError, match="finite and positive"):
+        make_problem(SUB1, 0.05, omega)
+
+
+@pytest.mark.parametrize("method, solver", [
+    ("direct", scattered_field_direct), ("dilated", scattered_field_dilated),
+    ("uniform", asymptotic_uniform), ("nonresonant", asymptotic_nonresonant)])
+def test_scattered_field_dispatches_each_method(method, solver):
+    problem = make_problem(SUB1, 0.05, 1.3)
+    fld = scattered_field(problem, OBS, method, SPECTRAL1)
+    reference = solver(problem, OBS, SPECTRAL1)
+    assert fld.method == method
+    assert np.array_equal(fld.scattered, reference.scattered)
+    assert fld.amplitude == reference.amplitude
+
+
+def test_scattered_field_rejects_an_unknown_method():
+    assert METHODS == ("direct", "dilated", "uniform", "nonresonant")
+    with pytest.raises(ValueError, match="unknown method 'mystery'"):
+        scattered_field(make_problem(SUB1, 0.05, 1.3), OBS, "mystery",
+                        SPECTRAL1)
+
+
+def test_every_method_gives_the_same_guard_band_note():
+    omega = SPECTRAL1.minnaert_omega + 0.01
+    notes = {tuple(scattered_field(make_problem(SUB1, 0.05, omega), OBS,
+                                   method, SPECTRAL1).warnings)
+             for method in METHODS}
+    assert notes == {("omega within 1*eps of the Minnaert frequency: "
+                      "quasi-resonant guard band",)}
+    outside = scattered_field(make_problem(SUB1, 0.05, 1.3), OBS, "uniform",
+                              SPECTRAL1)
+    assert outside.warnings == []
+
+
+def test_dn_factors_read_the_stack_only_where_it_reaches():
+    stack = assemble_series_stack(SUB1, 8, SPECTRAL1.s0.matrix)
+    near, far = 0.02, 0.5
+    assert stack.reaches(near) and not stack.reaches(far)
+    for w, s_ref, k_ref in (
+            (near, stack.single_layer(near), stack.double_layer(near)),
+            (far, assemble_single_layer(SUB1, far).matrix,
+             assemble_double_layer(SUB1, far).matrix)):
+        s, half_k, _ = boundary_calculus._dn_factors(SUB1, w, stack)
+        k_ref.flat[::SUB1.n_panels + 1] += 0.5
+        assert np.array_equal(s, s_ref) and np.array_equal(half_k, k_ref)
 
 
 # ----------------------------------------------------------------------------
@@ -435,6 +513,9 @@ def test_sweep_grid_validation(sphere2, spectral2):
         frequency_sweep(problem, [1.5, 1.2], "uniform", spectral2)
     with pytest.raises(ValueError, match="method"):
         frequency_sweep(problem, [1.5, 1.6], "mystery", spectral2)
+    for grid in ([1.5, np.nan, 1.7], [1.5, np.inf], [-np.inf, 1.5], [0.0]):
+        with pytest.raises(ValueError, match="sorted"):
+            frequency_sweep(problem, grid, "dilated", spectral2)
 
 
 def test_sweep_guard_band_flag(sphere2, spectral2):
