@@ -90,19 +90,14 @@ class RunConfig:
 
     def validate(self, need_omega: bool) -> None:
         if need_omega:
-            if not 0 < self.eps < 1:
-                raise UsageError(f"eps must be finite and lie in (0, 1), "
-                                 f"got {self.eps}")
-            if self.omega is not None and not (math.isfinite(self.omega)
-                                               and self.omega > 0):
-                raise UsageError(f"omega must be finite and positive, "
-                                 f"got {self.omega}")
-            grid = self.omega_grid
-            if grid is not None and (
-                    not grid or grid != sorted(grid)
-                    or not all(math.isfinite(w) and w > 0 for w in grid)):
-                raise UsageError("omega grid must be non-empty, finite, "
-                                 f"positive and sorted, got {grid}")
+            try:
+                sc.check_eps(self.eps)
+                if self.omega is not None:
+                    sc.check_omega(self.omega)
+                if self.omega_grid is not None:
+                    sc.check_grid(self.omega_grid)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
         if self.method not in sc.METHODS:
             raise UsageError(f"unknown method {self.method!r}; choose from "
                              f"{', '.join(sc.METHODS)}")

@@ -89,6 +89,30 @@ class PointSource:
             omega, np.atleast_2d(points) - self.location)
 
 
+# The rule for valid physical input, one check each; ScatteringProblem,
+# frequency_sweep and the CLI's settings all call these.
+
+
+def check_eps(eps: float) -> None:
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+
+def check_omega(omega: float) -> None:
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+
+
+def check_grid(omega_grid) -> list[float]:
+    """The grid as floats, if it is non-empty, sorted, finite and positive."""
+    grid = [float(w) for w in omega_grid]
+    if (not grid or not all(math.isfinite(w) and w > 0 for w in grid)
+            or grid != sorted(grid)):
+        raise ValueError("frequency grid must be non-empty, sorted, finite "
+                         f"and positive, got {grid}")
+    return grid
+
+
 @dataclass
 class ScatteringProblem:
     """One bubble configuration: reference shape, placement, scale, drive.
@@ -107,11 +131,8 @@ class ScatteringProblem:
     validity_threshold: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.eps < 1:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and positive, "
-                             f"got {self.omega}")
+        check_eps(self.eps)
+        check_omega(self.omega)
         if self.y0 is None:
             self.y0 = surface_centroid(self.mesh)
         else:
@@ -510,10 +531,7 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     to every row; every fallback to exact assembly is listed in the
     result's warnings.
     """
-    grid = [float(w) for w in omega_grid]
-    if (not all(math.isfinite(w) and w > 0 for w in grid)
-            or grid != sorted(grid)):
-        raise ValueError("frequency grid must be sorted, finite and positive")
+    grid = check_grid(omega_grid)
     if method not in METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
     stack, notes = (_sweep_stack(problem, grid, spectral)

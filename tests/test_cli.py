@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from bubblebem import scattering as sc
 from bubblebem.boundary_calculus import spectral_data
 from bubblebem.cli import (EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            RunConfig, UsageError, main, verification_checks)
@@ -203,6 +204,23 @@ def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
         args += ["--method", "uniform"]
     assert main([*args, *bad, "--out", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, bad, check, value", [
+    ("solve", ["--eps", "1.5"], "check_eps", 1.5),
+    ("solve", ["--omega", "inf"], "check_omega", float("inf")),
+    ("sweep", ["--omega-grid", "1.7,1.5"], "check_grid", [1.7, 1.5]),
+])
+def test_frequency_errors_are_the_scattering_rule(tmp_path, capsys, command,
+                                                  bad, check, value):
+    # the CLI reports the rule scattering owns, word for word, and stops
+    # before any mesh is built
+    with pytest.raises(ValueError) as rule:
+        getattr(sc, check)(value)
+    args = [command, "--mesh", str(tmp_path / "absent.off"), "--eps", "0.05"]
+    args += ["--omega", "1.3"] if command == "solve" else []
+    assert main([*args, *bad, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {rule.value}\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])

@@ -15,7 +15,8 @@ from bubblebem.layer_ops import (DENSITY, SERIES_MAX_ORDER, SERIES_TAIL_TARGET,
                                  panel_quadrature, save_operator,
                                  series_tail_bound,
                                  triangle_inverse_distance_integral)
-from bubblebem.mesh import make_ellipsoid, make_icosphere, scale_about
+from bubblebem.mesh import (affine_transform, make_ellipsoid, make_icosphere,
+                            scale_about)
 
 
 def duality_opnorm_gap(mesh, matrix):
@@ -319,6 +320,23 @@ def test_single_layer_assembly_frees_each_chunk(sphere2):
     assert peak - start <= 13 * 2 ** 20
 
 
+def test_double_layer_assembly_peak_memory(sphere3):
+    # one complex temporary per chunk of _CHUNK_PAIRS pairs: 40.9 MiB for
+    # a 25 MiB result at n = 1280; with several complex temporaries per
+    # 128-row chunk this peak was 94.2 MiB
+    started = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assemble_double_layer(sphere3, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not started:
+            tracemalloc.stop()
+    assert peak - start <= 48 * 2 ** 20
+
+
 def test_series_stack_reaches_where_its_order_meets_the_tail_target():
     # the order-4 bound meets the target near |z| * diameter = 0.0048
     mesh, _ = SUB1_STACKS["sphere"]
@@ -434,7 +452,7 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
                 for z in (0.0, 1.6)]
 
     default_matrices, default_potentials = matrices(), potentials()
-    monkeypatch.setattr(layer_ops, "_ROW_CHUNK", chunk)
+    monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", chunk * 6 * mesh.n_panels)
     for expected, got in zip(default_matrices, matrices(), strict=True):
         assert got.tobytes() == expected.tobytes()
     for expected, got in zip(default_potentials, potentials(), strict=True):
@@ -447,3 +465,78 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
             np.testing.assert_allclose(
                 got, expected, rtol=0,
                 atol=8 * np.finfo(float).eps * np.abs(expected).max())
+
+
+def _direct_formulation(mesh, z, density, points):
+    """S_z, K_z and the off-surface potential as one chunk of 3-vector
+    displacements with ``np.einsum`` for ν(y)·(x-y) and ``np.exp`` for
+    e^{izr}: the formulation the coordinate-plane pass replaces."""
+    nodes, weights = panel_quadrature(mesh)
+    flat_nodes, flat_w = nodes.reshape(-1, 3), weights.reshape(-1)
+    flat_nu = np.repeat(mesh.normals, 6, axis=0)
+    n = mesh.n_panels
+    idx = np.arange(n)
+
+    def kernel_pass(targets):
+        diff = targets[:, None, :] - flat_nodes[None, :, :]
+        numer = np.einsum("ijk,jk->ij", diff, flat_nu)
+        np.square(diff, out=diff)
+        return np.sqrt(np.add.reduce(diff, axis=2)), numer
+
+    def panel_sum(vals):
+        return vals.reshape(len(vals), -1, 6).sum(axis=2)
+
+    r, numer = kernel_pass(mesh.centroids)
+    diff_self, r_self = layer_ops._self_offsets(mesh, nodes)
+
+    vals = np.exp(1j * z * r) / r if z != 0 else 1.0 / r
+    vals *= flat_w
+    single = (panel_sum(vals) / (4.0 * np.pi)).astype(complex)
+    diag = layer_ops._self_panel_inverse_distance(mesh).astype(complex)
+    if z != 0:
+        smooth = np.expm1(1j * z * r_self) / (4.0 * np.pi * r_self)
+        diag = diag + np.sum(smooth * weights, axis=1)
+    single[idx, idx] = diag
+
+    static = numer / (4.0 * np.pi * r ** 3)
+    static *= flat_w
+    block0 = panel_sum(static)
+    double = (panel_sum(static * ((1.0 - 1j * z * r) * np.exp(1j * z * r)))
+              if z != 0 else block0.astype(complex))
+    np.fill_diagonal(block0, 0.0)
+    diag = (-0.5 - block0.sum(axis=1)).astype(complex)
+    if z != 0:
+        numer_self = np.einsum("ijk,ik->ij", diff_self, mesh.normals)
+        smooth = numer_self * ((1.0 - 1j * z * r_self)
+                               * np.exp(1j * z * r_self) - 1.0)
+        smooth /= 4.0 * np.pi * r_self ** 3
+        diag = diag + np.sum(smooth * weights, axis=1)
+    double[idx, idx] = diag
+
+    r_points, _ = kernel_pass(points)
+    vals = np.exp(1j * z * r_points) / (4.0 * np.pi * r_points) * flat_w
+    return single, double, panel_sum(vals) @ density
+
+
+_MOVED = np.array([[1.1, 0.2, -0.1], [0.05, 0.9, 0.3], [-0.2, 0.1, 1.3]])
+
+
+@pytest.mark.parametrize("mesh", [
+    make_icosphere(1.0, 1), make_ellipsoid((1.0, 1.3, 1.7), 1),
+    affine_transform(make_ellipsoid((1.0, 1.3, 1.7), 1), _MOVED,
+                     np.array([0.3, -0.7, 1.1]))],
+    ids=["sphere", "ellipsoid", "moved"])
+@pytest.mark.parametrize("z", [0.0, 0.08, 1.6, 0.2j, 0.1 + 0.05j])
+def test_kernel_pass_bitwise_equal_to_direct_formulation(mesh, z):
+    # coordinate planes, real trigonometry for real z and strided panel
+    # sums reorder no floating-point operation
+    density = np.linspace(-1.0, 1.0, mesh.n_panels) + 0.5j
+    angles = np.linspace(0.0, 6.0, 5)
+    points = np.column_stack([4 * np.cos(angles), 4 * np.sin(angles),
+                              np.linspace(-1.0, 1.0, 5)])
+    points = points + mesh.centroids.mean(axis=0)
+    single, double, potential = _direct_formulation(mesh, z, density, points)
+    assert assemble_single_layer(mesh, z).matrix.tobytes() == single.tobytes()
+    assert assemble_double_layer(mesh, z).matrix.tobytes() == double.tobytes()
+    assert (eval_single_layer_potential(mesh, density, z, points).tobytes()
+            == potential.tobytes())

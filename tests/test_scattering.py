@@ -513,7 +513,8 @@ def test_sweep_grid_validation(sphere2, spectral2):
         frequency_sweep(problem, [1.5, 1.2], "uniform", spectral2)
     with pytest.raises(ValueError, match="method"):
         frequency_sweep(problem, [1.5, 1.6], "mystery", spectral2)
-    for grid in ([1.5, np.nan, 1.7], [1.5, np.inf], [-np.inf, 1.5], [0.0]):
+    for grid in ([1.5, np.nan, 1.7], [1.5, np.inf], [-np.inf, 1.5], [0.0],
+                 []):
         with pytest.raises(ValueError, match="sorted"):
             frequency_sweep(problem, grid, "dilated", spectral2)
 
