@@ -11,8 +11,7 @@ from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
                                 spectral_data)
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         SeriesStack, SpaceTagError, assemble_double_layer,
-                        assemble_series_stack, assemble_series_term_K,
-                        assemble_series_term_S, assemble_single_layer,
+                        assemble_series_stack, assemble_single_layer,
                         eval_single_layer_potential, load_operator,
                         save_operator, series_tail_bound)
 from .mesh import (MeshError, SurfaceMesh, affine_transform, build_mesh,

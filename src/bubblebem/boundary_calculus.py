@@ -1,9 +1,9 @@
 """Derived boundary objects: the per-mesh spectral data (equilibrium density,
-capacitance, Minnaert frequency, spectral projectors and the series averages
-<K_(2)>, <K_(3)>), the Dirichlet-to-Neumann map, the guarded factors of S
-and of the contrast matrix M that every solver uses, and the two-block
-decomposition of the contrast operator family with its small-scale
-expansions.
+capacitance, Minnaert frequency, the projector onto constants and the
+series averages <K_(2)>, <K_(3)>), the Dirichlet-to-Neumann map, the guarded
+factors of S and of the contrast matrix M that every solver uses, and the
+two-block decomposition of the contrast operator family with its
+small-scale expansions.
 
 All operator-norm statements are evaluated in the norm induced by the
 discrete S_0^{-1} inner product (the norm in which the rank-one projector
@@ -14,6 +14,7 @@ statements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, lapack, lu_factor, lu_solve, solve_triangular
@@ -48,8 +49,9 @@ def _guarded_lu(matrix: np.ndarray, context: str):
 @dataclass
 class SpectralData:
     """Everything about one mesh that does not depend on frequency or scale:
-    capacitance, Minnaert frequency, equilibrium density, the projector pair
-    onto constants / mean-free traces and the LU factors of S_0.
+    capacitance, Minnaert frequency, equilibrium density, the projector P_0
+    onto constants (I - P_0 projects onto mean-free traces) and the LU
+    factors of S_0.
 
     Built once per mesh by ``spectral_data`` and passed to every function
     that needs these quantities.  The S_0^{-1} Gram factor and the series
@@ -62,7 +64,6 @@ class SpectralData:
     minnaert_omega: float
     q_eq: BoundaryDensity
     p0: BoundaryOperator
-    q0: BoundaryOperator
     s0: BoundaryOperator
     s0_lu: tuple
     _gram_chol: object = field(default=None, repr=False)
@@ -105,7 +106,8 @@ class SpectralData:
 
 
 def spectral_data(mesh: SurfaceMesh) -> SpectralData:
-    """Equilibrium density, capacitance, Minnaert frequency and projectors.
+    """Equilibrium density, capacitance, Minnaert frequency and the
+    projector onto constants.
 
     The static single layer is real symmetric positive definite up to
     quadrature error; its LU factorization is kept for reuse.
@@ -122,14 +124,12 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
         raise NumericalGuardError(f"nonpositive capacitance {cap:g}")
     # rank-one projector onto constants, orthogonal in the S_0^{-1} product
     p0 = np.outer(ones, q * mesh.areas) / cap
-    q0 = np.eye(mesh.n_panels) - p0
     return SpectralData(
         mesh=mesh,
         capacitance=cap,
         minnaert_omega=float(np.sqrt(cap / mesh.volume)),
         q_eq=BoundaryDensity(q, space=DENSITY),
         p0=BoundaryOperator(p0, domain=TRACE, codomain=TRACE, label="P0"),
-        q0=BoundaryOperator(q0, domain=TRACE, codomain=TRACE, label="Q0"),
         s0=s0_real,
         s0_lu=lu,
     )
@@ -197,8 +197,24 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
                             codomain=DENSITY, wavenumber=complex(z), label="DN")
 
 
+class TransmissionFactors(NamedTuple):
+    """S_w, 1/2 + K_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} with the
+    guarded LU factors of S_w and of M (``_factor_transmission``)."""
+
+    s: np.ndarray
+    half_k: np.ndarray
+    s_lu: tuple
+    m: np.ndarray
+    m_lu: tuple
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """S_w^{-1} M^{-1} rhs; the flux of a trace is solve(half_k @ trace)."""
+        return lu_solve(self.s_lu, lu_solve(self.m_lu, rhs))
+
+
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
-                         kappa: float, stack: SeriesStack | None = None) -> tuple:
+                         kappa: float,
+                         stack: SeriesStack | None = None) -> TransmissionFactors:
     """Factor S_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} on ``mesh``,
     each under the condition guard, without forming DN_w.  S_w and K_w come
     from a series ``stack`` of ``mesh`` where it reaches w (``_dn_factors``).
@@ -209,8 +225,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
 
     At z == w the factor S_z S_w^{-1} is the identity and S_z is not built.
     This is the only place M is formed: the solvers, ``schur_blocks`` and
-    ``expansion_residual`` all read it from here.  Returns S_w, 1/2 + K_w,
-    the LU factors of S_w, M and the LU factors of M.
+    ``expansion_residual`` all read it from here.
     """
     s, half_k, s_lu = _dn_factors(mesh, w, stack)
     coupling = half_k
@@ -221,7 +236,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     m.flat[::mesh.n_panels + 1] += 1.0
     m_lu = _guarded_lu(m, f"contrast matrix M at wavenumber {w:.6g}, "
                           f"spectral parameter {z:.6g}")
-    return s, half_k, s_lu, m, m_lu
+    return TransmissionFactors(s, half_k, s_lu, m, m_lu)
 
 
 # ----------------------------------------------------------------------------
@@ -280,15 +295,27 @@ def _discrete_coefficients(spectral, omega, z):
     return complex(quad), complex(cubic)
 
 
-def _contrast_factors(spectral: SpectralData, eps: float, omega: complex,
-                      z: complex) -> tuple:
-    """``_factor_transmission`` on the reference mesh at eps*omega, eps*z and
-    kappa = 1/eps^2 - 1, where eps^2 M is the contrast operator
-    eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}."""
+def check_eps(eps: float) -> None:
+    """The scale rule every contracted solve and the CLI apply."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return _factor_transmission(spectral.mesh, eps * omega, eps * z,
-                                eps ** -2 - 1.0)
+
+
+def _contrast_factors(mesh: SurfaceMesh, eps: float, omega: complex,
+                      z: complex,
+                      stack: SeriesStack | None = None) -> TransmissionFactors:
+    """``_factor_transmission`` on the reference ``mesh`` at the contracted
+    wavenumbers eps*omega, eps*z and kappa = 1/eps^2 - 1, where eps^2 M is
+    the contrast operator
+    eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}.
+
+    The one place the contraction is written: the dilated solve, the
+    interaction operator, the resolvent kernel, ``schur_blocks`` and
+    ``expansion_residual`` all factor through it.
+    """
+    check_eps(eps)
+    return _factor_transmission(mesh, eps * omega, eps * z, eps ** -2 - 1.0,
+                                stack)
 
 
 def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
@@ -299,7 +326,7 @@ def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
     bordered solve that pins <1, .>_{S_0^{-1}} = 0, avoiding the spurious
     null direction of the full-space block.
     """
-    m = eps ** 2 * _contrast_factors(spectral, eps, omega, z)[3]
+    m = eps ** 2 * _contrast_factors(spectral.mesh, eps, omega, z).m
     p0 = spectral.p0.matrix
     mp = m @ p0
     mq = m - mp
@@ -373,7 +400,7 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
     """
     quad, cubic = _discrete_coefficients(spectral, omega, z)
     resonant = abs(quad) < 1e-8
-    m_lu = _contrast_factors(spectral, eps, omega, z)[4]
+    m_lu = _contrast_factors(spectral.mesh, eps, omega, z).m_lu
     minv = lu_solve(m_lu, np.eye(spectral.mesh.n_panels, dtype=complex))
     p0 = spectral.p0.matrix
     if resonant:

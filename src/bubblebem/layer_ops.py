@@ -393,52 +393,15 @@ def _series_order(rho: float) -> int | None:
                  if series_tail_bound(rho, n) <= SERIES_TAIL_TARGET), None)
 
 
-def _series_terms(mesh: SurfaceMesh, order: int) -> tuple[list, list]:
-    """Real series terms up to ``order`` in one chunked pass.
-
-    Returns [None, A_1, ..., A_N] and [B_0, None, B_2, ..., B_N] with
-    A_n = (1/4π n!) |x-y|^{n-1} and B_n = ((1-n)/4π n!) ν(y)·(x-y) |x-y|^{n-3}
-    under the regular rule; the node values are raised to successive powers
-    of r in place.  B_0 is the static double layer with its solid-angle
-    diagonal; B_n (n >= 2) vanishes on flat self panels.  B_1 = 0.
-    """
-    nodes, weights = panel_quadrature(mesh)
-    n = mesh.n_panels
-    flat_w = weights.reshape(-1)
-    single = [None] + [np.empty((n, n)) for _ in range(order)]
-    double = [np.empty((n, n)) if k != 1 else None for k in range(order + 1)]
-    static_rowsum = np.empty(n)
-    for rows, r, numer in _row_chunks(mesh.centroids, nodes, mesh.normals):
-        k_vals = numer / (4.0 * np.pi * r ** 3)
-        k_vals *= flat_w
-        block = _panel_sum(k_vals)
-        np.fill_diagonal(block[:, rows], 0.0)
-        double[0][rows] = block
-        static_rowsum[rows] = block.sum(axis=1)
-        s_vals = np.empty_like(r)
-        s_vals[:] = flat_w / (4.0 * np.pi)
-        for k in range(1, order + 1):
-            k_vals *= r
-            if k > 1:
-                s_vals *= r
-                block = _panel_sum(k_vals) * ((1 - k) / math.factorial(k))
-                # flat self panel: ν ⟂ (x-y) exactly; drop the rounding residue
-                np.fill_diagonal(block[:, rows], 0.0)
-                double[k][rows] = block
-            single[k][rows] = _panel_sum(s_vals) / math.factorial(k)
-        del r, numer, k_vals, s_vals
-    double[0][np.arange(n), np.arange(n)] = -0.5 - static_rowsum
-    return single, double
-
-
 @dataclass
 class SeriesStack:
     """Real series terms of S_z and K_z on one mesh, up to ``order``.
 
     S_z = Σ (iz)^n A_n with A_0 the static single layer (closed-form self
-    panel), and K_z = Σ (iz)^n B_n with B_1 = 0.  Evaluated by Horner in iz
-    at the order the tail bound needs for |z| * diameter; 8 n^2 bytes per
-    stored term.
+    panel), and K_z = Σ (iz)^n B_n with B_1 = 0, so the coefficient of z^n,
+    the series coefficient operator S_(n) or K_(n), is i^n single[n] or
+    i^n double[n].  Evaluated by Horner in iz at the order the tail bound
+    needs for |z| * diameter; 8 n^2 bytes per stored term.
     """
 
     single: list      # A_0, A_1, ..., A_N
@@ -478,42 +441,45 @@ class SeriesStack:
 
 def assemble_series_stack(mesh: SurfaceMesh, order: int,
                           s0: np.ndarray) -> SeriesStack:
-    """Series terms of S and K up to ``order`` from one chunked pass; A_0 is
-    the given real static single layer (``SpectralData.s0``)."""
-    _series_range_check(order, 0)
-    single, double = _series_terms(mesh, order)
-    single[0] = s0
+    """Series terms of S and K up to ``order`` in one chunked pass.
+
+    A_0 is the given real static single layer (``SpectralData.s0``); the
+    others are A_n = (1/4π n!) |x-y|^{n-1} and
+    B_n = ((1-n)/4π n!) ν(y)·(x-y) |x-y|^{n-3} under the regular rule, the
+    node values raised to successive powers of r in place.  B_0 is the
+    static double layer with its solid-angle diagonal; B_n (n >= 2)
+    vanishes on flat self panels.  B_1 = 0.
+    """
+    if not 0 <= order <= SERIES_MAX_ORDER:
+        raise ValueError(f"series order must be in [0, {SERIES_MAX_ORDER}], "
+                         f"got {order}")
+    nodes, weights = panel_quadrature(mesh)
+    n = mesh.n_panels
+    flat_w = weights.reshape(-1)
+    single = [s0] + [np.empty((n, n)) for _ in range(order)]
+    double = [np.empty((n, n)) if k != 1 else None for k in range(order + 1)]
+    static_rowsum = np.empty(n)
+    for rows, r, numer in _row_chunks(mesh.centroids, nodes, mesh.normals):
+        k_vals = numer / (4.0 * np.pi * r ** 3)
+        k_vals *= flat_w
+        block = _panel_sum(k_vals)
+        np.fill_diagonal(block[:, rows], 0.0)
+        double[0][rows] = block
+        static_rowsum[rows] = block.sum(axis=1)
+        s_vals = np.empty_like(r)
+        s_vals[:] = flat_w / (4.0 * np.pi)
+        for k in range(1, order + 1):
+            k_vals *= r
+            if k > 1:
+                s_vals *= r
+                block = _panel_sum(k_vals) * ((1 - k) / math.factorial(k))
+                # flat self panel: ν ⟂ (x-y) exactly; drop the rounding residue
+                np.fill_diagonal(block[:, rows], 0.0)
+                double[k][rows] = block
+            single[k][rows] = _panel_sum(s_vals) / math.factorial(k)
+        del r, numer, k_vals, s_vals
+    double[0][np.arange(n), np.arange(n)] = -0.5 - static_rowsum
     return SeriesStack(single, double, mesh.diameter)
-
-
-def _series_range_check(n: int, low: int) -> None:
-    if not low <= n <= SERIES_MAX_ORDER:
-        raise ValueError(f"series order must be in [{low}, {SERIES_MAX_ORDER}], "
-                         f"got {n}")
-
-
-def assemble_series_term_S(mesh: SurfaceMesh, n: int) -> BoundaryOperator:
-    """Coefficient operator i^n A_n of z^n in the single-layer expansion.
-
-    Kernel (i^n / 4π n!) |x-y|^{n-1}; smooth for n >= 1, so one regular rule
-    serves all panels including the self panel.
-    """
-    _series_range_check(n, 1)
-    return BoundaryOperator((1j ** n) * _series_terms(mesh, n)[0][n],
-                            domain=DENSITY, codomain=TRACE,
-                            wavenumber=None, label=f"S_({n})")
-
-
-def assemble_series_term_K(mesh: SurfaceMesh, n: int) -> BoundaryOperator:
-    """Coefficient operator i^n B_n of z^n in the double-layer expansion.
-
-    Kernel -(n-1)(i^n / 4π n!) ν(y)·(x-y) |x-y|^{n-3}; bounded for n = 2,
-    smooth for n >= 3, and identically zero on flat self panels.
-    """
-    _series_range_check(n, 2)
-    return BoundaryOperator((1j ** n) * _series_terms(mesh, n)[1][n],
-                            domain=TRACE, codomain=TRACE,
-                            wavenumber=None, label=f"K_({n})")
 
 
 def eval_single_layer_potential(mesh: SurfaceMesh,

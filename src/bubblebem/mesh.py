@@ -9,6 +9,7 @@ centroid/area/normal caches are computed once here and frozen.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,30 +255,22 @@ def surface_centroid(mesh: SurfaceMesh) -> np.ndarray:
 # File I/O (ASCII OFF and OBJ)
 
 
-def load_mesh(path: str, fmt: str | None = None) -> SurfaceMesh:
+def load_mesh(path: str) -> SurfaceMesh:
     """Read an ASCII OFF or OBJ file (triangles only) and validate it.
 
-    The format is inferred from the extension unless ``fmt`` ("off"/"obj")
-    is given.
+    The parser is chosen by the ``.off`` or ``.obj`` extension.  A file that
+    cannot be read, or is not ASCII, raises MeshError naming the path.
     """
-    if fmt is None:
-        lower = str(path).lower()
-        if lower.endswith(".off"):
-            fmt = "off"
-        elif lower.endswith(".obj"):
-            fmt = "obj"
-        else:
-            raise MeshError(f"cannot infer format of {path!r}; pass fmt=")
-    fmt = fmt.lower()
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if fmt == "off":
-        vertices, triangles = _parse_off(text)
-    elif fmt == "obj":
-        vertices, triangles = _parse_obj(text)
-    else:
-        raise MeshError(f"unsupported format {fmt!r}")
-    return build_mesh(vertices, triangles)
+    parsers = {".off": _parse_off, ".obj": _parse_obj}
+    parse = parsers.get(os.path.splitext(str(path))[1].lower())
+    if parse is None:
+        raise MeshError(f"cannot read {path!r}: expected a .off or .obj file")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"cannot read {path!r}: {exc}") from None
+    return build_mesh(*parse(text))
 
 
 def _content_lines(text: str):

@@ -25,7 +25,8 @@ from scipy.linalg import lu_solve
 from scipy.optimize import curve_fit
 
 from .boundary_calculus import (NumericalGuardError, SpectralData,
-                                _factor_transmission)
+                                _contrast_factors, _factor_transmission,
+                                check_eps)
 # assemble_single_layer is not called here; it stays importable from this
 # module because perfbench's tracer test looks it up in every namespace.
 from .layer_ops import (DENSITY, SERIES_MAX_ORDER, TRACE, BoundaryDensity,
@@ -90,12 +91,8 @@ class PointSource:
 
 
 # The rule for valid physical input, one check each; ScatteringProblem,
-# frequency_sweep and the CLI's settings all call these.
-
-
-def check_eps(eps: float) -> None:
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+# frequency_sweep and the CLI's settings all call these, and check_eps with
+# them (it lives in boundary_calculus, beside the contraction it guards).
 
 
 def check_omega(omega: float) -> None:
@@ -270,51 +267,39 @@ def interaction_operator(problem: ScatteringProblem,
     assembled exactly from the discrete contracted-wavenumber operators
     (M as in ``boundary_calculus._factor_transmission``).
     """
-    eps = problem.eps
-    _, half_k, s_lu, _, m_lu = _factor_transmission(
-        problem.mesh, eps * problem.omega, eps * z, problem.kappa)
-    matrix = eps * problem.kappa * lu_solve(s_lu, lu_solve(m_lu, half_k))
+    f = _contrast_factors(problem.mesh, problem.eps, problem.omega, z)
+    matrix = problem.eps * problem.kappa * f.solve(f.half_k)
     return BoundaryOperator(matrix, domain=TRACE, codomain=DENSITY,
                             wavenumber=complex(z), label="Lambda")
-
-
-def _transmission_solve(mesh: SurfaceMesh, w: complex, z: complex,
-                        kappa: float, trace: np.ndarray,
-                        stack: SeriesStack | None = None) -> np.ndarray:
-    """(I + kappa DN_w S_z)^{-1} DN_w trace = S_w^{-1} M^{-1} (1/2 + K_w) trace;
-    the factors are released on return."""
-    _, half_k, s_lu, _, m_lu = _factor_transmission(mesh, w, z, kappa, stack)
-    return lu_solve(s_lu, lu_solve(m_lu, half_k @ trace))
 
 
 def _dilated_potential(problem: ScatteringProblem, z: complex, incident,
                        stack: SeriesStack | None = None):
     """u_sc = -(1/eps) SL_{eps z}[Lambda_z trace] o contract as a function of
     physical points, where trace is ``incident`` at the images of the panel
-    centroids and Lambda_z is the interaction operator."""
+    centroids and Lambda_z is the interaction operator.  The factors are
+    released on return; S and K come from a series ``stack`` of the
+    reference mesh where it reaches (``boundary_calculus._dn_factors``)."""
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
-    charge = BoundaryDensity(eps * problem.kappa * _transmission_solve(
-        mesh, eps * problem.omega, eps * z, problem.kappa, trace, stack),
-        space=DENSITY)
+    f = _contrast_factors(mesh, eps, problem.omega, z, stack)
+    charge = BoundaryDensity(eps * problem.kappa * f.solve(f.half_k @ trace),
+                             space=DENSITY)
     return lambda pts: -eval_single_layer_potential(
         mesh, charge, eps * z, problem.contract(pts)) / eps
 
 
 def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
-                            spectral: SpectralData | None = None) -> FieldResult:
+                            spectral: SpectralData | None = None,
+                            stack: SeriesStack | None = None) -> FieldResult:
     """Reference-mesh solve: u_sc = -(1/eps) SL_{eps w}[Lambda trace] o contract.
 
     The incident trace is evaluated analytically at the images of the panel
     centroids; the single-layer potential at contracted wavenumber eps*omega
-    is mapped back to physical coordinates by the similarity.
+    is mapped back to physical coordinates by the similarity.  Given a
+    series ``stack`` of the reference mesh, S and K are read from it where
+    it reaches.
     """
-    return _solve_dilated(problem, points, spectral, None)
-
-
-def _solve_dilated(problem, points, spectral, stack):
-    """``scattered_field_dilated`` with S and K read from a series ``stack``
-    of the reference mesh where it reaches."""
     omega = problem.omega
     scattered_at = _dilated_potential(
         problem, omega, lambda pts: problem.incident.evaluate(pts, omega), stack)
@@ -332,7 +317,9 @@ def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
     omega, kappa = problem.omega, problem.kappa
     scaled = problem.scaled_mesh()
     trace = problem.incident.evaluate(scaled.centroids, omega)
-    flux = _transmission_solve(scaled, omega, omega, kappa, trace)
+    f = _factor_transmission(scaled, omega, omega, kappa)
+    flux = f.solve(f.half_k @ trace)
+    del f   # release the factors before the potential is evaluated
 
     def scattered_at(pts):
         return -kappa * eval_single_layer_potential(
@@ -348,10 +335,9 @@ def transmission_residual(problem: ScatteringProblem) -> float:
     omega, contrast = problem.omega, problem.kappa
     scaled = problem.scaled_mesh()
     trace = problem.incident.evaluate(scaled.centroids, omega)
-    s, half_k, s_lu, _, m_lu = _factor_transmission(scaled, omega, omega,
-                                                    contrast)
-    flux = lu_solve(s_lu, lu_solve(m_lu, half_k @ trace))
-    dn_total = lu_solve(s_lu, half_k @ (trace - contrast * (s @ flux)))
+    f = _factor_transmission(scaled, omega, omega, contrast)
+    flux = f.solve(f.half_k @ trace)
+    dn_total = lu_solve(f.s_lu, f.half_k @ (trace - contrast * (f.s @ flux)))
     return float(np.linalg.norm(dn_total - flux) / np.linalg.norm(flux))
 
 
@@ -423,16 +409,12 @@ def scattered_field(problem: ScatteringProblem, points: np.ndarray, method: str,
     """The field of ``method``, one of METHODS: the direct or the dilated
     solve, or the uniform or off-resonance asymptotic amplitude.
 
-    A dilated solve given a series ``stack`` of the reference mesh reads S
-    and K from it where it reaches (``boundary_calculus._dn_factors``);
-    without one it is ``scattered_field_dilated``.
+    A dilated solve hands ``stack`` on to ``scattered_field_dilated``.
     """
     if method == "direct":
         return scattered_field_direct(problem, points, spectral)
     if method == "dilated":
-        return (scattered_field_dilated(problem, points, spectral)
-                if stack is None else
-                _solve_dilated(problem, points, spectral, stack))
+        return scattered_field_dilated(problem, points, spectral, stack)
     if method == "uniform":
         return asymptotic_uniform(problem, points, spectral)
     if method == "nonresonant":

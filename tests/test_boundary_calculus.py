@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 import bubblebem.boundary_calculus as boundary_calculus
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          _contrast_factors, _guarded_lu,
-                                         dirichlet_to_neumann,
+                                         check_eps, dirichlet_to_neumann,
                                          expansion_residual,
                                          k2_resonance_frequency, s0_inner,
                                          s0_operator_norm, schur_blocks,
                                          spectral_data)
 from bubblebem.layer_ops import (TRACE, BoundaryDensity, SpaceTagError,
-                                 assemble_double_layer, assemble_series_term_K,
+                                 assemble_double_layer, assemble_series_stack,
                                  assemble_single_layer)
 from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
 
@@ -56,7 +56,7 @@ def test_inner_product_role_tags(spectral2, sphere2):
 
 def test_projector_identities(spectral2, sphere2):
     p0 = spectral2.p0.matrix
-    q0 = spectral2.q0.matrix
+    q0 = np.eye(sphere2.n_panels) - p0
     ones = np.ones(sphere2.n_panels)
     assert np.abs(p0 @ ones - 1.0).max() < 1e-12
     assert np.abs(q0 @ ones).max() < 1e-12
@@ -190,9 +190,9 @@ def test_series_averages_share_one_pass(monkeypatch):
     assert (data.k2_average(), data.k3_average()) == (k2, k3)
     assert orders == [3]
     one = BoundaryDensity(np.ones(mesh.n_panels), space=TRACE)
+    double = original(mesh, 3, data.s0.matrix).double
     for n, mean in ((2, k2), (3, k3)):
-        k_one = BoundaryDensity(assemble_series_term_K(mesh, n).matrix
-                                @ one.values, space=TRACE)
+        k_one = BoundaryDensity(1j ** n * double[n] @ one.values, space=TRACE)
         assert mean == pytest.approx(s0_inner(data, one, k_one)
                                      / data.capacitance, rel=1e-13)
 
@@ -274,8 +274,12 @@ def test_schur_full_is_the_contrast_operator(mesh_name, request):
 @pytest.mark.parametrize("family", [schur_blocks, expansion_residual])
 def test_contrast_family_rejects_eps_outside_unit_interval(family, eps,
                                                            spectral2):
-    with pytest.raises(ValueError, match="eps must lie in"):
+    # the message is the eps rule's own, word for word
+    with pytest.raises(ValueError) as rule:
+        check_eps(eps)
+    with pytest.raises(ValueError, match="eps must lie in") as raised:
         family(spectral2, eps, 1.0, 0.7)
+    assert str(raised.value) == str(rule.value)
 
 
 def test_expansion_residual_offres_ratio(spectral2):
@@ -300,11 +304,11 @@ def test_expansion_residual_resonant_ratio(spectral2):
 def test_contrast_family_limit_direction(sphere2, spectral2):
     # eps^2 M(eps) approaches the mean-free static block as eps -> 0
     k0 = assemble_double_layer(sphere2, 0.0).matrix
-    q0 = spectral2.q0.matrix
+    q0 = np.eye(sphere2.n_panels) - spectral2.p0.matrix
     target = q0 @ (0.5 * np.eye(sphere2.n_panels) + k0) @ q0
     gaps = []
     for eps in (0.04, 0.02, 0.01):
-        m = eps ** 2 * _contrast_factors(spectral2, eps, 1.0, 0.7)[3]
+        m = eps ** 2 * _contrast_factors(sphere2, eps, 1.0, 0.7).m
         gaps.append(s0_operator_norm(spectral2, m - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-2
@@ -314,8 +318,9 @@ def test_dn_factorization_small_z_consistency(sphere2, spectral2):
     # S_z DN_z - (Q0 (1/2+K0) Q0 + z^2 K_(2)) shrinks at cubic order in z
     # (a fixed quadrature-level floor sets in below z ~ 0.1)
     k0 = assemble_double_layer(sphere2, 0.0).matrix
-    k2 = assemble_series_term_K(sphere2, 2).matrix
-    q0 = spectral2.q0.matrix
+    k2 = 1j ** 2 * assemble_series_stack(sphere2, 2,
+                                         spectral2.s0.matrix).double[2]
+    q0 = np.eye(sphere2.n_panels) - spectral2.p0.matrix
     static = q0 @ (0.5 * np.eye(sphere2.n_panels) + k0) @ q0
     residuals = []
     zs = (0.2, 0.4)

@@ -47,6 +47,21 @@ def test_geometry_broken_mesh_nonzero_exit(tmp_path):
     assert run(tmp_path, "geometry", "--mesh", str(bad)) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("name", ["missing.off", "folder.off", "binary.off",
+                                  "mesh.stl"])
+def test_unreadable_mesh_file_is_a_usage_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    if name == "folder.off":
+        path.mkdir()
+    elif name == "binary.off":
+        path.write_bytes(b"OFF\n\xff\n")
+    elif name == "mesh.stl":
+        path.write_text("solid mesh\nendsolid mesh\n")
+    assert run(tmp_path, "geometry", "--mesh", str(path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_minnaert_values_and_scaling(tmp_path):
     assert run(tmp_path, "minnaert", "--icosphere", "1.0,2") == EXIT_OK
     _, rows = read_csv(tmp_path / "minnaert.csv")

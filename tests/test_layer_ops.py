@@ -9,8 +9,7 @@ from bubblebem import layer_ops
 from bubblebem.layer_ops import (DENSITY, SERIES_MAX_ORDER, SERIES_TAIL_TARGET,
                                  TRACE, BoundaryDensity, BoundaryOperator,
                                  SpaceTagError, assemble_double_layer,
-                                 assemble_series_stack, assemble_series_term_K,
-                                 assemble_series_term_S, assemble_single_layer,
+                                 assemble_series_stack, assemble_single_layer,
                                  eval_single_layer_potential, load_operator,
                                  panel_quadrature, save_operator,
                                  series_tail_bound,
@@ -185,8 +184,17 @@ def test_k0_degree_one_eigenvalue(sphere3):
 # series coefficient operators
 
 
+def series_coefficients(mesh, order):
+    """S_(n) = i^n A_n and K_(n) = i^n B_n, the coefficients of z^n, for
+    n <= order, read from one series stack (entry None where a term is 0)."""
+    stack = assemble_series_stack(mesh, order, np.zeros((mesh.n_panels,) * 2))
+    return tuple([None if term is None else 1j ** n * term
+                  for n, term in enumerate(terms)]
+                 for terms in (stack.single, stack.double))
+
+
 def test_series_s1_rank_one(sphere2):
-    s1 = assemble_series_term_S(sphere2, 1).matrix
+    s1 = series_coefficients(sphere2, 1)[0][1]
     coeff = np.ones(sphere2.n_panels)
     expected = 1j / (4 * np.pi) * sphere2.areas.sum()
     assert np.allclose(s1 @ coeff, expected, rtol=1e-12)
@@ -194,14 +202,14 @@ def test_series_s1_rank_one(sphere2):
 
 
 def test_series_s1_equilibrium_identity(sphere2, spectral2):
-    s1 = assemble_series_term_S(sphere2, 1).matrix
+    s1 = series_coefficients(sphere2, 1)[0][1]
     q = spectral2.q_eq.values
     target = 1j * spectral2.capacitance / (4 * np.pi)
     assert np.abs(s1 @ q - target).max() <= 2e-2 * abs(target)
 
 
 def test_series_taylor_residual_single_layer(sphere2):
-    terms = [assemble_series_term_S(sphere2, n).matrix for n in range(1, 4)]
+    terms = series_coefficients(sphere2, 3)[0][1:]
     s0 = assemble_single_layer(sphere2, 0.0).matrix
     resid = []
     zs = (0.1, 0.2)
@@ -216,14 +224,14 @@ def test_series_taylor_residual_single_layer(sphere2):
 def test_series_k2_ball_identity(sphere3):
     # K_(2) applied to 1 equals minus the Newtonian potential of the ball on
     # its boundary, i.e. -1/3 on the unit sphere
-    k2 = assemble_series_term_K(sphere3, 2).matrix
+    k2 = series_coefficients(sphere3, 2)[1][2]
     vals = k2 @ np.ones(sphere3.n_panels)
     assert np.abs(vals - (-1.0 / 3.0)).max() <= 2e-2 * (1.0 / 3.0)
 
 
 def test_series_k3_volume_identity(sphere2, spectral2):
     from bubblebem.boundary_calculus import s0_inner
-    k3 = assemble_series_term_K(sphere2, 3).matrix
+    k3 = series_coefficients(sphere2, 3)[1][3]
     one = BoundaryDensity(np.ones(sphere2.n_panels), space=TRACE)
     k3_one = BoundaryDensity(k3 @ one.values, space=TRACE)
     value = s0_inner(spectral2, one, k3_one)
@@ -233,8 +241,7 @@ def test_series_k3_volume_identity(sphere2, spectral2):
 
 def test_series_taylor_residual_double_layer(sphere2):
     k0 = assemble_double_layer(sphere2, 0.0).matrix
-    k2 = assemble_series_term_K(sphere2, 2).matrix
-    k3 = assemble_series_term_K(sphere2, 3).matrix
+    k2, k3 = series_coefficients(sphere2, 3)[1][2:]
     resid = []
     zs = (0.1, 0.2)
     for z in zs:
@@ -246,12 +253,10 @@ def test_series_taylor_residual_double_layer(sphere2):
 
 
 def test_series_order_bounds(sphere2):
-    with pytest.raises(ValueError):
-        assemble_series_term_S(sphere2, 0)
-    with pytest.raises(ValueError):
-        assemble_series_term_S(sphere2, SERIES_MAX_ORDER + 1)
-    with pytest.raises(ValueError):
-        assemble_series_term_K(sphere2, 1)
+    s0 = np.zeros((sphere2.n_panels,) * 2)
+    for order in (-1, SERIES_MAX_ORDER + 1):
+        with pytest.raises(ValueError, match="series order must be in"):
+            assemble_series_stack(sphere2, order, s0)
 
 
 # ----------------------------------------------------------------------------
@@ -351,10 +356,6 @@ def test_series_stack_reaches_where_its_order_meets_the_tail_target():
 
 def test_series_terms_are_slices_of_the_stack(sphere2):
     stack = assemble_series_stack(sphere2, 3, np.zeros((sphere2.n_panels,) * 2))
-    assert np.array_equal(assemble_series_term_S(sphere2, 3).matrix,
-                          -1j * stack.single[3])
-    assert np.array_equal(assemble_series_term_K(sphere2, 2).matrix,
-                          -stack.double[2] + 0j)
     assert stack.double[1] is None
     k0 = assemble_double_layer(sphere2, 0.0).matrix
     assert np.abs(stack.double[0] - k0).max() <= 1e-15 * np.abs(k0).max()
@@ -442,8 +443,6 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
         return ([assemble(mesh, z).matrix for z in (0.0, 1.0 + 1.0j)
                  for assemble in (assemble_single_layer,
                                   assemble_double_layer)]
-                + [assemble_series_term_S(mesh, n).matrix for n in range(1, 7)]
-                + [assemble_series_term_K(mesh, n).matrix for n in range(2, 7)]
                 + [term for terms in (stack.single[1:], stack.double)
                    for term in terms if term is not None])
 

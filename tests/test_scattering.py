@@ -223,6 +223,31 @@ def test_each_route_guards_s_and_m(route, monkeypatch):
         ROUTES[route](problem)
 
 
+CONTRACTED_Z = {"dilated": 1.3, "interaction": 0.7, "resolvent": 1j,
+                "expansion": 0.7}
+
+
+@pytest.mark.parametrize("route", CONTRACTED_Z)
+def test_each_contracted_route_factors_once(route, monkeypatch):
+    # every route on the reference mesh reaches M through the one
+    # contraction, boundary_calculus._contrast_factors, exactly once
+    problem = make_problem(SUB1, 0.05, 1.3)
+    original = boundary_calculus._contrast_factors
+    calls = []
+
+    def recorder(mesh, eps, omega, z, stack=None):
+        calls.append((mesh, eps, omega, z))
+        return original(mesh, eps, omega, z, stack)
+
+    for module in (boundary_calculus, scattering):
+        monkeypatch.setattr(module, "_contrast_factors", recorder)
+    ROUTES[route](problem)
+    assert len(calls) == 1
+    mesh, eps, omega, z = calls[0]
+    assert mesh is SUB1
+    assert (eps, omega, z) == (0.05, 1.3, CONTRACTED_Z[route])
+
+
 def test_transmission_residual_small(sphere2):
     problem = make_problem(sphere2, 0.05, 1.3)
     assert transmission_residual(problem) <= 1e-8

@@ -5,7 +5,9 @@ Usage, from the repository root:
 
     python3 tools/code_lines.py [PATH ...]      # default: src/bubblebem
 
-Prints the count per module and the total.
+Prints, per module and in total, the code line count and the number of
+public names: top-level functions and classes whose name does not start
+with an underscore.
 """
 
 from __future__ import annotations
@@ -34,17 +36,26 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(path: str) -> int:
+def public_names(tree: ast.Module) -> int:
+    """Top-level functions and classes whose name has no leading underscore."""
+    return sum(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+               and not node.name.startswith("_") for node in tree.body)
+
+
+def code_lines(path: str) -> tuple[int, int]:
+    """Code lines and public names of one module."""
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
-    skip = docstring_lines(ast.parse(source))
+    tree = ast.parse(source)
+    skip = docstring_lines(tree)
     with open(path, "rb") as fh:
         tokens = list(tokenize.tokenize(fh.readline))
     lines = set()
     for tok in tokens:
         if tok.type not in _NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - skip)
+    return len(lines - skip), public_names(tree)
 
 
 def main(argv: list[str]) -> int:
@@ -52,12 +63,13 @@ def main(argv: list[str]) -> int:
     for arg in argv or ["src/bubblebem"]:
         paths += (sorted(glob.glob(os.path.join(arg, "*.py")))
                   if os.path.isdir(arg) else [arg])
-    total = 0
+    total = total_public = 0
     for path in paths:
-        count = code_lines(path)
+        count, public = code_lines(path)
         total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+        total_public += public
+        print(f"{count:6d}  {public:4d}  {path}")
+    print(f"{total:6d}  {total_public:4d}  total")
     return 0
 
 
