@@ -12,22 +12,20 @@ from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         SeriesStack, SpaceTagError, assemble_double_layer,
                         assemble_series_stack, assemble_single_layer,
-                        eval_single_layer_potential, load_operator,
-                        save_operator, series_tail_bound)
+                        eval_single_layer_potential, series_tail_bound)
 from .mesh import (MeshError, SurfaceMesh, affine_transform, build_mesh,
-                   geometric_moments, load_mesh, make_ellipsoid,
-                   make_icosphere, save_off, scale_about, surface_centroid)
+                   load_mesh, make_ellipsoid, make_icosphere, save_off,
+                   scale_about, surface_centroid)
 from .mie import (MieSolution, load_fixture, mie_eval, mie_monopole_amplitude,
-                  mie_partial_wave_matrix, mie_solve, save_fixture)
+                  mie_partial_wave_matrix, mie_solve)
 from .scattering import (METHODS, FieldResult, FitError, PeakFit, PlaneWave,
                          PointSource, ScatteringProblem, SweepResult,
-                         SweepRow, asymptotic_nonresonant, asymptotic_resonant,
-                         asymptotic_uniform, far_field_points, fit_monopole,
+                         SweepRow, far_field_points, fit_monopole,
                          frequency_sweep, green_function, interaction_operator,
-                         lorentzian_halfwidth, monopole_amplitude,
-                         point_perturbation_kernel, radiation_defect,
-                         resolvent_correction_kernel, resonance_peak,
-                         scattered_field, scattered_field_dilated,
-                         scattered_field_direct, transmission_residual)
+                         lorentzian_halfwidth, point_perturbation_kernel,
+                         radiation_defect, resolvent_correction_kernel,
+                         resonance_peak, scattered_field,
+                         scattered_field_dilated, scattered_field_direct,
+                         transmission_residual)
 
 __version__ = "0.1.0"

@@ -38,8 +38,7 @@ import numpy as np
 from . import boundary_calculus as bc
 from . import scattering as sc
 from .layer_ops import assemble_double_layer
-from .mesh import (MeshError, geometric_moments, load_mesh, make_ellipsoid,
-                   make_icosphere)
+from .mesh import MeshError, load_mesh, make_ellipsoid, make_icosphere
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -263,7 +262,8 @@ def _fmt(value) -> str:
 
 
 class ArtifactWriter:
-    """Collects CSV artifacts and finalizes a checksummed manifest."""
+    """Collects CSV artifacts and warnings and finalizes a checksummed
+    manifest.  The output directory is created on the first write."""
 
     def __init__(self, outdir: str, command: str, config: RunConfig):
         self.outdir = outdir
@@ -272,13 +272,21 @@ class ArtifactWriter:
         self.files: dict[str, str] = {}
         self.warnings: list[str] = []
         self.t0 = time.time()
-        os.makedirs(outdir, exist_ok=True)
+
+    def _path(self, name: str) -> str:
+        os.makedirs(self.outdir, exist_ok=True)
+        return os.path.join(self.outdir, name)
+
+    def warn(self, note: str) -> None:
+        """Record a note in the manifest and print it as a warning."""
+        self.warnings.append(note)
+        print(f"warning: {note}")
 
     def write_csv(self, name: str, header: list[str], rows) -> str:
         """Write one CSV artifact.  Each column pair re_X, im_X of the
         header takes one complex value of a row; a missing one (None) is
         nan in both columns."""
-        path = os.path.join(self.outdir, name)
+        path = self._path(name)
         pairs = [col.startswith("re_") for col in header
                  if not col.startswith("im_")]
         lines = [",".join(header)]
@@ -308,7 +316,7 @@ class ArtifactWriter:
             "timing_seconds": time.time() - self.t0,
             "warnings": self.warnings,
         }
-        path = os.path.join(self.outdir, "manifest.json")
+        path = self._path("manifest.json")
         with open(path, "w", encoding="ascii") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
         return path
@@ -338,27 +346,23 @@ def check_manifest(outdir: str) -> list[str]:
 # Commands
 
 
-def cmd_geometry(cfg: RunConfig) -> int:
+def cmd_geometry(cfg: RunConfig, writer: ArtifactWriter) -> int:
     mesh = cfg.build_mesh()
-    area, volume, diameter = geometric_moments(mesh)
-    writer = ArtifactWriter(cfg.output_dir, "geometry", cfg)
     writer.write_csv("geometry.csv",
                      ["quantity", "value"],
-                     [("area", area), ("volume", volume),
-                      ("diameter", diameter),
+                     [("area", mesh.area), ("volume", mesh.volume),
+                      ("diameter", mesh.diameter),
                       ("panels", mesh.n_panels),
                       ("vertices", len(mesh.vertices))])
-    writer.finalize()
-    print(f"area={area:.10g} volume={volume:.10g} diameter={diameter:.10g} "
-          f"panels={mesh.n_panels}")
+    print(f"area={mesh.area:.10g} volume={mesh.volume:.10g} "
+          f"diameter={mesh.diameter:.10g} panels={mesh.n_panels}")
     return EXIT_OK
 
 
-def cmd_minnaert(cfg: RunConfig) -> int:
+def cmd_minnaert(cfg: RunConfig, writer: ArtifactWriter) -> int:
     mesh = cfg.build_mesh()
     data = bc.spectral_data(mesh)
     q = data.q_eq.values
-    writer = ArtifactWriter(cfg.output_dir, "minnaert", cfg)
     writer.write_csv("minnaert.csv",
                      ["quantity", "value"],
                      [("capacitance", data.capacitance),
@@ -367,7 +371,6 @@ def cmd_minnaert(cfg: RunConfig) -> int:
                       ("equilibrium_density_min", q.min()),
                       ("equilibrium_density_max", q.max()),
                       ("equilibrium_density_mean", q.mean())])
-    writer.finalize()
     print(f"capacitance={data.capacitance:.10g} "
           f"minnaert_omega={data.minnaert_omega:.10g}")
     return EXIT_OK
@@ -380,13 +383,12 @@ def _make_problem(cfg: RunConfig, mesh, omega: float) -> sc.ScatteringProblem:
                                 guard_constant=cfg.guard_constant)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
     mesh = cfg.build_mesh()
     spectral = bc.spectral_data(mesh)
     problem = _make_problem(cfg, mesh, cfg.omega)
     points, _ = sc.far_field_points(problem)
     fld = sc.scattered_field(problem, points, cfg.method, spectral)
-    writer = ArtifactWriter(cfg.output_dir, "solve", cfg)
     writer.write_csv("fields.csv",
                      ["x", "y", "z", "re_incident", "im_incident",
                       "re_scattered", "im_scattered", "re_total", "im_total"],
@@ -398,25 +400,21 @@ def cmd_solve(cfg: RunConfig) -> int:
                       ("im_amplitude", fld.amplitude.imag),
                       ("fit_residual", fld.fit_residual),
                       ("guard_band", problem.in_guard_band(spectral))])
-    writer.warnings.extend(fld.warnings)
     for note in fld.warnings:
-        print(f"warning: {note}")
-    writer.finalize()
+        writer.warn(note)
     print(f"amplitude={fld.amplitude:.10g} residual={fld.fit_residual:.3g}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> int:
     mesh = cfg.build_mesh()
     spectral = bc.spectral_data(mesh)
     # built at the highest frequency, so that its validity warning covers
     # the whole grid
     problem = _make_problem(cfg, mesh, cfg.omega_grid[-1])
     sweep = sc.frequency_sweep(problem, cfg.omega_grid, cfg.method, spectral)
-    writer = ArtifactWriter(cfg.output_dir, "sweep", cfg)
-    writer.warnings.extend(sweep.warnings)
     for note in sweep.warnings:
-        print(f"warning: {note}")
+        writer.warn(note)
     writer.warnings.extend(f"omega={r.omega}: {r.error}"
                            for r in sweep.rows if r.error)
     writer.write_csv("sweep.csv",
@@ -437,9 +435,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         print(f"peak omega={peak.omega_peak:.6g} width={peak.width:.6g} "
               f"height={peak.height:.6g}")
     except sc.FitError as exc:
-        writer.warnings.append(f"peak fit skipped: {exc}")
-        print(f"peak fit skipped: {exc}")
-    writer.finalize()
+        writer.warn(f"peak fit skipped: {exc}")
     print(f"swept {len(sweep.rows)} frequencies with method={cfg.method}")
     return EXIT_OK
 
@@ -507,9 +503,8 @@ def verification_checks(cfg: RunConfig):
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, writer: ArtifactWriter) -> int:
     checks = verification_checks(cfg)
-    writer = ArtifactWriter(cfg.output_dir, "verify", cfg)
     rows = []
     for name, value, low, high, gated in checks:
         ok = not gated or low <= value <= high
@@ -520,7 +515,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     writer.write_csv("verify.csv",
                      ["check", "value", "bound_low", "bound_high", "pass"],
                      rows)
-    writer.finalize()
     return EXIT_OK if all(row[-1] for row in rows) else EXIT_VERIFY
 
 
@@ -578,11 +572,13 @@ def main(argv: list[str] | None = None) -> int:
         handler = {"geometry": cmd_geometry, "minnaert": cmd_minnaert,
                    "solve": cmd_solve, "sweep": cmd_sweep,
                    "verify": cmd_verify}[args.command]
+        writer = ArtifactWriter(cfg.output_dir, args.command, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = handler(cfg)
-            for w in caught:
-                print(f"warning: {w.message}")
+            code = handler(cfg, writer)
+        for w in caught:
+            writer.warn(str(w.message))
+        writer.finalize()
         return code
     except (UsageError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ frequency sweep assembles its mesh only once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -114,40 +113,6 @@ class BoundaryOperator:
                 f"operator {self.label!r} expects {self.domain} input, "
                 f"got {density.space}")
         return BoundaryDensity(self.matrix @ density.values, space=self.codomain)
-
-
-def save_operator(op: BoundaryOperator, path: str) -> None:
-    """Dump the matrix as row-major little-endian (re, im) float64 pairs.
-
-    A JSON sidecar ``<path>.meta.json`` records shape, tags, wavenumber and
-    label so the dump is self-describing.
-    """
-    flat = np.ascontiguousarray(op.matrix, dtype=np.complex128)
-    pairs = flat.view(np.float64).astype("<f8")
-    pairs.tofile(path)
-    wn = op.wavenumber
-    meta = {
-        "shape": list(op.matrix.shape),
-        "domain": op.domain,
-        "codomain": op.codomain,
-        "wavenumber": None if wn is None else [complex(wn).real, complex(wn).imag],
-        "label": op.label,
-        "layout": "row-major little-endian float64 (re, im) pairs",
-    }
-    with open(path + ".meta.json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=1)
-
-
-def load_operator(path: str) -> BoundaryOperator:
-    with open(path + ".meta.json", "r", encoding="ascii") as fh:
-        meta = json.load(fh)
-    n0, n1 = meta["shape"]
-    pairs = np.fromfile(path, dtype="<f8")
-    matrix = pairs.view(np.complex128).reshape(n0, n1)
-    wn = meta["wavenumber"]
-    return BoundaryOperator(matrix, domain=meta["domain"], codomain=meta["codomain"],
-                            wavenumber=None if wn is None else complex(*wn),
-                            label=meta["label"])
 
 
 # ----------------------------------------------------------------------------

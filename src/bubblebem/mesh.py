@@ -78,13 +78,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> SurfaceMesh:
     """Validate raw arrays and construct a SurfaceMesh.
 
-    Raises MeshError on out-of-range indices, degenerate panels, non-manifold
-    or unmatched edges, or inward orientation (negative signed volume).
+    Raises MeshError on non-finite coordinates, out-of-range indices,
+    degenerate panels, non-manifold or unmatched edges, inward orientation
+    (negative signed volume), or an area, volume or diameter that overflows.
     """
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
+    try:
+        triangles = np.asarray(triangles, dtype=np.int64)
+    except OverflowError:
+        raise MeshError("triangle vertex index out of range") from None
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MeshError(f"vertex array must be (n, 3), got {vertices.shape}")
+    if not np.isfinite(vertices).all():
+        raise MeshError("vertex coordinates must be finite")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError(f"triangle array must be (n, 3), got {triangles.shape}")
     nv = vertices.shape[0]
@@ -110,6 +116,10 @@ def build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> SurfaceMesh:
     centroids = (v0 + v1 + v2) / 3.0
 
     volume = float(np.sum(np.einsum("ij,ij->i", centroids, normals) * areas) / 3.0)
+    area, diameter = float(areas.sum()), _diameter(vertices)
+    if not np.isfinite([area, volume, diameter]).all():
+        raise MeshError(f"geometry is not finite: area {area:g}, volume "
+                        f"{volume:g}, diameter {diameter:g}")
     if volume <= 0.0:
         raise MeshError(f"inward orientation: signed volume {volume:g} <= 0 "
                         "(triangles must be counter-clockwise from outside)")
@@ -120,9 +130,9 @@ def build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> SurfaceMesh:
         centroids=_freeze(centroids),
         areas=_freeze(areas),
         normals=_freeze(normals),
-        area=float(areas.sum()),
+        area=area,
         volume=volume,
-        diameter=_diameter(vertices),
+        diameter=diameter,
     )
 
 
@@ -151,11 +161,6 @@ def _diameter(vertices: np.ndarray) -> float:
                            axis=2)
         best = max(best, float(d.max()))
     return best
-
-
-def geometric_moments(mesh: SurfaceMesh) -> tuple[float, float, float]:
-    """Return (area, volume, diameter) of a validated mesh."""
-    return mesh.area, mesh.volume, mesh.diameter
 
 
 # ----------------------------------------------------------------------------
@@ -280,19 +285,16 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_off(text: str) -> tuple[list, list]:
     lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise MeshError("empty OFF file") from None
-    if header != "OFF":
-        # Tolerate counts folded onto the header line ("OFF 8 12 18").
-        if header.startswith("OFF"):
-            header = header[3:].strip()
-        else:
-            raise MeshError(f"line {lineno}: expected OFF header, got {header!r}")
-    if not header or header == "OFF":
+    lineno, header = next(lines, (None, None))
+    if header is None:
+        raise MeshError("empty OFF file")
+    if not header.startswith("OFF"):
+        raise MeshError(f"line {lineno}: expected OFF header, got {header!r}")
+    # Tolerate counts folded onto the header line ("OFF 8 12 18").
+    header = header[3:].strip()
+    if header in ("", "OFF"):
         lineno, header = next(lines, (None, None))
         if header is None:
             raise MeshError("OFF file ends before the counts line")
@@ -300,8 +302,11 @@ def _parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
         nv, nf = [int(tok) for tok in header.split()[:2]]
     except ValueError:
         raise MeshError(f"line {lineno}: malformed OFF counts line {header!r}") from None
+    if nv < 0 or nf < 0:
+        raise MeshError(f"line {lineno}: negative OFF counts in {header!r}")
 
-    vertices = np.empty((nv, 3))
+    # rows are collected as read, so a header count allocates nothing
+    vertices: list[list[float]] = []
     for i in range(nv):
         lineno, line = next(lines, (None, None))
         if line is None:
@@ -310,11 +315,11 @@ def _parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
         if len(parts) < 3:
             raise MeshError(f"line {lineno}: vertex needs 3 coordinates")
         try:
-            vertices[i] = [float(p) for p in parts[:3]]
+            vertices.append([float(p) for p in parts[:3]])
         except ValueError:
             raise MeshError(f"line {lineno}: bad vertex coordinate in {line!r}") from None
 
-    triangles = np.empty((nf, 3), dtype=np.int64)
+    triangles: list[list[int]] = []
     for i in range(nf):
         lineno, line = next(lines, (None, None))
         if line is None:
@@ -328,11 +333,11 @@ def _parse_off(text: str) -> tuple[np.ndarray, np.ndarray]:
         if count != 3 or len(idx) != 3:
             raise MeshError(f"line {lineno}: only triangular faces supported, "
                             f"got {count} vertices")
-        triangles[i] = idx
+        triangles.append(idx)
     return vertices, triangles
 
 
-def _parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_obj(text: str) -> tuple[list, list]:
     vertices: list[list[float]] = []
     triangles: list[list[int]] = []
     for lineno, line in _content_lines(text):
@@ -363,7 +368,7 @@ def _parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
         # other tags (vn, vt, usemtl, ...) are ignored
     if not vertices or not triangles:
         raise MeshError("OBJ file contains no usable v/f records")
-    return np.asarray(vertices), np.asarray(triangles, dtype=np.int64)
+    return vertices, triangles
 
 
 def save_off(mesh: SurfaceMesh, path: str) -> None:

@@ -15,7 +15,6 @@ spherical Bessel function and h_l the outgoing spherical Hankel function.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -137,7 +136,9 @@ def mie_partial_wave_matrix(solution: MieSolution) -> np.ndarray:
 
 # ----------------------------------------------------------------------------
 # Frozen fixtures: the oracle outputs are pinned once so regressions in the
-# solver stack are caught against stored coefficients, not a rerun.
+# solver stack are caught against stored coefficients, not a rerun.  To
+# regenerate one, write fixture_payload(mie_solve(R, eps, omega, L)) to its
+# file and add the payload's sha256 to tests/fixtures/checksums.json.
 
 
 def fixture_payload(solution: MieSolution) -> str:
@@ -150,14 +151,6 @@ def fixture_payload(solution: MieSolution) -> str:
               for c in solution.b],
     }
     return json.dumps(record, indent=1, sort_keys=True)
-
-
-def save_fixture(solution: MieSolution, path: str) -> str:
-    """Write the JSON fixture; returns its sha256 for the checksum list."""
-    payload = fixture_payload(solution)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(payload)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def load_fixture(path: str) -> dict:

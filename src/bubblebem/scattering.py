@@ -33,7 +33,7 @@ from .layer_ops import (DENSITY, SERIES_MAX_ORDER, TRACE, BoundaryDensity,
                         BoundaryOperator, SeriesStack, _series_order,
                         assemble_series_stack, assemble_single_layer,
                         eval_single_layer_potential)
-from .mesh import SurfaceMesh, build_mesh, surface_centroid
+from .mesh import SurfaceMesh, scale_about, surface_centroid
 
 METHODS = ("direct", "dilated", "uniform", "nonresonant")
 
@@ -160,7 +160,8 @@ class ScatteringProblem:
         return self.y0 + self.eps * (np.atleast_2d(points) - self.y0)
 
     def scaled_mesh(self) -> SurfaceMesh:
-        return build_mesh(self.dilate(self.mesh.vertices), self.mesh.triangles)
+        """The physical scatterer: the reference mesh under ``dilate``."""
+        return scale_about(self.mesh, self.eps, self.y0)
 
     def in_guard_band(self, spectral: SpectralData) -> bool:
         return abs(self.omega - spectral.minnaert_omega) \
@@ -212,18 +213,6 @@ def fit_monopole(points: np.ndarray, scattered: np.ndarray, omega: float,
     norm = float(np.linalg.norm(scattered))
     residual = float(np.linalg.norm(scattered - amplitude * g))
     return amplitude, residual / norm if norm > 0 else 0.0
-
-
-def monopole_amplitude(fld: FieldResult, omega: float,
-                       y0: np.ndarray) -> tuple[complex, float]:
-    """Re-fit the monopole coefficient of a field result.
-
-    Needs at least 16 sample points; the relative residual is returned with
-    the coefficient so a poor monopole model is visible to the caller.
-    """
-    if len(fld.points) < 16:
-        raise FitError(f"monopole fit needs >= 16 points, got {len(fld.points)}")
-    return fit_monopole(fld.points, fld.scattered, omega, np.asarray(y0, float))
 
 
 def _field_result(problem, points, scattered, amplitude, residual, method,
@@ -342,14 +331,7 @@ def transmission_residual(problem: ScatteringProblem) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Closed-form asymptotic fields
-
-
-def _asymptotic_field(problem, points, amplitude, method, spectral):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    usc = amplitude * green_function(problem.omega, points - problem.y0)
-    return _field_result(problem, points, usc, amplitude, 0.0, method,
-                         spectral)
+# Closed-form asymptotic amplitudes
 
 
 def _incident_at_center(problem) -> complex:
@@ -359,6 +341,8 @@ def _incident_at_center(problem) -> complex:
 
 def nonresonant_amplitude(problem: ScatteringProblem,
                           spectral: SpectralData) -> complex:
+    """Leading-order monopole amplitude away from resonance (rejects
+    omega_M)."""
     omega, eps = problem.omega, problem.eps
     wm2 = spectral.minnaert_omega ** 2
     if omega ** 2 == wm2:
@@ -369,45 +353,25 @@ def nonresonant_amplitude(problem: ScatteringProblem,
 
 
 def resonant_amplitude(problem: ScatteringProblem) -> complex:
+    """Scale-free resonant monopole amplitude (intended at omega = omega_M)."""
     return 4j * np.pi / problem.omega * _incident_at_center(problem)
 
 
 def uniform_amplitude(problem: ScatteringProblem,
                       spectral: SpectralData) -> complex:
+    """Lorentzian-type monopole amplitude interpolating both regimes."""
     omega, eps, cap = problem.omega, problem.eps, spectral.capacitance
     denom = (spectral.minnaert_omega ** 2 - omega ** 2
              - 1j * eps * omega ** 3 * cap / (4.0 * np.pi))
     return eps * omega ** 2 * cap / denom * _incident_at_center(problem)
 
 
-def asymptotic_nonresonant(problem: ScatteringProblem, points: np.ndarray,
-                           spectral: SpectralData) -> FieldResult:
-    """Leading-order monopole field away from resonance (rejects omega_M)."""
-    return _asymptotic_field(problem, points,
-                             nonresonant_amplitude(problem, spectral),
-                             "nonresonant", spectral)
-
-
-def asymptotic_resonant(problem: ScatteringProblem, points: np.ndarray,
-                        spectral: SpectralData | None = None) -> FieldResult:
-    """Scale-free resonant monopole field (intended at omega = omega_M)."""
-    return _asymptotic_field(problem, points, resonant_amplitude(problem),
-                             "resonant", spectral)
-
-
-def asymptotic_uniform(problem: ScatteringProblem, points: np.ndarray,
-                       spectral: SpectralData) -> FieldResult:
-    """Lorentzian-type amplitude interpolating both regimes."""
-    return _asymptotic_field(problem, points,
-                             uniform_amplitude(problem, spectral),
-                             "uniform", spectral)
-
-
 def scattered_field(problem: ScatteringProblem, points: np.ndarray, method: str,
                     spectral: SpectralData,
                     stack: SeriesStack | None = None) -> FieldResult:
     """The field of ``method``, one of METHODS: the direct or the dilated
-    solve, or the uniform or off-resonance asymptotic amplitude.
+    solve, or the monopole field A G_omega(. - y0) of the uniform or
+    off-resonance asymptotic amplitude A.
 
     A dilated solve hands ``stack`` on to ``scattered_field_dilated``.
     """
@@ -415,12 +379,15 @@ def scattered_field(problem: ScatteringProblem, points: np.ndarray, method: str,
         return scattered_field_direct(problem, points, spectral)
     if method == "dilated":
         return scattered_field_dilated(problem, points, spectral, stack)
-    if method == "uniform":
-        return asymptotic_uniform(problem, points, spectral)
-    if method == "nonresonant":
-        return asymptotic_nonresonant(problem, points, spectral)
-    raise ValueError(f"unknown method {method!r}; choose from "
-                     f"{', '.join(METHODS)}")
+    closed_form = {"uniform": uniform_amplitude,
+                   "nonresonant": nonresonant_amplitude}
+    if method not in closed_form:
+        raise ValueError(f"unknown method {method!r}; choose from "
+                         f"{', '.join(METHODS)}")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    amplitude = closed_form[method](problem, spectral)
+    usc = amplitude * green_function(problem.omega, points - problem.y0)
+    return _field_result(problem, points, usc, amplitude, 0.0, method, spectral)
 
 
 def lorentzian_halfwidth(eps: float, spectral: SpectralData) -> float:

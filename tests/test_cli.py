@@ -41,10 +41,27 @@ def test_geometry_cube_exact(tmp_path):
     assert values["volume"] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_geometry_broken_mesh_nonzero_exit(tmp_path):
+TETRA_OFF_FACES = "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+
+
+@pytest.mark.parametrize("text", [
+    "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 nan\n" + TETRA_OFF_FACES,
+    "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 inf\n" + TETRA_OFF_FACES,
+    "OFF\n4 4 0\n0 0 0\n1e200 0 0\n0 1e200 0\n0 0 1e200\n" + TETRA_OFF_FACES,
+    "OFF\n-1 4 0\n",
+    "OFF\n1000000000000 4 0\n0 0 0\n",
+], ids=["open", "nan", "inf", "scaled-1e200", "negative-count",
+        "huge-count"])
+def test_geometry_broken_mesh_nonzero_exit(tmp_path, capsys, text):
     bad = tmp_path / "bad.off"
-    bad.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-    assert run(tmp_path, "geometry", "--mesh", str(bad)) == EXIT_USAGE
+    bad.write_text(text)
+    out = tmp_path / "out"
+    for command in (["geometry"], ["solve", "--omega", "1.3"]):
+        assert main([*command, "--mesh", str(bad),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()   # a run that fails before writing leaves nothing
 
 
 @pytest.mark.parametrize("name", ["missing.off", "folder.off", "binary.off",
@@ -138,6 +155,9 @@ def test_sweep_validity_warning_covers_the_highest_frequency(tmp_path,
                  "--omega-grid", "1.0:2.0:0.5", "--method", "uniform",
                  "--out", str(tmp_path)]) == EXIT_OK
     assert "exceeds the validity threshold" in capsys.readouterr().out
+    with open(tmp_path / "manifest.json") as fh:
+        recorded = json.load(fh)["warnings"]
+    assert any("exceeds the validity threshold" in w for w in recorded)
 
 
 def test_missing_complex_value_is_nan_in_both_columns(tmp_path):
@@ -341,12 +361,15 @@ def test_numerical_guard_exit_code(tmp_path, monkeypatch):
     import bubblebem.cli as cli_module
     from bubblebem.boundary_calculus import NumericalGuardError
 
-    def tripped(cfg):
+    def tripped(cfg, writer):
+        writer.write_csv("partial.csv", ["x"], [(1.0,)])
         raise NumericalGuardError("synthetic ill-conditioned factorization")
 
     monkeypatch.setattr(cli_module, "cmd_minnaert", tripped)
     assert main(["minnaert", "--icosphere", "1.0,1",
                  "--out", str(tmp_path)]) == EXIT_GUARD
+    # a tripped run is not finalized: no manifest vouches for its output
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_verify_suite_passes(tmp_path):

@@ -10,9 +10,8 @@ from bubblebem.layer_ops import (DENSITY, SERIES_MAX_ORDER, SERIES_TAIL_TARGET,
                                  TRACE, BoundaryDensity, BoundaryOperator,
                                  SpaceTagError, assemble_double_layer,
                                  assemble_series_stack, assemble_single_layer,
-                                 eval_single_layer_potential, load_operator,
-                                 panel_quadrature, save_operator,
-                                 series_tail_bound,
+                                 eval_single_layer_potential,
+                                 panel_quadrature, series_tail_bound,
                                  triangle_inverse_distance_integral)
 from bubblebem.mesh import (affine_transform, make_ellipsoid, make_icosphere,
                             scale_about)
@@ -410,16 +409,6 @@ def test_density_tag_checked(sphere2):
     s = assemble_single_layer(sphere2, 0.0)
     with pytest.raises(SpaceTagError):
         s.apply(BoundaryDensity(np.ones(sphere2.n_panels), space=TRACE))
-
-
-def test_operator_dump_round_trip(sphere2, tmp_path):
-    s = assemble_single_layer(sphere2, 0.3)
-    path = str(tmp_path / "s.bin")
-    save_operator(s, path)
-    back = load_operator(path)
-    assert np.array_equal(back.matrix, s.matrix)
-    assert back.domain == s.domain and back.codomain == s.codomain
-    assert back.wavenumber == s.wavenumber
 
 
 def test_nonfinite_rejected():

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from bubblebem.mesh import (MeshError, affine_transform, build_mesh,
-                            geometric_moments, load_mesh, make_ellipsoid,
+from bubblebem.mesh import (MeshError, SurfaceMesh, affine_transform,
+                            build_mesh, load_mesh, make_ellipsoid,
                             make_icosphere, save_off, scale_about)
 
 # unit cube, outward-oriented triangles
@@ -25,10 +29,10 @@ def cube():
 
 
 def test_cube_moments_exact():
-    area, volume, diameter = geometric_moments(cube())
-    assert area == pytest.approx(6.0, abs=1e-14)
-    assert volume == pytest.approx(1.0, abs=1e-14)
-    assert diameter == pytest.approx(np.sqrt(3), abs=1e-14)
+    mesh = cube()
+    assert mesh.area == pytest.approx(6.0, abs=1e-14)
+    assert mesh.volume == pytest.approx(1.0, abs=1e-14)
+    assert mesh.diameter == pytest.approx(np.sqrt(3), abs=1e-14)
 
 
 def test_icosphere_counts_and_radii():
@@ -155,6 +159,59 @@ def test_obj_reader(tmp_path):
     quad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
     with pytest.raises(MeshError, match="triangular"):
         load_mesh(str(quad))
+
+
+TETRA = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+TETRA_FACES = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
+
+
+def mesh_text(fmt, counts, vertices, faces):
+    """OFF or OBJ text of 0-based ``faces``; ``counts`` (OFF only) replaces
+    the true vertex and face counts in the header."""
+    coords = [" ".join(repr(float(c)) for c in v) for v in vertices]
+    if fmt == "obj":
+        return "".join([f"v {c}\n" for c in coords]
+                       + [f"f {' '.join(str(i + 1) for i in f)}\n"
+                          for f in faces])
+    nv, nf = counts if counts is not None else (len(vertices), len(faces))
+    rows = coords + [" ".join(map(str, [len(f), *f])) for f in faces]
+    return "\n".join(["OFF", f"{nv} {nf} 0", *rows]) + "\n"
+
+
+COUNTS = st.one_of(st.integers(-2, 8), st.just(10 ** 12))
+COORDS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e200, -1e200]),
+                   st.floats())      # floats() includes nan and +-inf
+INDICES = st.one_of(st.integers(-2, 8), st.sampled_from([10 ** 12, 2 ** 64]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from(["off", "obj"]),
+       counts=st.none() | st.tuples(COUNTS, COUNTS),
+       vertices=st.lists(st.tuples(COORDS, COORDS, COORDS), max_size=8),
+       faces=st.lists(st.lists(INDICES, min_size=2, max_size=4), max_size=8))
+@example(fmt="off", counts=None, vertices=TETRA[:3] + [(0, 0, math.nan)],
+         faces=TETRA_FACES)
+@example(fmt="obj", counts=None, vertices=TETRA[:3] + [(0, 0, math.inf)],
+         faces=TETRA_FACES)
+@example(fmt="off", counts=None,
+         vertices=[tuple(1e200 * c for c in v) for v in TETRA],
+         faces=TETRA_FACES)
+@example(fmt="off", counts=(-1, 4), vertices=[], faces=[])
+@example(fmt="off", counts=(10 ** 12, 4), vertices=TETRA[:1], faces=[])
+@example(fmt="obj", counts=None, vertices=TETRA,
+         faces=TETRA_FACES[:3] + [(1, 2, 2 ** 64)])
+def test_mesh_file_ends_in_a_mesh_or_a_mesh_error(tmp_path, fmt, counts,
+                                                  vertices, faces):
+    path = tmp_path / f"fuzz.{fmt}"
+    path.write_text(mesh_text(fmt, counts, vertices, faces))
+    try:
+        mesh = load_mesh(str(path))
+    except MeshError:
+        return
+    assert isinstance(mesh, SurfaceMesh)
+    assert all(math.isfinite(x) for x in (mesh.area, mesh.volume,
+                                          mesh.diameter))
 
 
 def test_ellipsoid_volume():
