@@ -12,7 +12,8 @@ from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         SeriesStack, SpaceTagError, assemble_double_layer,
                         assemble_series_stack, assemble_single_layer,
-                        eval_single_layer_potential, series_tail_bound)
+                        eval_single_layer_potential, series_tail_bound,
+                        single_layer_monopole)
 from .mesh import (MeshError, SurfaceMesh, affine_transform, build_mesh,
                    load_mesh, make_ellipsoid, make_icosphere, save_off,
                    scale_about, surface_centroid)
@@ -20,8 +21,8 @@ from .mie import (MieSolution, load_fixture, mie_eval, mie_monopole_amplitude,
                   mie_partial_wave_matrix, mie_solve)
 from .scattering import (METHODS, FieldResult, FitError, PeakFit, PlaneWave,
                          PointSource, ScatteringProblem, SweepResult,
-                         SweepRow, far_field_points, fit_monopole,
-                         frequency_sweep, green_function, interaction_operator,
+                         SweepRow, far_field_points, frequency_sweep,
+                         green_function, interaction_operator,
                          lorentzian_halfwidth, point_perturbation_kernel,
                          radiation_defect, resolvent_correction_kernel,
                          resonance_peak, scattered_field,

@@ -389,6 +389,10 @@ def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
     problem = _make_problem(cfg, mesh, cfg.omega)
     points, _ = sc.far_field_points(problem)
     fld = sc.scattered_field(problem, points, cfg.method, spectral)
+    # how far the field on the fit sphere is from its monopole part
+    # A G_omega(. - y0); exactly 0 for a closed form, which is that monopole
+    misfit = np.linalg.norm(fld.scattered - fld.amplitude * sc.green_function(
+        problem.omega, points - problem.y0)) / np.linalg.norm(fld.scattered)
     writer.write_csv("fields.csv",
                      ["x", "y", "z", "re_incident", "im_incident",
                       "re_scattered", "im_scattered", "re_total", "im_total"],
@@ -398,11 +402,11 @@ def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
                      ["quantity", "value"],
                      [("re_amplitude", fld.amplitude.real),
                       ("im_amplitude", fld.amplitude.imag),
-                      ("fit_residual", fld.fit_residual),
+                      ("fit_residual", misfit),
                       ("guard_band", problem.in_guard_band(spectral))])
     for note in fld.warnings:
         writer.warn(note)
-    print(f"amplitude={fld.amplitude:.10g} residual={fld.fit_residual:.3g}")
+    print(f"amplitude={fld.amplitude:.10g} residual={misfit:.3g}")
     return EXIT_OK
 
 
@@ -493,7 +497,9 @@ def verification_checks(cfg: RunConfig):
         logs = np.log(np.asarray(errs))
         slope, intercept = np.polyfit(np.log(eps_list), logs, 1)
         resid = logs - (slope * np.log(np.asarray(eps_list)) + intercept)
-        stderr = float(np.sqrt(np.sum(resid ** 2) / 1)
+        # a line through len(eps_list) points leaves len - 2 degrees of
+        # freedom
+        stderr = float(np.sqrt(np.sum(resid ** 2) / (len(eps_list) - 2))
                        / np.sqrt(np.sum((np.log(eps_list)
                                          - np.mean(np.log(eps_list))) ** 2)))
         # the resonant rate is reported with its confidence interval

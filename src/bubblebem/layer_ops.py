@@ -23,6 +23,10 @@ chunk size changes no matrix entry.
 S_z and K_z in one such pass; a ``SeriesStack`` then gives S_z and K_z by
 Horner's rule within a stated elementwise tail bound, which is how a
 frequency sweep assembles its mesh only once.
+
+``single_layer_monopole`` gives the exact l = 0 coefficient of a
+single-layer potential, a panel sum over the quadrature nodes that needs no
+observation point.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SurfaceMesh
+from .mesh import _CHUNK_PAIRS, SurfaceMesh
 
 TRACE = "H+1/2"      # Dirichlet-trace-like data
 DENSITY = "H-1/2"    # surface-density-like data
@@ -41,9 +45,6 @@ DENSITY = "H-1/2"    # surface-density-like data
 # the package's validity threshold eps * omega * diameter.
 SERIES_MAX_ORDER = 17
 SERIES_TAIL_TARGET = 1e-13
-
-# (point, node) pairs per chunk: 128 rows at n = 320, 32 rows at n = 1280
-_CHUNK_PAIRS = 245_760
 
 # Degree-4 symmetric triangle rule (6 points); weights sum to 1.
 _QA, _QB, _QWA = 0.816847572980459, 0.091576213509771, 0.109951743655322
@@ -456,13 +457,7 @@ def eval_single_layer_potential(mesh: SurfaceMesh,
     surface; near-surface evaluation is out of scope.
     """
     z = _check_im(z)
-    if isinstance(density, BoundaryDensity):
-        if density.space != DENSITY:
-            raise SpaceTagError("single-layer potential expects an "
-                                f"{DENSITY} density, got {density.space}")
-        coeff = density.values
-    else:
-        coeff = np.asarray(density)
+    coeff = _density_coefficients(density)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_clearance(mesh, points)
     nodes, weights = panel_quadrature(mesh)
@@ -474,6 +469,34 @@ def eval_single_layer_potential(mesh: SurfaceMesh,
         vals *= flat_w
         out[rows] = _panel_sum(vals) @ coeff
     return out
+
+
+def single_layer_monopole(mesh: SurfaceMesh,
+                          density: BoundaryDensity | np.ndarray,
+                          z: complex, center: np.ndarray) -> complex:
+    """The l = 0 coefficient A of the single-layer potential about
+    ``center``: SL_z[q](x) = A G_z(x - center) + (terms of order l >= 1)
+    wherever |x - center| exceeds |y - center| for every y on the mesh.
+
+    The l = 0 term of G_z(x - y) about the center is
+    j_0(z |y - center|) G_z(x - center), j_0(t) = sin t / t
+    = ``np.sinc(t / π)``, so A = Σ_j q_j ∫_{T_j} j_0(z |y - center|) dσ(y),
+    summed with the panel rule of ``eval_single_layer_potential``.
+    """
+    nodes, weights = panel_quadrature(mesh)
+    zr = _check_im(z) * np.linalg.norm(nodes - center, axis=2)
+    return complex(np.sum(np.sinc(zr / np.pi) * weights, axis=1)
+                   @ _density_coefficients(density))
+
+
+def _density_coefficients(density: BoundaryDensity | np.ndarray) -> np.ndarray:
+    """Per-panel coefficients of a single layer's density."""
+    if not isinstance(density, BoundaryDensity):
+        return np.asarray(density)
+    if density.space != DENSITY:
+        raise SpaceTagError("single-layer potential expects an "
+                            f"{DENSITY} density, got {density.space}")
+    return density.values
 
 
 def _check_clearance(mesh: SurfaceMesh, points: np.ndarray) -> None:

@@ -18,6 +18,10 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 MAX_SUBDIVISIONS = 7
 
+# Pairs per chunk of a pairwise scan (vertex pairs here, (point, quadrature
+# node) pairs in layer_ops): 128 rows at n = 320, 32 rows at n = 1280
+_CHUNK_PAIRS = 245_760
+
 
 class MeshError(Exception):
     """Invalid mesh topology, geometry, or file content."""
@@ -153,14 +157,23 @@ def _check_manifold(triangles: np.ndarray) -> None:
 
 
 def _diameter(vertices: np.ndarray) -> float:
-    # Brute force over vertex pairs; meshes stay small at desk scale.
+    """Largest vertex-pair distance, by a scan over all pairs: O(nv²) time,
+    O(_CHUNK_PAIRS) memory.
+
+    Each chunk of rows is one (3, rows, nv) block of coordinate planes,
+    squared in place and summed as (dx² + dy²) + dz², the order
+    ``np.linalg.norm`` sums a 3-vector in; one sqrt of the largest sum is
+    the largest norm, bit for bit, because sqrt is monotone and correctly
+    rounded.
+    """
+    planes = np.ascontiguousarray(vertices.T)
+    step = max(1, _CHUNK_PAIRS // len(vertices))
     best = 0.0
-    chunk = 512
-    for i in range(0, len(vertices), chunk):
-        d = np.linalg.norm(vertices[i:i + chunk, None, :] - vertices[None, :, :],
-                           axis=2)
-        best = max(best, float(d.max()))
-    return best
+    for lo in range(0, len(vertices), step):
+        block = planes[:, lo:lo + step, None] - planes[:, None, :]
+        np.square(block, out=block)
+        best = max(best, float((block[0] + block[1] + block[2]).max()))
+    return float(np.sqrt(best))
 
 
 # ----------------------------------------------------------------------------

@@ -32,13 +32,10 @@ from .boundary_calculus import (NumericalGuardError, SpectralData,
 from .layer_ops import (DENSITY, SERIES_MAX_ORDER, TRACE, BoundaryDensity,
                         BoundaryOperator, SeriesStack, _series_order,
                         assemble_series_stack, assemble_single_layer,
-                        eval_single_layer_potential)
+                        eval_single_layer_potential, single_layer_monopole)
 from .mesh import SurfaceMesh, scale_about, surface_centroid
 
 METHODS = ("direct", "dilated", "uniform", "nonresonant")
-
-FIT_POINTS = 64
-FIT_RADIUS_FACTOR = 10.0
 
 # Largest series stack (bytes of real coefficient matrices) one dilated
 # sweep may hold; past it the sweep assembles S and K at every frequency.
@@ -170,10 +167,13 @@ class ScatteringProblem:
 
 @dataclass
 class FieldResult:
-    """Field samples plus the fitted monopole strength of the scattered part.
+    """Field samples plus the monopole amplitude A of the scattered part,
+    u_sc = A G_omega(. - y0) + (terms of order l >= 1) outside the
+    scatterer; total = incident + scattered pointwise.
 
-    total = incident + scattered pointwise; the fit residual is always
-    reported, never silently dropped.
+    A solve's A is the exact l = 0 coefficient of its single-layer
+    potential (``layer_ops.single_layer_monopole``), a closed form's the
+    formula's value.
     """
 
     points: np.ndarray
@@ -181,7 +181,6 @@ class FieldResult:
     scattered: np.ndarray
     total: np.ndarray
     amplitude: complex
-    fit_residual: float
     method: str
     warnings: list[str] = field(default_factory=list)
 
@@ -197,29 +196,18 @@ def spherical_point_set(n: int) -> np.ndarray:
 
 def far_field_points(problem: ScatteringProblem) -> tuple[np.ndarray, float]:
     """Canonical 64-point fit sphere; radius 10*max(eps*diameter, 1/omega)."""
-    radius = FIT_RADIUS_FACTOR * max(problem.eps * problem.mesh.diameter,
-                                     1.0 / problem.omega)
-    return problem.y0 + radius * spherical_point_set(FIT_POINTS), radius
+    radius = 10.0 * max(problem.eps * problem.mesh.diameter, 1.0 / problem.omega)
+    return problem.y0 + radius * spherical_point_set(64), radius
 
 
-def fit_monopole(points: np.ndarray, scattered: np.ndarray, omega: float,
-                 y0: np.ndarray) -> tuple[complex, float]:
-    """Least-squares monopole coefficient of u against G_omega(. - y0)."""
-    g = green_function(omega, np.atleast_2d(points) - y0)
-    denom = float(np.real(np.conj(g) @ g))
-    if denom == 0.0:
-        raise FitError("degenerate sample geometry: monopole basis vanishes")
-    amplitude = complex(np.conj(g) @ scattered / denom)
-    norm = float(np.linalg.norm(scattered))
-    residual = float(np.linalg.norm(scattered - amplitude * g))
-    return amplitude, residual / norm if norm > 0 else 0.0
-
-
-def _field_result(problem, points, scattered, amplitude, residual, method,
-                  spectral):
-    """FieldResult at ``points`` with the incident and total fields; given
-    ``spectral``, it notes an omega inside the quasi-resonant guard band."""
+def _field_result(problem, points, scattered_at, amplitude, method, spectral):
+    """FieldResult of ``method`` at ``points``, which may be none: the
+    scattered field ``scattered_at(points)``, the incident and total fields
+    and the monopole ``amplitude``; given ``spectral``, it notes an omega
+    inside the quasi-resonant guard band."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     uin = problem.incident.evaluate(points, problem.omega)
+    scattered = scattered_at(points)
     notes = []
     if spectral is not None and problem.in_guard_band(spectral):
         notes.append(
@@ -227,19 +215,7 @@ def _field_result(problem, points, scattered, amplitude, residual, method,
             "frequency: quasi-resonant guard band")
     return FieldResult(points=points, incident=uin, scattered=scattered,
                        total=uin + scattered, amplitude=complex(amplitude),
-                       fit_residual=residual, method=method, warnings=notes)
-
-
-def _package_field(problem, points, scattered_at, method, spectral):
-    """FieldResult of a solve: user points plus the canonical fit sphere,
-    which gives the monopole amplitude."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    fit_pts, _ = far_field_points(problem)
-    usc = scattered_at(np.vstack([points, fit_pts]))
-    amplitude, residual = fit_monopole(fit_pts, usc[len(points):],
-                                       problem.omega, problem.y0)
-    return _field_result(problem, points, usc[:len(points)], amplitude,
-                         residual, method, spectral)
+                       method=method, warnings=notes)
 
 
 # ----------------------------------------------------------------------------
@@ -262,19 +238,20 @@ def interaction_operator(problem: ScatteringProblem,
                             wavenumber=complex(z), label="Lambda")
 
 
-def _dilated_potential(problem: ScatteringProblem, z: complex, incident,
-                       stack: SeriesStack | None = None):
-    """u_sc = -(1/eps) SL_{eps z}[Lambda_z trace] o contract as a function of
-    physical points, where trace is ``incident`` at the images of the panel
-    centroids and Lambda_z is the interaction operator.  The factors are
-    released on return; S and K come from a series ``stack`` of the
-    reference mesh where it reaches (``boundary_calculus._dn_factors``)."""
+def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
+                   stack: SeriesStack | None = None) -> tuple:
+    """The reference-mesh charge Lambda_z trace, where trace is ``incident``
+    at the images of the panel centroids and Lambda_z is the interaction
+    operator, and u_sc = -(1/eps) SL_{eps z}[charge] o contract as a
+    function of physical points.  The factors are released on return; S
+    and K come from a series ``stack`` of the reference mesh where it
+    reaches (``boundary_calculus._dn_factors``)."""
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
     f = _contrast_factors(mesh, eps, problem.omega, z, stack)
     charge = BoundaryDensity(eps * problem.kappa * f.solve(f.half_k @ trace),
                              space=DENSITY)
-    return lambda pts: -eval_single_layer_potential(
+    return charge, lambda pts: -eval_single_layer_potential(
         mesh, charge, eps * z, problem.contract(pts)) / eps
 
 
@@ -285,14 +262,29 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
 
     The incident trace is evaluated analytically at the images of the panel
     centroids; the single-layer potential at contracted wavenumber eps*omega
-    is mapped back to physical coordinates by the similarity.  Given a
-    series ``stack`` of the reference mesh, S and K are read from it where
-    it reaches.
+    is mapped back to physical coordinates by the similarity.  Since
+    G_{eps w}((x - y0)/eps) = eps G_w(x - y0), the amplitude is
+    -Σ_j charge_j ∫_{T_j} j_0(eps w |y - y0|) dσ on the reference mesh.
+    Given a series ``stack`` of the reference mesh, S and K are read from
+    it where it reaches.
     """
     omega = problem.omega
-    scattered_at = _dilated_potential(
+    charge, potential = _dilated_solve(
         problem, omega, lambda pts: problem.incident.evaluate(pts, omega), stack)
-    return _package_field(problem, points, scattered_at, "dilated", spectral)
+    return _field_result(
+        problem, points, potential,
+        -single_layer_monopole(problem.mesh, charge, problem.eps * omega,
+                               problem.y0), "dilated", spectral)
+
+
+def _direct_solve(problem: ScatteringProblem) -> tuple:
+    """The physical scatterer, the incident trace at its centroids, its
+    transmission factors and the interior flux they give."""
+    scaled = problem.scaled_mesh()
+    trace = problem.incident.evaluate(scaled.centroids, problem.omega)
+    f = _factor_transmission(scaled, problem.omega, problem.omega,
+                             problem.kappa)
+    return scaled, trace, f, f.solve(f.half_k @ trace)
 
 
 def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
@@ -301,32 +293,27 @@ def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
 
     Solves (I + kappa DN S) flux = DN trace, kappa = 1/eps^2 - 1, for the
     interior flux as S^{-1} M^{-1} (1/2 + K) trace and represents u_sc as a
-    single-layer potential with strength -kappa.
+    single-layer potential with strength -kappa; the amplitude is
+    -kappa Σ_j flux_j ∫_{T_j} j_0(omega |y - y0|) dσ.
     """
     omega, kappa = problem.omega, problem.kappa
-    scaled = problem.scaled_mesh()
-    trace = problem.incident.evaluate(scaled.centroids, omega)
-    f = _factor_transmission(scaled, omega, omega, kappa)
-    flux = f.solve(f.half_k @ trace)
+    scaled, _, f, flux = _direct_solve(problem)
     del f   # release the factors before the potential is evaluated
-
-    def scattered_at(pts):
-        return -kappa * eval_single_layer_potential(
-            scaled, BoundaryDensity(flux, space=DENSITY), omega, pts)
-
-    return _package_field(problem, points, scattered_at, "direct", spectral)
+    return _field_result(
+        problem, points,
+        lambda pts: -kappa * eval_single_layer_potential(scaled, flux, omega,
+                                                         pts),
+        -kappa * single_layer_monopole(scaled, flux, omega, problem.y0),
+        "direct", spectral)
 
 
 def transmission_residual(problem: ScatteringProblem) -> float:
     """Interface-condition check of the direct solve: the computed flux must
     equal DN applied to the total boundary trace (relative residual), with
     DN applied through the LU of S."""
-    omega, contrast = problem.omega, problem.kappa
-    scaled = problem.scaled_mesh()
-    trace = problem.incident.evaluate(scaled.centroids, omega)
-    f = _factor_transmission(scaled, omega, omega, contrast)
-    flux = f.solve(f.half_k @ trace)
-    dn_total = lu_solve(f.s_lu, f.half_k @ (trace - contrast * (f.s @ flux)))
+    _, trace, f, flux = _direct_solve(problem)
+    dn_total = lu_solve(f.s_lu,
+                        f.half_k @ (trace - problem.kappa * (f.s @ flux)))
     return float(np.linalg.norm(dn_total - flux) / np.linalg.norm(flux))
 
 
@@ -384,10 +371,11 @@ def scattered_field(problem: ScatteringProblem, points: np.ndarray, method: str,
     if method not in closed_form:
         raise ValueError(f"unknown method {method!r}; choose from "
                          f"{', '.join(METHODS)}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     amplitude = closed_form[method](problem, spectral)
-    usc = amplitude * green_function(problem.omega, points - problem.y0)
-    return _field_result(problem, points, usc, amplitude, 0.0, method, spectral)
+    return _field_result(
+        problem, points,
+        lambda pts: amplitude * green_function(problem.omega, pts - problem.y0),
+        amplitude, method, spectral)
 
 
 def lorentzian_halfwidth(eps: float, spectral: SpectralData) -> float:
@@ -473,12 +461,13 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     """Amplitude table of ``method`` (one of METHODS) over a sorted, finite,
     positive frequency grid.
 
-    Per-frequency solver failures are recorded in the row and the sweep
-    continues; rows inside |omega - omega_M| < guard_constant * eps carry a
-    warning flag rather than an error.  A dilated sweep assembles the
-    reference mesh once, as a series stack (``_sweep_stack``), and hands it
-    to every row; every fallback to exact assembly is listed in the
-    result's warnings.
+    A row's amplitude is its solve's exact monopole coefficient (or the
+    closed form's value), so no row samples the field.  Per-frequency
+    solver failures are recorded in the row and the sweep continues; rows
+    inside |omega - omega_M| < guard_constant * eps carry a warning flag
+    rather than an error.  A dilated sweep assembles the reference mesh
+    once, as a series stack (``_sweep_stack``), and hands it to every row;
+    every fallback to exact assembly is listed in the result's warnings.
     """
     grid = check_grid(omega_grid)
     if method not in METHODS:
@@ -499,7 +488,7 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                        nonres, resonant_amplitude(sub),
                        sub.in_guard_band(spectral))
         try:
-            # the fit sphere is the only sample set a sweep row needs
+            # the amplitude is a panel sum: a row samples no field
             row.amplitude = scattered_field(sub, np.empty((0, 3)), method,
                                             spectral, stack).amplitude
             row.abs2 = float(abs(row.amplitude) ** 2)
@@ -589,8 +578,8 @@ def resolvent_correction_kernel(problem: ScatteringProblem, z: complex,
         raise ValueError(f"resolvent kernel needs Im z > 0, got z = {z}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    potential = _dilated_potential(problem, z,
-                                   lambda pts: green_function(z, pts - y))
+    _, potential = _dilated_solve(problem, z,
+                                  lambda pts: green_function(z, pts - y))
     return complex(potential(x[None, :])[0])
 
 

@@ -124,6 +124,28 @@ def test_solve_matches_stored_oracle_fixture(tmp_path):
     assert abs(amp) == pytest.approx(abs(reference), rel=5e-2)
 
 
+@pytest.mark.parametrize("method", ["dilated", "uniform"])
+def test_summary_fit_residual_is_the_monopole_misfit(tmp_path, method):
+    # ||u_sc - A G_omega(. - y0)|| / ||u_sc|| on the fit sphere of
+    # fields.csv: the l >= 1 part of a solve, 0 for a closed form
+    assert run(tmp_path, "solve", "--icosphere", "1.0,1", "--eps", "0.05",
+               "--omega", "1.3", "--method", method,
+               "--center", "0,0,0") == EXIT_OK
+    _, rows = read_csv(tmp_path / "summary.csv")
+    values = {r[0]: float(r[1]) for r in rows}
+    amplitude = complex(values["re_amplitude"], values["im_amplitude"])
+    _, rows = read_csv(tmp_path / "fields.csv")
+    fields = np.array(rows, dtype=float)
+    scattered = fields[:, 5] + 1j * fields[:, 6]
+    monopole = amplitude * sc.green_function(1.3, fields[:, :3])
+    misfit = np.linalg.norm(scattered - monopole) / np.linalg.norm(scattered)
+    if method == "uniform":
+        assert values["fit_residual"] == 0.0
+    else:
+        assert values["fit_residual"] == pytest.approx(misfit, rel=1e-9)
+        assert 1e-5 <= misfit <= 1e-2
+
+
 def test_solve_guard_band_warning(tmp_path, capsys):
     assert main(["solve", "--icosphere", "1.0,1", "--eps", "0.05",
                  "--omega", "1.81", "--method", "uniform",

@@ -12,6 +12,7 @@ from bubblebem.layer_ops import (DENSITY, SERIES_MAX_ORDER, SERIES_TAIL_TARGET,
                                  assemble_series_stack, assemble_single_layer,
                                  eval_single_layer_potential,
                                  panel_quadrature, series_tail_bound,
+                                 single_layer_monopole,
                                  triangle_inverse_distance_integral)
 from bubblebem.mesh import (affine_transform, make_ellipsoid, make_icosphere,
                             scale_about)
@@ -390,6 +391,30 @@ def test_potential_near_surface_rejected(sphere2, spectral2):
     with pytest.raises(ValueError, match="panel diameter"):
         eval_single_layer_potential(sphere2, spectral2.q_eq, 0.0,
                                     np.array([[1.01, 0.0, 0.0]]))
+
+
+def test_single_layer_monopole_is_the_spherical_mean(sphere2, rng):
+    # averaging G_z(x - y) over |x - c| = R > |y - c| keeps only the l = 0
+    # term j_0(z |y - c|) G_z(R), so the mean of SL_z[q] over that sphere
+    # is A G_z(R) for any density q; a 32 x 64 Gauss product grid
+    # integrates the potential's degrees up to 63 exactly
+    n = sphere2.n_panels
+    density = rng.normal(size=n) + 1j * rng.normal(size=n)
+    center, radius, z = np.array([0.1, -0.2, 0.05]), 3.0, 1.3
+    mu, w = np.polynomial.legendre.leggauss(32)
+    phi = 2 * np.pi * np.arange(64) / 64
+    rho = np.sqrt(1 - mu ** 2)[:, None]
+    points = center + radius * np.stack(
+        [rho * np.cos(phi), rho * np.sin(phi),
+         np.broadcast_to(mu[:, None], (32, 64))], axis=-1).reshape(-1, 3)
+    values = eval_single_layer_potential(sphere2, density, z, points)
+    mean = w @ values.reshape(32, 64).mean(axis=1) / 2
+    amplitude = single_layer_monopole(sphere2, density, z, center)
+    green = np.exp(1j * z * radius) / (4 * np.pi * radius)
+    assert abs(mean - amplitude * green) <= 1e-12 * abs(amplitude * green)
+    with pytest.raises(SpaceTagError):
+        single_layer_monopole(sphere2, BoundaryDensity(density, space=TRACE),
+                              z, center)
 
 
 # ----------------------------------------------------------------------------

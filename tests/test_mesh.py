@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from bubblebem import mesh as mesh_module
 from bubblebem.mesh import (MeshError, SurfaceMesh, affine_transform,
                             build_mesh, load_mesh, make_ellipsoid,
                             make_icosphere, save_off, scale_about)
@@ -217,3 +219,34 @@ def test_mesh_file_ends_in_a_mesh_or_a_mesh_error(tmp_path, fmt, counts,
 def test_ellipsoid_volume():
     mesh = make_ellipsoid((1.0, 1.3, 1.7), 3)
     assert mesh.volume == pytest.approx(4 / 3 * np.pi * 1.0 * 1.3 * 1.7, rel=1.5e-2)
+
+
+def test_diameter_is_the_largest_pairwise_norm_bit_for_bit():
+    # sub 3: 642 vertices, two chunks of rows of unequal size
+    ellipsoid = make_ellipsoid((1.0, 1.3, 1.7), 3)
+    c, s = math.cos(0.7), math.sin(0.7)
+    rotation = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]) \
+        @ np.array([[1, 0, 0], [0, c, s], [0, -s, c]])
+    moved = affine_transform(ellipsoid, rotation, np.array([3.0, -2.0, 0.5]))
+    for mesh in (make_icosphere(1.0, 3), ellipsoid, moved):
+        v = mesh.vertices
+        norms = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=2)
+        assert mesh.diameter == float(norms.max())
+
+
+def test_diameter_scan_peak_memory():
+    # coordinate planes in chunks of _CHUNK_PAIRS vertex pairs: about
+    # 13 MiB at sub 4 (2562 vertices); 512-row blocks of 3-vectors and
+    # their norms peaked at 90 MiB
+    vertices = make_icosphere(1.0, 4).vertices
+    started = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        mesh_module._diameter(vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not started:
+            tracemalloc.stop()
+    assert peak - start <= 24 * 2 ** 20

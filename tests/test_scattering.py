@@ -20,8 +20,7 @@ from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
 from bubblebem.mie import mie_monopole_amplitude, mie_solve
 from bubblebem.scattering import (METHODS, FitError, PlaneWave, PointSource,
                                   ScatteringProblem, far_field_points,
-                                  fit_monopole, frequency_sweep,
-                                  green_function, interaction_operator,
+                                  frequency_sweep, green_function, interaction_operator,
                                   lorentzian_halfwidth, nonresonant_amplitude,
                                   point_perturbation_kernel, radiation_defect,
                                   resolvent_correction_kernel, resonance_peak,
@@ -472,35 +471,22 @@ def test_uniform_halfwidth_matches_lorentzian_algebra(sphere2, spectral2):
 
 
 # ----------------------------------------------------------------------------
-# monopole fitting
+# monopole amplitude
 
 
-def test_fit_monopole_exact(sphere2):
-    points = 12.0 * spherical_point_set(64)
-    synthetic = 3j * green_function(1.1, points)
-    amp, residual = fit_monopole(points, synthetic, 1.1, np.zeros(3))
-    assert amp == pytest.approx(3j, rel=1e-13)
-    assert residual <= 1e-13
-
-
-def test_fit_monopole_with_dipole_contamination(sphere2):
-    points = 12.0 * spherical_point_set(64)
-    r = np.linalg.norm(points, axis=1)
-    monopole = green_function(1.1, points)
-    dipole = (points[:, 2] / r) * np.exp(1j * 1.1 * r) / r
-    synthetic = 2.0 * monopole + 0.01 * np.abs(monopole).mean() * dipole
-    amp, _ = fit_monopole(points, synthetic, 1.1, np.zeros(3))
-    assert amp == pytest.approx(2.0, rel=2e-2)
-
-
-def test_fit_monopole_pure_dipole_flagged(sphere2):
-    points = 12.0 * spherical_point_set(64)
-    r = np.linalg.norm(points, axis=1)
-    dipole = (points[:, 2] / r) * np.exp(1j * 1.1 * r) / (4 * np.pi * r)
-    amp, residual = fit_monopole(points, dipole, 1.1, np.zeros(3))
-    scale = np.abs(dipole).max() * 4 * np.pi * 12.0
-    assert abs(amp) <= 0.05 * scale
-    assert residual >= 0.9
+@pytest.mark.parametrize("route", [scattered_field_dilated,
+                                   scattered_field_direct])
+def test_amplitude_does_not_depend_on_the_incidence_direction(sphere2, route):
+    # on a sphere about y0 the monopole response to a unit plane wave is
+    # the same for every direction; the icosphere's symmetry breaks that
+    # only from degree 6 on, O((eps omega)^6) below the amplitude
+    directions = ((0, 0, 1), (0.3, -0.5, 0.8), (1, 0, 0), (-0.6, 0.7, -0.4),
+                  (0.2, 0.9, 0.1))
+    for omega in (1.0, 1.6, np.sqrt(3)):
+        amps = [abs(route(make_problem(sphere2, 0.05, omega, direction=d,
+                                       y0=np.zeros(3)),
+                          np.empty((0, 3))).amplitude) for d in directions]
+        assert np.ptp(amps) <= 1e-11 * max(amps), omega
 
 
 def test_field_result_total_consistency(sphere2, spectral2):
@@ -639,19 +625,41 @@ def count_assemblies(monkeypatch):
     return calls
 
 
+def count_potential_points(monkeypatch):
+    """Record the number of points of every single-layer potential
+    evaluation made through scattering."""
+    points = []
+    original = scattering.eval_single_layer_potential
+
+    def counted(mesh, density, z, pts):
+        points.append(len(pts))
+        return original(mesh, density, z, pts)
+
+    monkeypatch.setattr(scattering, "eval_single_layer_potential", counted)
+    return points
+
+
 def test_dilated_sweep_assembles_once(monkeypatch):
     problem = make_problem(SUB1, 0.05, 1.5)
+    grid = [1.5, 1.6, 1.7, 1.8]
     calls = count_assemblies(monkeypatch)
-    sweep = frequency_sweep(problem, [1.5, 1.6, 1.7, 1.8], "dilated",
-                            SPECTRAL1)
+    points = count_potential_points(monkeypatch)
+    sweep = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
     assert all(row.error is None for row in sweep.rows)
     assert [z for z in calls["single"] + calls["double"] if z != 0] == []
     assert len(calls["stack"]) == 1
+    # the amplitude is a panel sum, so no row samples the field
+    assert set(points) <= {0}
+    direct = frequency_sweep(problem, grid, "direct", SPECTRAL1)
+    assert all(row.error is None for row in direct.rows)
+    assert set(points) <= {0}
 
     calls = count_assemblies(monkeypatch)
+    points = count_potential_points(monkeypatch)
     scattered_field_dilated(problem, OBS, SPECTRAL1)
     assert (len(calls["single"]), len(calls["double"])) == (1, 1)
     assert calls["stack"] == []
+    assert points == [len(OBS)]
 
 
 def test_sweep_past_the_highest_order_is_assembled_exactly(monkeypatch):

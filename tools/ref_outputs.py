@@ -38,6 +38,11 @@ COMMANDS = (
         ["solve", "--icosphere", "1,3", "--eps", "0.05", "--omega", "1.6",
          "--method", method])
        for method in ("dilated", "direct")]
+    # off the z axis, the symmetry axis of the far-field sample lattice
+    + [(f"solve-sub2-1.6-{method}-oblique",
+        ["solve", "--icosphere", "1,2", "--eps", "0.05", "--omega", "1.6",
+         "--method", method, "--plane-wave=0.3,-0.5,0.8"])
+       for method in ("dilated", "direct")]
     + [("sweep-sub2-dilated",
         ["sweep", "--icosphere", "1,2", "--eps", "0.05",
          "--omega-grid", "1.5:1.9:0.02"])]
