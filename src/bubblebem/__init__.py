@@ -11,7 +11,8 @@ from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
                                 spectral_data)
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         SeriesStack, SpaceTagError, assemble_double_layer,
-                        assemble_series_stack, assemble_single_layer,
+                        assemble_layer_pair, assemble_series_stack,
+                        assemble_single_layer,
                         eval_single_layer_potential, series_tail_bound,
                         single_layer_monopole)
 from .mesh import (MeshError, SurfaceMesh, affine_transform, build_mesh,

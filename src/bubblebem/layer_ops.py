@@ -19,6 +19,11 @@ e^{izr} by real trigonometry for real z; both give the same bits as the
 direct formulation (3-vector norms, ``np.einsum``, ``np.exp``), and the
 chunk size changes no matrix entry.
 
+Exact S_z and K_z at one wavenumber take one pass, ``assemble_layer_pair``:
+each chunk computes its distances, ν(y)·(x-y) and e^{izr} once for both
+operators.  ``assemble_single_layer`` and ``assemble_double_layer`` run the
+same chunk body for one operator.
+
 ``assemble_series_stack`` builds the real terms of the wavenumber series of
 S_z and K_z in one such pass; a ``SeriesStack`` then gives S_z and K_z by
 Horner's rule within a stated elementwise tail bound, which is how a
@@ -260,34 +265,101 @@ def _self_offsets(mesh: SurfaceMesh, nodes: np.ndarray):
     return diff, np.linalg.norm(diff, axis=2)
 
 
-def assemble_single_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
-    """Single-layer boundary operator S_z with kernel e^{iz r}/(4π r)."""
+def _one_minus_izr(z: complex, r: np.ndarray) -> np.ndarray:
+    """1 - izr as a new complex array, the same bits as ``1.0 - 1j * z * r``;
+    for real z written as real part 1 and imaginary part -zr, with no
+    complex temporary."""
+    if z.imag != 0:
+        return 1.0 - 1j * z * r
+    out = np.empty(r.shape, dtype=complex)
+    out.real = 1.0
+    np.multiply(r, -z.real, out=out.imag)
+    return out
+
+
+def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
+                     double: bool) -> tuple:
+    """S_z if ``single`` and K_z if ``double`` (else None), from one
+    ``_row_chunks`` pass: the chunk body of every exact S and K assembly.
+
+    With both, each chunk's distances and e^{izr} serve both operators: K's
+    entry static * ((1 - izr) e^{izr}) is formed first, and the same
+    e^{izr} array then becomes S's entry e^{izr}/r * w in place.
+    """
     z = _check_im(z)
     nodes, weights = panel_quadrature(mesh)
     n = mesh.n_panels
     flat_w = weights.reshape(-1)
-    out = np.empty((n, n), dtype=complex)
+    s_out = np.empty((n, n), dtype=complex) if single else None
+    k_out = np.empty((n, n), dtype=complex) if double else None
+    static_rowsum = np.empty(n)
     use_complex = z != 0
-    for rows, r, _ in _row_chunks(mesh.centroids, nodes):
-        if use_complex:
-            vals = _expi(z, r)
-            vals /= r
-        else:
-            vals = 1.0 / r
-        vals *= flat_w
-        out[rows] = _panel_sum(vals) / (4.0 * np.pi)
-        del r, vals
+    for rows, r, static in _row_chunks(mesh.centroids, nodes,
+                                       mesh.normals if double else None):
+        vals = e_izr = None
+        if double:
+            # static = ν(y)·(x-y) w / (4π r³), in place of ν(y)·(x-y)
+            static /= 4.0 * np.pi * r ** 3
+            static *= flat_w
+            block0 = _panel_sum(static)
+            if use_complex:
+                # static * ((1 - izr) e^{izr}) in place; complex products
+                # are not bitwise commutative, so (1 - izr) stays the left
+                # factor.  It is formed after e^{izr}, once _expi's real
+                # phase array is freed.
+                e_izr = _expi(z, r)
+                vals = _one_minus_izr(z, r)
+                vals *= e_izr
+                vals *= static
+                block = _panel_sum(vals)
+            else:
+                block = block0.astype(complex)
+            np.fill_diagonal(block0[:, rows], 0.0)
+            np.fill_diagonal(block[:, rows], 0.0)
+            k_out[rows] = block
+            static_rowsum[rows] = block0.sum(axis=1)
+            del block0, block
+        if single:
+            if use_complex:
+                vals = _expi(z, r) if e_izr is None else e_izr
+                vals /= r
+            else:
+                vals = 1.0 / r
+            vals *= flat_w
+            s_out[rows] = _panel_sum(vals) / (4.0 * np.pi)
+        # dropped before the next chunk is computed
+        del r, static, vals, e_izr
 
-    # Self panel: the 1/r part integrates in closed form; the remainder
-    # (e^{izr}-1)/(4πr) is bounded and the regular rule applies.
-    diag = _self_panel_inverse_distance(mesh).astype(complex)
+    idx = np.arange(n)
     if use_complex:
-        _, rself = _self_offsets(mesh, nodes)
-        smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
-        diag = diag + np.sum(smooth * weights, axis=1)
-    out[np.arange(n), np.arange(n)] = diag
-    return BoundaryOperator(out, domain=DENSITY, codomain=TRACE,
-                            wavenumber=z, label="S")
+        diff, rself = _self_offsets(mesh, nodes)
+    if single:
+        # Self panel: the 1/r part integrates in closed form; the remainder
+        # (e^{izr}-1)/(4πr) is bounded and the regular rule applies.
+        diag = _self_panel_inverse_distance(mesh).astype(complex)
+        if use_complex:
+            smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
+            diag = diag + np.sum(smooth * weights, axis=1)
+        s_out[idx, idx] = diag
+        s_out = BoundaryOperator(s_out, domain=DENSITY, codomain=TRACE,
+                                 wavenumber=z, label="S")
+    if double:
+        diag = (-0.5 - static_rowsum).astype(complex)
+        if use_complex:
+            numer = np.einsum("ijk,ik->ij", diff, mesh.normals)
+            smooth = numer * ((1.0 - 1j * z * rself) * np.exp(1j * z * rself)
+                              - 1.0)
+            smooth /= 4.0 * np.pi * rself ** 3
+            diag = diag + np.sum(smooth * weights, axis=1)
+        k_out[idx, idx] = diag
+        k_out = BoundaryOperator(k_out, domain=TRACE, codomain=TRACE,
+                                 wavenumber=z, label="K")
+    return s_out, k_out
+
+
+def assemble_single_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
+    """Single-layer boundary operator S_z with kernel e^{iz r}/(4π r)."""
+    return _assemble_layers(mesh, z, single=True, double=False)[0]
 
 
 def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
@@ -299,43 +371,15 @@ def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
     quadrature of the smooth difference kernel (identically zero on exactly
     flat panels).
     """
-    z = _check_im(z)
-    nodes, weights = panel_quadrature(mesh)
-    n = mesh.n_panels
-    flat_w = weights.reshape(-1)
-    out = np.empty((n, n), dtype=complex)
-    static_rowsum = np.empty(n)
-    use_complex = z != 0
-    for rows, r, numer in _row_chunks(mesh.centroids, nodes, mesh.normals):
-        static = numer / (4.0 * np.pi * r ** 3)
-        static *= flat_w
-        block0 = _panel_sum(static)
-        if use_complex:
-            # static * ((1 - izr) e^{izr}) in place; complex products are
-            # not bitwise commutative, so (1 - izr) stays the left factor
-            vals = 1.0 - 1j * z * r
-            vals *= _expi(z, r)
-            vals *= static
-            block = _panel_sum(vals)
-            del vals
-        else:
-            block = block0.astype(complex)
-        np.fill_diagonal(block0[:, rows], 0.0)
-        np.fill_diagonal(block[:, rows], 0.0)
-        out[rows] = block
-        static_rowsum[rows] = block0.sum(axis=1)
-        del r, numer, static, block0, block
+    return _assemble_layers(mesh, z, single=False, double=True)[1]
 
-    diag = (-0.5 - static_rowsum).astype(complex)
-    if use_complex:
-        diff, r = _self_offsets(mesh, nodes)
-        numer = np.einsum("ijk,ik->ij", diff, mesh.normals)
-        smooth = numer * ((1.0 - 1j * z * r) * np.exp(1j * z * r) - 1.0)
-        smooth /= 4.0 * np.pi * r ** 3
-        diag = diag + np.sum(smooth * weights, axis=1)
-    out[np.arange(n), np.arange(n)] = diag
-    return BoundaryOperator(out, domain=TRACE, codomain=TRACE,
-                            wavenumber=z, label="K")
+
+def assemble_layer_pair(mesh: SurfaceMesh,
+                        z: complex) -> tuple[BoundaryOperator, BoundaryOperator]:
+    """S_z and K_z from one kernel pass that computes each distance and
+    each e^{izr} once; the same entries, bit for bit, as
+    ``assemble_single_layer`` and ``assemble_double_layer``."""
+    return _assemble_layers(mesh, z, single=True, double=True)
 
 
 # ----------------------------------------------------------------------------

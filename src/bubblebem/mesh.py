@@ -19,7 +19,13 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 MAX_SUBDIVISIONS = 7
 
 # Pairs per chunk of a pairwise scan (vertex pairs here, (point, quadrature
-# node) pairs in layer_ops): 128 rows at n = 320, 32 rows at n = 1280
+# node) pairs in layer_ops): 128 rows at n = 320, 32 rows at n = 1280.
+# Do not shrink it.  Chunk temporaries at least as large as one n = 320
+# complex matrix (1.6 MB) likely raise glibc's dynamic mmap threshold, so
+# later n x n temporaries come from the heap, not from fresh page-faulted
+# mmaps: at a quarter of this size, 26 stack-read S/K factor sets at
+# n = 320 took about a third longer (medians of 4 runs, 0.26 -> 0.34 s, on
+# 2 cores), though they run no chunked pass.
 _CHUNK_PAIRS = 245_760
 
 

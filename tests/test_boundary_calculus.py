@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bubblebem.boundary_calculus as boundary_calculus
+from bubblebem import layer_ops
 from bubblebem.boundary_calculus import (NumericalGuardError,
-                                         _contrast_factors, _guarded_lu,
+                                         _contrast_factors,
+                                         _factor_transmission, _guarded_lu,
                                          check_eps, dirichlet_to_neumann,
                                          expansion_residual,
                                          k2_resonance_frequency, s0_inner,
@@ -143,6 +145,30 @@ def test_condition_guard_trips():
     nearly_singular = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     with pytest.raises(NumericalGuardError, match="condition"):
         _guarded_lu(nearly_singular, "test matrix")
+
+
+def test_transmission_factors_share_one_kernel_pass(monkeypatch):
+    # S_w and K_w come from one pass: one e^{iwr} per chunk, not one per
+    # operator, and the factors are the separately assembled operators
+    mesh = make_icosphere(1.0, 1)
+    rows = 7
+    monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", rows * 6 * mesh.n_panels)
+    calls = []
+    original = layer_ops._expi
+
+    def counted(z, r):
+        calls.append(len(r))
+        return original(z, r)
+
+    monkeypatch.setattr(layer_ops, "_expi", counted)
+    w = 1.6
+    factors = _factor_transmission(mesh, w, w, 0.5)
+    assert len(calls) == -(-mesh.n_panels // rows)
+    assert sum(calls) == mesh.n_panels
+    half_k = assemble_double_layer(mesh, w).matrix
+    half_k.flat[::mesh.n_panels + 1] += 0.5
+    assert factors.s.tobytes() == assemble_single_layer(mesh, w).matrix.tobytes()
+    assert factors.half_k.tobytes() == half_k.tobytes()
 
 
 # ----------------------------------------------------------------------------

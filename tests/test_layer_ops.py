@@ -9,7 +9,8 @@ from bubblebem import layer_ops
 from bubblebem.layer_ops import (DENSITY, SERIES_MAX_ORDER, SERIES_TAIL_TARGET,
                                  TRACE, BoundaryDensity, BoundaryOperator,
                                  SpaceTagError, assemble_double_layer,
-                                 assemble_series_stack, assemble_single_layer,
+                                 assemble_layer_pair, assemble_series_stack,
+                                 assemble_single_layer,
                                  eval_single_layer_potential,
                                  panel_quadrature, series_tail_bound,
                                  single_layer_monopole,
@@ -326,7 +327,7 @@ def test_single_layer_assembly_frees_each_chunk(sphere2):
 
 
 def test_double_layer_assembly_peak_memory(sphere3):
-    # one complex temporary per chunk of _CHUNK_PAIRS pairs: 40.9 MiB for
+    # one complex temporary per chunk of _CHUNK_PAIRS pairs: 38.4 MiB for
     # a 25 MiB result at n = 1280; with several complex temporaries per
     # 128-row chunk this peak was 94.2 MiB
     started = tracemalloc.is_tracing()
@@ -340,6 +341,22 @@ def test_double_layer_assembly_peak_memory(sphere3):
         if not started:
             tracemalloc.stop()
     assert peak - start <= 48 * 2 ** 20
+
+
+def test_layer_pair_peak_memory(sphere3):
+    # both n x n results (50 MiB at n = 1280) and one chunk's temporaries,
+    # with the one e^{izr} array reused for S: 63.4 MiB at real z
+    started = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assemble_layer_pair(sphere3, 1.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not started:
+            tracemalloc.stop()
+    assert peak - start <= 70 * 2 ** 20
 
 
 def test_series_stack_reaches_where_its_order_meets_the_tail_target():
@@ -457,6 +474,8 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
         return ([assemble(mesh, z).matrix for z in (0.0, 1.0 + 1.0j)
                  for assemble in (assemble_single_layer,
                                   assemble_double_layer)]
+                + [op.matrix for z in (0.0, 1.6, 1.0 + 1.0j)
+                   for op in assemble_layer_pair(mesh, z)]
                 + [term for terms in (stack.single[1:], stack.double)
                    for term in terms if term is not None])
 
@@ -539,10 +558,11 @@ _MOVED = np.array([[1.1, 0.2, -0.1], [0.05, 0.9, 0.3], [-0.2, 0.1, 1.3]])
     affine_transform(make_ellipsoid((1.0, 1.3, 1.7), 1), _MOVED,
                      np.array([0.3, -0.7, 1.1]))],
     ids=["sphere", "ellipsoid", "moved"])
-@pytest.mark.parametrize("z", [0.0, 0.08, 1.6, 0.2j, 0.1 + 0.05j])
+@pytest.mark.parametrize("z", [0.0, 0.08, 1.6, 3.3, 0.2j, 0.1 + 0.05j,
+                               0.2 + 0.1j])
 def test_kernel_pass_bitwise_equal_to_direct_formulation(mesh, z):
-    # coordinate planes, real trigonometry for real z and strided panel
-    # sums reorder no floating-point operation
+    # coordinate planes, real trigonometry for real z, strided panel sums
+    # and one e^{izr} shared by S and K reorder no floating-point operation
     density = np.linspace(-1.0, 1.0, mesh.n_panels) + 0.5j
     angles = np.linspace(0.0, 6.0, 5)
     points = np.column_stack([4 * np.cos(angles), 4 * np.sin(angles),
@@ -551,5 +571,12 @@ def test_kernel_pass_bitwise_equal_to_direct_formulation(mesh, z):
     single, double, potential = _direct_formulation(mesh, z, density, points)
     assert assemble_single_layer(mesh, z).matrix.tobytes() == single.tobytes()
     assert assemble_double_layer(mesh, z).matrix.tobytes() == double.tobytes()
+    pair_s, pair_k = assemble_layer_pair(mesh, z)
+    assert pair_s.matrix.tobytes() == single.tobytes()
+    assert pair_k.matrix.tobytes() == double.tobytes()
+    assert (pair_s.label, pair_s.domain, pair_s.codomain) == ("S", DENSITY,
+                                                              TRACE)
+    assert (pair_k.label, pair_k.domain, pair_k.codomain) == ("K", TRACE,
+                                                              TRACE)
     assert (eval_single_layer_potential(mesh, density, z, points).tobytes()
             == potential.tobytes())

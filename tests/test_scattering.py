@@ -608,12 +608,13 @@ def test_dilated_sweep_stack_matches_exact_assembly(sphere2, spectral2,
 
 
 def count_assemblies(monkeypatch):
-    """Record the wavenumber of every exact S and K assembly made through
-    boundary_calculus and the order of every series stack built."""
-    calls = {"single": [], "double": [], "stack": []}
+    """Record the wavenumber of every exact S assembly and every exact S and
+    K pass made through boundary_calculus and the order of every series
+    stack built."""
+    calls = {"single": [], "pair": [], "stack": []}
     for kind, module, name in (
             ("single", boundary_calculus, "assemble_single_layer"),
-            ("double", boundary_calculus, "assemble_double_layer"),
+            ("pair", boundary_calculus, "assemble_layer_pair"),
             ("stack", scattering, "assemble_series_stack")):
         original = getattr(module, name)
 
@@ -646,7 +647,7 @@ def test_dilated_sweep_assembles_once(monkeypatch):
     points = count_potential_points(monkeypatch)
     sweep = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
     assert all(row.error is None for row in sweep.rows)
-    assert [z for z in calls["single"] + calls["double"] if z != 0] == []
+    assert [z for z in calls["single"] + calls["pair"] if z != 0] == []
     assert len(calls["stack"]) == 1
     # the amplitude is a panel sum, so no row samples the field
     assert set(points) <= {0}
@@ -657,7 +658,8 @@ def test_dilated_sweep_assembles_once(monkeypatch):
     calls = count_assemblies(monkeypatch)
     points = count_potential_points(monkeypatch)
     scattered_field_dilated(problem, OBS, SPECTRAL1)
-    assert (len(calls["single"]), len(calls["double"])) == (1, 1)
+    # S and K at z = w come from one pass, and S_z is not built
+    assert (calls["single"], len(calls["pair"])) == ([], 1)
     assert calls["stack"] == []
     assert points == [len(OBS)]
 
@@ -669,7 +671,7 @@ def test_sweep_past_the_highest_order_is_assembled_exactly(monkeypatch):
     sweep = frequency_sweep(problem, [1.0, 2.0], "dilated", SPECTRAL1)
     assert all(row.error is None for row in sweep.rows)
     assert len(calls["stack"]) == 1
-    assert calls["single"] == calls["double"] == [0.6]
+    assert (calls["single"], calls["pair"]) == ([], [0.6])
     assert len(sweep.warnings) == 1 and "omega = 2" in sweep.warnings[0]
     exact = scattered_field_dilated(make_problem(SUB1, 0.3, 2.0), OBS)
     assert sweep.rows[1].amplitude == pytest.approx(exact.amplitude, rel=1e-12)

@@ -43,6 +43,14 @@ COMMANDS = (
         ["solve", "--icosphere", "1,2", "--eps", "0.05", "--omega", "1.6",
          "--method", method, "--plane-wave=0.3,-0.5,0.8"])
        for method in ("dilated", "direct")]
+    # a non-spherical mesh and a point-source incident field
+    + [(f"solve-ellipsoid-sub2-1.3-{method}",
+        ["solve", "--ellipsoid", "1,1.3,1.7,2", "--eps", "0.05",
+         "--omega", "1.3", "--method", method])
+       for method in ("dilated", "direct")]
+    + [("solve-sub2-1.6-direct-point-source",
+        ["solve", "--icosphere", "1,2", "--eps", "0.05", "--omega", "1.6",
+         "--method", "direct", "--point-source=0,0,3"])]
     + [("sweep-sub2-dilated",
         ["sweep", "--icosphere", "1,2", "--eps", "0.05",
          "--omega-grid", "1.5:1.9:0.02"])]
