@@ -1,14 +1,16 @@
-"""Derived boundary objects: the per-mesh spectral data (equilibrium density,
-capacitance, Minnaert frequency, the projector onto constants and the
-series averages <K_(2)>, <K_(3)>), the Dirichlet-to-Neumann map, the guarded
-factors of S and of the contrast matrix M that every solver uses, and the
-two-block decomposition of the contrast operator family with its
-small-scale expansions.
+"""Derived boundary objects: the per-mesh spectral data (the real static
+single layer S_0 and its LU, equilibrium density, capacitance, Minnaert
+frequency and the series averages <K_(2)>, <K_(3)>), the
+Dirichlet-to-Neumann map, the guarded factors of S and of the contrast
+matrix M that every solver uses, and the two-block decomposition of the
+contrast operator family with its small-scale expansions.
 
 All operator-norm statements are evaluated in the norm induced by the
-discrete S_0^{-1} inner product (the norm in which the rank-one projector
-onto constants is orthogonal), so the expansion claims become literal matrix
-statements.
+discrete S_0^{-1} inner product, in which the projector onto constants is
+orthogonal, so the expansion claims become literal matrix statements.  That
+projector is rank one, P_0 = 1 w^T with w = q_eq * areas / capacitance
+(``SpectralData.p0_row``), and is applied as such: no n x n P_0 is
+formed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, lapack, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import (cholesky, lapack, lu_factor, lu_solve,
+                          solve_triangular)
 
 from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
                         SeriesStack, SpaceTagError, assemble_layer_pair,
@@ -49,51 +52,55 @@ def _guarded_lu(matrix: np.ndarray, context: str):
 @dataclass
 class SpectralData:
     """Everything about one mesh that does not depend on frequency or scale:
-    capacitance, Minnaert frequency, equilibrium density, the projector P_0
-    onto constants (I - P_0 projects onto mean-free traces) and the LU
-    factors of S_0.
+    capacitance, Minnaert frequency, the equilibrium density q_eq = S_0^{-1} 1,
+    the real static single layer S_0 and its LU factors.
 
-    Built once per mesh by ``spectral_data`` and passed to every function
-    that needs these quantities.  The S_0^{-1} Gram factor and the series
-    averages <K_(2)>, <K_(3)> (both from one order-3 series pass) are
-    computed on first use and cached.
+    The projector onto constants, orthogonal in the S_0^{-1} product, is
+    the rank-one P_0 = 1 w^T with w = ``p0_row``; ``on_constants`` is the
+    coefficient <1, v>/<1, 1> it takes.  Built once per mesh by
+    ``spectral_data`` and passed to every function that needs these
+    quantities.  The S_0^{-1} Gram factor and the series averages <K_(2)>,
+    <K_(3)> (both from one order-3 series pass) are computed on first use
+    and cached.
     """
 
     mesh: SurfaceMesh
     capacitance: float
     minnaert_omega: float
     q_eq: BoundaryDensity
-    p0: BoundaryOperator
-    s0: BoundaryOperator
+    s0: np.ndarray
     s0_lu: tuple
-    _gram_chol: object = field(default=None, repr=False)
+    _gram_chol: np.ndarray | None = field(default=None, repr=False)
     _k_means: tuple | None = field(default=None, repr=False)
 
     @property
-    def areas(self) -> np.ndarray:
-        return self.mesh.areas
+    def p0_row(self) -> np.ndarray:
+        """w in P_0 = 1 w^T: q_eq * areas / capacitance."""
+        return self.q_eq.values * self.mesh.areas / self.capacitance
 
-    def solve_s0(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self.s0_lu, rhs)
+    def on_constants(self, v: np.ndarray) -> complex:
+        """<1, v> / <1, 1> in the S_0^{-1} product, the coefficient of P_0 v
+        on the constants: q_eq . (areas * v) / capacitance, since
+        S_0^{-1} 1 = q_eq and <1, 1> = capacitance."""
+        return complex(self.q_eq.values @ (self.mesh.areas * v)) \
+            / self.capacitance
 
-    def gram_cholesky(self):
+    def gram_cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of the symmetrized S_0^{-1} Gram matrix."""
         if self._gram_chol is None:
-            a = np.diag(self.areas)
+            a = np.diag(self.mesh.areas)
             w = lu_solve(self.s0_lu, a, trans=1)
             w = 0.5 * (w + w.T)
-            self._gram_chol = cho_factor(w, lower=True)
+            self._gram_chol = cholesky(w, lower=True)
         return self._gram_chol
 
     def _series_means(self) -> tuple:
         """<1, B_n 1> / <1, 1> for n = 2, 3, with K_(n) = i^n B_n."""
         if self._k_means is None:
-            double = assemble_series_stack(self.mesh, 3, self.s0.matrix).double
-            one = BoundaryDensity(np.ones(self.mesh.n_panels), space=TRACE)
-            self._k_means = tuple(
-                s0_inner(self, one, BoundaryDensity(double[n] @ one.values,
-                                                    space=TRACE)).real
-                / self.capacitance for n in (2, 3))
+            double = assemble_series_stack(self.mesh, 3, self.s0).double
+            ones = np.ones(self.mesh.n_panels)
+            self._k_means = tuple(self.on_constants(double[n] @ ones).real
+                                  for n in (2, 3))
         return self._k_means
 
     def k2_average(self) -> float:
@@ -106,31 +113,25 @@ class SpectralData:
 
 
 def spectral_data(mesh: SurfaceMesh) -> SpectralData:
-    """Equilibrium density, capacitance, Minnaert frequency and the
-    projector onto constants.
+    """Static single layer, its LU, equilibrium density, capacitance and
+    Minnaert frequency of ``mesh``.
 
-    The static single layer is real symmetric positive definite up to
-    quadrature error; its LU factorization is kept for reuse.
+    The static single layer is assembled real and is symmetric positive
+    definite up to quadrature error; it and its LU factorization are kept
+    for reuse.
     """
-    s0 = assemble_single_layer(mesh, 0.0)
-    s0_real = BoundaryOperator(np.ascontiguousarray(s0.matrix.real),
-                               domain=DENSITY, codomain=TRACE,
-                               wavenumber=0.0, label="S")
-    lu = _guarded_lu(s0_real.matrix, "static single layer")
-    ones = np.ones(mesh.n_panels)
-    q = lu_solve(lu, ones)
+    s0 = assemble_single_layer(mesh, 0.0).matrix
+    lu = _guarded_lu(s0, "static single layer")
+    q = lu_solve(lu, np.ones(mesh.n_panels))
     cap = float(q @ mesh.areas)
     if cap <= 0:
         raise NumericalGuardError(f"nonpositive capacitance {cap:g}")
-    # rank-one projector onto constants, orthogonal in the S_0^{-1} product
-    p0 = np.outer(ones, q * mesh.areas) / cap
     return SpectralData(
         mesh=mesh,
         capacitance=cap,
         minnaert_omega=float(np.sqrt(cap / mesh.volume)),
         q_eq=BoundaryDensity(q, space=DENSITY),
-        p0=BoundaryOperator(p0, domain=TRACE, codomain=TRACE, label="P0"),
-        s0=s0_real,
+        s0=s0,
         s0_lu=lu,
     )
 
@@ -145,14 +146,13 @@ def s0_inner(spectral: SpectralData, phi: BoundaryDensity,
         if arg.space != TRACE:
             raise SpaceTagError(f"s0_inner expects {TRACE} data, {name} "
                                 f"is tagged {arg.space}")
-    solved = spectral.solve_s0(phi.values)
-    return complex(np.conj(solved) @ (spectral.areas * psi.values))
+    solved = lu_solve(spectral.s0_lu, phi.values)
+    return complex(np.conj(solved) @ (spectral.mesh.areas * psi.values))
 
 
 def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
     """Operator norm on the trace space metrized by the S_0^{-1} product."""
-    c, low = spectral.gram_cholesky()
-    ell = np.tril(c) if low else np.triu(c).T
+    ell = spectral.gram_cholesky()
     # similarity L^T T L^{-T}; its 2-norm is the weighted operator norm
     y = solve_triangular(ell, matrix.T.conj(), lower=True).T.conj()
     return float(np.linalg.norm(ell.T @ y, 2))
@@ -247,9 +247,10 @@ class SchurBlocks:
     """Two-block split of the contrast operator
     eps^2 M = eps^2 + (1-eps^2)(1/2+K_{eps w})S_{eps z}S_{eps w}^{-1}.
 
-    Blocks live in the full panel basis (each is P_i eps^2 M P_j); the Schur
-    complement of the constants block is computed with the complementary
-    block inverted on the mean-free subspace by a bordered solve.
+    Blocks live in the full panel basis (each is P_i eps^2 M P_j, with
+    P_1 = I - P_0); the Schur complement of the constants block is computed
+    with the complementary block inverted on the mean-free subspace by a
+    bordered solve.
     """
 
     eps: float
@@ -321,39 +322,40 @@ def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
                  z: complex) -> SchurBlocks:
     """Project the contrast operator onto the constants/mean-free splitting.
 
-    The complementary block is inverted on the mean-free subspace by a
-    bordered solve that pins <1, .>_{S_0^{-1}} = 0, avoiding the spurious
-    null direction of the full-space block.
+    With P_0 = 1 w^T, M P_0 = (M 1) w^T and P_0 M = 1 (w^T M), so the four
+    blocks are rank-one updates of M that take O(n^2) work.  The
+    complementary block is inverted on the mean-free subspace by a bordered
+    solve that pins <1, .>_{S_0^{-1}} = 0, avoiding the spurious null
+    direction of the full-space block; M_10 is rank one, so that solve
+    takes one right-hand side (docs/scaling_identities.md, "The projector
+    onto constants").
     """
     m = eps ** 2 * _contrast_factors(spectral.mesh, eps, omega, z).m
-    p0 = spectral.p0.matrix
-    mp = m @ p0
-    mq = m - mp
-    m00 = p0 @ mp
-    m10 = mp - m00
-    m01 = p0 @ mq
-    m11 = mq - m01
-
     n = spectral.mesh.n_panels
-    constraint = spectral.q_eq.values * spectral.areas
+    ones = np.ones(n)
+    w = spectral.p0_row
+    m_one = m @ ones
+    w_m_one = w @ m_one
+    m00 = np.outer(ones, w_m_one * w)
+    m10 = np.outer(m_one - w_m_one, w)
+    mean_free_row = w @ m - w_m_one * w
+    m01 = np.outer(ones, mean_free_row)
+    m11 = m - m00 - m10 - m01
+
     bordered = np.zeros((n + 1, n + 1), dtype=complex)
     bordered[:n, :n] = m11
     bordered[:n, n] = 1.0
-    bordered[n, :n] = constraint
-    rhs = np.vstack([m10, np.zeros((1, n))])
+    bordered[n, :n] = w
     lu = _guarded_lu(bordered, "mean-free block of the contrast operator")
-    y = lu_solve(lu, rhs)[:n]
-    c00 = m00 - m01 @ y
-
-    one = BoundaryDensity(np.ones(n), space=TRACE)
-    c00_one = BoundaryDensity(c00 @ one.values, space=TRACE)
-    c00_const = s0_inner(spectral, one, c00_one) / spectral.capacitance
+    # M_11^{-1} M_10 = (M_11^{-1} (M 1 - w^T M 1)) w^T on the mean-free space
+    y = lu_solve(lu, np.append(m_one - w_m_one, 0.0))[:n]
+    c00 = np.outer(ones, (w_m_one - mean_free_row @ y) * w)
 
     quad, cubic = _discrete_coefficients(spectral, omega, z)
     return SchurBlocks(
         eps=eps, omega=complex(omega), z=complex(z), full=m,
         m00=m00, m01=m01, m10=m10, m11=m11, c00=c00,
-        c00_on_constants=complex(c00_const),
+        c00_on_constants=spectral.on_constants(c00 @ ones),
         quadratic_coefficient=quad,
         cubic_coefficient=cubic,
     )
@@ -401,19 +403,18 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
     resonant = abs(quad) < 1e-8
     m_lu = _contrast_factors(spectral.mesh, eps, omega, z).m_lu
     minv = lu_solve(m_lu, np.eye(spectral.mesh.n_panels, dtype=complex))
-    p0 = spectral.p0.matrix
     if resonant:
         if z == 0:
             raise ValueError("the resonant expansion needs z != 0")
         reference = 1.0 / cubic
         formula = (4 * np.pi / spectral.capacitance) * (1j / z)
-        diff = eps * minv - reference * p0
-        order = 3
+        scaled, order = eps * minv, 3
     else:
         reference = 1.0 / quad
         formula = 1.0 / (1.0 - omega ** 2 / spectral.minnaert_omega ** 2)
-        diff = minv - reference * p0
-        order = 2
+        scaled, order = minv, 2
+    # reference * P_0 = 1 (reference * w)^T, subtracted from every row
+    diff = scaled - reference * spectral.p0_row
     return ExpansionResidual(
         eps=eps, omega=complex(omega), z=complex(z), resonant=bool(resonant),
         order=order, residual=s0_operator_norm(spectral, diff),

@@ -376,17 +376,25 @@ def cmd_minnaert(cfg: RunConfig, writer: ArtifactWriter) -> int:
     return EXIT_OK
 
 
-def _make_problem(cfg: RunConfig, mesh, omega: float) -> sc.ScatteringProblem:
-    return sc.ScatteringProblem(mesh, cfg.eps, omega, cfg.incident(),
-                                y0=None if cfg.center is None
-                                else np.asarray(cfg.center),
-                                guard_constant=cfg.guard_constant)
+def _make_problem(cfg: RunConfig, mesh, omega: float,
+                  **given) -> sc.ScatteringProblem:
+    """The problem ``cfg`` poses on ``mesh`` at ``omega``, with the fields
+    in ``given`` in place of the configured ones.  The one place the CLI
+    builds a problem, so that every physical-input rule of ``scattering``
+    it breaks is a usage error."""
+    given = {"eps": cfg.eps, "y0": cfg.center,
+             "guard_constant": cfg.guard_constant, **given}
+    try:
+        return sc.ScatteringProblem(mesh, omega=omega,
+                                    incident=cfg.incident(), **given)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
     mesh = cfg.build_mesh()
-    spectral = bc.spectral_data(mesh)
     problem = _make_problem(cfg, mesh, cfg.omega)
+    spectral = bc.spectral_data(mesh)
     points, _ = sc.far_field_points(problem)
     fld = sc.scattered_field(problem, points, cfg.method, spectral)
     # how far the field on the fit sphere is from its monopole part
@@ -412,10 +420,10 @@ def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
 
 def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> int:
     mesh = cfg.build_mesh()
-    spectral = bc.spectral_data(mesh)
     # built at the highest frequency, so that its validity warning covers
     # the whole grid
     problem = _make_problem(cfg, mesh, cfg.omega_grid[-1])
+    spectral = bc.spectral_data(mesh)
     sweep = sc.frequency_sweep(problem, cfg.omega_grid, cfg.method, spectral)
     for note in sweep.warnings:
         writer.warn(note)
@@ -454,7 +462,7 @@ def verification_checks(cfg: RunConfig):
 
     k0 = assemble_double_layer(mesh, 0.0)
     ones = np.ones(mesh.n_panels)
-    gauss = float(np.abs(0.5 * ones + k0.matrix.real @ ones).max())
+    gauss = float(np.abs(0.5 * ones + k0.matrix @ ones).max())
     k2 = spectral.k2_average()
     k3 = spectral.k3_average()
     ratio = mesh.volume / spectral.capacitance
@@ -490,8 +498,8 @@ def verification_checks(cfg: RunConfig):
             ("krein_kernel_res_rate", what, glim, 0.5, False)):
         errs = []
         for eps in eps_list:
-            prob = sc.ScatteringProblem(mesh, eps, omega, cfg.incident(),
-                                        y0=center, validity_threshold=np.inf)
+            prob = _make_problem(cfg, mesh, omega, eps=eps, y0=center,
+                                 validity_threshold=np.inf)
             k = sc.resolvent_correction_kernel(prob, 1j, x, y)
             errs.append(abs(k - target))
         logs = np.log(np.asarray(errs))

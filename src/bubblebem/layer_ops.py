@@ -284,16 +284,18 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
 
     With both, each chunk's distances and e^{izr} serve both operators: K's
     entry static * ((1 - izr) e^{izr}) is formed first, and the same
-    e^{izr} array then becomes S's entry e^{izr}/r * w in place.
+    e^{izr} array then becomes S's entry e^{izr}/r * w in place.  At
+    z = 0 both kernels are real and so are the float64 results.
     """
     z = _check_im(z)
     nodes, weights = panel_quadrature(mesh)
     n = mesh.n_panels
     flat_w = weights.reshape(-1)
-    s_out = np.empty((n, n), dtype=complex) if single else None
-    k_out = np.empty((n, n), dtype=complex) if double else None
-    static_rowsum = np.empty(n)
     use_complex = z != 0
+    dtype = complex if use_complex else float
+    s_out = np.empty((n, n), dtype=dtype) if single else None
+    k_out = np.empty((n, n), dtype=dtype) if double else None
+    static_rowsum = np.empty(n)
     for rows, r, static in _row_chunks(mesh.centroids, nodes,
                                        mesh.normals if double else None):
         vals = e_izr = None
@@ -313,7 +315,7 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
                 vals *= static
                 block = _panel_sum(vals)
             else:
-                block = block0.astype(complex)
+                block = block0
             np.fill_diagonal(block0[:, rows], 0.0)
             np.fill_diagonal(block[:, rows], 0.0)
             k_out[rows] = block
@@ -336,7 +338,7 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
     if single:
         # Self panel: the 1/r part integrates in closed form; the remainder
         # (e^{izr}-1)/(4πr) is bounded and the regular rule applies.
-        diag = _self_panel_inverse_distance(mesh).astype(complex)
+        diag = _self_panel_inverse_distance(mesh)
         if use_complex:
             smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
             diag = diag + np.sum(smooth * weights, axis=1)
@@ -344,7 +346,7 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
         s_out = BoundaryOperator(s_out, domain=DENSITY, codomain=TRACE,
                                  wavenumber=z, label="S")
     if double:
-        diag = (-0.5 - static_rowsum).astype(complex)
+        diag = -0.5 - static_rowsum
         if use_complex:
             numer = np.einsum("ijk,ik->ij", diff, mesh.normals)
             smooth = numer * ((1.0 - 1j * z * rself) * np.exp(1j * z * rself)
@@ -511,7 +513,9 @@ def eval_single_layer_potential(mesh: SurfaceMesh,
         vals = _expi(z, r)
         vals /= 4.0 * np.pi * r
         vals *= flat_w
-        out[rows] = _panel_sum(vals) @ coeff
+        # an elementwise row sum: a matrix-vector product would sum a row
+        # in an order that depends on how many rows the chunk holds
+        out[rows] = (_panel_sum(vals) * coeff).sum(axis=1)
     return out
 
 

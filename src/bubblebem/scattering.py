@@ -62,8 +62,9 @@ class PlaneWave:
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
         n = np.linalg.norm(d)
-        if n == 0:
-            raise ValueError("plane-wave direction must be nonzero")
+        # a non-finite component makes the norm inf or nan
+        if not (math.isfinite(n) and n > 0):
+            raise ValueError(f"plane-wave direction {d} is zero or not finite")
         object.__setattr__(self, "direction", d / n)
 
     def evaluate(self, points: np.ndarray, omega: float) -> np.ndarray:
@@ -79,8 +80,10 @@ class PointSource:
     amplitude: complex = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "location",
-                           np.asarray(self.location, dtype=float))
+        location = np.asarray(self.location, dtype=float)
+        if not np.all(np.isfinite(location)):
+            raise ValueError(f"point-source location {location} is not finite")
+        object.__setattr__(self, "location", location)
 
     def evaluate(self, points: np.ndarray, omega: float) -> np.ndarray:
         return self.amplitude * green_function(
@@ -90,6 +93,8 @@ class PointSource:
 # The rule for valid physical input, one check each; ScatteringProblem,
 # frequency_sweep and the CLI's settings all call these, and check_eps with
 # them (it lives in boundary_calculus, beside the contraction it guards).
+# The incident waves check themselves, and ScatteringProblem checks its
+# center, its guard constant and that a point source lies outside.
 
 
 def check_omega(omega: float) -> None:
@@ -127,10 +132,14 @@ class ScatteringProblem:
     def __post_init__(self):
         check_eps(self.eps)
         check_omega(self.omega)
-        if self.y0 is None:
-            self.y0 = surface_centroid(self.mesh)
-        else:
-            self.y0 = np.asarray(self.y0, dtype=float)
+        self.y0 = (surface_centroid(self.mesh) if self.y0 is None
+                   else np.asarray(self.y0, dtype=float))
+        if not np.all(np.isfinite(self.y0)):
+            raise ValueError(f"center y0 = {self.y0} is not finite")
+        if not (math.isfinite(self.guard_constant)
+                and self.guard_constant >= 0):
+            raise ValueError("guard constant must be finite and "
+                             f"non-negative, got {self.guard_constant}")
         product = self.eps * self.omega * self.mesh.diameter
         if product > self.validity_threshold:
             warnings.warn(
@@ -453,7 +462,7 @@ def _sweep_stack(problem: ScatteringProblem, grid: list[float],
                      f"above the limit of {SERIES_STACK_LIMIT:d}; S and K "
                      "assembled exactly at every frequency")
         return None, notes
-    return assemble_series_stack(mesh, order, spectral.s0.matrix), notes
+    return assemble_series_stack(mesh, order, spectral.s0), notes
 
 
 def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_solve
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +38,7 @@ def test_inner_product_hermitian(spectral2, sphere2):
     # the Hermitian defect of the induced product: its Gram matrix
     # W[i, j] = <S_0^{-1} e_i, e_j>, i.e. W = S_0^{-T} diag(areas)
     basis = np.eye(sphere2.n_panels)
-    gram = spectral2.solve_s0(basis).conj().T * spectral2.areas
+    gram = lu_solve(spectral2.s0_lu, basis).conj().T * sphere2.areas
     phi, psi = (BoundaryDensity(basis[i], space=TRACE) for i in (3, 200))
     assert s0_inner(spectral2, phi, psi) == pytest.approx(gram[3, 200],
                                                           rel=1e-12)
@@ -56,14 +59,34 @@ def test_inner_product_role_tags(spectral2, sphere2):
         s0_inner(spectral2, density, trace)
 
 
+def _dense_p0(spectral):
+    """P_0 = 1 w^T as an n x n matrix, for comparison only."""
+    return np.outer(np.ones(spectral.mesh.n_panels), spectral.p0_row)
+
+
 def test_projector_identities(spectral2, sphere2):
-    p0 = spectral2.p0.matrix
+    p0 = _dense_p0(spectral2)
     q0 = np.eye(sphere2.n_panels) - p0
     ones = np.ones(sphere2.n_panels)
     assert np.abs(p0 @ ones - 1.0).max() < 1e-12
     assert np.abs(q0 @ ones).max() < 1e-12
     assert np.linalg.norm(p0 @ p0 - p0) <= 1e-10
     assert np.linalg.norm(p0 @ q0) <= 1e-10
+
+
+def test_spectral_data_peak_memory():
+    # S_0 and its LU hold 12.5 MiB each at n = 1280 and the traced peak is
+    # 37.5 MiB; a complex copy of S_0 (25 MiB) would exceed the bound
+    mesh = make_icosphere(1.0, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        data = spectral_data(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.capacitance > 0
+    assert peak - start <= 45 * 2 ** 20
 
 
 # ----------------------------------------------------------------------------
@@ -216,7 +239,7 @@ def test_series_averages_share_one_pass(monkeypatch):
     assert (data.k2_average(), data.k3_average()) == (k2, k3)
     assert orders == [3]
     one = BoundaryDensity(np.ones(mesh.n_panels), space=TRACE)
-    double = original(mesh, 3, data.s0.matrix).double
+    double = original(mesh, 3, data.s0).double
     for n, mean in ((2, k2), (3, k3)):
         k_one = BoundaryDensity(1j ** n * double[n] @ one.values, space=TRACE)
         assert mean == pytest.approx(s0_inner(data, one, k_one)
@@ -230,6 +253,41 @@ def test_series_averages_share_one_pass(monkeypatch):
 def test_recomposition(spectral2):
     blocks = schur_blocks(spectral2, 0.05, 1.0, 0.7)
     assert blocks.recomposition_residual() <= 1e-10
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere2", "ellipsoid2"])
+def test_rank_one_blocks_equal_the_dense_products(mesh_name, request):
+    # P_i eps^2 M P_j with a dense P_0 built from q_eq (P_1 = I - P_0),
+    # and the Schur complement from a dense bordered solve with every
+    # column of M_10
+    mesh = request.getfixturevalue(mesh_name)
+    spectral = spectral_data(mesh)
+    blocks = schur_blocks(spectral, 0.04, 1.0, 0.7)
+    n = mesh.n_panels
+    cap = spectral.q_eq.values @ mesh.areas
+    p0 = np.outer(np.ones(n), spectral.q_eq.values * mesh.areas / cap)
+    m = blocks.full
+    mp = m @ p0
+    m00, m01 = p0 @ mp, p0 @ (m - mp)
+    dense = {"m00": m00, "m01": m01, "m10": mp - m00,
+             "m11": m - mp - m01}
+    scale = np.abs(m).max()
+    for name, expected in dense.items():
+        assert np.abs(getattr(blocks, name) - expected).max() \
+            <= 8 * np.finfo(float).eps * scale, name
+    bordered = np.zeros((n + 1, n + 1), dtype=complex)
+    bordered[:n, :n] = dense["m11"]
+    bordered[:n, n] = 1.0
+    bordered[n, :n] = p0[0]
+    y = np.linalg.solve(bordered, np.vstack([dense["m10"],
+                                             np.zeros((1, n))]))[:n]
+    c00 = dense["m00"] - dense["m01"] @ y
+    assert np.abs(blocks.c00 - c00).max() <= 1e-12 * np.abs(c00).max()
+    one = BoundaryDensity(np.ones(n), space=TRACE)
+    assert blocks.c00_on_constants == pytest.approx(
+        s0_inner(spectral, one, BoundaryDensity(c00 @ one.values,
+                                                space=TRACE)) / cap,
+        rel=1e-12)
 
 
 def test_block_structure_smallness(spectral2):
@@ -330,7 +388,7 @@ def test_expansion_residual_resonant_ratio(spectral2):
 def test_contrast_family_limit_direction(sphere2, spectral2):
     # eps^2 M(eps) approaches the mean-free static block as eps -> 0
     k0 = assemble_double_layer(sphere2, 0.0).matrix
-    q0 = np.eye(sphere2.n_panels) - spectral2.p0.matrix
+    q0 = np.eye(sphere2.n_panels) - _dense_p0(spectral2)
     target = q0 @ (0.5 * np.eye(sphere2.n_panels) + k0) @ q0
     gaps = []
     for eps in (0.04, 0.02, 0.01):
@@ -344,9 +402,8 @@ def test_dn_factorization_small_z_consistency(sphere2, spectral2):
     # S_z DN_z - (Q0 (1/2+K0) Q0 + z^2 K_(2)) shrinks at cubic order in z
     # (a fixed quadrature-level floor sets in below z ~ 0.1)
     k0 = assemble_double_layer(sphere2, 0.0).matrix
-    k2 = 1j ** 2 * assemble_series_stack(sphere2, 2,
-                                         spectral2.s0.matrix).double[2]
-    q0 = np.eye(sphere2.n_panels) - spectral2.p0.matrix
+    k2 = 1j ** 2 * assemble_series_stack(sphere2, 2, spectral2.s0).double[2]
+    q0 = np.eye(sphere2.n_panels) - _dense_p0(spectral2)
     static = q0 @ (0.5 * np.eye(sphere2.n_panels) + k0) @ q0
     residuals = []
     zs = (0.2, 0.4)

@@ -245,6 +245,17 @@ def test_usage_errors(tmp_path):
     ("solve", ["--plane-wave", "0,0,1", "--point-source", "0,0,3"]),
     ("solve", ["--config", "[incident]\nplane_wave = 0, 0, 1\n"
                            "point_source = 0, 0, 3\n"]),
+    ("solve", ["--plane-wave=0,0,0"]),
+    ("verify", ["--plane-wave=0,0,0"]),
+    ("solve", ["--plane-wave=nan,0,1"]),
+    ("solve", ["--center=nan,0,0"]),
+    ("sweep", ["--omega-grid", "1.5:1.9:0.1", "--center=inf,0,0"]),
+    ("verify", ["--center=nan,0,0"]),
+    ("solve", ["--point-source=nan,0,0"]),
+    ("solve", ["--point-source=0,0,0"]),
+    ("verify", ["--point-source=0,0,0"]),
+    ("solve", ["--guard-constant=-1"]),
+    ("sweep", ["--omega-grid", "1.5:1.9:0.1", "--guard-constant=nan"]),
 ])
 def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                              command, bad):

@@ -488,21 +488,31 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
     for expected, got in zip(default_matrices, matrices(), strict=True):
         assert got.tobytes() == expected.tobytes()
     for expected, got in zip(default_potentials, potentials(), strict=True):
-        if chunk > 1:
-            assert got.tobytes() == expected.tobytes()
-        else:
-            # a one-row chunk sends the panel-by-density product down numpy's
-            # vector-dot path, which sums in another order than the
-            # matrix-vector one
-            np.testing.assert_allclose(
-                got, expected, rtol=0,
-                atol=8 * np.finfo(float).eps * np.abs(expected).max())
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_potential_at_a_point_is_the_same_alone_and_in_a_set(rng):
+    # each point's row is summed on its own, so neither the other points
+    # of a call nor their number changes its value
+    mesh = make_ellipsoid((1.0, 1.3, 1.7), 1)
+    density = rng.normal(size=mesh.n_panels) + 1j * rng.normal(
+        size=mesh.n_panels)
+    directions = rng.normal(size=(130, 3))
+    points = 5 * directions / np.linalg.norm(directions, axis=1)[:, None]
+    for z in (0.0, 1.6, 0.2 + 0.1j):
+        together = eval_single_layer_potential(mesh, density, z, points)
+        for k in (0, 128, 129):
+            alone = eval_single_layer_potential(mesh, density, z, points[k])
+            assert alone.tobytes() == together[k:k + 1].tobytes()
+        first = eval_single_layer_potential(mesh, density, z, points[:129])
+        assert first.tobytes() == together[:129].tobytes()
 
 
 def _direct_formulation(mesh, z, density, points):
     """S_z, K_z and the off-surface potential as one chunk of 3-vector
     displacements with ``np.einsum`` for ν(y)·(x-y) and ``np.exp`` for
-    e^{izr}: the formulation the coordinate-plane pass replaces."""
+    e^{izr}: the formulation the coordinate-plane pass replaces.  S_0 and
+    K_0 are real."""
     nodes, weights = panel_quadrature(mesh)
     flat_nodes, flat_w = nodes.reshape(-1, 3), weights.reshape(-1)
     flat_nu = np.repeat(mesh.normals, 6, axis=0)
@@ -523,8 +533,8 @@ def _direct_formulation(mesh, z, density, points):
 
     vals = np.exp(1j * z * r) / r if z != 0 else 1.0 / r
     vals *= flat_w
-    single = (panel_sum(vals) / (4.0 * np.pi)).astype(complex)
-    diag = layer_ops._self_panel_inverse_distance(mesh).astype(complex)
+    single = panel_sum(vals) / (4.0 * np.pi)
+    diag = layer_ops._self_panel_inverse_distance(mesh)
     if z != 0:
         smooth = np.expm1(1j * z * r_self) / (4.0 * np.pi * r_self)
         diag = diag + np.sum(smooth * weights, axis=1)
@@ -534,9 +544,9 @@ def _direct_formulation(mesh, z, density, points):
     static *= flat_w
     block0 = panel_sum(static)
     double = (panel_sum(static * ((1.0 - 1j * z * r) * np.exp(1j * z * r)))
-              if z != 0 else block0.astype(complex))
+              if z != 0 else block0.copy())
     np.fill_diagonal(block0, 0.0)
-    diag = (-0.5 - block0.sum(axis=1)).astype(complex)
+    diag = -0.5 - block0.sum(axis=1)
     if z != 0:
         numer_self = np.einsum("ijk,ik->ij", diff_self, mesh.normals)
         smooth = numer_self * ((1.0 - 1j * z * r_self)
@@ -547,7 +557,7 @@ def _direct_formulation(mesh, z, density, points):
 
     r_points, _ = kernel_pass(points)
     vals = np.exp(1j * z * r_points) / (4.0 * np.pi * r_points) * flat_w
-    return single, double, panel_sum(vals) @ density
+    return single, double, (panel_sum(vals) * density).sum(axis=1)
 
 
 _MOVED = np.array([[1.1, 0.2, -0.1], [0.05, 0.9, 0.3], [-0.2, 0.1, 1.3]])

@@ -353,7 +353,7 @@ def test_every_method_gives_the_same_guard_band_note():
 
 
 def test_dn_factors_read_the_stack_only_where_it_reaches():
-    stack = assemble_series_stack(SUB1, 8, SPECTRAL1.s0.matrix)
+    stack = assemble_series_stack(SUB1, 8, SPECTRAL1.s0)
     near, far = 0.02, 0.5
     assert stack.reaches(near) and not stack.reaches(far)
     for w, s_ref, k_ref in (
