@@ -9,12 +9,10 @@ from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
                                 expansion_residual, k2_resonance_frequency,
                                 s0_inner, s0_operator_norm, schur_blocks,
                                 spectral_data)
-from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
-                        SeriesStack, SpaceTagError, assemble_double_layer,
+from .layer_ops import (SeriesStack, assemble_double_layer,
                         assemble_layer_pair, assemble_series_stack,
-                        assemble_single_layer,
-                        eval_single_layer_potential, series_tail_bound,
-                        single_layer_monopole)
+                        assemble_single_layer, eval_single_layer_potential,
+                        series_tail_bound, single_layer_monopole)
 from .mesh import (MeshError, SurfaceMesh, affine_transform, build_mesh,
                    load_mesh, make_ellipsoid, make_icosphere, save_off,
                    scale_about, surface_centroid)

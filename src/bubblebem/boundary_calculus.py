@@ -22,8 +22,7 @@ import numpy as np
 from scipy.linalg import (cholesky, lapack, lu_factor, lu_solve,
                           solve_triangular)
 
-from .layer_ops import (DENSITY, TRACE, BoundaryDensity, BoundaryOperator,
-                        SeriesStack, SpaceTagError, assemble_layer_pair,
+from .layer_ops import (SeriesStack, assemble_layer_pair,
                         assemble_series_stack, assemble_single_layer)
 from .mesh import SurfaceMesh
 
@@ -35,7 +34,11 @@ class NumericalGuardError(RuntimeError):
 
 
 def _guarded_lu(matrix: np.ndarray, context: str):
-    """LU factorization with a 1-norm condition estimate, 1e12 hard limit."""
+    """LU factorization with a 1-norm condition estimate, 1e12 hard limit.
+
+    ``lu_factor`` checks its input: a non-finite entry raises ValueError,
+    which a sweep records as that row's error.
+    """
     lu, piv = lu_factor(matrix)
     anorm = np.linalg.norm(matrix, 1)
     gecon = lapack.zgecon if np.iscomplexobj(matrix) else lapack.dgecon
@@ -67,7 +70,7 @@ class SpectralData:
     mesh: SurfaceMesh
     capacitance: float
     minnaert_omega: float
-    q_eq: BoundaryDensity
+    q_eq: np.ndarray
     s0: np.ndarray
     s0_lu: tuple
     _gram_chol: np.ndarray | None = field(default=None, repr=False)
@@ -76,14 +79,13 @@ class SpectralData:
     @property
     def p0_row(self) -> np.ndarray:
         """w in P_0 = 1 w^T: q_eq * areas / capacitance."""
-        return self.q_eq.values * self.mesh.areas / self.capacitance
+        return self.q_eq * self.mesh.areas / self.capacitance
 
     def on_constants(self, v: np.ndarray) -> complex:
-        """<1, v> / <1, 1> in the S_0^{-1} product, the coefficient of P_0 v
-        on the constants: q_eq . (areas * v) / capacitance, since
-        S_0^{-1} 1 = q_eq and <1, 1> = capacitance."""
-        return complex(self.q_eq.values @ (self.mesh.areas * v)) \
-            / self.capacitance
+        """<1, v> / <1, 1> in the S_0^{-1} product for a trace v, the
+        coefficient of P_0 v on the constants: q_eq . (areas * v) /
+        capacitance, since S_0^{-1} 1 = q_eq and <1, 1> = capacitance."""
+        return complex(self.q_eq @ (self.mesh.areas * v)) / self.capacitance
 
     def gram_cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of the symmetrized S_0^{-1} Gram matrix."""
@@ -120,7 +122,7 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
     definite up to quadrature error; it and its LU factorization are kept
     for reuse.
     """
-    s0 = assemble_single_layer(mesh, 0.0).matrix
+    s0 = assemble_single_layer(mesh, 0.0)
     lu = _guarded_lu(s0, "static single layer")
     q = lu_solve(lu, np.ones(mesh.n_panels))
     cap = float(q @ mesh.areas)
@@ -130,24 +132,18 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
         mesh=mesh,
         capacitance=cap,
         minnaert_omega=float(np.sqrt(cap / mesh.volume)),
-        q_eq=BoundaryDensity(q, space=DENSITY),
+        q_eq=q,
         s0=s0,
         s0_lu=lu,
     )
 
 
-def s0_inner(spectral: SpectralData, phi: BoundaryDensity,
-             psi: BoundaryDensity) -> complex:
-    """Inner product <S_0^{-1} phi, psi> (conjugate-linear in phi).
-
-    Both arguments must carry the Dirichlet-trace role.
-    """
-    for name, arg in (("phi", phi), ("psi", psi)):
-        if arg.space != TRACE:
-            raise SpaceTagError(f"s0_inner expects {TRACE} data, {name} "
-                                f"is tagged {arg.space}")
-    solved = lu_solve(spectral.s0_lu, phi.values)
-    return complex(np.conj(solved) @ (spectral.mesh.areas * psi.values))
+def s0_inner(spectral: SpectralData, phi: np.ndarray,
+             psi: np.ndarray) -> complex:
+    """Inner product <S_0^{-1} phi, psi> of two traces (conjugate-linear
+    in phi)."""
+    solved = lu_solve(spectral.s0_lu, phi)
+    return complex(np.conj(solved) @ (spectral.mesh.areas * psi))
 
 
 def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
@@ -173,14 +169,15 @@ def _dn_factors(mesh: SurfaceMesh, w: complex,
     else:
         # one kernel pass for both: it holds the two n x n results and one
         # chunk's temporaries (63.4 MiB traced at n = 1280)
-        s, half_k = (op.matrix for op in assemble_layer_pair(mesh, w))
+        s, half_k = assemble_layer_pair(mesh, w)
     half_k.flat[::mesh.n_panels + 1] += 0.5
     s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
     return s, half_k, s_lu
 
 
-def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
-    """Interior Dirichlet-to-Neumann map S_z^{-1}(1/2 + K_z).
+def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> np.ndarray:
+    """Interior Dirichlet-to-Neumann map S_z^{-1}(1/2 + K_z): an (n, n)
+    array that takes a trace to its flux, a density.
 
     Well-posed away from interior Dirichlet eigenvalues.  S_z is factored
     under the generic condition guard, which trips only when S_z is
@@ -192,8 +189,7 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
     matrix instead (see ``_factor_transmission``).
     """
     _, half_k, s_lu = _dn_factors(mesh, z)
-    return BoundaryOperator(lu_solve(s_lu, half_k), domain=TRACE,
-                            codomain=DENSITY, wavenumber=complex(z), label="DN")
+    return lu_solve(s_lu, half_k)
 
 
 class TransmissionFactors(NamedTuple):
@@ -229,7 +225,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     s, half_k, s_lu = _dn_factors(mesh, w, stack)
     coupling = half_k
     if z != w:
-        s_z = assemble_single_layer(mesh, z).matrix
+        s_z = assemble_single_layer(mesh, z)
         coupling = half_k @ lu_solve(s_lu, s_z.T, trans=1).T
     m = kappa * coupling
     m.flat[::mesh.n_panels + 1] += 1.0

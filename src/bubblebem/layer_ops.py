@@ -8,7 +8,10 @@ by the regular rule.
 
 Matrix convention: entry (i, j) approximates the integral of the kernel over
 panel j, observed at the centroid of panel i, so matrices act directly on
-per-panel coefficient vectors.
+per-panel coefficient vectors.  Operators are plain (n, n) arrays, float64
+at z = 0 and complex otherwise, and boundary data are 1-d arrays; each
+function's docstring says whether it takes a trace (Dirichlet data) or a
+density (single-layer charge, flux).
 
 Every kernel runs the same pass, ``_row_chunks``: observation points in
 chunks of about ``_CHUNK_PAIRS`` (point, node) pairs against all quadrature
@@ -43,9 +46,6 @@ import numpy as np
 
 from .mesh import _CHUNK_PAIRS, SurfaceMesh
 
-TRACE = "H+1/2"      # Dirichlet-trace-like data
-DENSITY = "H-1/2"    # surface-density-like data
-
 # Highest series order: what the tail bound needs at |z| * diameter = 1,
 # the package's validity threshold eps * omega * diameter.
 SERIES_MAX_ORDER = 17
@@ -59,66 +59,6 @@ _QUAD_BARY = np.array([
     [_QC, _QD, _QD], [_QD, _QC, _QD], [_QD, _QD, _QC],
 ])
 _QUAD_W = np.array([_QWA, _QWA, _QWA, _QWB, _QWB, _QWB])
-
-
-class SpaceTagError(ValueError):
-    """Operator or density used with an incompatible trace-space role."""
-
-
-@dataclass
-class BoundaryDensity:
-    """Per-panel coefficients of a piecewise-constant boundary function."""
-
-    values: np.ndarray
-    space: str = DENSITY
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.ndim != 1:
-            raise ValueError("density coefficients must be a 1-d array")
-        if self.space not in (TRACE, DENSITY):
-            raise SpaceTagError(f"unknown space tag {self.space!r}")
-
-
-@dataclass
-class BoundaryOperator:
-    """Dense operator between the discrete trace spaces of one mesh."""
-
-    matrix: np.ndarray
-    domain: str
-    codomain: str
-    wavenumber: complex | None = None
-    label: str = "composite"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"operator {self.label!r} has non-finite entries")
-        self.matrix = m
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def __matmul__(self, other: "BoundaryOperator") -> "BoundaryOperator":
-        if not isinstance(other, BoundaryOperator):
-            return NotImplemented
-        if other.codomain != self.domain:
-            raise SpaceTagError(
-                f"cannot compose {self.label!r} (domain {self.domain}) with "
-                f"{other.label!r} (codomain {other.codomain})")
-        wn = self.wavenumber if self.wavenumber == other.wavenumber else None
-        return BoundaryOperator(self.matrix @ other.matrix, domain=other.domain,
-                                codomain=self.codomain, wavenumber=wn)
-
-    def apply(self, density: BoundaryDensity) -> BoundaryDensity:
-        if density.space != self.domain:
-            raise SpaceTagError(
-                f"operator {self.label!r} expects {self.domain} input, "
-                f"got {density.space}")
-        return BoundaryDensity(self.matrix @ density.values, space=self.codomain)
 
 
 # ----------------------------------------------------------------------------
@@ -343,8 +283,6 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
             smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
             diag = diag + np.sum(smooth * weights, axis=1)
         s_out[idx, idx] = diag
-        s_out = BoundaryOperator(s_out, domain=DENSITY, codomain=TRACE,
-                                 wavenumber=z, label="S")
     if double:
         diag = -0.5 - static_rowsum
         if use_complex:
@@ -354,21 +292,21 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
             smooth /= 4.0 * np.pi * rself ** 3
             diag = diag + np.sum(smooth * weights, axis=1)
         k_out[idx, idx] = diag
-        k_out = BoundaryOperator(k_out, domain=TRACE, codomain=TRACE,
-                                 wavenumber=z, label="K")
     return s_out, k_out
 
 
-def assemble_single_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
-    """Single-layer boundary operator S_z with kernel e^{iz r}/(4π r)."""
+def assemble_single_layer(mesh: SurfaceMesh, z: complex) -> np.ndarray:
+    """Single-layer boundary operator S_z with kernel e^{iz r}/(4π r): an
+    (n, n) array that takes a density to a trace."""
     return _assemble_layers(mesh, z, single=True, double=False)[0]
 
 
-def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
-    """Double-layer boundary operator K_z, kernel ν(y)·∇_y e^{iz r}/(4π r).
+def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> np.ndarray:
+    """Double-layer boundary operator K_z, kernel ν(y)·∇_y e^{iz r}/(4π r):
+    an (n, n) array that takes a trace to a trace.
 
     The flat-panel self term of the static kernel vanishes, so the diagonal
-    is set by the solid-angle rule: each row applied to the constant density
+    is set by the solid-angle rule: each row applied to the constant trace
     1 gives -1/2 at z = 0.  For z != 0 the diagonal correction is the regular
     quadrature of the smooth difference kernel (identically zero on exactly
     flat panels).
@@ -377,7 +315,7 @@ def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> BoundaryOperator:
 
 
 def assemble_layer_pair(mesh: SurfaceMesh,
-                        z: complex) -> tuple[BoundaryOperator, BoundaryOperator]:
+                        z: complex) -> tuple[np.ndarray, np.ndarray]:
     """S_z and K_z from one kernel pass that computes each distance and
     each e^{izr} once; the same entries, bit for bit, as
     ``assemble_single_layer`` and ``assemble_double_layer``."""
@@ -494,16 +432,15 @@ def assemble_series_stack(mesh: SurfaceMesh, order: int,
     return SeriesStack(single, double, mesh.diameter)
 
 
-def eval_single_layer_potential(mesh: SurfaceMesh,
-                                density: BoundaryDensity | np.ndarray,
+def eval_single_layer_potential(mesh: SurfaceMesh, density: np.ndarray,
                                 z: complex, points: np.ndarray) -> np.ndarray:
-    """Off-surface single-layer potential of a panel density.
+    """Off-surface single-layer potential of a density, given as its
+    per-panel coefficients.
 
     Points must keep at least one panel diameter of clearance from the
     surface; near-surface evaluation is out of scope.
     """
     z = _check_im(z)
-    coeff = _density_coefficients(density)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_clearance(mesh, points)
     nodes, weights = panel_quadrature(mesh)
@@ -515,15 +452,15 @@ def eval_single_layer_potential(mesh: SurfaceMesh,
         vals *= flat_w
         # an elementwise row sum: a matrix-vector product would sum a row
         # in an order that depends on how many rows the chunk holds
-        out[rows] = (_panel_sum(vals) * coeff).sum(axis=1)
+        out[rows] = (_panel_sum(vals) * density).sum(axis=1)
     return out
 
 
-def single_layer_monopole(mesh: SurfaceMesh,
-                          density: BoundaryDensity | np.ndarray,
+def single_layer_monopole(mesh: SurfaceMesh, density: np.ndarray,
                           z: complex, center: np.ndarray) -> complex:
-    """The l = 0 coefficient A of the single-layer potential about
-    ``center``: SL_z[q](x) = A G_z(x - center) + (terms of order l >= 1)
+    """The l = 0 coefficient A about ``center`` of the single-layer
+    potential of a density q (per-panel coefficients):
+    SL_z[q](x) = A G_z(x - center) + (terms of order l >= 1)
     wherever |x - center| exceeds |y - center| for every y on the mesh.
 
     The l = 0 term of G_z(x - y) about the center is
@@ -533,18 +470,7 @@ def single_layer_monopole(mesh: SurfaceMesh,
     """
     nodes, weights = panel_quadrature(mesh)
     zr = _check_im(z) * np.linalg.norm(nodes - center, axis=2)
-    return complex(np.sum(np.sinc(zr / np.pi) * weights, axis=1)
-                   @ _density_coefficients(density))
-
-
-def _density_coefficients(density: BoundaryDensity | np.ndarray) -> np.ndarray:
-    """Per-panel coefficients of a single layer's density."""
-    if not isinstance(density, BoundaryDensity):
-        return np.asarray(density)
-    if density.space != DENSITY:
-        raise SpaceTagError("single-layer potential expects an "
-                            f"{DENSITY} density, got {density.space}")
-    return density.values
+    return complex(np.sum(np.sinc(zr / np.pi) * weights, axis=1) @ density)
 
 
 def _check_clearance(mesh: SurfaceMesh, points: np.ndarray) -> None:

@@ -29,8 +29,7 @@ from .boundary_calculus import (NumericalGuardError, SpectralData,
                                 check_eps)
 # assemble_single_layer is not called here; it stays importable from this
 # module because perfbench's tracer test looks it up in every namespace.
-from .layer_ops import (DENSITY, SERIES_MAX_ORDER, TRACE, BoundaryDensity,
-                        BoundaryOperator, SeriesStack, _series_order,
+from .layer_ops import (SERIES_MAX_ORDER, SeriesStack, _series_order,
                         assemble_series_stack, assemble_single_layer,
                         eval_single_layer_potential, single_layer_monopole)
 from .mesh import SurfaceMesh, scale_about, surface_centroid
@@ -231,35 +230,32 @@ def _field_result(problem, points, scattered_at, amplitude, method, spectral):
 # Interaction operator and the two solver routes
 
 
-def interaction_operator(problem: ScatteringProblem,
-                         z: complex) -> BoundaryOperator:
+def interaction_operator(problem: ScatteringProblem, z: complex) -> np.ndarray:
     """Frequency-dependent boundary operator of the resolvent difference:
 
         eps (1 - eps^2) (eps^2 + (1 - eps^2) DN_{eps w} S_{eps z})^{-1} DN_{eps w}
           = eps kappa S_{eps w}^{-1} M^{-1} (1/2 + K_{eps w}),
 
     assembled exactly from the discrete contracted-wavenumber operators
-    (M as in ``boundary_calculus._factor_transmission``).
+    (M as in ``boundary_calculus._factor_transmission``): an (n, n) array
+    on the reference mesh that takes a trace to a charge, a density.
     """
     f = _contrast_factors(problem.mesh, problem.eps, problem.omega, z)
-    matrix = problem.eps * problem.kappa * f.solve(f.half_k)
-    return BoundaryOperator(matrix, domain=TRACE, codomain=DENSITY,
-                            wavenumber=complex(z), label="Lambda")
+    return problem.eps * problem.kappa * f.solve(f.half_k)
 
 
 def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
                    stack: SeriesStack | None = None) -> tuple:
-    """The reference-mesh charge Lambda_z trace, where trace is ``incident``
-    at the images of the panel centroids and Lambda_z is the interaction
-    operator, and u_sc = -(1/eps) SL_{eps z}[charge] o contract as a
+    """The reference-mesh charge Lambda_z trace, a density, where trace is
+    ``incident`` at the images of the panel centroids and Lambda_z is the
+    interaction operator, and u_sc = -(1/eps) SL_{eps z}[charge] o contract as a
     function of physical points.  The factors are released on return; S
     and K come from a series ``stack`` of the reference mesh where it
     reaches (``boundary_calculus._dn_factors``)."""
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
     f = _contrast_factors(mesh, eps, problem.omega, z, stack)
-    charge = BoundaryDensity(eps * problem.kappa * f.solve(f.half_k @ trace),
-                             space=DENSITY)
+    charge = eps * problem.kappa * f.solve(f.half_k @ trace)
     return charge, lambda pts: -eval_single_layer_potential(
         mesh, charge, eps * z, problem.contract(pts)) / eps
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from bubblebem import boundary_calculus as bc
 from bubblebem import scattering as sc
 from bubblebem.boundary_calculus import spectral_data
 from bubblebem.cli import (EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
@@ -256,9 +257,16 @@ def test_usage_errors(tmp_path):
     ("verify", ["--point-source=0,0,0"]),
     ("solve", ["--guard-constant=-1"]),
     ("sweep", ["--omega-grid", "1.5:1.9:0.1", "--guard-constant=nan"]),
+    ("sweep", ["--omega-grid", "2.0:1.5:-0.1"]),
+    ("sweep", ["--omega-grid", "1.5:2.0:-0.1"]),
 ])
 def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                              command, bad):
+    # every command rejects its input before any solve
+    def no_solve(mesh):
+        raise AssertionError("spectral data computed before the input check")
+
+    monkeypatch.setattr(bc, "spectral_data", no_solve)
     monkeypatch.chdir(tmp_path)
     save_off(make_icosphere(1.0, 0), "m.off")
     if bad[0:1] == ["--config"]:

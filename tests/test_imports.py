@@ -1,0 +1,36 @@
+import ast
+import glob
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "bubblebem")
+MODULES = sorted(os.path.basename(path)[:-3]
+                 for path in glob.glob(os.path.join(SRC, "*.py"))
+                 if not path.endswith("__init__.py"))
+
+# imported but not called: perfbench's tracer test looks the name up in
+# every namespace that holds it
+KEPT = {("scattering", "assemble_single_layer")}
+
+
+def unused_imports(module: str) -> list[str]:
+    """Names a module imports and never reads."""
+    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported
+                  if name not in used and (module, name) not in KEPT)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    assert unused_imports(module) == []

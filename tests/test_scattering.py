@@ -12,9 +12,8 @@ from bubblebem.boundary_calculus import (NumericalGuardError,
                                          dirichlet_to_neumann,
                                          expansion_residual,
                                          k2_resonance_frequency, spectral_data)
-from bubblebem.layer_ops import (DENSITY, TRACE, BoundaryDensity,
-                                 assemble_double_layer, assemble_series_stack,
-                                 assemble_single_layer,
+from bubblebem.layer_ops import (assemble_double_layer, assemble_layer_pair,
+                                 assemble_series_stack, assemble_single_layer,
                                  eval_single_layer_potential)
 from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
 from bubblebem.mie import mie_monopole_amplitude, mie_solve
@@ -42,9 +41,20 @@ def make_problem(mesh, eps, omega, direction=(0, 0, 1), **kw):
 # interaction operator
 
 
-def test_interaction_operator_tags(sphere2):
-    lam = interaction_operator(make_problem(sphere2, 0.05, 1.0), 0.7)
-    assert lam.domain == TRACE and lam.codomain == DENSITY
+@pytest.mark.parametrize("z", [0.0, 1.6, 0.2 + 0.1j])
+def test_boundary_operators_are_plain_arrays(z):
+    # float64 at z = 0, where both kernels are real, complex otherwise; the
+    # interaction operator's contracted frequency eps * omega is never 0
+    mesh = make_icosphere(1.0, 1)
+    n = mesh.n_panels
+    dtype = np.float64 if z == 0 else np.complex128
+    for op in (assemble_single_layer(mesh, z), assemble_double_layer(mesh, z),
+               *assemble_layer_pair(mesh, z), dirichlet_to_neumann(mesh, z)):
+        assert type(op) is np.ndarray
+        assert (op.dtype, op.shape) == (dtype, (n, n))
+    lam = interaction_operator(make_problem(mesh, 0.05, 1.5), z)
+    assert type(lam) is np.ndarray
+    assert (lam.dtype, lam.shape) == (np.complex128, (n, n))
 
 
 def test_interaction_scaling_off_resonance(sphere2, spectral2):
@@ -52,7 +62,7 @@ def test_interaction_scaling_off_resonance(sphere2, spectral2):
     eps_list = (0.04, 0.02, 0.01)
     for eps in eps_list:
         lam = interaction_operator(make_problem(sphere2, eps, 1.0), 0.7)
-        v = lam.matrix @ np.ones(sphere2.n_panels)
+        v = lam @ np.ones(sphere2.n_panels)
         norms.append(np.sqrt(np.sum(np.abs(v) ** 2 * sphere2.areas)))
     power = np.polyfit(np.log(eps_list), np.log(norms), 1)[0]
     assert abs(power - 1.0) <= 0.15
@@ -64,7 +74,7 @@ def test_interaction_scaling_at_resonance(sphere2, spectral2):
     eps_list = (0.04, 0.02, 0.01)
     for eps in eps_list:
         lam = interaction_operator(make_problem(sphere2, eps, what), 0.7)
-        v = lam.matrix @ np.ones(sphere2.n_panels)
+        v = lam @ np.ones(sphere2.n_panels)
         norms.append(np.sqrt(np.sum(np.abs(v) ** 2 * sphere2.areas)))
     power = np.polyfit(np.log(eps_list), np.log(norms), 1)[0]
     assert abs(power) <= 0.15
@@ -73,7 +83,7 @@ def test_interaction_scaling_at_resonance(sphere2, spectral2):
 def test_interaction_continuous_in_z(sphere2):
     problem = make_problem(sphere2, 0.05, 1.0)
     zs = np.linspace(0.1, 1.0, 10)
-    samples = [interaction_operator(problem, z).matrix[::97, ::101]
+    samples = [interaction_operator(problem, z)[::97, ::101]
                for z in zs]
     steps = [np.abs(samples[i + 1] - samples[i]).max()
              for i in range(len(zs) - 1)]
@@ -138,9 +148,9 @@ def test_reciprocity_on_the_sphere(sphere2, spectral2):
 
 def explicit_core_solve(mesh, w, z, shift, weight, rhs):
     """(shift + weight DN_w S_z)^{-1} DN_w rhs with DN_w formed as a matrix."""
-    dn = dirichlet_to_neumann(mesh, w).matrix
+    dn = dirichlet_to_neumann(mesh, w)
     core = shift * np.eye(mesh.n_panels) \
-        + weight * (dn @ assemble_single_layer(mesh, z).matrix)
+        + weight * (dn @ assemble_single_layer(mesh, z))
     return np.linalg.solve(core, dn @ rhs)
 
 
@@ -156,7 +166,7 @@ def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
     kappa = eps ** -2 - 1.0
     problem = make_problem(mesh, eps, omega)
     for z in (omega, 0.7, 1j):
-        lam = interaction_operator(problem, z).matrix
+        lam = interaction_operator(problem, z)
         reference = eps * (1 - eps ** 2) * explicit_core_solve(
             mesh, eps * omega, eps * z, eps ** 2, 1 - eps ** 2,
             np.eye(mesh.n_panels))
@@ -166,7 +176,7 @@ def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
     charge = eps * (1 - eps ** 2) * explicit_core_solve(
         mesh, eps * omega, eps * omega, eps ** 2, 1 - eps ** 2, trace)
     reference = -eval_single_layer_potential(
-        mesh, BoundaryDensity(charge), eps * omega, problem.contract(OBS)) / eps
+        mesh, charge, eps * omega, problem.contract(OBS)) / eps
     dilated = scattered_field_dilated(problem, OBS)
     assert rel_gap(dilated.scattered, reference) <= 1e-10
 
@@ -174,7 +184,7 @@ def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
     trace = problem.incident.evaluate(scaled.centroids, omega)
     flux = explicit_core_solve(scaled, omega, omega, 1.0, kappa, trace)
     reference = -kappa * eval_single_layer_potential(
-        scaled, BoundaryDensity(flux), omega, OBS)
+        scaled, flux, omega, OBS)
     direct = scattered_field_direct(problem, OBS)
     assert rel_gap(direct.scattered, reference) <= 1e-10
 
@@ -358,8 +368,8 @@ def test_dn_factors_read_the_stack_only_where_it_reaches():
     assert stack.reaches(near) and not stack.reaches(far)
     for w, s_ref, k_ref in (
             (near, stack.single_layer(near), stack.double_layer(near)),
-            (far, assemble_single_layer(SUB1, far).matrix,
-             assemble_double_layer(SUB1, far).matrix)):
+            (far, assemble_single_layer(SUB1, far),
+             assemble_double_layer(SUB1, far))):
         s, half_k, _ = boundary_calculus._dn_factors(SUB1, w, stack)
         k_ref.flat[::SUB1.n_panels + 1] += 0.5
         assert np.array_equal(s, s_ref) and np.array_equal(half_k, k_ref)
