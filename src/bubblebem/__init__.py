@@ -5,10 +5,9 @@ expansions, full finite-contrast scattered fields, closed-form asymptotic
 amplitudes, and the point-interaction resolvent limit."""
 
 from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
-                                SpectralData, dirichlet_to_neumann,
-                                expansion_residual, k2_resonance_frequency,
-                                s0_inner, s0_operator_norm, schur_blocks,
-                                spectral_data)
+                                SpectralData, expansion_residual,
+                                k2_resonance_frequency, s0_operator_norm,
+                                schur_blocks, spectral_data)
 from .layer_ops import (SeriesStack, assemble_double_layer,
                         assemble_layer_pair, assemble_series_stack,
                         assemble_single_layer, eval_single_layer_potential,
@@ -23,9 +22,8 @@ from .scattering import (METHODS, FieldResult, FitError, PeakFit, PlaneWave,
                          SweepRow, far_field_points, frequency_sweep,
                          green_function, interaction_operator,
                          lorentzian_halfwidth, point_perturbation_kernel,
-                         radiation_defect, resolvent_correction_kernel,
-                         resonance_peak, scattered_field,
-                         scattered_field_dilated, scattered_field_direct,
-                         transmission_residual)
+                         resolvent_correction_kernel, resonance_peak,
+                         scattered_field, scattered_field_dilated,
+                         scattered_field_direct)
 
 __version__ = "0.1.0"

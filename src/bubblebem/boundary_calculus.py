@@ -1,9 +1,9 @@
 """Derived boundary objects: the per-mesh spectral data (the real static
 single layer S_0 and its LU, equilibrium density, capacitance, Minnaert
-frequency and the series averages <K_(2)>, <K_(3)>), the
-Dirichlet-to-Neumann map, the guarded factors of S and of the contrast
-matrix M that every solver uses, and the two-block decomposition of the
-contrast operator family with its small-scale expansions.
+frequency and the series averages <K_(2)>, <K_(3)>), the guarded factors
+of S and of the contrast matrix M that every solver uses in place of the
+Dirichlet-to-Neumann map S^{-1}(1/2 + K), and the two-block decomposition
+of the contrast operator family with its small-scale expansions.
 
 All operator-norm statements are evaluated in the norm induced by the
 discrete S_0^{-1} inner product, in which the projector onto constants is
@@ -138,14 +138,6 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
     )
 
 
-def s0_inner(spectral: SpectralData, phi: np.ndarray,
-             psi: np.ndarray) -> complex:
-    """Inner product <S_0^{-1} phi, psi> of two traces (conjugate-linear
-    in phi)."""
-    solved = lu_solve(spectral.s0_lu, phi)
-    return complex(np.conj(solved) @ (spectral.mesh.areas * psi))
-
-
 def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
     """Operator norm on the trace space metrized by the S_0^{-1} product."""
     ell = spectral.gram_cholesky()
@@ -155,48 +147,13 @@ def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Dirichlet-to-Neumann map and the transmission factors
-
-
-def _dn_factors(mesh: SurfaceMesh, w: complex,
-                stack: SeriesStack | None = None) -> tuple:
-    """S_w, 1/2 + K_w and the guarded LU of S_w: the factors of
-    DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
-    reaches w, S_w and K_w are its Horner sums; everywhere else they are
-    assembled exactly.  This is the one place that choice is made."""
-    if stack is not None and stack.reaches(w):
-        s, half_k = stack.single_layer(w), stack.double_layer(w)
-    else:
-        # one kernel pass for both: it holds the two n x n results and one
-        # chunk's temporaries (63.4 MiB traced at n = 1280)
-        s, half_k = assemble_layer_pair(mesh, w)
-    half_k.flat[::mesh.n_panels + 1] += 0.5
-    s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
-    return s, half_k, s_lu
-
-
-def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> np.ndarray:
-    """Interior Dirichlet-to-Neumann map S_z^{-1}(1/2 + K_z): an (n, n)
-    array that takes a trace to its flux, a density.
-
-    Well-posed away from interior Dirichlet eigenvalues.  S_z is factored
-    under the generic condition guard, which trips only when S_z is
-    numerically singular (estimate above CONDITION_LIMIT); it does not
-    detect nearness to an eigenvalue.  On the unit sphere at subdivision 2
-    the largest condition estimate of S_z near z = pi is about 5.6e3.
-
-    The solvers never form this matrix: they factor S and the contrast
-    matrix instead (see ``_factor_transmission``).
-    """
-    _, half_k, s_lu = _dn_factors(mesh, z)
-    return lu_solve(s_lu, half_k)
+# The transmission factors
 
 
 class TransmissionFactors(NamedTuple):
-    """S_w, 1/2 + K_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} with the
+    """1/2 + K_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} with the
     guarded LU factors of S_w and of M (``_factor_transmission``)."""
 
-    s: np.ndarray
     half_k: np.ndarray
     s_lu: tuple
     m: np.ndarray
@@ -211,10 +168,13 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
                          kappa: float,
                          stack: SeriesStack | None = None) -> TransmissionFactors:
     """Factor S_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} on ``mesh``,
-    each under the condition guard, without forming DN_w.  S_w and K_w come
-    from a series ``stack`` of ``mesh`` where it reaches w (``_dn_factors``).
+    each under the condition guard, without forming the Dirichlet-to-Neumann
+    map DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
+    reaches w, S_w and K_w are its Horner sums; everywhere else they are
+    assembled exactly.  This is the one place that choice is made.  S_w
+    itself is released as soon as its LU exists.
 
-    Since DN_w = S_w^{-1}(1/2 + K_w), S_w^{-1} M S_w = I + kappa DN_w S_z and
+    Since S_w^{-1} M S_w = I + kappa DN_w S_z,
 
         (I + kappa DN_w S_z)^{-1} DN_w = S_w^{-1} M^{-1} (1/2 + K_w).
 
@@ -222,7 +182,15 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     This is the only place M is formed: the solvers, ``schur_blocks`` and
     ``expansion_residual`` all read it from here.
     """
-    s, half_k, s_lu = _dn_factors(mesh, w, stack)
+    if stack is not None and stack.reaches(w):
+        s, half_k = stack.single_layer(w), stack.double_layer(w)
+    else:
+        # one kernel pass for both: it holds the two n x n results and one
+        # chunk's temporaries (63.4 MiB traced at n = 1280)
+        s, half_k = assemble_layer_pair(mesh, w)
+    half_k.flat[::mesh.n_panels + 1] += 0.5
+    s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
+    del s   # only its LU is read from here on
     coupling = half_k
     if z != w:
         s_z = assemble_single_layer(mesh, z)
@@ -231,7 +199,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     m.flat[::mesh.n_panels + 1] += 1.0
     m_lu = _guarded_lu(m, f"contrast matrix M at wavenumber {w:.6g}, "
                           f"spectral parameter {z:.6g}")
-    return TransmissionFactors(s, half_k, s_lu, m, m_lu)
+    return TransmissionFactors(half_k, s_lu, m, m_lu)
 
 
 # ----------------------------------------------------------------------------
@@ -270,11 +238,16 @@ class SchurBlocks:
 
 def k2_resonance_frequency(spectral: SpectralData) -> float:
     """Frequency where the discrete quadratic coefficient 1 + w^2 <K_(2)>
-    vanishes.
+    vanishes: the zero of the constants block's quadratic coefficient.
 
-    This is the resonance of the assembled operator family; it matches the
-    Minnaert frequency sqrt(capacitance/volume) up to discretization error
-    and is the right center for expansion-order studies on a fixed mesh.
+    It matches the Minnaert frequency sqrt(capacitance/volume) up to
+    discretization error.  It is not the resonance of the assembled
+    operator family on every mesh: it leaves out the coupling
+    M_01 M_11^{-1} M_10 of the constants to the mean-free block, which
+    shifts the eps^0 coefficient of the constants Schur complement.  On a
+    sphere that coupling nearly vanishes by symmetry and the two agree
+    closely; on other shapes they differ at discretization order, enough
+    that the resonant expansion residual centred here loses its rate.
     """
     mean = spectral.k2_average()
     if mean >= 0:

@@ -29,7 +29,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import boundary_calculus as bc
 from . import scattering as sc
-from .layer_ops import assemble_double_layer
+from .layer_ops import _check_clearance, assemble_double_layer
 from .mesh import MeshError, load_mesh, make_ellipsoid, make_icosphere
 
 EXIT_OK = 0
@@ -47,6 +47,7 @@ EXIT_VERIFY = 3
 
 OUTDIR_ENV = "BUBBLEBEM_OUTDIR"
 
+# the fixed acceptance windows of ``verify``
 DEFAULT_TOLERANCES = {
     "gauss": 1e-12,
     "coefficient_identity": 0.02,
@@ -70,8 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Everything one command needs: one field per row of ``_SETTINGS``
-    plus the verify tolerances."""
+    """Everything one command needs: one field per row of ``_SETTINGS``."""
 
     mesh_path: str | None = None
     icosphere: tuple[float, int] | None = None
@@ -85,7 +85,6 @@ class RunConfig:
     method: str = "dilated"
     output_dir: str = "."
     guard_constant: float = 1.0
-    tolerances: dict = field(default_factory=dict)
 
     def validate(self, need_omega: bool) -> None:
         if need_omega:
@@ -100,10 +99,6 @@ class RunConfig:
         if self.method not in sc.METHODS:
             raise UsageError(f"unknown method {self.method!r}; choose from "
                              f"{', '.join(sc.METHODS)}")
-        for name, value in self.tolerances.items():
-            if value <= 0:
-                raise UsageError(f"tolerance {name} must be positive, "
-                                 f"got {value}")
 
     def build_mesh(self):
         if self.mesh_path is not None:
@@ -119,9 +114,6 @@ class RunConfig:
             return sc.PointSource(np.asarray(self.point_source))
         direction = self.plane_wave if self.plane_wave else (0.0, 0.0, 1.0)
         return sc.PlaneWave(np.asarray(direction))
-
-    def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def echo(self) -> dict:
         """The settings that identify a run: every field but output_dir."""
@@ -227,19 +219,22 @@ def _apply(cfg: RunConfig, given: list) -> None:
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults (with $BUBBLEBEM_OUTDIR as the default output directory),
-    then the config file at ``path``, then the flags."""
+    then the config file at ``path``, then the flags.  A config key that no
+    row of ``_SETTINGS`` declares is a usage error."""
     cfg = RunConfig(output_dir=os.environ.get(OUTDIR_ENV) or ".")
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         if not parser.read(path):
             raise UsageError(f"config file {path!r} not found")
+        known = {(s.section, s.key) for s in _SETTINGS}
+        # [DEFAULT] comes first and declares no setting, so a key there
+        # fails before it shows up in every other section
+        for section in parser:
+            for key in parser[section]:
+                if (section, key) not in known:
+                    raise UsageError(f"unknown config key [{section}] {key}")
         _apply(cfg, [(s, f"[{s.section}] {s.key}", parser.get(s.section, s.key))
                      for s in _SETTINGS if parser.has_option(s.section, s.key)])
-        if parser.has_section("tolerances"):
-            for key, value in parser["tolerances"].items():
-                if key not in DEFAULT_TOLERANCES:
-                    raise UsageError(f"unknown tolerance {key!r}")
-                cfg.tolerances[key] = _parse_float(value)
     _apply(cfg, [(s, s.flag, getattr(args, s.attr)) for s in _SETTINGS
                  if getattr(args, s.attr) is not None])
     return cfg
@@ -467,6 +462,16 @@ def verification_checks(cfg: RunConfig):
     # eps-dependent point-source check too
     offres = [_make_problem(cfg, mesh, 1.0, eps=eps, y0=center,
                             validity_threshold=np.inf) for eps in eps_list]
+    # the kernel samples x, y must clear the contracted mesh at every eps
+    # and differ from the center, the point-interaction kernel's rule
+    try:
+        sc.point_perturbation_kernel(1j, center, x, y)
+        for prob in offres:
+            _check_clearance(mesh, prob.contract(np.stack([x, y])))
+    except ValueError as exc:
+        raise UsageError(f"center {center.tolist()} breaks the kernel "
+                         f"samples x = {x.tolist()}, y = {y.tolist()}: "
+                         f"{exc}") from None
     spectral = bc.spectral_data(mesh)
 
     k0 = assemble_double_layer(mesh, 0.0)
@@ -479,13 +484,14 @@ def verification_checks(cfg: RunConfig):
                    for w in (0.5, 1.0, 2.0))
     cubic_err = abs(k3 + 1j * mesh.volume / (4 * np.pi)) \
         / (mesh.volume / (4 * np.pi))
-    tol = cfg.tolerance("coefficient_identity")
-    checks = [("gauss_identity", gauss, -math.inf, cfg.tolerance("gauss"), True),
+    tol = DEFAULT_TOLERANCES["coefficient_identity"]
+    checks = [("gauss_identity", gauss, -math.inf, DEFAULT_TOLERANCES["gauss"],
+               True),
               ("quadratic_coefficient_identity", quad_err, -math.inf, tol, True),
               ("cubic_coefficient_identity", cubic_err, -math.inf, tol, True)]
 
-    lo = cfg.tolerance("expansion_ratio_low")
-    hi = cfg.tolerance("expansion_ratio_high")
+    lo = DEFAULT_TOLERANCES["expansion_ratio_low"]
+    hi = DEFAULT_TOLERANCES["expansion_ratio_high"]
     what = bc.k2_resonance_frequency(spectral)
     for name, omega in (("offres_expansion_ratio", 1.0),
                         ("res_expansion_ratio", what)):
@@ -498,7 +504,7 @@ def verification_checks(cfg: RunConfig):
             * sc.green_function(1j, (y - center)[None, :])[0])
     res = [_make_problem(cfg, mesh, what, eps=eps, y0=center,
                          validity_threshold=np.inf) for eps in eps_list]
-    window = cfg.tolerance("kernel_rate_window")
+    window = DEFAULT_TOLERANCES["kernel_rate_window"]
     for name, problems, target, expected, gated in (
             ("krein_kernel_offres_rate", offres, 0.0, 1.0, True),
             ("krein_kernel_res_rate", res, glim, 0.5, False)):

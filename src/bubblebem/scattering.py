@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_solve
 from scipy.optimize import curve_fit
 
 from .boundary_calculus import (NumericalGuardError, SpectralData,
@@ -251,7 +250,7 @@ def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
     interaction operator, and u_sc = -(1/eps) SL_{eps z}[charge] o contract as a
     function of physical points.  The factors are released on return; S
     and K come from a series ``stack`` of the reference mesh where it
-    reaches (``boundary_calculus._dn_factors``)."""
+    reaches (``boundary_calculus._factor_transmission``)."""
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
     f = _contrast_factors(mesh, eps, problem.omega, z, stack)
@@ -310,16 +309,6 @@ def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
                                                          pts),
         -kappa * single_layer_monopole(scaled, flux, omega, problem.y0),
         "direct", spectral)
-
-
-def transmission_residual(problem: ScatteringProblem) -> float:
-    """Interface-condition check of the direct solve: the computed flux must
-    equal DN applied to the total boundary trace (relative residual), with
-    DN applied through the LU of S."""
-    _, trace, f, flux = _direct_solve(problem)
-    dn_total = lu_solve(f.s_lu,
-                        f.half_k @ (trace - problem.kappa * (f.s @ flux)))
-    return float(np.linalg.norm(dn_total - flux) / np.linalg.norm(flux))
 
 
 # ----------------------------------------------------------------------------
@@ -387,21 +376,6 @@ def lorentzian_halfwidth(eps: float, spectral: SpectralData) -> float:
     """Half-width in omega^2 of the uniform amplitude at resonance:
     eps * omega_M^3 * capacitance / 4 pi."""
     return eps * spectral.minnaert_omega ** 3 * spectral.capacitance / (4 * np.pi)
-
-
-def radiation_defect(problem: ScatteringProblem, step: float = 1e-4) -> float:
-    """Discrete outgoing-wave check on the fit sphere (dilated solve).
-
-    Returns max |d u_sc/dr - i omega u_sc| * r / max|u_sc|; an exact outgoing
-    monopole gives 1, an incoming wave gives O(omega r) >> 1.
-    """
-    pts, radius = far_field_points(problem)
-    rays = (pts - problem.y0) / radius
-    fld = scattered_field_dilated(problem, np.vstack([pts, pts + step * rays]))
-    n = len(pts)
-    du = (fld.scattered[n:] - fld.scattered[:n]) / step
-    defect = np.abs(du - 1j * problem.omega * fld.scattered[:n])
-    return float(defect.max() * radius / np.abs(fld.scattered[:n]).max())
 
 
 # ----------------------------------------------------------------------------

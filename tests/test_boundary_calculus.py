@@ -1,8 +1,9 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +13,14 @@ from bubblebem import layer_ops
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          _contrast_factors,
                                          _factor_transmission, _guarded_lu,
-                                         check_eps, dirichlet_to_neumann,
-                                         expansion_residual,
-                                         k2_resonance_frequency, s0_inner,
+                                         check_eps, expansion_residual,
+                                         k2_resonance_frequency,
                                          s0_operator_norm, schur_blocks,
                                          spectral_data)
 from bubblebem.layer_ops import (assemble_double_layer, assemble_series_stack,
                                  assemble_single_layer)
 from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
+from reference import dirichlet_to_neumann, s0_inner
 
 
 # ----------------------------------------------------------------------------
@@ -171,7 +172,8 @@ def test_guarded_lu_rejects_nonfinite_entries():
 
 def test_transmission_factors_share_one_kernel_pass(monkeypatch):
     # S_w and K_w come from one pass: one e^{iwr} per chunk, not one per
-    # operator, and the factors are the separately assembled operators
+    # operator, and the factors are those of the separately assembled
+    # operators
     mesh = make_icosphere(1.0, 1)
     rows = 7
     monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", rows * 6 * mesh.n_panels)
@@ -189,8 +191,27 @@ def test_transmission_factors_share_one_kernel_pass(monkeypatch):
     assert sum(calls) == mesh.n_panels
     half_k = assemble_double_layer(mesh, w)
     half_k.flat[::mesh.n_panels + 1] += 0.5
-    assert factors.s.tobytes() == assemble_single_layer(mesh, w).tobytes()
+    s_lu = lu_factor(assemble_single_layer(mesh, w))
+    assert [a.tobytes() for a in factors.s_lu] == [a.tobytes() for a in s_lu]
     assert factors.half_k.tobytes() == half_k.tobytes()
+
+
+def test_transmission_factors_release_s(monkeypatch):
+    # only the LU of S_w is kept: S_w itself is freed before the factors
+    # are returned
+    refs = []
+    original = boundary_calculus.assemble_layer_pair
+
+    def recorded(mesh, z):
+        s, half_k = original(mesh, z)
+        refs.append(weakref.ref(s))
+        return s, half_k
+
+    monkeypatch.setattr(boundary_calculus, "assemble_layer_pair", recorded)
+    factors = _factor_transmission(make_icosphere(1.0, 1), 1.6, 1.6, 0.5)
+    # the factors are alive here and hold no reference to S
+    assert len(refs) == 1 and refs[0]() is None
+    del factors
 
 
 # ----------------------------------------------------------------------------

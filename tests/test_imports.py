@@ -4,11 +4,13 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "bubblebem")
-MODULES = sorted(os.path.basename(path)[:-3]
-                 for path in glob.glob(os.path.join(SRC, "*.py"))
-                 if not path.endswith("__init__.py"))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "bubblebem")
+# module name -> path: the package modules but __init__, and every test file
+FILES = {os.path.basename(path)[:-3]: path
+         for folder in (SRC, TESTS)
+         for path in sorted(glob.glob(os.path.join(folder, "*.py")))
+         if not path.endswith("__init__.py")}
 
 # imported but not called: perfbench's tracer test looks the name up in
 # every namespace that holds it
@@ -17,7 +19,7 @@ KEPT = {("scattering", "assemble_single_layer")}
 
 def unused_imports(module: str) -> list[str]:
     """Names a module imports and never reads."""
-    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as fh:
+    with open(FILES[module], encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     imported = set()
     for node in ast.walk(tree):
@@ -31,6 +33,6 @@ def unused_imports(module: str) -> list[str]:
                   if name not in used and (module, name) not in KEPT)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(FILES))
 def test_every_import_is_used(module):
     assert unused_imports(module) == []

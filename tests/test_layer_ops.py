@@ -246,7 +246,7 @@ def test_series_k2_ball_identity(sphere3):
 
 
 def test_series_k3_volume_identity(sphere2, spectral2):
-    from bubblebem.boundary_calculus import s0_inner
+    from reference import s0_inner
     k3 = series_coefficients(sphere2, 3)[1][3]
     one = np.ones(sphere2.n_panels)
     value = s0_inner(spectral2, one, k3 @ one)
