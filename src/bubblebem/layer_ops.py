@@ -14,13 +14,23 @@ function's docstring says whether it takes a trace (Dirichlet data) or a
 density (single-layer charge, flux).
 
 Every kernel runs the same pass, ``_row_chunks``: observation points in
-chunks of about ``_CHUNK_PAIRS`` (point, node) pairs against all quadrature
-nodes, so memory stays O(_CHUNK_PAIRS) whatever the mesh size;
-``_panel_sum`` folds each panel's 6 node values.  The pass works on the
-three coordinate planes of one displacement block, and ``_expi`` evaluates
-e^{izr} by real trigonometry for real z; both give the same bits as the
-direct formulation (3-vector norms, ``np.einsum``, ``np.exp``), and the
-chunk size changes no matrix entry.
+chunks against all quadrature nodes, each chunk handed to a chunk body;
+``_panel_sum`` folds each panel's 6 node values.  The observation points
+are cut into contiguous row blocks, one per CPU in the process's affinity
+mask but never more than the chunks a serial pass would make.  The calling
+thread runs the first block and a thread per call each other one, and
+every thread is joined before the pass returns.  Each worker chunks at
+``_CHUNK_PAIRS // workers`` (point, node) pairs, so the pairs in flight
+stay at ``_CHUNK_PAIRS`` in total and memory is O(_CHUNK_PAIRS) whatever
+the mesh size.  Chunk bodies write only their own rows and call only
+private helpers and numpy ufuncs, which release the GIL: no BLAS, whose
+threads are set apart, and no public function, which a tracer may wrap.
+The pass works on the three coordinate planes of one displacement block,
+held in one workspace per call that also gives chunk bodies their scratch,
+and ``_expi`` evaluates e^{izr} by real trigonometry for real z; both give
+the same bits as the direct formulation (3-vector norms, ``np.einsum``,
+``np.exp``), and neither the chunk size nor the worker count changes a
+matrix entry or a potential value.
 
 Exact S_z and K_z at one wavenumber take one pass, ``assemble_layer_pair``:
 each chunk computes its distances, ν(y)·(x-y) and e^{izr} once for both
@@ -40,6 +50,8 @@ observation point.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +137,44 @@ def _check_im(z: complex) -> complex:
     return z
 
 
+def _worker_count(chunks: int) -> int:
+    """Workers for a pass that makes ``chunks`` chunks serially: one per CPU
+    in this process's affinity mask (``os.cpu_count()`` on platforms
+    without one), and never more than the chunks."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, chunks)
+
+
 def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
-                normals: np.ndarray | None = None):
+                normals: np.ndarray | None, body) -> None:
     """The one chunked pass of every kernel: targets against all nodes.
 
-    Yields, for each chunk of targets x holding at most ``_CHUNK_PAIRS``
-    (x, y) pairs (at least one row), the row slice, the distances |x-y| to
-    every node y (rows, nodes) and, given the per-panel ``normals``,
-    ν(y)·(x-y).  Each chunk is one (3, rows, nodes) block of coordinate
-    planes, squared in place and summed as (dx² + dy²) + dz², which is the
-    order ``np.add.reduce`` sums a 3-vector in, and freed before the caller
-    allocates.
+    Calls ``body(rows, r, numer, work)`` for each chunk of targets x: the
+    row slice, the distances |x-y| to every node y (rows, nodes), given
+    the per-panel ``normals`` ν(y)·(x-y) (else None), and two spare
+    (rows, nodes) float planes the body may overwrite (``_work_complex``
+    views them as one complex array).  Each chunk is one (3, rows, nodes)
+    block of coordinate planes, squared in place and summed into its first
+    plane as (dx² + dy²) + dz², the order ``np.add.reduce`` sums a 3-vector
+    in; that plane is r, the other two are ``work``.
+
+    The targets are cut into contiguous row blocks, one per worker: as
+    many as ``_worker_count`` allows for the chunks a serial pass of
+    ``_CHUNK_PAIRS`` pairs per chunk makes, so a pass of one chunk starts
+    no thread.  The calling thread runs block 0 and a ``threading.Thread``
+    per call runs each other block; numpy's ufunc loops release the GIL,
+    so the blocks share the CPUs.  Each worker chunks at
+    ``_CHUNK_PAIRS // workers`` pairs, so the pairs in flight stay at
+    ``_CHUNK_PAIRS`` in total, and the workers' coordinate planes are one
+    workspace allocated once per pass.  A body writes only its own rows of
+    preallocated outputs and calls only private helpers and numpy ufuncs:
+    no BLAS, whose own threads are set apart, and no public function of
+    the package, which a tracer may wrap with one span stack.  Every
+    thread is joined before the pass returns, on error too, and the error
+    of the lowest block is raised.  Each entry's arithmetic is the same
+    whatever the blocks and chunks, so the results are bitwise the same
+    for any worker count.
     """
     # contiguous planes keep every broadcast on unit-stride loops
     node_planes = np.ascontiguousarray(nodes.reshape(-1, 3).T)
@@ -143,36 +182,73 @@ def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
     # np.einsum sums the 3-term dot product in
     nu_planes = (None if normals is None
                  else np.ascontiguousarray(np.repeat(normals, 6, axis=0).T))
-    step = max(1, _CHUNK_PAIRS // node_planes.shape[1])
-    for lo in range(0, len(targets), step):
-        rows = slice(lo, min(lo + step, len(targets)))
-        planes = targets[rows].T[:, :, None] - node_planes[:, None, :]
-        numer = None
-        if nu_planes is not None:
-            numer = planes[0] * nu_planes[0]
-            term = planes[2] * nu_planes[2]
-            numer += term
-            np.multiply(planes[1], nu_planes[1], out=term)
-            numer += term
-            del term
-        np.square(planes, out=planes)
-        r = planes[0] + planes[1]
-        r += planes[2]
-        del planes
-        np.sqrt(r, out=r)
-        yield rows, r, numer
-        # a caller that drops its references frees this chunk before the
-        # next one is computed
-        del r, numer
+    n_rows, n_nodes = len(targets), node_planes.shape[1]
+    serial_step = max(1, _CHUNK_PAIRS // n_nodes)
+    workers = max(1, _worker_count(-(-n_rows // serial_step)))
+    step = max(1, _CHUNK_PAIRS // workers // n_nodes)
+    # np.array_split's blocks: the first n_rows % workers hold one more row
+    base, extra = divmod(n_rows, workers)
+    starts = [b * base + min(b, extra) for b in range(workers + 1)]
+    # three planes per worker chunk, allocated once for the whole pass
+    span = min(step, starts[1])
+    workspace = np.empty((workers, 3 * span * n_nodes))
+    errors = [None] * workers
+
+    def run_block(b: int) -> None:
+        try:
+            for lo in range(starts[b], starts[b + 1], step):
+                rows = slice(lo, min(lo + step, starts[b + 1]))
+                size = (rows.stop - rows.start) * n_nodes
+                planes = workspace[b, :3 * size].reshape(3, -1, n_nodes)
+                np.subtract(targets[rows].T[:, :, None],
+                            node_planes[:, None, :], out=planes)
+                numer = None
+                if nu_planes is not None:
+                    numer = planes[0] * nu_planes[0]
+                    term = planes[2] * nu_planes[2]
+                    numer += term
+                    np.multiply(planes[1], nu_planes[1], out=term)
+                    numer += term
+                    del term
+                np.square(planes, out=planes)
+                r = planes[0]
+                r += planes[1]
+                r += planes[2]
+                np.sqrt(r, out=r)
+                body(rows, r, numer, planes[1:])
+                del numer
+        except BaseException as exc:
+            errors[b] = exc
+
+    threads = []
+    try:
+        for b in range(1, workers):
+            thread = threading.Thread(target=run_block, args=(b,),
+                                      name=f"bubblebem row block {b}")
+            thread.start()
+            threads.append(thread)
+        run_block(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    error = next((exc for exc in errors if exc is not None), None)
+    if error is not None:
+        raise error
 
 
-def _expi(z: complex, r: np.ndarray) -> np.ndarray:
-    """e^{izr} as a new complex array: cos and sin of the real phase for
-    real z, the same bits as ``np.exp(1j * z * r)`` at about half the cost;
-    ``np.exp`` itself for complex z."""
+def _work_complex(work: np.ndarray) -> np.ndarray:
+    """A chunk's two spare planes (2, rows, nodes) as one complex
+    (rows, nodes) array over the same memory."""
+    return work.reshape(-1).view(complex).reshape(work.shape[1:])
+
+
+def _expi(z: complex, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{izr} written into the complex array ``out``: cos and sin of the
+    real phase for real z, the same bits as ``np.exp(1j * z * r)`` at about
+    half the cost; ``np.exp`` itself for complex z."""
     if z.imag != 0:
-        return np.exp(1j * z * r)
-    out = np.empty(r.shape, dtype=complex)
+        np.multiply(1j * z, r, out=out)
+        return np.exp(out, out=out)
     phase = z.real * r
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
@@ -236,9 +312,9 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
     s_out = np.empty((n, n), dtype=dtype) if single else None
     k_out = np.empty((n, n), dtype=dtype) if double else None
     static_rowsum = np.empty(n)
-    for rows, r, static in _row_chunks(mesh.centroids, nodes,
-                                       mesh.normals if double else None):
-        vals = e_izr = None
+
+    def body(rows, r, static, work):
+        e_izr = None
         if double:
             # static = ν(y)·(x-y) w / (4π r³), in place of ν(y)·(x-y)
             static /= 4.0 * np.pi * r ** 3
@@ -249,7 +325,7 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
                 # are not bitwise commutative, so (1 - izr) stays the left
                 # factor.  It is formed after e^{izr}, once _expi's real
                 # phase array is freed.
-                e_izr = _expi(z, r)
+                e_izr = _expi(z, r, _work_complex(work))
                 vals = _one_minus_izr(z, r)
                 vals *= e_izr
                 vals *= static
@@ -263,15 +339,16 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
             del block0, block
         if single:
             if use_complex:
-                vals = _expi(z, r) if e_izr is None else e_izr
+                vals = (_expi(z, r, _work_complex(work)) if e_izr is None
+                        else e_izr)
                 vals /= r
             else:
-                vals = 1.0 / r
+                vals = np.divide(1.0, r, out=work[0])
             vals *= flat_w
             s_out[rows] = _panel_sum(vals) / (4.0 * np.pi)
-        # dropped before the next chunk is computed
-        del r, static, vals, e_izr
 
+    _row_chunks(mesh.centroids, nodes, mesh.normals if double else None,
+                body)
     idx = np.arange(n)
     if use_complex:
         diff, rself = _self_offsets(mesh, nodes)
@@ -409,14 +486,16 @@ def assemble_series_stack(mesh: SurfaceMesh, order: int,
     single = [s0] + [np.empty((n, n)) for _ in range(order)]
     double = [np.empty((n, n)) if k != 1 else None for k in range(order + 1)]
     static_rowsum = np.empty(n)
-    for rows, r, numer in _row_chunks(mesh.centroids, nodes, mesh.normals):
-        k_vals = numer / (4.0 * np.pi * r ** 3)
+
+    def body(rows, r, k_vals, work):
+        # ν(y)·(x-y) w / (4π r³), in place of ν(y)·(x-y)
+        k_vals /= 4.0 * np.pi * r ** 3
         k_vals *= flat_w
         block = _panel_sum(k_vals)
         np.fill_diagonal(block[:, rows], 0.0)
         double[0][rows] = block
         static_rowsum[rows] = block.sum(axis=1)
-        s_vals = np.empty_like(r)
+        s_vals = work[0]
         s_vals[:] = flat_w / (4.0 * np.pi)
         for k in range(1, order + 1):
             k_vals *= r
@@ -427,7 +506,8 @@ def assemble_series_stack(mesh: SurfaceMesh, order: int,
                 np.fill_diagonal(block[:, rows], 0.0)
                 double[k][rows] = block
             single[k][rows] = _panel_sum(s_vals) / math.factorial(k)
-        del r, numer, k_vals, s_vals
+
+    _row_chunks(mesh.centroids, nodes, mesh.normals, body)
     double[0][np.arange(n), np.arange(n)] = -0.5 - static_rowsum
     return SeriesStack(single, double, mesh.diameter)
 
@@ -446,13 +526,16 @@ def eval_single_layer_potential(mesh: SurfaceMesh, density: np.ndarray,
     nodes, weights = panel_quadrature(mesh)
     flat_w = weights.reshape(-1)
     out = np.empty(len(points), dtype=complex)
-    for rows, r, _ in _row_chunks(points, nodes):
-        vals = _expi(z, r)
+
+    def body(rows, r, _, work):
+        vals = _expi(z, r, _work_complex(work))
         vals /= 4.0 * np.pi * r
         vals *= flat_w
         # an elementwise row sum: a matrix-vector product would sum a row
         # in an order that depends on how many rows the chunk holds
         out[rows] = (_panel_sum(vals) * density).sum(axis=1)
+
+    _row_chunks(points, nodes, None, body)
     return out
 
 
@@ -475,10 +558,14 @@ def single_layer_monopole(mesh: SurfaceMesh, density: np.ndarray,
 
 def _check_clearance(mesh: SurfaceMesh, points: np.ndarray) -> None:
     clearance = float(mesh.panel_diameters().max())
-    for rows, r, _ in _row_chunks(points, mesh.centroids):
-        d = r.min(axis=1)
-        if np.any(d < clearance):
-            bad = rows.start + int(np.argmin(d))
-            raise ValueError(
-                f"evaluation point {bad} is {d.min():.3g} from the surface, "
-                f"closer than one panel diameter ({clearance:.3g})")
+    gaps = np.empty(len(points))
+
+    def body(rows, r, *_):
+        gaps[rows] = r.min(axis=1)
+
+    _row_chunks(points, mesh.centroids, None, body)
+    if len(gaps) and gaps.min() < clearance:
+        bad = int(np.argmin(gaps))
+        raise ValueError(
+            f"evaluation point {bad} is {gaps[bad]:.3g} from the surface, "
+            f"closer than one panel diameter ({clearance:.3g})")

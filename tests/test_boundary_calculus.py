@@ -171,29 +171,41 @@ def test_guarded_lu_rejects_nonfinite_entries():
 
 
 def test_transmission_factors_share_one_kernel_pass(monkeypatch):
-    # S_w and K_w come from one pass: one e^{iwr} per chunk, not one per
-    # operator, and the factors are those of the separately assembled
-    # operators
+    # S_w and K_w come from one pass: one e^{iwr} per chunk of each row
+    # block, not one per operator, so each row gets exactly one; and the
+    # factors are those of the separately assembled operators
     mesh = make_icosphere(1.0, 1)
-    rows = 7
-    monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", rows * 6 * mesh.n_panels)
-    calls = []
-    original = layer_ops._expi
-
-    def counted(z, r):
-        calls.append(len(r))
-        return original(z, r)
-
-    monkeypatch.setattr(layer_ops, "_expi", counted)
-    w = 1.6
-    factors = _factor_transmission(mesh, w, w, 0.5)
-    assert len(calls) == -(-mesh.n_panels // rows)
-    assert sum(calls) == mesh.n_panels
+    n, rows, w = mesh.n_panels, 7, 1.6
+    monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", rows * 6 * n)
+    nodes, _ = layer_ops.panel_quadrature(mesh)
+    distances = np.linalg.norm(
+        mesh.centroids[:, None, :] - nodes.reshape(-1, 3)[None], axis=2)
     half_k = assemble_double_layer(mesh, w)
     half_k.flat[::mesh.n_panels + 1] += 0.5
     s_lu = lu_factor(assemble_single_layer(mesh, w))
-    assert [a.tobytes() for a in factors.s_lu] == [a.tobytes() for a in s_lu]
-    assert factors.half_k.tobytes() == half_k.tobytes()
+    original = layer_ops._expi
+    calls = []
+
+    def counted(z, r, out):
+        calls.append(r.copy())
+        return original(z, r, out)
+
+    monkeypatch.setattr(layer_ops, "_expi", counted)
+    for workers in (1, 2, 3):
+        calls.clear()
+        monkeypatch.setattr(layer_ops, "_worker_count",
+                            lambda chunks, k=workers: k)
+        factors = _factor_transmission(mesh, w, w, 0.5)
+        chunk_rows = max(1, rows // workers)
+        blocks = np.array_split(np.arange(n), workers)
+        assert len(calls) == sum(-(-len(b) // chunk_rows) for b in blocks)
+        seen = np.concatenate([
+            np.abs(distances[:, None, :] - r[None]).max(axis=2).argmin(axis=0)
+            for r in calls])
+        assert np.array_equal(np.bincount(seen, minlength=n), np.ones(n, int))
+        assert ([a.tobytes() for a in factors.s_lu]
+                == [a.tobytes() for a in s_lu])
+        assert factors.half_k.tobytes() == half_k.tobytes()
 
 
 def test_transmission_factors_release_s(monkeypatch):

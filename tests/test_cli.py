@@ -1,10 +1,15 @@
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblebem import boundary_calculus as bc
+from bubblebem import layer_ops
 from bubblebem import scattering as sc
 from bubblebem.boundary_calculus import spectral_data
 from bubblebem.cli import (EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
@@ -215,6 +220,36 @@ def test_determinism_byte_identical(tmp_path):
                      "--out", str(out)]) == EXIT_OK
     assert (out1 / "fields.csv").read_bytes() == (out2 / "fields.csv").read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(mesh=st.sampled_from([("--icosphere", "1.0,1"),
+                             ("--ellipsoid", "1,1.3,1.7,1")]),
+       eps=st.floats(0.01, 0.1), omega=st.floats(0.5, 2.5),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda d: np.linalg.norm(d) > 0.1),
+       method=st.sampled_from(sc.METHODS))
+def test_solve_bytes_independent_of_worker_count(mesh, eps, omega, direction,
+                                                 method):
+    # the kernel pass's row blocks change no byte of a solve's CSVs: one
+    # worker, two workers and a repeat of two, with chunks small enough
+    # that every sub-1 pass makes several
+    argv = ["solve", *mesh, "--eps", repr(eps), "--omega", repr(omega),
+            "--plane-wave=" + ",".join(map(repr, direction)),
+            "--method", method]
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() \
+            as mp:
+        # 7 rows per chunk of a sub-1 mesh: 80 panels, 6 nodes each
+        mp.setattr(layer_ops, "_CHUNK_PAIRS", 7 * 6 * 80)
+        for k, workers in enumerate((1, 2, 2)):
+            mp.setattr(layer_ops, "_worker_count",
+                       lambda chunks, workers=workers: workers)
+            out = os.path.join(tmp, str(k))
+            assert main([*argv, "--out", out]) == EXIT_OK
+            outputs.append([pathlib.Path(out, name).read_bytes()
+                            for name in ("fields.csv", "summary.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_usage_errors(tmp_path):

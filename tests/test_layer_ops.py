@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -479,6 +481,104 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
         assert got.tobytes() == expected.tobytes()
     for expected, got in zip(default_potentials, potentials(), strict=True):
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_assembly_independent_of_worker_count(monkeypatch, workers):
+    # the row blocks share the work only; the results must not depend on
+    # how many there are.  At 7 rows per serial chunk a sub-1 pass makes 12
+    # chunks, 20 points make 3 and 5 points one, so 2 and 3 workers also
+    # run more blocks than chunks, and blocks shorter than one chunk.  With
+    # 7 workers and a short switch interval the threads outnumber the
+    # cores and interleave often
+    mesh = make_ellipsoid((1.0, 1.3, 1.7), 1)
+    density = np.linspace(-1.0, 1.0, mesh.n_panels) + 0.5j
+    angles = np.linspace(0.0, 6.0, 20)
+    points = np.column_stack([3 * np.cos(angles), 3 * np.sin(angles),
+                              np.full(20, 0.9)])
+
+    def results():
+        stack = assemble_series_stack(mesh, SERIES_MAX_ORDER,
+                                      np.zeros((mesh.n_panels,) * 2))
+        return ([op for z in (0.0, 1.6, 1.0 + 1.0j, 0.2j)
+                 for op in (assemble_single_layer(mesh, z),
+                            assemble_double_layer(mesh, z),
+                            *assemble_layer_pair(mesh, z))]
+                + [term for terms in (stack.single[1:], stack.double)
+                   for term in terms if term is not None]
+                + [eval_single_layer_potential(mesh, density, z, at)
+                   for z in (0.0, 1.6, 0.2j) for at in (points, points[:5])])
+
+    expected = results()
+    monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", 7 * 6 * mesh.n_panels)
+    monkeypatch.setattr(layer_ops, "_worker_count", lambda chunks: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = results()
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(expected, split, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("failing, raised", [((1, 2), 1), ((2,), 2)])
+def test_row_blocks_join_their_threads_and_raise_the_lowest_error(
+        monkeypatch, failing, raised):
+    # a failing block does not leave its siblings running, and the error
+    # of the lowest failing block is the one the pass raises
+    mesh = make_icosphere(1.0, 1)
+    monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", 7 * 6 * mesh.n_panels)
+    monkeypatch.setattr(layer_ops, "_worker_count", lambda chunks: 3)
+    original = layer_ops._panel_sum
+    names = {f"bubblebem row block {b}" for b in failing}
+
+    def failing_panel_sum(vals):
+        name = threading.current_thread().name
+        if name in names:
+            raise RuntimeError(name)
+        return original(vals)
+
+    monkeypatch.setattr(layer_ops, "_panel_sum", failing_panel_sum)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^bubblebem row block {raised}$"):
+        assemble_layer_pair(mesh, 1.6)
+    assert threading.active_count() == before
+
+
+def test_a_pass_of_one_chunk_starts_no_thread(monkeypatch):
+    mesh = make_icosphere(1.0, 1)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    monkeypatch.setattr(layer_ops.os, "sched_getaffinity",
+                        lambda pid: set(range(4)))
+    # 80 rows against 480 nodes fit in one chunk of _CHUNK_PAIRS pairs
+    assemble_layer_pair(mesh, 1.6)
+    eval_single_layer_potential(mesh, np.ones(mesh.n_panels), 1.6,
+                                [[3.0, 0.0, 0.0]])
+    assert started == []
+    # 12 chunks on 4 CPUs: the caller and 3 threads
+    monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", 7 * 6 * mesh.n_panels)
+    before = threading.active_count()
+    assemble_layer_pair(mesh, 1.6)
+    assert len(started) == 3
+    assert threading.active_count() == before
+
+
+def test_worker_count_follows_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(layer_ops.os, "sched_getaffinity",
+                        lambda pid: {0, 3})
+    assert [layer_ops._worker_count(c) for c in (1, 2, 12)] == [1, 2, 2]
+    # platforms without an affinity mask count every CPU
+    monkeypatch.delattr(layer_ops.os, "sched_getaffinity")
+    monkeypatch.setattr(layer_ops.os, "cpu_count", lambda: 3)
+    assert [layer_ops._worker_count(c) for c in (1, 2, 12)] == [1, 2, 3]
 
 
 def test_potential_at_a_point_is_the_same_alone_and_in_a_set(rng):
