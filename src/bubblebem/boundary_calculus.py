@@ -1,16 +1,18 @@
 """Derived boundary objects: the per-mesh spectral data (the real static
 single layer S_0 and its LU, equilibrium density, capacitance, Minnaert
 frequency and the series averages <K_(2)>, <K_(3)>), the guarded factors
-of S and of the contrast matrix M that every solver uses in place of the
-Dirichlet-to-Neumann map S^{-1}(1/2 + K), and the two-block decomposition
-of the contrast operator family with its small-scale expansions.
+of the contrast matrix M that every solver uses in place of the
+Dirichlet-to-Neumann map S^{-1}(1/2 + K) (S and M apart at z == w, the one
+product M S_w at z != w), and the two-block decomposition of the contrast
+operator family with its small-scale expansions.
 
 All operator-norm statements are evaluated in the norm induced by the
 discrete S_0^{-1} inner product, in which the projector onto constants is
 orthogonal, so the expansion claims become literal matrix statements.  That
 projector is rank one, P_0 = 1 w^T with w = q_eq * areas / capacitance
 (``SpectralData.p0_row``), and is applied as such: no n x n P_0 is
-formed.
+formed.  Such a norm is taken by Golub-Kahan bidiagonalization through
+the factors, one vector at a time: no n x n inverse or SVD is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import (cholesky, lapack, lu_factor, lu_solve,
-                          solve_triangular)
+                          solve_triangular, svd)
 
 from .layer_ops import (SeriesStack, assemble_layer_pair,
                         assemble_series_stack, assemble_single_layer)
@@ -138,49 +140,78 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
     )
 
 
-def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
-    """Operator norm on the trace space metrized by the S_0^{-1} product."""
-    ell = spectral.gram_cholesky()
-    # similarity L^T T L^{-T}; its 2-norm is the weighted operator norm
-    y = solve_triangular(ell, matrix.T.conj(), lower=True).T.conj()
-    return float(np.linalg.norm(ell.T @ y, 2))
-
-
 # ----------------------------------------------------------------------------
 # The transmission factors
 
 
 class TransmissionFactors(NamedTuple):
-    """1/2 + K_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} with the
-    guarded LU factors of S_w and of M (``_factor_transmission``)."""
+    """The guarded factors ``_factor_transmission`` returns.
+
+    At z == w: 1/2 + K_w, M = I + kappa (1/2 + K_w) and the LUs of M and
+    of S_w.  At z != w: 1/2 + K_w, S_w itself, and
+    M S_w = S_w + kappa (1/2 + K_w) S_z with its LU; neither M nor an LU of
+    S_w is formed.  ``solve``, ``m_solve`` and ``m_adjoint_solve`` apply
+    the same operators on either branch.
+    """
 
     half_k: np.ndarray
-    s_lu: tuple
-    m: np.ndarray
-    m_lu: tuple
+    matrix: np.ndarray           # M at z == w, M S_w at z != w
+    lu: tuple                    # its guarded LU
+    s_lu: tuple | None = None    # z == w: the guarded LU of S_w
+    s: np.ndarray | None = None  # z != w: S_w
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """S_w^{-1} M^{-1} rhs; the flux of a trace is solve(half_k @ trace)."""
-        return lu_solve(self.s_lu, lu_solve(self.m_lu, rhs))
+        """S_w^{-1} M^{-1} rhs = (M S_w)^{-1} rhs; the flux of a trace is
+        solve(half_k @ trace)."""
+        if self.s is None:
+            return lu_solve(self.s_lu, lu_solve(self.lu, rhs))
+        return lu_solve(self.lu, rhs)
+
+    def m_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs, as S_w (M S_w)^{-1} rhs at z != w."""
+        if self.s is None:
+            return lu_solve(self.lu, rhs)
+        return self.s @ lu_solve(self.lu, rhs)
+
+    def m_adjoint_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-H} rhs, as (M S_w)^{-H} S_w^H rhs at z != w."""
+        if self.s is not None:
+            rhs = np.conj(self.s.T @ np.conj(rhs))
+        return lu_solve(self.lu, rhs, trans=2)
+
+    def contrast_matrix(self) -> np.ndarray:
+        """M itself; at z != w it is formed here, as (M S_w) S_w^{-1} under a
+        guarded LU of S_w."""
+        if self.s is None:
+            return self.matrix
+        s_lu = _guarded_lu(self.s, "single layer S")
+        return lu_solve(s_lu, self.matrix.T, trans=1).T
 
 
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
                          kappa: float,
                          stack: SeriesStack | None = None) -> TransmissionFactors:
-    """Factor S_w and M = I + kappa (1/2 + K_w) S_z S_w^{-1} on ``mesh``,
-    each under the condition guard, without forming the Dirichlet-to-Neumann
-    map DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
+    """Factor the transmission problem on ``mesh`` under the condition
+    guard, without forming the Dirichlet-to-Neumann map
+    DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
     reaches w, S_w and K_w are its Horner sums; everywhere else they are
-    assembled exactly.  This is the one place that choice is made.  S_w
-    itself is released as soon as its LU exists.
+    assembled exactly.  This is the one place that choice is made.
 
-    Since S_w^{-1} M S_w = I + kappa DN_w S_z,
+    With M = I + kappa (1/2 + K_w) S_z S_w^{-1}, S_w^{-1} M S_w
+    = I + kappa DN_w S_z, so
 
-        (I + kappa DN_w S_z)^{-1} DN_w = S_w^{-1} M^{-1} (1/2 + K_w).
+        (I + kappa DN_w S_z)^{-1} DN_w = S_w^{-1} M^{-1} (1/2 + K_w)
+                                       = (M S_w)^{-1} (1/2 + K_w).
 
-    At z == w the factor S_z S_w^{-1} is the identity and S_z is not built.
-    This is the only place M is formed: the solvers, ``schur_blocks`` and
-    ``expansion_residual`` all read it from here.
+    At z == w, M = I + kappa (1/2 + K_w); S_z is not built, S_w and M are
+    each factored, and S_w is released as soon as its LU exists.  At
+    z != w the one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
+    (one matmul; S_z is released right after it) and factored, and S_w is
+    kept for M^{-1} = S_w (M S_w)^{-1}.  Since det(M S_w) = det M det S_w,
+    the guard on M S_w trips when M or S_w is singular.
+
+    This is the only place M or M S_w is formed: the solvers,
+    ``schur_blocks`` and ``expansion_residual`` all read it from here.
     """
     if stack is not None and stack.reaches(w):
         s, half_k = stack.single_layer(w), stack.double_layer(w)
@@ -189,17 +220,20 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
         # chunk's temporaries (63.4 MiB traced at n = 1280)
         s, half_k = assemble_layer_pair(mesh, w)
     half_k.flat[::mesh.n_panels + 1] += 0.5
+    if z != w:
+        ms = half_k @ assemble_single_layer(mesh, z)
+        ms *= kappa
+        ms += s
+        lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
+                             f"spectral parameter {z:.6g}")
+        return TransmissionFactors(half_k, ms, lu, s=s)
     s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
     del s   # only its LU is read from here on
-    coupling = half_k
-    if z != w:
-        s_z = assemble_single_layer(mesh, z)
-        coupling = half_k @ lu_solve(s_lu, s_z.T, trans=1).T
-    m = kappa * coupling
+    m = kappa * half_k
     m.flat[::mesh.n_panels + 1] += 1.0
     m_lu = _guarded_lu(m, f"contrast matrix M at wavenumber {w:.6g}, "
                           f"spectral parameter {z:.6g}")
-    return TransmissionFactors(half_k, s_lu, m, m_lu)
+    return TransmissionFactors(half_k, m, m_lu, s_lu=s_lu)
 
 
 # ----------------------------------------------------------------------------
@@ -299,7 +333,8 @@ def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
     takes one right-hand side (docs/scaling_identities.md, "The projector
     onto constants").
     """
-    m = eps ** 2 * _contrast_factors(spectral.mesh, eps, omega, z).m
+    factors = _contrast_factors(spectral.mesh, eps, omega, z)
+    m = eps ** 2 * factors.contrast_matrix()
     n = spectral.mesh.n_panels
     ones = np.ones(n)
     w = spectral.p0_row
@@ -328,6 +363,55 @@ def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
         quadratic_coefficient=quad,
         cubic_coefficient=cubic,
     )
+
+
+_GK_TOLERANCE = 1e-12
+_GK_MAX_STEPS = 60
+
+
+def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """x less its components along the orthonormal rows of ``basis``, by
+    two classical Gram-Schmidt passes."""
+    for _ in range(2):
+        x = x - (basis.conj() @ x) @ basis
+    return x
+
+
+def _operator_norm(apply, apply_adjoint, n: int, context: str) -> float:
+    """2-norm of the n x n operator A given by v -> A v and u -> A^H u, by
+    Golub-Kahan bidiagonalization with full reorthogonalization
+    (docs/scaling_identities.md, "Norms without the SVD").
+
+    After j + 1 steps A V = U B and A^H U = V B^T + beta_j v_{j+1} e_j^T,
+    with B real upper bidiagonal.  The largest singular value sigma of B,
+    with left singular vector x, is at most ||A||, and beta_j |x_j| is its
+    Ritz residual.  The start vector is fixed, so the result is
+    reproducible; the iteration stops once the residual is at most
+    _GK_TOLERANCE sigma and raises NumericalGuardError if it has not within
+    _GK_MAX_STEPS steps (or n, if smaller).
+    """
+    steps = min(n, _GK_MAX_STEPS)
+    us = np.zeros((steps, n), dtype=complex)
+    vs = np.zeros((steps + 1, n), dtype=complex)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    start = np.sin(np.arange(1.0, n + 1))
+    vs[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        u = apply(vs[j])
+        if j:
+            u -= beta[j - 1] * us[j - 1]
+        u = _reorthogonalize(u, us[:j])
+        alpha[j] = np.linalg.norm(u)
+        us[j] = u / alpha[j]
+        v = _reorthogonalize(apply_adjoint(us[j]) - alpha[j] * vs[j],
+                             vs[:j + 1])
+        beta[j] = np.linalg.norm(v)
+        x, sigma, _ = svd(np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1))
+        if beta[j] * abs(x[-1, 0]) <= _GK_TOLERANCE * sigma[0]:
+            return float(sigma[0])
+        vs[j + 1] = v / beta[j]
+    raise NumericalGuardError(f"{context}: the Golub-Kahan norm did not "
+                              f"converge in {steps} steps")
 
 
 @dataclass
@@ -361,6 +445,12 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
     eps M^{-1} ~ coefficient * P_0 (at resonance), in the S_0^{-1} norm,
     with M = eps^{-2} times the contrast operator (``_factor_transmission``).
 
+    The norm is ||L^T T L^{-T}||_2 for T = scale M^{-1} - coefficient P_0
+    and L the Gram Cholesky factor, taken by ``_operator_norm``
+    (Golub-Kahan): each step applies M^{-1} and M^{-H} to one vector
+    through the one LU of M S_w, P_0 as rank one and L by triangular
+    solves, so neither M^{-1} nor an SVD of an n x n matrix is formed.
+
     ``omega`` counts as resonant when the discrete quadratic coefficient
     vanishes to 1e-8, as it does at ``k2_resonance_frequency``.  Off
     resonance the limit coefficient is the reciprocal of the discrete
@@ -370,23 +460,36 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
     """
     quad, cubic = _discrete_coefficients(spectral, omega, z)
     resonant = abs(quad) < 1e-8
-    m_lu = _contrast_factors(spectral.mesh, eps, omega, z).m_lu
-    minv = lu_solve(m_lu, np.eye(spectral.mesh.n_panels, dtype=complex))
+    f = _contrast_factors(spectral.mesh, eps, omega, z)
     if resonant:
         if z == 0:
             raise ValueError("the resonant expansion needs z != 0")
         reference = 1.0 / cubic
         formula = (4 * np.pi / spectral.capacitance) * (1j / z)
-        scaled, order = eps * minv, 3
+        scale, order = eps, 3
     else:
         reference = 1.0 / quad
         formula = 1.0 / (1.0 - omega ** 2 / spectral.minnaert_omega ** 2)
-        scaled, order = minv, 2
-    # reference * P_0 = 1 (reference * w)^T, subtracted from every row
-    diff = scaled - reference * spectral.p0_row
+        scale, order = 1.0, 2
+    # T = scale M^{-1} - reference 1 w^T (w = p0_row) has, in the S_0^{-1}
+    # norm, the 2-norm of L^T T L^{-T}, with L the Gram Cholesky factor
+    ell, w = spectral.gram_cholesky(), spectral.p0_row
+
+    def apply(v):
+        x = solve_triangular(ell, v, lower=True, trans="T")
+        return ell.T @ (scale * f.m_solve(x) - reference * (w @ x))
+
+    def apply_adjoint(u):
+        y = ell @ u
+        return solve_triangular(ell, scale * f.m_adjoint_solve(y)
+                                - np.conj(reference) * y.sum() * w,
+                                lower=True)
+
+    residual = _operator_norm(apply, apply_adjoint, spectral.mesh.n_panels,
+                              "expansion residual")
     return ExpansionResidual(
         eps=eps, omega=complex(omega), z=complex(z), resonant=bool(resonant),
-        order=order, residual=s0_operator_norm(spectral, diff),
+        order=order, residual=residual,
         reference_coefficient=complex(reference),
         formula_coefficient=complex(formula),
     )

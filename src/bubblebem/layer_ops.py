@@ -522,6 +522,8 @@ def eval_single_layer_potential(mesh: SurfaceMesh, density: np.ndarray,
     """
     z = _check_im(z)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not len(points):
+        return np.empty(0, dtype=complex)
     _check_clearance(mesh, points)
     nodes, weights = panel_quadrature(mesh)
     flat_w = weights.reshape(-1)

@@ -237,7 +237,9 @@ def interaction_operator(problem: ScatteringProblem, z: complex) -> np.ndarray:
 
     assembled exactly from the discrete contracted-wavenumber operators
     (M as in ``boundary_calculus._factor_transmission``): an (n, n) array
-    on the reference mesh that takes a trace to a charge, a density.
+    on the reference mesh that takes a trace to a charge, a density.  At
+    z != w, S_{eps w}^{-1} M^{-1} = (M S_{eps w})^{-1}, so the n-column
+    solve runs through that one LU.
     """
     f = _contrast_factors(problem.mesh, problem.eps, problem.omega, z)
     return problem.eps * problem.kappa * f.solve(f.half_k)

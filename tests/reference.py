@@ -7,7 +7,7 @@ form out once, so a test can check a solver's shortcut against it.
 """
 
 import numpy as np
-from scipy.linalg import lu_solve
+from scipy.linalg import lu_solve, solve_triangular
 
 from bubblebem.boundary_calculus import SpectralData, _guarded_lu
 from bubblebem.layer_ops import assemble_layer_pair, assemble_single_layer
@@ -22,6 +22,16 @@ def s0_inner(spectral: SpectralData, phi: np.ndarray,
     in phi)."""
     solved = lu_solve(spectral.s0_lu, phi)
     return complex(np.conj(solved) @ (spectral.mesh.areas * psi))
+
+
+def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
+    """Operator norm of an (n, n) array on the trace space metrized by the
+    S_0^{-1} product: the 2-norm of the similarity L^T T L^{-T}, L the Gram
+    Cholesky factor, by a dense SVD (``expansion_residual`` reaches it by
+    Golub-Kahan bidiagonalization instead)."""
+    ell = spectral.gram_cholesky()
+    y = solve_triangular(ell, matrix.T.conj(), lower=True).T.conj()
+    return float(np.linalg.norm(ell.T @ y, 2))
 
 
 def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> np.ndarray:

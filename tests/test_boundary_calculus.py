@@ -15,12 +15,11 @@ from bubblebem.boundary_calculus import (NumericalGuardError,
                                          _factor_transmission, _guarded_lu,
                                          check_eps, expansion_residual,
                                          k2_resonance_frequency,
-                                         s0_operator_norm, schur_blocks,
-                                         spectral_data)
+                                         schur_blocks, spectral_data)
 from bubblebem.layer_ops import (assemble_double_layer, assemble_series_stack,
                                  assemble_single_layer)
 from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
-from reference import dirichlet_to_neumann, s0_inner
+from reference import dirichlet_to_neumann, s0_inner, s0_operator_norm
 
 
 # ----------------------------------------------------------------------------
@@ -226,6 +225,53 @@ def test_transmission_factors_release_s(monkeypatch):
     del factors
 
 
+def _dense_coupling(mesh, w, z):
+    """S_w and (1/2 + K_w) S_z S_w^{-1}, with M = I + kappa times the
+    latter, by a dense solve."""
+    n = mesh.n_panels
+    s_w = assemble_single_layer(mesh, w)
+    half_k = 0.5 * np.eye(n) + assemble_double_layer(mesh, w)
+    coupling = half_k @ np.linalg.solve(s_w.T,
+                                        assemble_single_layer(mesh, z).T).T
+    return s_w, coupling
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere", "ellipsoid"])
+@pytest.mark.parametrize("w, z, kappa", [(0.065, 0.035, 399.0),
+                                         (0.065, 0.05j, 399.0),
+                                         (1.3, 0.7, 0.5)])
+def test_one_lu_factors_at_z_not_w(mesh_name, w, z, kappa):
+    # at z != w the factors hold M S_w and S_w: solve, M^{-1}, M^{-H} and
+    # M itself match the dense S_w^{-1} M^{-1}, M^{-1}, M^{-H} and M
+    mesh = (make_icosphere(1.0, 1) if mesh_name == "sphere"
+            else make_ellipsoid((1.0, 1.3, 1.7), 1))
+    n = mesh.n_panels
+    s_w, coupling = _dense_coupling(mesh, w, z)
+    m = np.eye(n) + kappa * coupling
+    minv = np.linalg.inv(m)
+    factors = _factor_transmission(mesh, w, z, kappa)
+    assert factors.s_lu is None
+    ident = np.eye(n, dtype=complex)
+    for got, expected in ((factors.solve(ident), np.linalg.solve(s_w, minv)),
+                          (factors.m_solve(ident), minv),
+                          (factors.m_adjoint_solve(ident), minv.conj().T),
+                          (factors.contrast_matrix(), m)):
+        assert (np.linalg.norm(got - expected)
+                <= 1e-12 * np.linalg.norm(expected))
+
+
+def test_one_lu_guard_trips_on_singular_m():
+    # kappa = -1/lambda for an eigenvalue lambda of (1/2 + K_w) S_z S_w^{-1}
+    # makes M singular, and with it M S_w (det(M S_w) = det M det S_w)
+    mesh, w, z = make_icosphere(1.0, 1), 1.3, 0.7
+    lam = np.linalg.eigvals(_dense_coupling(mesh, w, z)[1])
+    kappa = -1.0 / lam[np.argmax(np.abs(lam))]
+    with pytest.raises(NumericalGuardError, match="contrast matrix M S_w"):
+        _factor_transmission(mesh, w, z, kappa)
+    # the same factoring at a regular kappa passes the guard
+    _factor_transmission(mesh, w, z, 2 * kappa)
+
+
 # ----------------------------------------------------------------------------
 # series-coefficient identities (quadratic and cubic)
 
@@ -415,6 +461,74 @@ def test_expansion_residual_resonant_ratio(spectral2):
     assert coarse.coefficient_gap <= 2e-2
 
 
+@pytest.mark.parametrize("mesh_name, eps, omega",
+                         [("sphere2", eps, omega) for omega in ("off", "res")
+                          for eps in (0.04, 0.02)]
+                         + [("ellipsoid2", 0.04, "res")])
+def test_expansion_norm_matches_dense_svd(mesh_name, eps, omega, request):
+    # the Golub-Kahan norm against a dense SVD of the same operator
+    # L^T (scale M^{-1} - c 1 w^T) L^{-T}, with M^{-1} from the same factors
+    mesh = request.getfixturevalue(mesh_name)
+    spectral = spectral_data(mesh)
+    omega = k2_resonance_frequency(spectral) if omega == "res" else 1.0
+    result = expansion_residual(spectral, eps, omega, 0.7)
+    minv = _contrast_factors(mesh, eps, omega, 0.7).m_solve(
+        np.eye(mesh.n_panels, dtype=complex))
+    scale = eps if result.resonant else 1.0
+    dense = s0_operator_norm(
+        spectral, scale * minv - result.reference_coefficient
+        * spectral.p0_row)
+    assert result.residual == pytest.approx(dense, rel=1e-12)
+
+
+def test_expansion_residual_takes_no_dense_svd_or_inverse(monkeypatch,
+                                                          spectral2):
+    # no SVD of an n x n matrix and no n-column solve: the norm is reached
+    # through single-vector solves (the Gram factor is cached per mesh)
+    n = spectral2.mesh.n_panels
+    spectral2.gram_cholesky()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    solves, svds = [], []
+    original_solve, original_svd = boundary_calculus.lu_solve, \
+        boundary_calculus.svd
+
+    def recorded_solve(lu, rhs, **kwargs):
+        solves.append(np.shape(rhs))
+        return original_solve(lu, rhs, **kwargs)
+
+    def recorded_svd(a, **kwargs):
+        svds.append(np.shape(a))
+        return original_svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(boundary_calculus, "lu_solve", recorded_solve)
+    monkeypatch.setattr(boundary_calculus, "svd", recorded_svd)
+    what = k2_resonance_frequency(spectral2)
+    for omega in (1.0, what):
+        expansion_residual(spectral2, 0.04, omega, 0.7)
+    assert solves and all(shape == (n,) for shape in solves)
+    assert svds and max(max(shape) for shape in svds) \
+        <= boundary_calculus._GK_MAX_STEPS
+
+
+def test_operator_norm_raises_when_unconverged(monkeypatch):
+    # a step cap below the Krylov dimension the norm needs ends in the
+    # guard, never in an unconverged value
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((40, 40))
+    exact = np.linalg.norm(a, 2)
+    norm = boundary_calculus._operator_norm(lambda v: a @ v,
+                                            lambda u: a.T @ u, 40, "test")
+    assert norm == pytest.approx(exact, rel=1e-12)
+    monkeypatch.setattr(boundary_calculus, "_GK_MAX_STEPS", 3)
+    with pytest.raises(NumericalGuardError, match="did not converge"):
+        boundary_calculus._operator_norm(lambda v: a @ v, lambda u: a.T @ u,
+                                         40, "test")
+
+
 def test_contrast_family_limit_direction(sphere2, spectral2):
     # eps^2 M(eps) approaches the mean-free static block as eps -> 0
     k0 = assemble_double_layer(sphere2, 0.0)
@@ -422,7 +536,8 @@ def test_contrast_family_limit_direction(sphere2, spectral2):
     target = q0 @ (0.5 * np.eye(sphere2.n_panels) + k0) @ q0
     gaps = []
     for eps in (0.04, 0.02, 0.01):
-        m = eps ** 2 * _contrast_factors(sphere2, eps, 1.0, 0.7).m
+        factors = _contrast_factors(sphere2, eps, 1.0, 0.7)
+        m = eps ** 2 * factors.contrast_matrix()
         gaps.append(s0_operator_norm(spectral2, m - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-2

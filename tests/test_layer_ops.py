@@ -426,6 +426,25 @@ def test_potential_near_surface_rejected(sphere2, spectral2):
                                     np.array([[1.01, 0.0, 0.0]]))
 
 
+def test_potential_on_no_points_does_no_panel_work(monkeypatch):
+    # zero points (every sweep row) return at once: no quadrature, no
+    # clearance scan, no kernel pass; the wavenumber rule still applies
+    mesh = make_icosphere(1.0, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("panel work on zero points")
+
+    for name in ("panel_quadrature", "_row_chunks"):
+        monkeypatch.setattr(layer_ops, name, refuse)
+    monkeypatch.setattr(type(mesh), "panel_diameters", refuse)
+    values = eval_single_layer_potential(mesh, np.ones(mesh.n_panels), 1.6,
+                                         np.empty((0, 3)))
+    assert values.shape == (0,) and values.dtype == complex
+    with pytest.raises(ValueError, match="Im z"):
+        eval_single_layer_potential(mesh, np.ones(mesh.n_panels), -1j,
+                                    np.empty((0, 3)))
+
+
 def test_single_layer_monopole_is_the_spherical_mean(sphere2, rng):
     # averaging G_z(x - y) over |x - c| = R > |y - c| keeps only the l = 0
     # term j_0(z |y - c|) G_z(R), so the mean of SL_z[q] over that sphere

@@ -196,7 +196,13 @@ ROUTES = {
     "resolvent": lambda p: resolvent_correction_kernel(p, 1j, OBS[0], OBS[1]),
     "expansion": lambda p: expansion_residual(SPECTRAL1, p.eps, p.omega, 0.7),
 }
-GUARDED = ("single layer S", "contrast matrix M")
+# at z == w, S_w and M are factored apart; at z != w the one guarded LU of
+# M S_w covers both, since det(M S_w) = det M det S_w
+GUARDED = {"dilated": ("single layer S", "contrast matrix M"),
+           "direct": ("single layer S", "contrast matrix M"),
+           "interaction": ("contrast matrix M S_w",),
+           "resolvent": ("contrast matrix M S_w",),
+           "expansion": ("contrast matrix M S_w",)}
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -211,9 +217,9 @@ def test_each_route_guards_s_and_m(route, monkeypatch):
 
     monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorder)
     ROUTES[route](problem)
-    assert [c.split(" at ")[0] for c in contexts] == list(GUARDED)
+    assert [c.split(" at ")[0] for c in contexts] == list(GUARDED[route])
 
-    for name in GUARDED:
+    for name in GUARDED[route]:
         def trip(matrix, context, name=name):
             if context.startswith(name):
                 raise NumericalGuardError(f"{context}: tripped")
