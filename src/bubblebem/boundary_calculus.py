@@ -6,6 +6,11 @@ Dirichlet-to-Neumann map S^{-1}(1/2 + K) (S and M apart at z == w, the one
 product M S_w at z != w), and the two-block decomposition of the contrast
 operator family with its small-scale expansions.
 
+At z == w the two factorizations are independent, so they run side by
+side, one lane each for S and M, when the process may use two CPUs
+(``layer_ops._side_by_side``); each lane factors its own F-ordered copy in
+place, and the factors are the same bits in either lane order.
+
 All operator-norm statements are evaluated in the norm induced by the
 discrete S_0^{-1} inner product, in which the projector onto constants is
 orthogonal, so the expansion claims become literal matrix statements.  That
@@ -24,9 +29,9 @@ import numpy as np
 from scipy.linalg import (cholesky, lapack, lu_factor, lu_solve,
                           solve_triangular, svd)
 
-from .layer_ops import (SeriesStack, assemble_layer_pair,
+from .layer_ops import (SeriesStack, _side_by_side, assemble_layer_pair,
                         assemble_series_stack, assemble_single_layer)
-from .mesh import SurfaceMesh
+from .mesh import _CHUNK_PAIRS, SurfaceMesh
 
 CONDITION_LIMIT = 1e12
 
@@ -35,14 +40,19 @@ class NumericalGuardError(RuntimeError):
     """A factorization exceeded the condition-number guard."""
 
 
-def _guarded_lu(matrix: np.ndarray, context: str):
+def _guarded_lu(matrix: np.ndarray, context: str, overwrite: bool = False):
     """LU factorization with a 1-norm condition estimate, 1e12 hard limit.
 
     ``lu_factor`` checks its input: a non-finite entry raises ValueError,
-    which a sweep records as that row's error.
+    which a sweep records as that row's error.  With ``overwrite`` an
+    F-ordered ``matrix`` is factored in place and becomes the LU.  The
+    1-norm is summed in blocks of columns, the bits of
+    ``np.linalg.norm(matrix, 1)`` without its n x n temporary.
     """
-    lu, piv = lu_factor(matrix)
-    anorm = np.linalg.norm(matrix, 1)
+    step = max(1, _CHUNK_PAIRS // len(matrix))
+    anorm = max(np.abs(matrix[:, j:j + step]).sum(axis=0).max()
+                for j in range(0, matrix.shape[1], step))
+    lu, piv = lu_factor(matrix, overwrite_a=overwrite)
     gecon = lapack.zgecon if np.iscomplexobj(matrix) else lapack.dgecon
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:
@@ -147,25 +157,30 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
 class TransmissionFactors(NamedTuple):
     """The guarded factors ``_factor_transmission`` returns.
 
-    At z == w: 1/2 + K_w, M = I + kappa (1/2 + K_w) and the LUs of M and
-    of S_w.  At z != w: 1/2 + K_w, S_w itself, and
-    M S_w = S_w + kappa (1/2 + K_w) S_z with its LU; neither M nor an LU of
-    S_w is formed.  ``solve``, ``m_solve`` and ``m_adjoint_solve`` apply
-    the same operators on either branch.
+    At z == w: 1/2 + K_w, the contrast factor kappa and the LUs of
+    M = I + kappa (1/2 + K_w) and of S_w, each factored in place, so
+    neither M nor S_w is kept.  At z != w: 1/2 + K_w, kappa, S_w itself,
+    and M S_w = S_w + kappa (1/2 + K_w) S_z with its LU; neither M nor an
+    LU of S_w is formed.  ``solve``, ``m_solve`` and ``m_adjoint_solve``
+    apply the same operators on either branch.
     """
 
     half_k: np.ndarray
-    matrix: np.ndarray           # M at z == w, M S_w at z != w
-    lu: tuple                    # its guarded LU
-    s_lu: tuple | None = None    # z == w: the guarded LU of S_w
-    s: np.ndarray | None = None  # z != w: S_w
+    kappa: float
+    lu: tuple                         # guarded LU of M (z == w), M S_w (z != w)
+    s_lu: tuple | None = None         # z == w: the guarded LU of S_w
+    s: np.ndarray | None = None       # z != w: S_w
+    matrix: np.ndarray | None = None  # z != w: M S_w
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """S_w^{-1} M^{-1} rhs = (M S_w)^{-1} rhs; the flux of a trace is
-        solve(half_k @ trace)."""
+        """S_w^{-1} M^{-1} rhs = (M S_w)^{-1} rhs."""
         if self.s is None:
             return lu_solve(self.s_lu, lu_solve(self.lu, rhs))
         return lu_solve(self.lu, rhs)
+
+    def flux(self, trace: np.ndarray) -> np.ndarray:
+        """The interior flux of a trace, solve(half_k @ trace): a density."""
+        return self.solve(self.half_k @ trace)
 
     def m_solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs, as S_w (M S_w)^{-1} rhs at z != w."""
@@ -180,12 +195,21 @@ class TransmissionFactors(NamedTuple):
         return lu_solve(self.lu, rhs, trans=2)
 
     def contrast_matrix(self) -> np.ndarray:
-        """M itself; at z != w it is formed here, as (M S_w) S_w^{-1} under a
-        guarded LU of S_w."""
+        """M itself, formed here: I + kappa (1/2 + K_w) at z == w, the bits
+        the factored M had; (M S_w) S_w^{-1} under a guarded LU of S_w at
+        z != w."""
         if self.s is None:
-            return self.matrix
+            return _contrast_matrix(self.kappa, self.half_k)
         s_lu = _guarded_lu(self.s, "single layer S")
         return lu_solve(s_lu, self.matrix.T, trans=1).T
+
+
+def _contrast_matrix(kappa: float, half_k: np.ndarray,
+                     order: str = "K") -> np.ndarray:
+    """M = I + kappa (1/2 + K_w) at z == w, laid out in ``order``."""
+    m = np.multiply(kappa, half_k, order=order)
+    m.flat[::len(m) + 1] += 1.0
+    return m
 
 
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
@@ -195,7 +219,8 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     guard, without forming the Dirichlet-to-Neumann map
     DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
     reaches w, S_w and K_w are its Horner sums; everywhere else they are
-    assembled exactly.  This is the one place that choice is made.
+    assembled exactly, in one kernel pass on every usable CPU.  This is the
+    one place that choice is made.
 
     With M = I + kappa (1/2 + K_w) S_z S_w^{-1}, S_w^{-1} M S_w
     = I + kappa DN_w S_z, so
@@ -203,37 +228,64 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
         (I + kappa DN_w S_z)^{-1} DN_w = S_w^{-1} M^{-1} (1/2 + K_w)
                                        = (M S_w)^{-1} (1/2 + K_w).
 
-    At z == w, M = I + kappa (1/2 + K_w); S_z is not built, S_w and M are
-    each factored, and S_w is released as soon as its LU exists.  At
-    z != w the one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
+    At z == w, M = I + kappa (1/2 + K_w); S_z is not built, and S_w and M
+    are factored in two lanes that ``layer_ops._side_by_side`` runs side by
+    side when two CPUs are usable, else S first:
+    - lane S: S_w (its Horner sum where the stack reaches) in F order,
+      factored in place; a C-ordered S_w is released once copied, and an
+      exact one before the lanes start, so that no more than three n x n
+      arrays are held at once;
+    - lane M, on the calling thread: 1/2 + K_w, then M written in F order
+      and factored in place.
+    If both guards trip, S_w's error is raised, as in the serial order.
+    Each lane's arithmetic does not depend on the other, so the factors
+    are the same bits either way.
+
+    At z != w the one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
     (one matmul; S_z is released right after it) and factored, and S_w is
     kept for M^{-1} = S_w (M S_w)^{-1}.  Since det(M S_w) = det M det S_w,
     the guard on M S_w trips when M or S_w is singular.
 
-    This is the only place M or M S_w is formed: the solvers,
+    This is the only place M or M S_w is factored: the solvers,
     ``schur_blocks`` and ``expansion_residual`` all read it from here.
     """
-    if stack is not None and stack.reaches(w):
-        s, half_k = stack.single_layer(w), stack.double_layer(w)
-    else:
-        # one kernel pass for both: it holds the two n x n results and one
-        # chunk's temporaries (63.4 MiB traced at n = 1280)
-        s, half_k = assemble_layer_pair(mesh, w)
-    half_k.flat[::mesh.n_panels + 1] += 0.5
+    n = mesh.n_panels
+    stacked = stack is not None and stack.reaches(w)
     if z != w:
+        s, half_k = ((stack.single_layer(w), stack.double_layer(w))
+                     if stacked else assemble_layer_pair(mesh, w))
+        half_k.flat[::n + 1] += 0.5
         ms = half_k @ assemble_single_layer(mesh, z)
         ms *= kappa
         ms += s
         lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
                              f"spectral parameter {z:.6g}")
-        return TransmissionFactors(half_k, ms, lu, s=s)
-    s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")
-    del s   # only its LU is read from here on
-    m = kappa * half_k
-    m.flat[::mesh.n_panels + 1] += 1.0
-    m_lu = _guarded_lu(m, f"contrast matrix M at wavenumber {w:.6g}, "
-                          f"spectral parameter {z:.6g}")
-    return TransmissionFactors(half_k, m, m_lu, s_lu=s_lu)
+        return TransmissionFactors(half_k, kappa, lu, s=s, matrix=ms)
+    if stacked:
+        s = half_k = None   # each lane sums its own
+    else:
+        # one kernel pass for both: it holds the two n x n results and one
+        # chunk's temporaries (63.4 MiB traced at n = 1280).  Rebinding s
+        # releases the C-ordered S_w before M exists.
+        s, half_k = assemble_layer_pair(mesh, w)
+        s = np.asfortranarray(s)
+
+    def lane_s():
+        # a Horner sum's C-ordered S_w is released once copied
+        s_w = np.asfortranarray(stack.single_layer(w) if s is None else s)
+        return _guarded_lu(s_w, f"single layer S at wavenumber {w:.6g}",
+                           overwrite=True)
+
+    def lane_m():
+        k = stack.double_layer(w) if half_k is None else half_k
+        k.flat[::n + 1] += 0.5
+        return k, _guarded_lu(_contrast_matrix(kappa, k, "F"),
+                              f"contrast matrix M at wavenumber {w:.6g}, "
+                              f"spectral parameter {z:.6g}", overwrite=True)
+
+    s_lu, (half_k, lu) = _side_by_side([lane_s, lane_m], "factor lane",
+                                       caller=1)
+    return TransmissionFactors(half_k, kappa, lu, s_lu=s_lu)
 
 
 # ----------------------------------------------------------------------------

@@ -19,7 +19,9 @@ chunks against all quadrature nodes, each chunk handed to a chunk body;
 are cut into contiguous row blocks, one per CPU in the process's affinity
 mask but never more than the chunks a serial pass would make.  The calling
 thread runs the first block and a thread per call each other one, and
-every thread is joined before the pass returns.  Each worker chunks at
+every thread is joined before the pass returns: ``_side_by_side``, the one
+place threads are started, which also runs the two factorization lanes of
+``boundary_calculus._factor_transmission``.  Each worker chunks at
 ``_CHUNK_PAIRS // workers`` (point, node) pairs, so the pairs in flight
 stay at ``_CHUNK_PAIRS`` in total and memory is O(_CHUNK_PAIRS) whatever
 the mesh size.  Chunk bodies write only their own rows and call only
@@ -138,9 +140,10 @@ def _check_im(z: complex) -> complex:
 
 
 def _worker_count(chunks: int) -> int:
-    """Workers for a pass that makes ``chunks`` chunks serially: one per CPU
-    in this process's affinity mask (``os.cpu_count()`` on platforms
-    without one), and never more than the chunks."""
+    """Workers for ``chunks`` pieces of work that could each run alone (the
+    chunks of a serial pass, the lanes of a factorization): one per CPU in
+    this process's affinity mask (``os.cpu_count()`` on platforms without
+    one), and never more than the pieces."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return min(cpus, chunks)
@@ -162,9 +165,9 @@ def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
     The targets are cut into contiguous row blocks, one per worker: as
     many as ``_worker_count`` allows for the chunks a serial pass of
     ``_CHUNK_PAIRS`` pairs per chunk makes, so a pass of one chunk starts
-    no thread.  The calling thread runs block 0 and a ``threading.Thread``
-    per call runs each other block; numpy's ufunc loops release the GIL,
-    so the blocks share the CPUs.  Each worker chunks at
+    no thread.  ``_side_by_side`` runs them: the calling thread block 0 and
+    a ``threading.Thread`` per call each other block; numpy's ufunc loops
+    release the GIL, so the blocks share the CPUs.  Each worker chunks at
     ``_CHUNK_PAIRS // workers`` pairs, so the pairs in flight stay at
     ``_CHUNK_PAIRS`` in total, and the workers' coordinate planes are one
     workspace allocated once per pass.  A body writes only its own rows of
@@ -192,48 +195,72 @@ def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
     # three planes per worker chunk, allocated once for the whole pass
     span = min(step, starts[1])
     workspace = np.empty((workers, 3 * span * n_nodes))
-    errors = [None] * workers
 
     def run_block(b: int) -> None:
+        for lo in range(starts[b], starts[b + 1], step):
+            rows = slice(lo, min(lo + step, starts[b + 1]))
+            size = (rows.stop - rows.start) * n_nodes
+            planes = workspace[b, :3 * size].reshape(3, -1, n_nodes)
+            np.subtract(targets[rows].T[:, :, None],
+                        node_planes[:, None, :], out=planes)
+            numer = None
+            if nu_planes is not None:
+                numer = planes[0] * nu_planes[0]
+                term = planes[2] * nu_planes[2]
+                numer += term
+                np.multiply(planes[1], nu_planes[1], out=term)
+                numer += term
+                del term
+            np.square(planes, out=planes)
+            r = planes[0]
+            r += planes[1]
+            r += planes[2]
+            np.sqrt(r, out=r)
+            body(rows, r, numer, planes[1:])
+            del numer
+
+    _side_by_side([lambda b=b: run_block(b) for b in range(workers)],
+                  "row block")
+
+
+def _side_by_side(tasks: list, name: str, caller: int = 0) -> list:
+    """The results of ``tasks``, calls without arguments, run side by side
+    if ``_worker_count`` gives each a CPU, else one after another.
+
+    Side by side, ``tasks[caller]`` runs on the calling thread and each
+    other task on a ``threading.Thread`` of its own, named
+    ``bubblebem <name> <index>``.  Every thread is joined before the call
+    returns, on error too, and the error of the lowest-indexed failing task
+    is raised, however the threads were timed.  One after another, the
+    tasks run on the calling thread in index order and the first error
+    stops them.  So either way a failure raises the same error.
+    """
+    if _worker_count(len(tasks)) < len(tasks):
+        return [task() for task in tasks]
+    results, errors = [None] * len(tasks), [None] * len(tasks)
+
+    def run(index: int) -> None:
         try:
-            for lo in range(starts[b], starts[b + 1], step):
-                rows = slice(lo, min(lo + step, starts[b + 1]))
-                size = (rows.stop - rows.start) * n_nodes
-                planes = workspace[b, :3 * size].reshape(3, -1, n_nodes)
-                np.subtract(targets[rows].T[:, :, None],
-                            node_planes[:, None, :], out=planes)
-                numer = None
-                if nu_planes is not None:
-                    numer = planes[0] * nu_planes[0]
-                    term = planes[2] * nu_planes[2]
-                    numer += term
-                    np.multiply(planes[1], nu_planes[1], out=term)
-                    numer += term
-                    del term
-                np.square(planes, out=planes)
-                r = planes[0]
-                r += planes[1]
-                r += planes[2]
-                np.sqrt(r, out=r)
-                body(rows, r, numer, planes[1:])
-                del numer
+            results[index] = tasks[index]()
         except BaseException as exc:
-            errors[b] = exc
+            errors[index] = exc
 
     threads = []
     try:
-        for b in range(1, workers):
-            thread = threading.Thread(target=run_block, args=(b,),
-                                      name=f"bubblebem row block {b}")
-            thread.start()
-            threads.append(thread)
-        run_block(0)
+        for index in range(len(tasks)):
+            if index != caller:
+                thread = threading.Thread(target=run, args=(index,),
+                                          name=f"bubblebem {name} {index}")
+                thread.start()
+                threads.append(thread)
+        run(caller)
     finally:
         for thread in threads:
             thread.join()
     error = next((exc for exc in errors if exc is not None), None)
     if error is not None:
         raise error
+    return results
 
 
 def _work_complex(work: np.ndarray) -> np.ndarray:

@@ -250,13 +250,13 @@ def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
     """The reference-mesh charge Lambda_z trace, a density, where trace is
     ``incident`` at the images of the panel centroids and Lambda_z is the
     interaction operator, and u_sc = -(1/eps) SL_{eps z}[charge] o contract as a
-    function of physical points.  The factors are released on return; S
-    and K come from a series ``stack`` of the reference mesh where it
-    reaches (``boundary_calculus._factor_transmission``)."""
+    function of physical points.  The factors are released once the flux
+    is solved; S and K come from a series ``stack`` of the reference mesh
+    where it reaches (``boundary_calculus._factor_transmission``)."""
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
-    f = _contrast_factors(mesh, eps, problem.omega, z, stack)
-    charge = eps * problem.kappa * f.solve(f.half_k @ trace)
+    charge = eps * problem.kappa * _contrast_factors(
+        mesh, eps, problem.omega, z, stack).flux(trace)
     return charge, lambda pts: -eval_single_layer_potential(
         mesh, charge, eps * z, problem.contract(pts)) / eps
 
@@ -283,16 +283,6 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
                                problem.y0), "dilated", spectral)
 
 
-def _direct_solve(problem: ScatteringProblem) -> tuple:
-    """The physical scatterer, the incident trace at its centroids, its
-    transmission factors and the interior flux they give."""
-    scaled = problem.scaled_mesh()
-    trace = problem.incident.evaluate(scaled.centroids, problem.omega)
-    f = _factor_transmission(scaled, problem.omega, problem.omega,
-                             problem.kappa)
-    return scaled, trace, f, f.solve(f.half_k @ trace)
-
-
 def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
                            spectral: SpectralData | None = None) -> FieldResult:
     """Physical-boundary solve of the transmission integral equation.
@@ -300,11 +290,13 @@ def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
     Solves (I + kappa DN S) flux = DN trace, kappa = 1/eps^2 - 1, for the
     interior flux as S^{-1} M^{-1} (1/2 + K) trace and represents u_sc as a
     single-layer potential with strength -kappa; the amplitude is
-    -kappa Σ_j flux_j ∫_{T_j} j_0(omega |y - y0|) dσ.
+    -kappa Σ_j flux_j ∫_{T_j} j_0(omega |y - y0|) dσ.  The factors are
+    released once the flux is solved, before the potential is evaluated.
     """
     omega, kappa = problem.omega, problem.kappa
-    scaled, _, f, flux = _direct_solve(problem)
-    del f   # release the factors before the potential is evaluated
+    scaled = problem.scaled_mesh()
+    flux = _factor_transmission(scaled, omega, omega, kappa).flux(
+        problem.incident.evaluate(scaled.centroids, omega))
     return _field_result(
         problem, points,
         lambda pts: -kappa * eval_single_layer_potential(scaled, flux, omega,

@@ -9,11 +9,12 @@ form out once, so a test can check a solver's shortcut against it.
 import numpy as np
 from scipy.linalg import lu_solve, solve_triangular
 
-from bubblebem.boundary_calculus import SpectralData, _guarded_lu
+from bubblebem.boundary_calculus import (SpectralData, _factor_transmission,
+                                         _guarded_lu)
 from bubblebem.layer_ops import assemble_layer_pair, assemble_single_layer
 from bubblebem.mesh import SurfaceMesh
-from bubblebem.scattering import (ScatteringProblem, _direct_solve,
-                                  far_field_points, scattered_field_dilated)
+from bubblebem.scattering import (ScatteringProblem, far_field_points,
+                                  scattered_field_dilated)
 
 
 def s0_inner(spectral: SpectralData, phi: np.ndarray,
@@ -53,9 +54,14 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> np.ndarray:
 def transmission_residual(problem: ScatteringProblem) -> float:
     """Interface-condition check of the direct solve: the computed flux must
     equal DN applied to the total boundary trace (relative residual), with
-    DN applied through the solve's own LU of S."""
-    scaled, trace, f, flux = _direct_solve(problem)
-    s = assemble_single_layer(scaled, problem.omega)
+    DN applied through the solve's own LU of S.  The trace and the factors
+    are those ``scattered_field_direct`` builds, bit for bit."""
+    omega = problem.omega
+    scaled = problem.scaled_mesh()
+    trace = problem.incident.evaluate(scaled.centroids, omega)
+    f = _factor_transmission(scaled, omega, omega, problem.kappa)
+    flux = f.flux(trace)
+    s = assemble_single_layer(scaled, omega)
     dn_total = lu_solve(f.s_lu,
                         f.half_k @ (trace - problem.kappa * (s @ flux)))
     return float(np.linalg.norm(dn_total - flux) / np.linalg.norm(flux))

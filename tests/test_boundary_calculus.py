@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -223,6 +225,137 @@ def test_transmission_factors_release_s(monkeypatch):
     # the factors are alive here and hold no reference to S
     assert len(refs) == 1 and refs[0]() is None
     del factors
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_factor_lanes_give_the_factors_of_the_assembled_arrays(
+        monkeypatch, subdivisions, stacked, lanes):
+    # at z == w, S_w and M are factored in place in two lanes, side by side
+    # only when two CPUs are usable: the factors are lu_factor's of the
+    # separately assembled S_w and M, bit for bit, either way, and only
+    # lane S ever leaves the calling thread
+    mesh = make_icosphere(1.0, subdivisions)
+    n, w, kappa = mesh.n_panels, 0.08, 399.0
+    stack = None
+    if stacked:
+        stack = assemble_series_stack(mesh, 12,
+                                      assemble_single_layer(mesh, 0.0))
+        assert stack.reaches(w)
+        s, half_k = stack.single_layer(w), stack.double_layer(w)
+    else:
+        s = assemble_single_layer(mesh, w)
+        half_k = assemble_double_layer(mesh, w)
+    half_k.flat[::n + 1] += 0.5
+    m = kappa * half_k
+    m.flat[::n + 1] += 1.0
+    original = boundary_calculus._guarded_lu
+    threads = {}
+
+    def recorder(matrix, context, **kwargs):
+        threads[context.split(" at ")[0]] = threading.current_thread()
+        return original(matrix, context, **kwargs)
+
+    monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorder)
+    monkeypatch.setattr(layer_ops, "_worker_count",
+                        lambda chunks: min(chunks, lanes))
+    factors = _factor_transmission(mesh, w, w, kappa, stack)
+    for got, want in ((factors.s_lu, lu_factor(s)), (factors.lu, lu_factor(m))):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert factors.half_k.tobytes() == half_k.tobytes()
+    caller = threading.current_thread()
+    assert threads["contrast matrix M"] is caller
+    assert (threads["single layer S"] is caller) == (lanes == 1)
+
+
+@pytest.mark.parametrize("m_first", [False, True])
+def test_when_both_lanes_trip_the_s_error_is_raised(monkeypatch, m_first):
+    # with the guard at 1 both S_w and M trip; the S_w error is raised, as
+    # in the serial order, in every repeat and also when lane S waits for
+    # lane M to fail first, and no lane thread outlives the call
+    mesh = make_icosphere(1.0, 1)
+    original = boundary_calculus._guarded_lu
+    m_done = threading.Event()
+
+    def ordered(matrix, context, **kwargs):
+        if context.startswith("contrast matrix M"):
+            try:
+                return original(matrix, context, **kwargs)
+            finally:
+                m_done.set()
+        if m_first:
+            assert m_done.wait(timeout=30)
+        return original(matrix, context, **kwargs)
+
+    monkeypatch.setattr(boundary_calculus, "_guarded_lu", ordered)
+    monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
+    monkeypatch.setattr(layer_ops, "_worker_count",
+                        lambda chunks: min(chunks, 2))
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            m_done.clear()
+            with pytest.raises(NumericalGuardError,
+                               match="^single layer S at wavenumber 1.6: "
+                                     "condition number"):
+                _factor_transmission(mesh, 1.6, 1.6, 0.5)
+            assert m_done.is_set()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_transmission_factors_peak_memory():
+    # bound stated before measuring: at n = 1280 the exact pass returns S_w
+    # and 1/2 + K_w (25 MiB each), S_w's F-ordered copy replaces S_w before
+    # the lanes start and each lane factors its own F-ordered array in
+    # place, so at most three complex n x n arrays (75 MiB) are held at
+    # once, plus temporaries; out-of-place LUs of S_w and M peak at
+    # 112.5 MiB
+    mesh = make_icosphere(1.0, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        factors = _factor_transmission(mesh, 0.08, 0.08, 399.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors.s_lu is not None
+    assert peak - start <= 95 * 2 ** 20
+
+
+def test_factoring_leaves_the_kept_arrays_unchanged():
+    # the in-place LUs touch only the lanes' own F-ordered arrays: the
+    # static single layer, which a stack also starts from, and the z != w
+    # factors' M S_w and S_w keep their bits through factoring and solves
+    mesh = make_icosphere(1.0, 1)
+    n, kappa = mesh.n_panels, 399.0
+    spectral = spectral_data(mesh)
+    s0 = assemble_single_layer(mesh, 0.0)
+    stack = assemble_series_stack(mesh, 12, spectral.s0)
+    terms = [t.copy() for t in stack.single + stack.double if t is not None]
+    _factor_transmission(mesh, 0.08, 0.08, kappa, stack)
+    _factor_transmission(mesh, 0.08, 0.08, kappa)
+    assert spectral.s0.tobytes() == s0.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        terms, [t for t in stack.single + stack.double if t is not None],
+        strict=True))
+
+    w, z = 0.08, 0.05
+    s, half_k = stack.single_layer(w), stack.double_layer(w)
+    half_k.flat[::n + 1] += 0.5
+    ms = half_k @ assemble_single_layer(mesh, z)
+    ms *= kappa
+    ms += s
+    factors = _factor_transmission(mesh, w, z, kappa, stack)
+    rhs = np.linspace(1.0, 2.0, n)
+    factors.solve(rhs), factors.m_solve(rhs), factors.m_adjoint_solve(rhs)
+    factors.contrast_matrix()
+    assert factors.s.tobytes() == s.tobytes()
+    assert factors.matrix.tobytes() == ms.tobytes()
 
 
 def _dense_coupling(mesh, w, z):

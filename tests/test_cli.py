@@ -252,6 +252,28 @@ def test_solve_bytes_independent_of_worker_count(mesh, eps, omega, direction,
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("method", ["dilated", "direct"])
+def test_sweep_bytes_independent_of_worker_count(tmp_path, method):
+    # neither the kernel pass's row blocks nor the factor lanes change a
+    # byte of a sweep's CSVs: one worker, two workers and a repeat of two.
+    # The dilated sweep reads S and K from its series stack, the direct one
+    # assembles them at every frequency
+    argv = ["sweep", "--icosphere", "1.0,1", "--eps", "0.05",
+            "--omega-grid", "1.5:1.9:0.05", "--method", method]
+    outputs = []
+    with pytest.MonkeyPatch.context() as mp:
+        # 7 rows per chunk of a sub-1 mesh: 80 panels, 6 nodes each
+        mp.setattr(layer_ops, "_CHUNK_PAIRS", 7 * 6 * 80)
+        for k, workers in enumerate((1, 2, 2)):
+            mp.setattr(layer_ops, "_worker_count",
+                       lambda chunks, workers=workers: workers)
+            out = tmp_path / str(k)
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sweep.csv", "peak.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_usage_errors(tmp_path):
     # omega and omega-grid together
     assert main(["solve", "--icosphere", "1.0,1", "--eps", "0.05",
@@ -381,10 +403,10 @@ def test_solve_route_guards_exit_code(tmp_path, monkeypatch, capsys, method):
             "--method", method, "--out", str(tmp_path)]
     original = bc._guarded_lu
 
-    def trip_m(matrix, context):
+    def trip_m(matrix, context, **kwargs):
         if context.startswith("contrast matrix M"):
             raise NumericalGuardError(f"{context}: tripped")
-        return original(matrix, context)
+        return original(matrix, context, **kwargs)
 
     monkeypatch.setattr(bc, "_guarded_lu", trip_m)
     assert main(args) == EXIT_GUARD
