@@ -218,7 +218,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     """Factor the transmission problem on ``mesh`` under the condition
     guard, without forming the Dirichlet-to-Neumann map
     DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
-    reaches w, S_w and K_w are its Horner sums; everywhere else they are
+    reaches w, S_w and K_w are its matrix products; everywhere else they are
     assembled exactly, in one kernel pass on every usable CPU.  This is the
     one place that choice is made.
 
@@ -231,7 +231,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     At z == w, M = I + kappa (1/2 + K_w); S_z is not built, and S_w and M
     are factored in two lanes that ``layer_ops._side_by_side`` runs side by
     side when two CPUs are usable, else S first:
-    - lane S: S_w (its Horner sum where the stack reaches) in F order,
+    - lane S: S_w (the stack's product where it reaches) in F order,
       factored in place; a C-ordered S_w is released once copied, and an
       exact one before the lanes start, so that no more than three n x n
       arrays are held at once;
@@ -271,7 +271,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
         s = np.asfortranarray(s)
 
     def lane_s():
-        # a Horner sum's C-ordered S_w is released once copied
+        # the stack's C-ordered S_w is released once copied
         s_w = np.asfortranarray(stack.single_layer(w) if s is None else s)
         return _guarded_lu(s_w, f"single layer S at wavenumber {w:.6g}",
                            overwrite=True)

@@ -40,9 +40,10 @@ operators.  ``assemble_single_layer`` and ``assemble_double_layer`` run the
 same chunk body for one operator.
 
 ``assemble_series_stack`` builds the real terms of the wavenumber series of
-S_z and K_z in one such pass; a ``SeriesStack`` then gives S_z and K_z by
-Horner's rule within a stated elementwise tail bound, which is how a
-frequency sweep assembles its mesh only once.
+S_z and K_z in one such pass; a ``SeriesStack`` then gives S_z or K_z by one
+matrix product of its terms with the powers of iz, within a stated
+elementwise tail bound, which is how a frequency sweep assembles its mesh
+only once.
 
 ``single_layer_monopole`` gives the exact l = 0 coefficient of a
 single-layer potential, a panel sum over the quadrature nodes that needs no
@@ -454,43 +455,53 @@ class SeriesStack:
     S_z = Σ (iz)^n A_n with A_0 the static single layer (closed-form self
     panel), and K_z = Σ (iz)^n B_n with B_1 = 0, so the coefficient of z^n,
     the series coefficient operator S_(n) or K_(n), is i^n single[n] or
-    i^n double[n].  Evaluated by Horner in iz at the order the tail bound
-    needs for |z| * diameter; 8 n^2 bytes per stored term.
+    i^n double[n].  Each operator's terms are one contiguous float64 block
+    of shape (order + 1, n, n), B_1 a zero slot, so the stack holds
+    16 (order + 1) n^2 bytes.  S_z or K_z at the order N the tail bound
+    needs for |z| * diameter is one matrix product: the 2 x (N + 1) real
+    and imaginary parts of (iz)^k times the (N + 1, n^2) view of the first
+    N + 1 terms, whose two planes become the real and imaginary parts of
+    the complex result, so each evaluation reads each term it needs once.
     """
 
-    single: list      # A_0, A_1, ..., A_N
-    double: list      # B_0, None, B_2, ..., B_N
+    single: np.ndarray      # A_0, A_1, ..., A_N
+    double: np.ndarray      # B_0, B_1 = 0, B_2, ..., B_N
     diameter: float
 
     @property
     def order(self) -> int:
         return len(self.single) - 1
 
+    def _needed(self, z: complex) -> int | None:
+        """The order the tail bound needs at z, or None if that is more
+        than this stack holds."""
+        needed = _series_order(abs(z) * self.diameter)
+        return needed if needed is not None and needed <= self.order else None
+
     def reaches(self, z: complex) -> bool:
         """Whether the tail bound at |z| * diameter is met within this
         stack's order, so that S_z and K_z may be read from it."""
-        needed = _series_order(abs(z) * self.diameter)
-        return needed is not None and needed <= self.order
+        return self._needed(z) is not None
 
-    def _horner(self, terms: list, z: complex) -> np.ndarray:
+    def _sum(self, terms: np.ndarray, z: complex) -> np.ndarray:
         z = _check_im(z)
-        if not self.reaches(z):
+        needed = self._needed(z)
+        if needed is None:
             raise ValueError(f"series stack of order {self.order} does not "
                              f"reach wavenumber {z:.6g}")
-        iz = 1j * z
-        acc = np.zeros(terms[0].shape, dtype=complex)
-        needed = _series_order(abs(z) * self.diameter)
-        for term in reversed(terms[:needed + 1]):
-            acc *= iz
-            if term is not None:
-                acc += term
-        return acc
+        powers = (1j * z) ** np.arange(needed + 1)
+        planes = (np.array([powers.real, powers.imag])
+                  @ terms[:needed + 1].reshape(needed + 1, -1))
+        out = np.empty(terms.shape[1:], dtype=complex)
+        out.real = planes[0].reshape(out.shape)
+        out.imag = planes[1].reshape(out.shape)
+        return out
 
     def single_layer(self, z: complex) -> np.ndarray:
-        return self._horner(self.single, z)
+        return self._sum(self.single, z)
 
     def double_layer(self, z: complex) -> np.ndarray:
-        return self._horner(self.double, z)
+        return self._sum(self.double, z)
 
 
 def assemble_series_stack(mesh: SurfaceMesh, order: int,
@@ -502,7 +513,8 @@ def assemble_series_stack(mesh: SurfaceMesh, order: int,
     B_n = ((1-n)/4π n!) ν(y)·(x-y) |x-y|^{n-3} under the regular rule, the
     node values raised to successive powers of r in place.  B_0 is the
     static double layer with its solid-angle diagonal; B_n (n >= 2)
-    vanishes on flat self panels.  B_1 = 0.
+    vanishes on flat self panels.  B_1 = 0 keeps a zero slot, so
+    ``double[k]`` is B_k for every k.
     """
     if not 0 <= order <= SERIES_MAX_ORDER:
         raise ValueError(f"series order must be in [0, {SERIES_MAX_ORDER}], "
@@ -510,8 +522,10 @@ def assemble_series_stack(mesh: SurfaceMesh, order: int,
     nodes, weights = panel_quadrature(mesh)
     n = mesh.n_panels
     flat_w = weights.reshape(-1)
-    single = [s0] + [np.empty((n, n)) for _ in range(order)]
-    double = [np.empty((n, n)) if k != 1 else None for k in range(order + 1)]
+    single = np.empty((order + 1, n, n))
+    single[0] = s0
+    double = np.empty((order + 1, n, n))
+    double[1:2] = 0.0
     static_rowsum = np.empty(n)
 
     def body(rows, r, k_vals, work):

@@ -420,7 +420,7 @@ def _sweep_stack(problem: ScatteringProblem, grid: list[float],
     if not reached:
         return None, notes
     order = max(reached)
-    size = 16 * order * mesh.n_panels ** 2
+    size = 16 * (order + 1) * mesh.n_panels ** 2
     if size > SERIES_STACK_LIMIT:
         notes.append(f"series stack of order {order} needs {size:d} bytes, "
                      f"above the limit of {SERIES_STACK_LIMIT:d}; S and K "

@@ -11,7 +11,8 @@ from scipy.linalg import lu_solve, solve_triangular
 
 from bubblebem.boundary_calculus import (SpectralData, _factor_transmission,
                                          _guarded_lu)
-from bubblebem.layer_ops import assemble_layer_pair, assemble_single_layer
+from bubblebem.layer_ops import (SeriesStack, _check_im, _series_order,
+                                 assemble_layer_pair, assemble_single_layer)
 from bubblebem.mesh import SurfaceMesh
 from bubblebem.scattering import (ScatteringProblem, far_field_points,
                                   scattered_field_dilated)
@@ -33,6 +34,24 @@ def s0_operator_norm(spectral: SpectralData, matrix: np.ndarray) -> float:
     ell = spectral.gram_cholesky()
     y = solve_triangular(ell, matrix.T.conj(), lower=True).T.conj()
     return float(np.linalg.norm(ell.T @ y, 2))
+
+
+def series_horner(stack: SeriesStack, terms: np.ndarray,
+                  z: complex) -> np.ndarray:
+    """S_z or K_z from one of ``stack``'s term blocks by Horner's rule in
+    iz, at the order the tail bound needs: the sum ``SeriesStack`` takes by
+    one matrix product instead, with the same checks and errors."""
+    z = _check_im(z)
+    if not stack.reaches(z):
+        raise ValueError(f"series stack of order {stack.order} does not "
+                         f"reach wavenumber {z:.6g}")
+    iz = 1j * z
+    acc = np.zeros(terms[0].shape, dtype=complex)
+    needed = _series_order(abs(z) * stack.diameter)
+    for term in reversed(terms[:needed + 1]):
+        acc *= iz
+        acc += term
+    return acc
 
 
 def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> np.ndarray:

@@ -327,6 +327,46 @@ def test_transmission_factors_peak_memory():
     assert peak - start <= 95 * 2 ** 20
 
 
+def test_stacked_transmission_factors_peak_memory():
+    # bound stated before measuring: at n = 320 (1.56 MiB per complex
+    # n x n array) each lane holds at most two complex arrays at once: the
+    # two real planes of its matrix product and their complex result, then
+    # (planes released) lane S's C-ordered S_w and its F-ordered copy and
+    # lane M's 1/2 + K_w and M; with one real n x n block per lane for the
+    # 1-norm that is 7.8 MiB, plus small temporaries
+    mesh = make_icosphere(1.0, 2)
+    stack = assemble_series_stack(mesh, 10, assemble_single_layer(mesh, 0.0))
+    w = 0.05 * 1.9
+    assert stack.reaches(w)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        factors = _factor_transmission(mesh, w, w, 399.0, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors.s_lu is not None
+    assert peak - start <= 9 * 2 ** 20
+
+
+def test_stacked_lanes_give_the_same_factors_for_one_and_two_workers(
+        monkeypatch):
+    # the stack's matrix products run on the lane that reads them: one
+    # lane or two, the factors and 1/2 + K_w are the same bits, here at a
+    # complex w, where both parts of every power of iw are nonzero (the
+    # real w case is the stacked case of the lane test above)
+    mesh, w = make_icosphere(1.0, 2), 0.08 + 0.01j
+    stack = assemble_series_stack(mesh, 12, assemble_single_layer(mesh, 0.0))
+    assert stack.reaches(w)
+    factors = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(layer_ops, "_worker_count",
+                            lambda chunks, lanes=lanes: min(chunks, lanes))
+        f = _factor_transmission(mesh, w, w, 399.0, stack)
+        factors.append([a.tobytes() for a in (*f.s_lu, *f.lu, f.half_k)])
+    assert factors[0] == factors[1]
+
+
 def test_factoring_leaves_the_kept_arrays_unchanged():
     # the in-place LUs touch only the lanes' own F-ordered arrays: the
     # static single layer, which a stack also starts from, and the z != w
@@ -336,13 +376,11 @@ def test_factoring_leaves_the_kept_arrays_unchanged():
     spectral = spectral_data(mesh)
     s0 = assemble_single_layer(mesh, 0.0)
     stack = assemble_series_stack(mesh, 12, spectral.s0)
-    terms = [t.copy() for t in stack.single + stack.double if t is not None]
+    blocks = (stack.single.tobytes(), stack.double.tobytes())
     _factor_transmission(mesh, 0.08, 0.08, kappa, stack)
     _factor_transmission(mesh, 0.08, 0.08, kappa)
     assert spectral.s0.tobytes() == s0.tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(
-        terms, [t for t in stack.single + stack.double if t is not None],
-        strict=True))
+    assert (stack.single.tobytes(), stack.double.tobytes()) == blocks
 
     w, z = 0.08, 0.05
     s, half_k = stack.single_layer(w), stack.double_layer(w)

@@ -18,6 +18,7 @@ from bubblebem.layer_ops import (SERIES_MAX_ORDER, SERIES_TAIL_TARGET,
                                  triangle_inverse_distance_integral)
 from bubblebem.mesh import (affine_transform, make_ellipsoid, make_icosphere,
                             scale_about)
+from reference import series_horner
 
 
 def duality_opnorm_gap(mesh, matrix):
@@ -204,10 +205,9 @@ def test_k0_degree_one_eigenvalue(sphere3):
 
 def series_coefficients(mesh, order):
     """S_(n) = i^n A_n and K_(n) = i^n B_n, the coefficients of z^n, for
-    n <= order, read from one series stack (entry None where a term is 0)."""
+    n <= order, read from one series stack."""
     stack = assemble_series_stack(mesh, order, np.zeros((mesh.n_panels,) * 2))
-    return tuple([None if term is None else 1j ** n * term
-                  for n, term in enumerate(terms)]
+    return tuple([1j ** n * term for n, term in enumerate(terms)]
                  for terms in (stack.single, stack.double))
 
 
@@ -301,18 +301,52 @@ def test_series_max_order_reaches_the_validity_threshold():
 @given(name=st.sampled_from(sorted(SUB1_STACKS)),
        rho=st.floats(0.0, 1.0), angle=st.floats(0.0, np.pi))
 def test_series_stack_matches_exact_assembly(name, rho, angle):
-    # Horner sums against exact assembly, elementwise within the tail
-    # bound the evaluation order guarantees, plus rounding
+    # the stack's matrix products against exact assembly, elementwise
+    # within the tail bound the evaluation order guarantees, plus rounding
     mesh, stack = SUB1_STACKS[name]
     z = rho / mesh.diameter * np.exp(1j * angle)
     bound = series_tail_bound(rho, layer_ops._series_order(rho))
-    for horner, exact in ((stack.single_layer(z),
+    for summed, exact in ((stack.single_layer(z),
                            assemble_single_layer(mesh, z)),
                           (stack.double_layer(z),
                            assemble_double_layer(mesh, z))):
         rounding = 64 * np.finfo(float).eps * np.abs(exact).max()
-        assert np.all(np.abs(horner - exact)
+        assert np.all(np.abs(summed - exact)
                       <= bound * np.abs(exact) + rounding)
+
+
+def _reach_edge(stack):
+    """The largest |z| the stack reaches, to bisection precision."""
+    lo, hi = 0.0, 2.0 / stack.diameter
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stack.reaches(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("name", sorted(SUB1_STACKS))
+def test_series_stack_product_matches_horner(name):
+    # one matrix product per operator against Horner's rule in iz over the
+    # same terms, elementwise within a few roundings of the largest entry,
+    # at real and complex z, and at the edge of the order-17 reach
+    mesh, stack = SUB1_STACKS[name]
+    edge = _reach_edge(stack) * (1 - 1e-9)
+    assert not stack.reaches(1.001 * edge)
+    for z in (0.3 / mesh.diameter, 0.5 / mesh.diameter * np.exp(1.1j),
+              edge, edge * np.exp(0.6j), 0.0):
+        for terms, summed in ((stack.single, stack.single_layer(z)),
+                              (stack.double, stack.double_layer(z))):
+            horner = series_horner(stack, terms, z)
+            assert np.all(np.abs(summed - horner)
+                          <= 8 * np.finfo(float).eps * np.abs(horner).max())
+
+
+def test_series_stack_product_is_deterministic():
+    # two evaluations at the same z give the same bits
+    mesh, stack = SUB1_STACKS["ellipsoid"]
+    for z in (0.4 / mesh.diameter, 0.7 / mesh.diameter * np.exp(0.3j)):
+        for evaluate in (stack.single_layer, stack.double_layer):
+            assert evaluate(z).tobytes() == evaluate(z).tobytes()
 
 
 def test_series_stack_refuses_beyond_its_order():
@@ -389,7 +423,9 @@ def test_series_stack_reaches_where_its_order_meets_the_tail_target():
 
 def test_series_terms_are_slices_of_the_stack(sphere2):
     stack = assemble_series_stack(sphere2, 3, np.zeros((sphere2.n_panels,) * 2))
-    assert stack.double[1] is None
+    # B_1 = 0 is a zero slot of the double-layer block: it adds nothing
+    assert stack.double.shape == (4, sphere2.n_panels, sphere2.n_panels)
+    assert not stack.double[1].any()
     k0 = assemble_double_layer(sphere2, 0.0)
     assert np.abs(stack.double[0] - k0).max() <= 1e-15 * np.abs(k0).max()
 
@@ -487,8 +523,7 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
                                   assemble_double_layer)]
                 + [op for z in (0.0, 1.6, 1.0 + 1.0j)
                    for op in assemble_layer_pair(mesh, z)]
-                + [term for terms in (stack.single[1:], stack.double)
-                   for term in terms if term is not None])
+                + [*stack.single[1:], *stack.double])
 
     def potentials():
         return [eval_single_layer_potential(mesh, density, z, points)
@@ -523,8 +558,7 @@ def test_assembly_independent_of_worker_count(monkeypatch, workers):
                  for op in (assemble_single_layer(mesh, z),
                             assemble_double_layer(mesh, z),
                             *assemble_layer_pair(mesh, z))]
-                + [term for terms in (stack.single[1:], stack.double)
-                   for term in terms if term is not None]
+                + [*stack.single[1:], *stack.double]
                 + [eval_single_layer_potential(mesh, density, z, at)
                    for z in (0.0, 1.6, 0.2j) for at in (points, points[:5])])
 

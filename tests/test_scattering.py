@@ -628,6 +628,20 @@ def test_dilated_sweep_stack_matches_exact_assembly(sphere2, spectral2,
     assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
+def test_sweep_stack_size_estimate_is_the_stack_bytes(monkeypatch):
+    # the size _sweep_stack checks against SERIES_STACK_LIMIT is the bytes
+    # the stack's two term blocks hold
+    problem = make_problem(SUB1, 0.05, 1.5, y0=np.zeros(3))
+    grid = list(np.round(np.arange(1.5, 2.0001, 0.1), 10))
+    stack, notes = scattering._sweep_stack(problem, grid, SPECTRAL1)
+    assert notes == []
+    monkeypatch.setattr(scattering, "SERIES_STACK_LIMIT", 0)
+    none, notes = scattering._sweep_stack(problem, grid, SPECTRAL1)
+    assert none is None and len(notes) == 1
+    size = int(notes[0].split(" needs ")[1].split()[0])
+    assert size == stack.single.nbytes + stack.double.nbytes
+
+
 def count_assemblies(monkeypatch):
     """Record the wavenumber of every exact S assembly and every exact S and
     K pass made through boundary_calculus and the order of every series
