@@ -6,6 +6,11 @@ Dirichlet-to-Neumann map S^{-1}(1/2 + K) (S and M apart at z == w, the one
 product M S_w at z != w), and the two-block decomposition of the contrast
 operator family with its small-scale expansions.
 
+A study that factors at many contracted wavenumbers, a dilated sweep or
+``verify``, sizes one wavenumber series stack for all of them by one rule
+(``_series_stack``); ``_factor_transmission`` then reads each of S_w, K_w
+and S_z from it where it reaches and assembles the others exactly.
+
 At z == w the two factorizations are independent, so they run side by
 side, one lane each for S and M, when the process may use two CPUs
 (``layer_ops._side_by_side``); each lane factors its own F-ordered copy in
@@ -29,11 +34,17 @@ import numpy as np
 from scipy.linalg import (cholesky, lapack, lu_factor, lu_solve,
                           solve_triangular, svd)
 
-from .layer_ops import (SeriesStack, _side_by_side, assemble_layer_pair,
+from .layer_ops import (SERIES_MAX_ORDER, SeriesStack, _series_order,
+                        _side_by_side, assemble_layer_pair,
                         assemble_series_stack, assemble_single_layer)
 from .mesh import _CHUNK_PAIRS, SurfaceMesh
 
 CONDITION_LIMIT = 1e12
+
+# Largest series stack (bytes of real coefficient matrices) one sweep or
+# one verify run may hold; past it every contracted operator is assembled
+# exactly.
+SERIES_STACK_LIMIT = 2 ** 29
 
 
 class NumericalGuardError(RuntimeError):
@@ -212,15 +223,50 @@ def _contrast_matrix(kappa: float, half_k: np.ndarray,
     return m
 
 
+def _series_stack(spectral: SpectralData, wavenumbers) -> tuple:
+    """The series stack of ``spectral.mesh`` that a study reads its
+    contracted operators from, or None, plus a note for every fallback to
+    exact assembly.
+
+    The order is the one the tail bound needs at the largest of the
+    contracted ``wavenumbers`` that SERIES_MAX_ORDER reaches; wavenumbers
+    past that, and every wavenumber when the stack would exceed
+    SERIES_STACK_LIMIT bytes, are assembled exactly by
+    ``_factor_transmission``.  The sweep and ``verify`` both build their
+    stack here.
+    """
+    mesh = spectral.mesh
+    orders = [_series_order(abs(k) * mesh.diameter) for k in wavenumbers]
+    reached = [o for o in orders if o is not None]
+    notes = []
+    if len(reached) < len(orders):
+        beyond = min(abs(k) for k, o in zip(wavenumbers, orders) if o is None)
+        notes.append(f"series stack: {len(orders) - len(reached)} contracted "
+                     f"wavenumbers from |eps w| = {beyond:g} need more than "
+                     f"{SERIES_MAX_ORDER} terms; S and K assembled exactly "
+                     "there")
+    if not reached:
+        return None, notes
+    order = max(reached)
+    size = 16 * (order + 1) * mesh.n_panels ** 2
+    if size > SERIES_STACK_LIMIT:
+        notes.append(f"series stack of order {order} needs {size:d} bytes, "
+                     f"above the limit of {SERIES_STACK_LIMIT:d}; S and K "
+                     "assembled exactly at every wavenumber")
+        return None, notes
+    return assemble_series_stack(mesh, order, spectral.s0), notes
+
+
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
                          kappa: float,
                          stack: SeriesStack | None = None) -> TransmissionFactors:
     """Factor the transmission problem on ``mesh`` under the condition
     guard, without forming the Dirichlet-to-Neumann map
     DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
-    reaches w, S_w and K_w are its matrix products; everywhere else they are
-    assembled exactly, in one kernel pass on every usable CPU.  This is the
-    one place that choice is made.
+    reaches w, S_w and K_w are its matrix products, and so is S_z where it
+    reaches z; everywhere else they are assembled exactly, S_w and K_w in
+    one kernel pass on every usable CPU.  This is the one place that choice
+    is made, operator by operator.
 
     With M = I + kappa (1/2 + K_w) S_z S_w^{-1}, S_w^{-1} M S_w
     = I + kappa DN_w S_z, so
@@ -242,7 +288,8 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     are the same bits either way.
 
     At z != w the one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
-    (one matmul; S_z is released right after it) and factored, and S_w is
+    (one matmul; S_z, the stack's product or an exact assembly, is released
+    right after it) and factored, and S_w is
     kept for M^{-1} = S_w (M S_w)^{-1}.  Since det(M S_w) = det M det S_w,
     the guard on M S_w trips when M or S_w is singular.
 
@@ -255,7 +302,9 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
         s, half_k = ((stack.single_layer(w), stack.double_layer(w))
                      if stacked else assemble_layer_pair(mesh, w))
         half_k.flat[::n + 1] += 0.5
-        ms = half_k @ assemble_single_layer(mesh, z)
+        ms = half_k @ (stack.single_layer(z)
+                       if stack is not None and stack.reaches(z)
+                       else assemble_single_layer(mesh, z))
         ms *= kappa
         ms += s
         lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
@@ -492,7 +541,8 @@ class ExpansionResidual:
 
 
 def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
-                       z: complex) -> ExpansionResidual:
+                       z: complex,
+                       stack: SeriesStack | None = None) -> ExpansionResidual:
     """Residual of M^{-1} ~ P_0/E (off resonance) or of
     eps M^{-1} ~ coefficient * P_0 (at resonance), in the S_0^{-1} norm,
     with M = eps^{-2} times the contrast operator (``_factor_transmission``).
@@ -502,6 +552,8 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
     (Golub-Kahan): each step applies M^{-1} and M^{-H} to one vector
     through the one LU of M S_w, P_0 as rank one and L by triangular
     solves, so neither M^{-1} nor an SVD of an n x n matrix is formed.
+    Given a series ``stack`` of the mesh, S and K are read from it where it
+    reaches (``_factor_transmission``).
 
     ``omega`` counts as resonant when the discrete quadratic coefficient
     vanishes to 1e-8, as it does at ``k2_resonance_frequency``.  Off
@@ -512,7 +564,7 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
     """
     quad, cubic = _discrete_coefficients(spectral, omega, z)
     resonant = abs(quad) < 1e-8
-    f = _contrast_factors(spectral.mesh, eps, omega, z)
+    f = _contrast_factors(spectral.mesh, eps, omega, z, stack)
     if resonant:
         if z == 0:
             raise ValueError("the resonant expansion needs z != 0")

@@ -493,10 +493,20 @@ def verification_checks(cfg: RunConfig):
     lo = DEFAULT_TOLERANCES["expansion_ratio_low"]
     hi = DEFAULT_TOLERANCES["expansion_ratio_high"]
     what = bc.k2_resonance_frequency(spectral)
+    # one series stack for every contracted operator of both studies:
+    # S_{eps w}, K_{eps w} and S_{eps z}, at z = 0.7 for the expansions and
+    # z = i for the kernels, released when the checks return; each
+    # fallback to exact assembly is a warning
+    stack, notes = bc._series_stack(
+        spectral, [eps * omega for eps in (0.04, 0.02, *eps_list)
+                   for omega in (1.0, what)]
+        + [eps * 0.7 for eps in (0.04, 0.02)] + [eps * 1j for eps in eps_list])
+    for note in notes:
+        warnings.warn(note)
     for name, omega in (("offres_expansion_ratio", 1.0),
                         ("res_expansion_ratio", what)):
-        r_coarse = bc.expansion_residual(spectral, 0.04, omega, 0.7)
-        r_fine = bc.expansion_residual(spectral, 0.02, omega, 0.7)
+        r_coarse = bc.expansion_residual(spectral, 0.04, omega, 0.7, stack)
+        r_fine = bc.expansion_residual(spectral, 0.02, omega, 0.7, stack)
         checks.append((name, r_coarse.residual / r_fine.residual, lo, hi,
                        True))
 
@@ -508,8 +518,8 @@ def verification_checks(cfg: RunConfig):
     for name, problems, target, expected, gated in (
             ("krein_kernel_offres_rate", offres, 0.0, 1.0, True),
             ("krein_kernel_res_rate", res, glim, 0.5, False)):
-        errs = [abs(sc.resolvent_correction_kernel(prob, 1j, x, y) - target)
-                for prob in problems]
+        errs = [abs(sc.resolvent_correction_kernel(prob, 1j, x, y, stack)
+                    - target) for prob in problems]
         logs = np.log(np.asarray(errs))
         slope, intercept = np.polyfit(np.log(eps_list), logs, 1)
         resid = logs - (slope * np.log(np.asarray(eps_list)) + intercept)

@@ -12,6 +12,12 @@ The two are algebraically identical (see docs/scaling_identities.md for the
 unwound change of variables) and agreeing to solver tolerance is a standing
 invariant.  Asymptotic amplitudes, frequency sweeps, Lorentzian peak fits,
 and the resolvent correction/point-interaction kernels complete the module.
+
+A dilated sweep reads its contracted S and K from one wavenumber series
+stack, built by the rule it shares with ``verify``
+(``boundary_calculus._series_stack``).  ``scipy.optimize`` is loaded only
+by the peak fit, ``resonance_peak``, so a command that fits no peak does
+not pay for it.
 """
 
 from __future__ import annotations
@@ -21,23 +27,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .boundary_calculus import (NumericalGuardError, SpectralData,
                                 _contrast_factors, _factor_transmission,
-                                check_eps)
+                                _series_stack, check_eps)
 # assemble_single_layer is not called here; it stays importable from this
 # module because perfbench's tracer test looks it up in every namespace.
-from .layer_ops import (SERIES_MAX_ORDER, SeriesStack, _series_order,
-                        assemble_series_stack, assemble_single_layer,
+from .layer_ops import (SeriesStack, assemble_single_layer,
                         eval_single_layer_potential, single_layer_monopole)
 from .mesh import SurfaceMesh, scale_about, surface_centroid
 
 METHODS = ("direct", "dilated", "uniform", "nonresonant")
-
-# Largest series stack (bytes of real coefficient matrices) one dilated
-# sweep may hold; past it the sweep assembles S and K at every frequency.
-SERIES_STACK_LIMIT = 2 ** 29
 
 
 class FitError(RuntimeError):
@@ -399,36 +399,6 @@ class SweepResult:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def _sweep_stack(problem: ScatteringProblem, grid: list[float],
-                 spectral: SpectralData) -> tuple:
-    """The series stack a dilated sweep evaluates S and K from, or None,
-    plus a note for every fallback to exact assembly.
-
-    The order is the one the tail bound needs at the largest contracted
-    wavenumber eps * omega that SERIES_MAX_ORDER reaches; frequencies past
-    that, and every frequency when the stack would exceed
-    SERIES_STACK_LIMIT bytes, are assembled exactly.
-    """
-    mesh = problem.mesh
-    orders = [_series_order(problem.eps * w * mesh.diameter) for w in grid]
-    reached = [o for o in orders if o is not None]
-    notes = []
-    if len(reached) < len(grid):
-        notes.append(f"series stack: {len(grid) - len(reached)} frequencies "
-                     f"from omega = {grid[len(reached)]:g} need more than "
-                     f"{SERIES_MAX_ORDER} terms; S and K assembled exactly there")
-    if not reached:
-        return None, notes
-    order = max(reached)
-    size = 16 * (order + 1) * mesh.n_panels ** 2
-    if size > SERIES_STACK_LIMIT:
-        notes.append(f"series stack of order {order} needs {size:d} bytes, "
-                     f"above the limit of {SERIES_STACK_LIMIT:d}; S and K "
-                     "assembled exactly at every frequency")
-        return None, notes
-    return assemble_series_stack(mesh, order, spectral.s0), notes
-
-
 def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                     spectral: SpectralData) -> SweepResult:
     """Amplitude table of ``method`` (one of METHODS) over a sorted, finite,
@@ -439,13 +409,14 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     solver failures are recorded in the row and the sweep continues; rows
     inside |omega - omega_M| < guard_constant * eps carry a warning flag
     rather than an error.  A dilated sweep assembles the reference mesh
-    once, as a series stack (``_sweep_stack``), and hands it to every row;
-    every fallback to exact assembly is listed in the result's warnings.
+    once, as a series stack (``boundary_calculus._series_stack`` at the
+    contracted wavenumbers eps * omega), and hands it to every row; every
+    fallback to exact assembly is listed in the result's warnings.
     """
     grid = check_grid(omega_grid)
     if method not in METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
-    stack, notes = (_sweep_stack(problem, grid, spectral)
+    stack, notes = (_series_stack(spectral, [problem.eps * w for w in grid])
                     if method == "dilated" else (None, []))
 
     def one(omega: float) -> SweepRow:
@@ -511,6 +482,9 @@ def resonance_peak(sweep: SweepResult) -> PeakFit:
     above = abs2 >= abs2[imax] / 2.0
     width0 = max(0.5 * (nu[above][-1] - nu[above][0]), span / len(nu))
     p0 = (nu[imax], width0, abs2[imax])
+    # imported here, by the one function that fits, so that the resident
+    # memory and start-up time of scipy.optimize are paid only by a peak fit
+    from scipy.optimize import curve_fit
     try:
         popt, pcov = curve_fit(model, nu[core], abs2[core], p0=p0, maxfev=20000)
     except RuntimeError as exc:
@@ -540,19 +514,23 @@ def resonance_peak(sweep: SweepResult) -> PeakFit:
 
 
 def resolvent_correction_kernel(problem: ScatteringProblem, z: complex,
-                                x: np.ndarray, y: np.ndarray) -> complex:
+                                x: np.ndarray, y: np.ndarray,
+                                stack: SeriesStack | None = None) -> complex:
     """Kernel of the resolvent difference at (x, y), for Im z > 0.
 
     Realized as -(1/eps) times the single-layer potential (contracted
     wavenumber eps z) of the interaction operator applied to the boundary
-    trace of G_z(. - y) composed with the dilation.
+    trace of G_z(. - y) composed with the dilation.  Given a series
+    ``stack`` of the reference mesh, S and K are read from it where it
+    reaches.
     """
     if complex(z).imag <= 0:
         raise ValueError(f"resolvent kernel needs Im z > 0, got z = {z}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _, potential = _dilated_solve(problem, z,
-                                  lambda pts: green_function(z, pts - y))
+                                  lambda pts: green_function(z, pts - y),
+                                  stack)
     return complex(potential(x[None, :])[0])
 
 

@@ -382,16 +382,67 @@ def test_factoring_leaves_the_kept_arrays_unchanged():
     assert spectral.s0.tobytes() == s0.tobytes()
     assert (stack.single.tobytes(), stack.double.tobytes()) == blocks
 
+    # the order-12 stack reaches z too, so S_z is its product as well
     w, z = 0.08, 0.05
+    assert stack.reaches(z)
     s, half_k = stack.single_layer(w), stack.double_layer(w)
     half_k.flat[::n + 1] += 0.5
-    ms = half_k @ assemble_single_layer(mesh, z)
+    ms = half_k @ stack.single_layer(z)
     ms *= kappa
     ms += s
     factors = _factor_transmission(mesh, w, z, kappa, stack)
     rhs = np.linspace(1.0, 2.0, n)
     factors.solve(rhs), factors.m_solve(rhs), factors.m_adjoint_solve(rhs)
     factors.contrast_matrix()
+    assert factors.s.tobytes() == s.tobytes()
+    assert factors.matrix.tobytes() == ms.tobytes()
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere", "ellipsoid"])
+@pytest.mark.parametrize("eps, omega, z", [(0.04, "resonance", 0.7),
+                                           (0.2, 1.0, 1j)])
+def test_stacked_factors_at_z_not_w_match_the_exact_ones(mesh_name, eps,
+                                                         omega, z):
+    # a stack that reaches both eps w and eps z gives S_w, K_w and S_z by
+    # matrix products: M S_w matches the exact one to rounding, and solve,
+    # M^{-1} and M^{-H} of a fixed vector match the exact factors within
+    # 1e-12 relative, or within twice the first-order perturbation bound
+    # cond(M S_w) * delta where that is larger: at the sphere's resonance
+    # cond(M S_w) = 2.8e3 and delta = 2.3e-15 give 6.3e-12
+    mesh = (make_icosphere(1.0, 1) if mesh_name == "sphere"
+            else make_ellipsoid((1.0, 1.3, 1.7), 1))
+    spectral = spectral_data(mesh)
+    if omega == "resonance":
+        omega = k2_resonance_frequency(spectral)
+    stack = assemble_series_stack(mesh, 15, spectral.s0)
+    assert stack.reaches(eps * omega) and stack.reaches(eps * z)
+    rhs = np.exp(1j * np.linspace(0.0, 3.0, mesh.n_panels))
+    stacked = _contrast_factors(mesh, eps, omega, z, stack)
+    exact = _contrast_factors(mesh, eps, omega, z)
+    delta = (np.linalg.norm(stacked.matrix - exact.matrix, 2)
+             / np.linalg.norm(exact.matrix, 2))
+    assert delta <= 1e-14
+    bound = max(1e-12, 2 * np.linalg.cond(exact.matrix) * delta)
+    for name in ("solve", "m_solve", "m_adjoint_solve"):
+        got = getattr(stacked, name)(rhs)
+        expected = getattr(exact, name)(rhs)
+        assert (np.linalg.norm(got - expected)
+                <= bound * np.linalg.norm(expected)), name
+
+
+def test_stack_that_misses_z_assembles_s_z_exactly():
+    # an order-3 stack reaches w = 1e-4 but not z = 0.5: S_w and K_w are its
+    # products and S_z is assembled exactly, bit for bit
+    mesh, kappa, w, z = make_icosphere(1.0, 1), 399.0, 1e-4, 0.5
+    n = mesh.n_panels
+    stack = assemble_series_stack(mesh, 3, assemble_single_layer(mesh, 0.0))
+    assert stack.reaches(w) and not stack.reaches(z)
+    s, half_k = stack.single_layer(w), stack.double_layer(w)
+    half_k.flat[::n + 1] += 0.5
+    ms = half_k @ assemble_single_layer(mesh, z)
+    ms *= kappa
+    ms += s
+    factors = _factor_transmission(mesh, w, z, kappa, stack)
     assert factors.s.tobytes() == s.tobytes()
     assert factors.matrix.tobytes() == ms.tobytes()
 

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -477,6 +478,78 @@ def test_verify_suite_passes(tmp_path):
     assert run(tmp_path, "verify", "--icosphere", "1.0,2") == EXIT_OK
     header, rows = read_csv(tmp_path / "verify.csv")
     assert all(r[header.index("pass")] == "1" for r in rows)
+
+
+def count_kernel_passes(monkeypatch):
+    """Record (wavenumber, single, double) of every exact kernel pass and
+    the order of every series stack built."""
+    calls = {"exact": [], "stack": []}
+    assemble, build = layer_ops._assemble_layers, bc.assemble_series_stack
+
+    def exact(mesh, z, single, double):
+        calls["exact"].append((z, single, double))
+        return assemble(mesh, z, single, double)
+
+    def stack(mesh, order, s0):
+        calls["stack"].append(order)
+        return build(mesh, order, s0)
+
+    monkeypatch.setattr(layer_ops, "_assemble_layers", exact)
+    monkeypatch.setattr(bc, "assemble_series_stack", stack)
+    return calls
+
+
+def test_verify_reads_every_contracted_operator_from_one_stack(
+        tmp_path, monkeypatch):
+    # S_0 (spectral_data) and K_0 (Gauss identity) are the only exact
+    # passes; every contracted S and K comes from one order-15 stack,
+    # beside the order-3 stack of the series averages
+    calls = count_kernel_passes(monkeypatch)
+    assert run(tmp_path / "stack", "verify", "--icosphere", "1.0,2") == EXIT_OK
+    assert sorted(calls["exact"]) == [(0, False, True), (0, True, False)]
+    assert calls["stack"] == [3, 15]
+    manifest = json.loads((tmp_path / "stack" / "manifest.json").read_text())
+    assert manifest["warnings"] == []
+
+    # with no room for a stack, every contracted operator is assembled
+    # exactly: 10 S and K pairs, S_0 and the 10 S_z, K_0; the results agree
+    monkeypatch.setattr(bc, "SERIES_STACK_LIMIT", 0)
+    calls["exact"].clear()
+    calls["stack"].clear()
+    assert run(tmp_path / "exact", "verify", "--icosphere", "1.0,2") == EXIT_OK
+    kinds = Counter((single, double) for _, single, double in calls["exact"])
+    assert kinds == {(True, True): 10, (True, False): 11, (False, True): 1}
+    assert calls["stack"] == [3]
+    manifest = json.loads((tmp_path / "exact" / "manifest.json").read_text())
+    assert len(manifest["warnings"]) == 1
+    assert "above the limit" in manifest["warnings"][0]
+    _, stacked = read_csv(tmp_path / "stack" / "verify.csv")
+    _, exact = read_csv(tmp_path / "exact" / "verify.csv")
+    assert [r[0] for r in stacked] == [r[0] for r in exact]
+    a = np.array([[float(v) for v in r[1:]] for r in stacked])
+    b = np.array([[float(v) for v in r[1:]] for r in exact])
+    finite = np.isfinite(b)
+    assert np.array_equal(a[~finite], b[~finite])
+    a, b = a[finite], b[finite]
+    assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(np.abs(a), np.abs(b)))
+
+
+def test_verify_bytes_independent_of_worker_count(tmp_path):
+    # the stack pass feeds every contracted operator of verify: neither its
+    # row blocks nor the exact passes' change a byte of verify.csv
+    outputs = []
+    with pytest.MonkeyPatch.context() as mp:
+        # 7 rows per chunk of a sub-1 mesh: 80 panels, 6 nodes each
+        mp.setattr(layer_ops, "_CHUNK_PAIRS", 7 * 6 * 80)
+        for k, workers in enumerate((1, 2, 2)):
+            mp.setattr(layer_ops, "_worker_count",
+                       lambda chunks, workers=workers: workers)
+            out = tmp_path / str(k)
+            # the sub-1 mesh is too coarse for the quadratic identity's
+            # window, so the exit code is compared, not required to be 0
+            code = main(["verify", "--icosphere", "1.0,1", "--out", str(out)])
+            outputs.append((code, (out / "verify.csv").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_verify_mutation_fails(monkeypatch):

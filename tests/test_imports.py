@@ -1,6 +1,8 @@
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +38,14 @@ def unused_imports(module: str) -> list[str]:
 @pytest.mark.parametrize("module", sorted(FILES))
 def test_every_import_is_used(module):
     assert unused_imports(module) == []
+
+
+def test_cli_does_not_load_scipy_optimize():
+    # only the peak fit needs scipy.optimize, and it loads it itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    code = "import sys, bubblebem.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -620,23 +620,22 @@ def test_dilated_sweep_stack_matches_exact_assembly(sphere2, spectral2,
     grid = np.round(np.arange(1.5, 2.0001, 0.1), 10)
     stacked = frequency_sweep(problem, grid, "dilated", spectral2)
     assert stacked.warnings == []
-    monkeypatch.setattr(scattering, "SERIES_STACK_LIMIT", 0)
+    monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
     exact = frequency_sweep(problem, grid, "dilated", spectral2)
     assert len(exact.warnings) == 1
-    assert "assembled exactly at every frequency" in exact.warnings[0]
+    assert "assembled exactly at every wavenumber" in exact.warnings[0]
     a, b = sweep_amplitudes(stacked), sweep_amplitudes(exact)
     assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_sweep_stack_size_estimate_is_the_stack_bytes(monkeypatch):
-    # the size _sweep_stack checks against SERIES_STACK_LIMIT is the bytes
-    # the stack's two term blocks hold
-    problem = make_problem(SUB1, 0.05, 1.5, y0=np.zeros(3))
-    grid = list(np.round(np.arange(1.5, 2.0001, 0.1), 10))
-    stack, notes = scattering._sweep_stack(problem, grid, SPECTRAL1)
+    # the size _series_stack checks against SERIES_STACK_LIMIT for a sweep's
+    # wavenumbers eps * omega is the bytes the stack's two term blocks hold
+    wavenumbers = list(0.05 * np.round(np.arange(1.5, 2.0001, 0.1), 10))
+    stack, notes = boundary_calculus._series_stack(SPECTRAL1, wavenumbers)
     assert notes == []
-    monkeypatch.setattr(scattering, "SERIES_STACK_LIMIT", 0)
-    none, notes = scattering._sweep_stack(problem, grid, SPECTRAL1)
+    monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
+    none, notes = boundary_calculus._series_stack(SPECTRAL1, wavenumbers)
     assert none is None and len(notes) == 1
     size = int(notes[0].split(" needs ")[1].split()[0])
     assert size == stack.single.nbytes + stack.double.nbytes
@@ -650,7 +649,7 @@ def count_assemblies(monkeypatch):
     for kind, module, name in (
             ("single", boundary_calculus, "assemble_single_layer"),
             ("pair", boundary_calculus, "assemble_layer_pair"),
-            ("stack", scattering, "assemble_series_stack")):
+            ("stack", boundary_calculus, "assemble_series_stack")):
         original = getattr(module, name)
 
         def counted(mesh, arg, *rest, original=original, kind=kind):
@@ -707,7 +706,7 @@ def test_sweep_past_the_highest_order_is_assembled_exactly(monkeypatch):
     assert all(row.error is None for row in sweep.rows)
     assert len(calls["stack"]) == 1
     assert (calls["single"], calls["pair"]) == ([], [0.6])
-    assert len(sweep.warnings) == 1 and "omega = 2" in sweep.warnings[0]
+    assert len(sweep.warnings) == 1 and "|eps w| = 0.6" in sweep.warnings[0]
     exact = scattered_field_dilated(make_problem(SUB1, 0.3, 2.0), OBS)
     assert sweep.rows[1].amplitude == pytest.approx(exact.amplitude, rel=1e-12)
 
