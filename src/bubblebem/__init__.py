@@ -6,8 +6,7 @@ amplitudes, and the point-interaction resolvent limit."""
 
 from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
                                 SpectralData, expansion_residual,
-                                k2_resonance_frequency, schur_blocks,
-                                spectral_data)
+                                k2_resonance_frequency, spectral_data)
 from .layer_ops import (SeriesStack, assemble_double_layer,
                         assemble_layer_pair, assemble_series_stack,
                         assemble_single_layer, eval_single_layer_potential,

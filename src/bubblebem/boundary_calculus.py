@@ -1,10 +1,17 @@
-"""Derived boundary objects: the per-mesh spectral data (the real static
-single layer S_0 and its LU, equilibrium density, capacitance, Minnaert
+"""Derived boundary objects: the per-mesh spectral data (the LU of the
+real static single layer S_0, equilibrium density, capacitance, Minnaert
 frequency and the series averages <K_(2)>, <K_(3)>), the guarded factors
 of the contrast matrix M that every solver uses in place of the
 Dirichlet-to-Neumann map S^{-1}(1/2 + K) (S and M apart at z == w, the one
-product M S_w at z != w), and the two-block decomposition of the contrast
-operator family with its small-scale expansions.
+product M S_w at z != w), and the small-scale expansions of the contrast
+operator family.
+
+Each factorization on the solve path consumes its operand where it was
+formed: S_0, S_w and M are laid out in F order as they are assembled or
+formed and LAPACK factors them in place.  A caller states the trace whose
+right-hand side (1/2 + K_w) trace it needs, and that product is formed
+before 1/2 + K_w becomes M, so no S_0, S_w, 1/2 + K_w or layout copy is
+kept once its factor exists: one n x n array per live operator.
 
 A study that factors at many contracted wavenumbers, a dilated sweep or
 ``verify``, sizes one wavenumber series stack for all of them by one rule
@@ -13,8 +20,8 @@ and S_z from it where it reaches and assembles the others exactly.
 
 At z == w the two factorizations are independent, so they run side by
 side, one lane each for S and M, when the process may use two CPUs
-(``layer_ops._side_by_side``); each lane factors its own F-ordered copy in
-place, and the factors are the same bits in either lane order.
+(``layer_ops._side_by_side``); each lane factors its own F-ordered operand
+in place, and the factors are the same bits in either lane order.
 
 All operator-norm statements are evaluated in the norm induced by the
 discrete S_0^{-1} inner product, in which the projector onto constants is
@@ -34,9 +41,10 @@ import numpy as np
 from scipy.linalg import (cholesky, lapack, lu_factor, lu_solve,
                           solve_triangular, svd)
 
-from .layer_ops import (SERIES_MAX_ORDER, SeriesStack, _series_order,
-                        _side_by_side, assemble_layer_pair,
-                        assemble_series_stack, assemble_single_layer)
+from .layer_ops import (SERIES_MAX_ORDER, SeriesStack, _assemble_layers,
+                        _double_term_row_sums, _series_order, _side_by_side,
+                        assemble_layer_pair, assemble_series_stack,
+                        assemble_single_layer)
 from .mesh import _CHUNK_PAIRS, SurfaceMesh
 
 CONDITION_LIMIT = 1e12
@@ -78,23 +86,23 @@ def _guarded_lu(matrix: np.ndarray, context: str, overwrite: bool = False):
 @dataclass
 class SpectralData:
     """Everything about one mesh that does not depend on frequency or scale:
-    capacitance, Minnaert frequency, the equilibrium density q_eq = S_0^{-1} 1,
-    the real static single layer S_0 and its LU factors.
+    capacitance, Minnaert frequency, the equilibrium density q_eq = S_0^{-1} 1
+    and the LU factors of the real static single layer S_0; S_0 itself is
+    not kept, it was factored in place.
 
     The projector onto constants, orthogonal in the S_0^{-1} product, is
     the rank-one P_0 = 1 w^T with w = ``p0_row``; ``on_constants`` is the
     coefficient <1, v>/<1, 1> it takes.  Built once per mesh by
     ``spectral_data`` and passed to every function that needs these
     quantities.  The S_0^{-1} Gram factor and the series averages <K_(2)>,
-    <K_(3)> (both from one order-3 series pass) are computed on first use
-    and cached.
+    <K_(3)> (both from one pass that sums the rows of B_2 and B_3 and keeps
+    no n x n term) are computed on first use and cached.
     """
 
     mesh: SurfaceMesh
     capacitance: float
     minnaert_omega: float
     q_eq: np.ndarray
-    s0: np.ndarray
     s0_lu: tuple
     _gram_chol: np.ndarray | None = field(default=None, repr=False)
     _k_means: tuple | None = field(default=None, repr=False)
@@ -111,21 +119,35 @@ class SpectralData:
         return complex(self.q_eq @ (self.mesh.areas * v)) / self.capacitance
 
     def gram_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor of the symmetrized S_0^{-1} Gram matrix."""
+        """Lower Cholesky factor of the symmetrized S_0^{-1} Gram matrix
+        W = S_0^{-T} diag(areas), (W + W^T) / 2.
+
+        One n x n array is held: diag(areas) in F order is solved into in
+        place, its lower triangle symmetrized in place by blocks of columns
+        and factored in place.  Since a + b = b + a exactly and the Cholesky
+        factorization reads only the lower triangle, the factor has the bits
+        of ``cholesky(0.5 * (w + w.T), lower=True)``.
+        """
         if self._gram_chol is None:
-            a = np.diag(self.mesh.areas)
-            w = lu_solve(self.s0_lu, a, trans=1)
-            w = 0.5 * (w + w.T)
-            self._gram_chol = cholesky(w, lower=True)
+            n = self.mesh.n_panels
+            w = np.zeros((n, n), order="F")
+            np.fill_diagonal(w, self.mesh.areas)
+            w = lu_solve(self.s0_lu, w, trans=1, overwrite_b=True)
+            step = max(1, _CHUNK_PAIRS // n)
+            for j in range(0, n, step):
+                cols = slice(j, j + step)
+                block = w[j:, cols] + w[cols, j:].T
+                block *= 0.5
+                w[j:, cols] = block
+            self._gram_chol = cholesky(w, lower=True, overwrite_a=True)
         return self._gram_chol
 
     def _series_means(self) -> tuple:
         """<1, B_n 1> / <1, 1> for n = 2, 3, with K_(n) = i^n B_n."""
         if self._k_means is None:
-            double = assemble_series_stack(self.mesh, 3, self.s0).double
-            ones = np.ones(self.mesh.n_panels)
-            self._k_means = tuple(self.on_constants(double[n] @ ones).real
-                                  for n in (2, 3))
+            self._k_means = tuple(
+                self.on_constants(row).real
+                for row in _double_term_row_sums(self.mesh, 3))
         return self._k_means
 
     def k2_average(self) -> float:
@@ -138,15 +160,16 @@ class SpectralData:
 
 
 def spectral_data(mesh: SurfaceMesh) -> SpectralData:
-    """Static single layer, its LU, equilibrium density, capacitance and
-    Minnaert frequency of ``mesh``.
+    """The LU of the static single layer, equilibrium density, capacitance
+    and Minnaert frequency of ``mesh``.
 
-    The static single layer is assembled real and is symmetric positive
-    definite up to quadrature error; it and its LU factorization are kept
-    for reuse.
+    The static single layer is assembled real, and is symmetric positive
+    definite up to quadrature error.  It is assembled in F order and
+    factored in place, so LAPACK sees the matrix ``lu_factor`` would copy
+    it into and the LU has the same bits; only the LU is kept.
     """
-    s0 = assemble_single_layer(mesh, 0.0)
-    lu = _guarded_lu(s0, "static single layer")
+    lu = _guarded_lu(_assemble_layers(mesh, 0.0, True, False, "F")[0],
+                     "static single layer", overwrite=True)
     q = lu_solve(lu, np.ones(mesh.n_panels))
     cap = float(q @ mesh.areas)
     if cap <= 0:
@@ -156,7 +179,6 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
         capacitance=cap,
         minnaert_omega=float(np.sqrt(cap / mesh.volume)),
         q_eq=q,
-        s0=s0,
         s0_lu=lu,
     )
 
@@ -166,22 +188,22 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
 
 
 class TransmissionFactors(NamedTuple):
-    """The guarded factors ``_factor_transmission`` returns.
+    """The guarded factors ``_factor_transmission`` returns, and ``rhs``,
+    the right-hand side (1/2 + K_w) trace of the trace (or block of traces)
+    its caller gave, or None.
 
-    At z == w: 1/2 + K_w, the contrast factor kappa and the LUs of
-    M = I + kappa (1/2 + K_w) and of S_w, each factored in place, so
-    neither M nor S_w is kept.  At z != w: 1/2 + K_w, kappa, S_w itself,
-    and M S_w = S_w + kappa (1/2 + K_w) S_z with its LU; neither M nor an
-    LU of S_w is formed.  ``solve``, ``m_solve`` and ``m_adjoint_solve``
-    apply the same operators on either branch.
+    At z == w: the LUs of M = I + kappa (1/2 + K_w) and of S_w, each
+    factored in place where it was formed, so none of S_w, 1/2 + K_w and M
+    is kept.  At z != w: S_w itself and the LU of
+    M S_w = S_w + kappa (1/2 + K_w) S_z; neither M nor an LU of S_w is
+    formed.  ``solve``, ``m_solve`` and ``m_adjoint_solve`` apply the same
+    operators on either branch.
     """
 
-    half_k: np.ndarray
-    kappa: float
+    rhs: np.ndarray | None
     lu: tuple                         # guarded LU of M (z == w), M S_w (z != w)
     s_lu: tuple | None = None         # z == w: the guarded LU of S_w
     s: np.ndarray | None = None       # z != w: S_w
-    matrix: np.ndarray | None = None  # z != w: M S_w
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """S_w^{-1} M^{-1} rhs = (M S_w)^{-1} rhs."""
@@ -189,9 +211,10 @@ class TransmissionFactors(NamedTuple):
             return lu_solve(self.s_lu, lu_solve(self.lu, rhs))
         return lu_solve(self.lu, rhs)
 
-    def flux(self, trace: np.ndarray) -> np.ndarray:
-        """The interior flux of a trace, solve(half_k @ trace): a density."""
-        return self.solve(self.half_k @ trace)
+    def flux(self) -> np.ndarray:
+        """The interior flux of the caller's trace, solve(rhs): a density,
+        or a block of them."""
+        return self.solve(self.rhs)
 
     def m_solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs, as S_w (M S_w)^{-1} rhs at z != w."""
@@ -204,23 +227,6 @@ class TransmissionFactors(NamedTuple):
         if self.s is not None:
             rhs = np.conj(self.s.T @ np.conj(rhs))
         return lu_solve(self.lu, rhs, trans=2)
-
-    def contrast_matrix(self) -> np.ndarray:
-        """M itself, formed here: I + kappa (1/2 + K_w) at z == w, the bits
-        the factored M had; (M S_w) S_w^{-1} under a guarded LU of S_w at
-        z != w."""
-        if self.s is None:
-            return _contrast_matrix(self.kappa, self.half_k)
-        s_lu = _guarded_lu(self.s, "single layer S")
-        return lu_solve(s_lu, self.matrix.T, trans=1).T
-
-
-def _contrast_matrix(kappa: float, half_k: np.ndarray,
-                     order: str = "K") -> np.ndarray:
-    """M = I + kappa (1/2 + K_w) at z == w, laid out in ``order``."""
-    m = np.multiply(kappa, half_k, order=order)
-    m.flat[::len(m) + 1] += 1.0
-    return m
 
 
 def _series_stack(spectral: SpectralData, wavenumbers) -> tuple:
@@ -254,19 +260,21 @@ def _series_stack(spectral: SpectralData, wavenumbers) -> tuple:
                      f"above the limit of {SERIES_STACK_LIMIT:d}; S and K "
                      "assembled exactly at every wavenumber")
         return None, notes
-    return assemble_series_stack(mesh, order, spectral.s0), notes
+    return assemble_series_stack(mesh, order), notes
 
 
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
-                         kappa: float,
-                         stack: SeriesStack | None = None) -> TransmissionFactors:
+                         kappa: float, stack: SeriesStack | None = None,
+                         trace: np.ndarray | None = None
+                         ) -> TransmissionFactors:
     """Factor the transmission problem on ``mesh`` under the condition
     guard, without forming the Dirichlet-to-Neumann map
-    DN_w = S_w^{-1}(1/2 + K_w).  Where a series ``stack`` of ``mesh``
-    reaches w, S_w and K_w are its matrix products, and so is S_z where it
-    reaches z; everywhere else they are assembled exactly, S_w and K_w in
-    one kernel pass on every usable CPU.  This is the one place that choice
-    is made, operator by operator.
+    DN_w = S_w^{-1}(1/2 + K_w), and form the right-hand side
+    (1/2 + K_w) ``trace`` of a trace or a block of traces, if given.
+    Where a series ``stack`` of ``mesh`` reaches w, S_w and K_w are its
+    matrix products, and so is S_z where it reaches z; everywhere else they
+    are assembled exactly, S_w and K_w in one kernel pass on every usable
+    CPU.  This is the one place that choice is made, operator by operator.
 
     With M = I + kappa (1/2 + K_w) S_z S_w^{-1}, S_w^{-1} M S_w
     = I + kappa DN_w S_z, so
@@ -274,101 +282,82 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
         (I + kappa DN_w S_z)^{-1} DN_w = S_w^{-1} M^{-1} (1/2 + K_w)
                                        = (M S_w)^{-1} (1/2 + K_w).
 
+    The right-hand side is the product (1/2 + K_w) trace, taken before
+    1/2 + K_w is consumed; M^{-1} (1/2 + K_w) = (I - M^{-1}) / kappa
+    would need no product, but loses digits to cancellation in I - M^{-1}
+    far below the resonance (docs/scaling_identities.md).
+
     At z == w, M = I + kappa (1/2 + K_w); S_z is not built, and S_w and M
     are factored in two lanes that ``layer_ops._side_by_side`` runs side by
-    side when two CPUs are usable, else S first:
-    - lane S: S_w (the stack's product where it reaches) in F order,
-      factored in place; a C-ordered S_w is released once copied, and an
-      exact one before the lanes start, so that no more than three n x n
-      arrays are held at once;
-    - lane M, on the calling thread: 1/2 + K_w, then M written in F order
-      and factored in place.
+    side when two CPUs are usable, else S first.  S_w and 1/2 + K_w are
+    assembled, or summed from the stack, in F order, so that each lane
+    factors its operand where it lies:
+    - lane S: S_w, factored in place;
+    - lane M, on the calling thread: 1/2 + K_w, the right-hand side, then
+      M = I + kappa (1/2 + K_w) in place and factored in place.
+    So no more than two n x n arrays are held once the kernel pass is done.
     If both guards trip, S_w's error is raised, as in the serial order.
     Each lane's arithmetic does not depend on the other, so the factors
     are the same bits either way.
 
     At z != w the one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
-    (one matmul; S_z, the stack's product or an exact assembly, is released
-    right after it) and factored, and S_w is
-    kept for M^{-1} = S_w (M S_w)^{-1}.  Since det(M S_w) = det M det S_w,
-    the guard on M S_w trips when M or S_w is singular.
+    (one matmul; S_z, the stack's product or an exact assembly, and
+    1/2 + K_w are released right after it) and factored, and S_w is kept
+    for M^{-1} = S_w (M S_w)^{-1}.  Since det(M S_w) = det M det S_w, the
+    guard on M S_w trips when M or S_w is singular.
 
-    This is the only place M or M S_w is factored: the solvers,
-    ``schur_blocks`` and ``expansion_residual`` all read it from here.
+    This is the only place M or M S_w is factored: the solvers and
+    ``expansion_residual`` all read it from here.
     """
     n = mesh.n_panels
     stacked = stack is not None and stack.reaches(w)
+
+    def right_hand_side(half_k):
+        return None if trace is None else half_k @ trace
+
     if z != w:
         s, half_k = ((stack.single_layer(w), stack.double_layer(w))
                      if stacked else assemble_layer_pair(mesh, w))
         half_k.flat[::n + 1] += 0.5
+        rhs = right_hand_side(half_k)
         ms = half_k @ (stack.single_layer(z)
                        if stack is not None and stack.reaches(z)
                        else assemble_single_layer(mesh, z))
+        del half_k
         ms *= kappa
         ms += s
         lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
                              f"spectral parameter {z:.6g}")
-        return TransmissionFactors(half_k, kappa, lu, s=s, matrix=ms)
+        return TransmissionFactors(rhs, lu, s=s)
     if stacked:
         s = half_k = None   # each lane sums its own
     else:
         # one kernel pass for both: it holds the two n x n results and one
-        # chunk's temporaries (63.4 MiB traced at n = 1280).  Rebinding s
-        # releases the C-ordered S_w before M exists.
-        s, half_k = assemble_layer_pair(mesh, w)
-        s = np.asfortranarray(s)
+        # chunk's temporaries (63.4 MiB traced at n = 1280)
+        s, half_k = _assemble_layers(mesh, w, True, True, "F")
 
     def lane_s():
-        # the stack's C-ordered S_w is released once copied
-        s_w = np.asfortranarray(stack.single_layer(w) if s is None else s)
+        s_w = stack._sum(stack.single, w, "F") if s is None else s
         return _guarded_lu(s_w, f"single layer S at wavenumber {w:.6g}",
                            overwrite=True)
 
     def lane_m():
-        k = stack.double_layer(w) if half_k is None else half_k
-        k.flat[::n + 1] += 0.5
-        return k, _guarded_lu(_contrast_matrix(kappa, k, "F"),
-                              f"contrast matrix M at wavenumber {w:.6g}, "
-                              f"spectral parameter {z:.6g}", overwrite=True)
+        m = stack._sum(stack.double, w, "F") if half_k is None else half_k
+        m.flat[::n + 1] += 0.5
+        rhs = right_hand_side(m)
+        m *= kappa
+        m.flat[::n + 1] += 1.0
+        return rhs, _guarded_lu(m, f"contrast matrix M at wavenumber "
+                                   f"{w:.6g}, spectral parameter {z:.6g}",
+                                overwrite=True)
 
-    s_lu, (half_k, lu) = _side_by_side([lane_s, lane_m], "factor lane",
-                                       caller=1)
-    return TransmissionFactors(half_k, kappa, lu, s_lu=s_lu)
+    s_lu, (rhs, lu) = _side_by_side([lane_s, lane_m], "factor lane",
+                                    caller=1)
+    return TransmissionFactors(rhs, lu, s_lu=s_lu)
 
 
 # ----------------------------------------------------------------------------
-# Block decomposition of the contrast operator family
-
-
-@dataclass
-class SchurBlocks:
-    """Two-block split of the contrast operator
-    eps^2 M = eps^2 + (1-eps^2)(1/2+K_{eps w})S_{eps z}S_{eps w}^{-1}.
-
-    Blocks live in the full panel basis (each is P_i eps^2 M P_j, with
-    P_1 = I - P_0); the Schur complement of the constants block is computed
-    with the complementary block inverted on the mean-free subspace by a
-    bordered solve.
-    """
-
-    eps: float
-    omega: complex
-    z: complex
-    full: np.ndarray
-    m00: np.ndarray
-    m01: np.ndarray
-    m10: np.ndarray
-    m11: np.ndarray
-    c00: np.ndarray
-    c00_on_constants: complex
-    quadratic_coefficient: complex   # discrete eps^2 coefficient on constants
-    cubic_coefficient: complex       # discrete eps^3 coefficient on constants
-
-    def recomposition_residual(self) -> float:
-        total = self.m00 + self.m01 + self.m10 + self.m11
-        return float(np.linalg.norm(total - self.full)
-                     / np.linalg.norm(self.full))
+# The contrast operator family and its small-scale expansions
 
 
 def k2_resonance_frequency(spectral: SpectralData) -> float:
@@ -406,64 +395,21 @@ def check_eps(eps: float) -> None:
 
 
 def _contrast_factors(mesh: SurfaceMesh, eps: float, omega: complex,
-                      z: complex,
-                      stack: SeriesStack | None = None) -> TransmissionFactors:
+                      z: complex, stack: SeriesStack | None = None,
+                      trace: np.ndarray | None = None) -> TransmissionFactors:
     """``_factor_transmission`` on the reference ``mesh`` at the contracted
     wavenumbers eps*omega, eps*z and kappa = 1/eps^2 - 1, where eps^2 M is
     the contrast operator
-    eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}.
+    eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}, with the
+    right-hand side of ``trace`` if given.
 
     The one place the contraction is written: the dilated solve, the
-    interaction operator, the resolvent kernel, ``schur_blocks`` and
-    ``expansion_residual`` all factor through it.
+    interaction operator, the resolvent kernel and ``expansion_residual``
+    all factor through it.
     """
     check_eps(eps)
     return _factor_transmission(mesh, eps * omega, eps * z, eps ** -2 - 1.0,
-                                stack)
-
-
-def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
-                 z: complex) -> SchurBlocks:
-    """Project the contrast operator onto the constants/mean-free splitting.
-
-    With P_0 = 1 w^T, M P_0 = (M 1) w^T and P_0 M = 1 (w^T M), so the four
-    blocks are rank-one updates of M that take O(n^2) work.  The
-    complementary block is inverted on the mean-free subspace by a bordered
-    solve that pins <1, .>_{S_0^{-1}} = 0, avoiding the spurious null
-    direction of the full-space block; M_10 is rank one, so that solve
-    takes one right-hand side (docs/scaling_identities.md, "The projector
-    onto constants").
-    """
-    factors = _contrast_factors(spectral.mesh, eps, omega, z)
-    m = eps ** 2 * factors.contrast_matrix()
-    n = spectral.mesh.n_panels
-    ones = np.ones(n)
-    w = spectral.p0_row
-    m_one = m @ ones
-    w_m_one = w @ m_one
-    m00 = np.outer(ones, w_m_one * w)
-    m10 = np.outer(m_one - w_m_one, w)
-    mean_free_row = w @ m - w_m_one * w
-    m01 = np.outer(ones, mean_free_row)
-    m11 = m - m00 - m10 - m01
-
-    bordered = np.zeros((n + 1, n + 1), dtype=complex)
-    bordered[:n, :n] = m11
-    bordered[:n, n] = 1.0
-    bordered[n, :n] = w
-    lu = _guarded_lu(bordered, "mean-free block of the contrast operator")
-    # M_11^{-1} M_10 = (M_11^{-1} (M 1 - w^T M 1)) w^T on the mean-free space
-    y = lu_solve(lu, np.append(m_one - w_m_one, 0.0))[:n]
-    c00 = np.outer(ones, (w_m_one - mean_free_row @ y) * w)
-
-    quad, cubic = _discrete_coefficients(spectral, omega, z)
-    return SchurBlocks(
-        eps=eps, omega=complex(omega), z=complex(z), full=m,
-        m00=m00, m01=m01, m10=m10, m11=m11, c00=c00,
-        c00_on_constants=spectral.on_constants(c00 @ ones),
-        quadratic_coefficient=quad,
-        cubic_coefficient=cubic,
-    )
+                                stack, trace)
 
 
 _GK_TOLERANCE = 1e-12

@@ -43,7 +43,13 @@ same chunk body for one operator.
 S_z and K_z in one such pass; a ``SeriesStack`` then gives S_z or K_z by one
 matrix product of its terms with the powers of iz, within a stated
 elementwise tail bound, which is how a frequency sweep assembles its mesh
-only once.
+only once.  ``_double_term_row_sums`` runs the double-layer half of that
+pass for the row sums B_k 1 alone, keeping no n x n term.
+
+The private exact pass and a stack's private sum can lay their results out
+in F order, the layout in which LAPACK factors an operator where it lies;
+``boundary_calculus`` takes every operator it factors that way.  The
+entries are the same bits in either layout.
 
 ``single_layer_monopole`` gives the exact l = 0 coefficient of a
 single-layer potential, a panel sum over the quadrature nodes that needs no
@@ -322,14 +328,16 @@ def _one_minus_izr(z: complex, r: np.ndarray) -> np.ndarray:
 
 
 def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
-                     double: bool) -> tuple:
+                     double: bool, order: str = "C") -> tuple:
     """S_z if ``single`` and K_z if ``double`` (else None), from one
     ``_row_chunks`` pass: the chunk body of every exact S and K assembly.
 
     With both, each chunk's distances and e^{izr} serve both operators: K's
     entry static * ((1 - izr) e^{izr}) is formed first, and the same
     e^{izr} array then becomes S's entry e^{izr}/r * w in place.  At
-    z = 0 both kernels are real and so are the float64 results.
+    z = 0 both kernels are real and so are the float64 results.  The
+    results are laid out in ``order``; "F" is the layout LAPACK factors in
+    place, and the entries are the same bits either way.
     """
     z = _check_im(z)
     nodes, weights = panel_quadrature(mesh)
@@ -337,8 +345,8 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
     flat_w = weights.reshape(-1)
     use_complex = z != 0
     dtype = complex if use_complex else float
-    s_out = np.empty((n, n), dtype=dtype) if single else None
-    k_out = np.empty((n, n), dtype=dtype) if double else None
+    s_out = np.empty((n, n), dtype=dtype, order=order) if single else None
+    k_out = np.empty((n, n), dtype=dtype, order=order) if double else None
     static_rowsum = np.empty(n)
 
     def body(rows, r, static, work):
@@ -483,7 +491,10 @@ class SeriesStack:
         stack's order, so that S_z and K_z may be read from it."""
         return self._needed(z) is not None
 
-    def _sum(self, terms: np.ndarray, z: complex) -> np.ndarray:
+    def _sum(self, terms: np.ndarray, z: complex,
+             order: str = "C") -> np.ndarray:
+        """S_z or K_z from one of the term blocks, laid out in ``order``
+        (the same values either way)."""
         z = _check_im(z)
         needed = self._needed(z)
         if needed is None:
@@ -492,7 +503,7 @@ class SeriesStack:
         powers = (1j * z) ** np.arange(needed + 1)
         planes = (np.array([powers.real, powers.imag])
                   @ terms[:needed + 1].reshape(needed + 1, -1))
-        out = np.empty(terms.shape[1:], dtype=complex)
+        out = np.empty(terms.shape[1:], dtype=complex, order=order)
         out.real = planes[0].reshape(out.shape)
         out.imag = planes[1].reshape(out.shape)
         return out
@@ -504,12 +515,36 @@ class SeriesStack:
         return self._sum(self.double, z)
 
 
-def assemble_series_stack(mesh: SurfaceMesh, order: int,
-                          s0: np.ndarray) -> SeriesStack:
+def _double_terms(rows: slice, r: np.ndarray, k_vals: np.ndarray,
+                  flat_w: np.ndarray, order: int):
+    """A chunk's row blocks of the static double layer B_0 (zero diagonal)
+    and of B_k, 2 <= k <= ``order``, as (k, block) pairs.
+
+    ``k_vals``, ν(y)·(x-y) at the chunk's (point, node) pairs, becomes the
+    node values of B_0, ν(y)·(x-y) w / (4π r³), and is then raised to
+    successive powers of r in place; each block is formed once the caller
+    has taken the previous one.  On a flat self panel ν ⟂ (x-y) exactly,
+    so each diagonal is set to 0, dropping the rounding residue.
+    """
+    k_vals /= 4.0 * np.pi * r ** 3
+    k_vals *= flat_w
+    block = _panel_sum(k_vals)
+    np.fill_diagonal(block[:, rows], 0.0)
+    yield 0, block
+    for k in range(1, order + 1):
+        k_vals *= r
+        if k > 1:
+            block = _panel_sum(k_vals) * ((1 - k) / math.factorial(k))
+            np.fill_diagonal(block[:, rows], 0.0)
+            yield k, block
+
+
+def assemble_series_stack(mesh: SurfaceMesh, order: int) -> SeriesStack:
     """Series terms of S and K up to ``order`` in one chunked pass.
 
-    A_0 is the given real static single layer (``SpectralData.s0``); the
-    others are A_n = (1/4π n!) |x-y|^{n-1} and
+    A_0 is the real static single layer, the bits of
+    ``assemble_single_layer(mesh, 0)`` (1/r under the regular rule, the
+    closed-form self panel); the others are A_n = (1/4π n!) |x-y|^{n-1} and
     B_n = ((1-n)/4π n!) ν(y)·(x-y) |x-y|^{n-3} under the regular rule, the
     node values raised to successive powers of r in place.  B_0 is the
     static double layer with its solid-angle diagonal; B_n (n >= 2)
@@ -523,34 +558,48 @@ def assemble_series_stack(mesh: SurfaceMesh, order: int,
     n = mesh.n_panels
     flat_w = weights.reshape(-1)
     single = np.empty((order + 1, n, n))
-    single[0] = s0
     double = np.empty((order + 1, n, n))
     double[1:2] = 0.0
     static_rowsum = np.empty(n)
 
     def body(rows, r, k_vals, work):
-        # ν(y)·(x-y) w / (4π r³), in place of ν(y)·(x-y)
-        k_vals /= 4.0 * np.pi * r ** 3
-        k_vals *= flat_w
-        block = _panel_sum(k_vals)
-        np.fill_diagonal(block[:, rows], 0.0)
-        double[0][rows] = block
-        static_rowsum[rows] = block.sum(axis=1)
+        for k, block in _double_terms(rows, r, k_vals, flat_w, order):
+            double[k][rows] = block
+            if k == 0:
+                static_rowsum[rows] = block.sum(axis=1)
+        # A_0 as the exact static pass forms it
+        s_vals = np.divide(1.0, r, out=work[1])
+        s_vals *= flat_w
+        single[0][rows] = _panel_sum(s_vals) / (4.0 * np.pi)
         s_vals = work[0]
         s_vals[:] = flat_w / (4.0 * np.pi)
         for k in range(1, order + 1):
-            k_vals *= r
             if k > 1:
                 s_vals *= r
-                block = _panel_sum(k_vals) * ((1 - k) / math.factorial(k))
-                # flat self panel: ν ⟂ (x-y) exactly; drop the rounding residue
-                np.fill_diagonal(block[:, rows], 0.0)
-                double[k][rows] = block
             single[k][rows] = _panel_sum(s_vals) / math.factorial(k)
 
     _row_chunks(mesh.centroids, nodes, mesh.normals, body)
-    double[0][np.arange(n), np.arange(n)] = -0.5 - static_rowsum
+    idx = np.arange(n)
+    single[0][idx, idx] = _self_panel_inverse_distance(mesh)
+    double[0][idx, idx] = -0.5 - static_rowsum
     return SeriesStack(single, double, mesh.diameter)
+
+
+def _double_term_row_sums(mesh: SurfaceMesh, order: int) -> np.ndarray:
+    """B_k 1 for k = 2, ..., ``order`` (row k - 2 of the result): the row
+    sums of the series stack's double-layer terms from one chunked pass
+    that keeps no n x n term, each chunk's blocks summed and dropped."""
+    nodes, weights = panel_quadrature(mesh)
+    flat_w = weights.reshape(-1)
+    sums = np.empty((order - 1, mesh.n_panels))
+
+    def body(rows, r, k_vals, _):
+        for k, block in _double_terms(rows, r, k_vals, flat_w, order):
+            if k > 1:
+                sums[k - 2, rows] = block.sum(axis=1)
+
+    _row_chunks(mesh.centroids, nodes, mesh.normals, body)
+    return sums
 
 
 def eval_single_layer_potential(mesh: SurfaceMesh, density: np.ndarray,

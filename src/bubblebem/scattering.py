@@ -237,12 +237,15 @@ def interaction_operator(problem: ScatteringProblem, z: complex) -> np.ndarray:
 
     assembled exactly from the discrete contracted-wavenumber operators
     (M as in ``boundary_calculus._factor_transmission``): an (n, n) array
-    on the reference mesh that takes a trace to a charge, a density.  At
-    z != w, S_{eps w}^{-1} M^{-1} = (M S_{eps w})^{-1}, so the n-column
-    solve runs through that one LU.
+    on the reference mesh that takes a trace to a charge, a density.  Its
+    right-hand side is (1/2 + K_{eps w}) I, the bits of 1/2 + K_{eps w},
+    since products with 1 and 0 are exact.  At z != w,
+    S_{eps w}^{-1} M^{-1} = (M S_{eps w})^{-1}, so the n-column solve runs
+    through that one LU.
     """
-    f = _contrast_factors(problem.mesh, problem.eps, problem.omega, z)
-    return problem.eps * problem.kappa * f.solve(f.half_k)
+    return problem.eps * problem.kappa * _contrast_factors(
+        problem.mesh, problem.eps, problem.omega, z,
+        trace=np.eye(problem.mesh.n_panels)).flux()
 
 
 def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
@@ -256,7 +259,7 @@ def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
     charge = eps * problem.kappa * _contrast_factors(
-        mesh, eps, problem.omega, z, stack).flux(trace)
+        mesh, eps, problem.omega, z, stack, trace).flux()
     return charge, lambda pts: -eval_single_layer_potential(
         mesh, charge, eps * z, problem.contract(pts)) / eps
 
@@ -295,8 +298,9 @@ def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
     """
     omega, kappa = problem.omega, problem.kappa
     scaled = problem.scaled_mesh()
-    flux = _factor_transmission(scaled, omega, omega, kappa).flux(
-        problem.incident.evaluate(scaled.centroids, omega))
+    flux = _factor_transmission(
+        scaled, omega, omega, kappa,
+        trace=problem.incident.evaluate(scaled.centroids, omega)).flux()
     return _field_result(
         problem, points,
         lambda pts: -kappa * eval_single_layer_potential(scaled, flux, omega,

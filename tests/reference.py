@@ -1,18 +1,23 @@
 """Reference algebra the tests compare the solvers against.
 
 The package never forms these quantities: it factors S and the contrast
-matrix M instead of building the Dirichlet-to-Neumann map, and applies the
-S_0^{-1} product through ``SpectralData``.  Each helper writes the explicit
-form out once, so a test can check a solver's shortcut against it.
+matrix M instead of building the Dirichlet-to-Neumann map or keeping M,
+and applies the S_0^{-1} product through ``SpectralData``.  Each helper
+writes the explicit form out once, so a test can check a solver's shortcut
+against it.
 """
 
-import numpy as np
-from scipy.linalg import lu_solve, solve_triangular
+from dataclasses import dataclass
 
-from bubblebem.boundary_calculus import (SpectralData, _factor_transmission,
-                                         _guarded_lu)
+import numpy as np
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
+
+from bubblebem.boundary_calculus import (SpectralData, _discrete_coefficients,
+                                         _factor_transmission, _guarded_lu,
+                                         check_eps)
 from bubblebem.layer_ops import (SeriesStack, _check_im, _series_order,
-                                 assemble_layer_pair, assemble_single_layer)
+                                 assemble_double_layer, assemble_layer_pair,
+                                 assemble_single_layer)
 from bubblebem.mesh import SurfaceMesh
 from bubblebem.scattering import (ScatteringProblem, far_field_points,
                                   scattered_field_dilated)
@@ -73,17 +78,116 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> np.ndarray:
 def transmission_residual(problem: ScatteringProblem) -> float:
     """Interface-condition check of the direct solve: the computed flux must
     equal DN applied to the total boundary trace (relative residual), with
-    DN applied through the solve's own LU of S.  The trace and the factors
-    are those ``scattered_field_direct`` builds, bit for bit."""
+    DN applied through the solve's own LU of S and a separately assembled
+    1/2 + K.  The trace and the factors are those ``scattered_field_direct``
+    builds, bit for bit."""
     omega = problem.omega
     scaled = problem.scaled_mesh()
     trace = problem.incident.evaluate(scaled.centroids, omega)
-    f = _factor_transmission(scaled, omega, omega, problem.kappa)
-    flux = f.flux(trace)
-    s = assemble_single_layer(scaled, omega)
+    f = _factor_transmission(scaled, omega, omega, problem.kappa, trace=trace)
+    flux = f.flux()
+    s, half_k = assemble_layer_pair(scaled, omega)
+    half_k.flat[::scaled.n_panels + 1] += 0.5
     dn_total = lu_solve(f.s_lu,
-                        f.half_k @ (trace - problem.kappa * (s @ flux)))
+                        half_k @ (trace - problem.kappa * (s @ flux)))
     return float(np.linalg.norm(dn_total - flux) / np.linalg.norm(flux))
+
+
+def contrast_matrix(mesh: SurfaceMesh, w: complex, z: complex,
+                    kappa: float) -> np.ndarray:
+    """The contrast matrix M = I + kappa (1/2 + K_w) S_z S_w^{-1} from the
+    public assemblers: I + kappa (1/2 + K_w) at z == w, the matrix the
+    package factors there, and (M S_w) S_w^{-1} by an LU of S_w at z != w,
+    from the product M S_w = S_w + kappa (1/2 + K_w) S_z it factors."""
+    n = mesh.n_panels
+    half_k = assemble_double_layer(mesh, w)
+    half_k.flat[::n + 1] += 0.5
+    if z == w:
+        m = kappa * half_k
+        m.flat[::n + 1] += 1.0
+        return m
+    s_w = assemble_single_layer(mesh, w)
+    ms = half_k @ assemble_single_layer(mesh, z)
+    ms *= kappa
+    ms += s_w
+    return lu_solve(lu_factor(s_w), ms.T, trans=1).T
+
+
+@dataclass
+class SchurBlocks:
+    """Two-block split of the contrast operator
+    eps^2 M = eps^2 + (1-eps^2)(1/2+K_{eps w})S_{eps z}S_{eps w}^{-1}.
+
+    Blocks live in the full panel basis (each is P_i eps^2 M P_j, with
+    P_1 = I - P_0); the Schur complement of the constants block is computed
+    with the complementary block inverted on the mean-free subspace by a
+    bordered solve.
+    """
+
+    eps: float
+    omega: complex
+    z: complex
+    full: np.ndarray
+    m00: np.ndarray
+    m01: np.ndarray
+    m10: np.ndarray
+    m11: np.ndarray
+    c00: np.ndarray
+    c00_on_constants: complex
+    quadratic_coefficient: complex   # discrete eps^2 coefficient on constants
+    cubic_coefficient: complex       # discrete eps^3 coefficient on constants
+
+    def recomposition_residual(self) -> float:
+        total = self.m00 + self.m01 + self.m10 + self.m11
+        return float(np.linalg.norm(total - self.full)
+                     / np.linalg.norm(self.full))
+
+
+def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
+                 z: complex) -> SchurBlocks:
+    """Project the contrast operator eps^2 M (``contrast_matrix`` at the
+    contracted wavenumbers, under the package's eps rule) onto the
+    constants/mean-free splitting.
+
+    With P_0 = 1 w^T, M P_0 = (M 1) w^T and P_0 M = 1 (w^T M), so the four
+    blocks are rank-one updates of M that take O(n^2) work.  The
+    complementary block is inverted on the mean-free subspace by a bordered
+    solve that pins <1, .>_{S_0^{-1}} = 0, avoiding the spurious null
+    direction of the full-space block; M_10 is rank one, so that solve
+    takes one right-hand side (docs/scaling_identities.md, "The projector
+    onto constants").
+    """
+    check_eps(eps)
+    m = eps ** 2 * contrast_matrix(spectral.mesh, eps * omega, eps * z,
+                                   eps ** -2 - 1.0)
+    n = spectral.mesh.n_panels
+    ones = np.ones(n)
+    w = spectral.p0_row
+    m_one = m @ ones
+    w_m_one = w @ m_one
+    m00 = np.outer(ones, w_m_one * w)
+    m10 = np.outer(m_one - w_m_one, w)
+    mean_free_row = w @ m - w_m_one * w
+    m01 = np.outer(ones, mean_free_row)
+    m11 = m - m00 - m10 - m01
+
+    bordered = np.zeros((n + 1, n + 1), dtype=complex)
+    bordered[:n, :n] = m11
+    bordered[:n, n] = 1.0
+    bordered[n, :n] = w
+    lu = _guarded_lu(bordered, "mean-free block of the contrast operator")
+    # M_11^{-1} M_10 = (M_11^{-1} (M 1 - w^T M 1)) w^T on the mean-free space
+    y = lu_solve(lu, np.append(m_one - w_m_one, 0.0))[:n]
+    c00 = np.outer(ones, (w_m_one - mean_free_row @ y) * w)
+
+    quad, cubic = _discrete_coefficients(spectral, omega, z)
+    return SchurBlocks(
+        eps=eps, omega=complex(omega), z=complex(z), full=m,
+        m00=m00, m01=m01, m10=m10, m11=m11, c00=c00,
+        c00_on_constants=spectral.on_constants(c00 @ ones),
+        quadratic_coefficient=quad,
+        cubic_coefficient=cubic,
+    )
 
 
 def radiation_defect(problem: ScatteringProblem, step: float = 1e-4) -> float:

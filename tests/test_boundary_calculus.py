@@ -1,11 +1,11 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cholesky, lu_factor, lu_solve
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +17,12 @@ from bubblebem.boundary_calculus import (NumericalGuardError,
                                          _factor_transmission, _guarded_lu,
                                          check_eps, expansion_residual,
                                          k2_resonance_frequency,
-                                         schur_blocks, spectral_data)
-from bubblebem.layer_ops import (assemble_double_layer, assemble_series_stack,
-                                 assemble_single_layer)
+                                         spectral_data)
+from bubblebem.layer_ops import (assemble_double_layer, assemble_layer_pair,
+                                 assemble_series_stack, assemble_single_layer)
 from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
-from reference import dirichlet_to_neumann, s0_inner, s0_operator_norm
+from reference import (contrast_matrix, dirichlet_to_neumann, s0_inner,
+                       s0_operator_norm, schur_blocks)
 
 
 # ----------------------------------------------------------------------------
@@ -68,8 +69,10 @@ def test_projector_identities(spectral2, sphere2):
 
 
 def test_spectral_data_peak_memory():
-    # S_0 and its LU hold 12.5 MiB each at n = 1280 and the traced peak is
-    # 37.5 MiB; a complex copy of S_0 (25 MiB) would exceed the bound
+    # bound stated before measuring: S_0 is assembled in F order and
+    # factored in place, so its 12.5 MiB at n = 1280 and the kernel pass's
+    # chunk temporaries are the peak (19.2 MiB in a prototype); S_0 kept
+    # beside its LU (37.5 MiB) would exceed the bound
     mesh = make_icosphere(1.0, 3)
     tracemalloc.start()
     try:
@@ -79,7 +82,41 @@ def test_spectral_data_peak_memory():
     finally:
         tracemalloc.stop()
     assert data.capacitance > 0
-    assert peak - start <= 45 * 2 ** 20
+    assert peak - start <= 22 * 2 ** 20
+
+
+def test_spectral_data_factors_s0_where_it_was_assembled(sphere2, spectral2):
+    # only the LU is kept, and it is lu_factor's of the publicly assembled
+    # S_0, bit for bit, and so are q_eq and the capacitance
+    s0 = assemble_single_layer(sphere2, 0.0)
+    lu = lu_factor(s0)
+    assert [a.tobytes() for a in spectral2.s0_lu] == [a.tobytes() for a in lu]
+    assert spectral2.s0_lu[0].flags.f_contiguous
+    q = lu_solve(lu, np.ones(sphere2.n_panels))
+    assert spectral2.q_eq.tobytes() == q.tobytes()
+    assert spectral2.capacitance == float(q @ sphere2.areas)
+    assert "s0" not in {f.name for f in dataclasses.fields(spectral2)}
+
+
+def test_gram_cholesky_in_place(sphere2, spectral2, sphere3, spectral3):
+    # the in-place solve, symmetrize and factor give the bits of the
+    # out-of-place formula; bound stated before measuring: at n = 1280 the
+    # one 12.5 MiB array, a block of columns and the finite checks stay
+    # under 20 MiB (the out-of-place formula peaks at 37.6 MiB)
+    w = lu_solve(spectral2.s0_lu, np.diag(sphere2.areas), trans=1)
+    expected = cholesky(0.5 * (w + w.T), lower=True)
+    fresh = dataclasses.replace(spectral2, _gram_chol=None)
+    assert fresh.gram_cholesky().tobytes() == expected.tobytes()
+    fresh = dataclasses.replace(spectral3, _gram_chol=None)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ell = fresh.gram_cholesky()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ell.shape == (sphere3.n_panels,) * 2
+    assert peak - start <= 20 * 2 ** 20
 
 
 # ----------------------------------------------------------------------------
@@ -183,6 +220,8 @@ def test_transmission_factors_share_one_kernel_pass(monkeypatch):
         mesh.centroids[:, None, :] - nodes.reshape(-1, 3)[None], axis=2)
     half_k = assemble_double_layer(mesh, w)
     half_k.flat[::mesh.n_panels + 1] += 0.5
+    trace = np.cos(np.arange(n))
+    rhs = np.asfortranarray(half_k) @ trace
     s_lu = lu_factor(assemble_single_layer(mesh, w))
     original = layer_ops._expi
     calls = []
@@ -196,7 +235,7 @@ def test_transmission_factors_share_one_kernel_pass(monkeypatch):
         calls.clear()
         monkeypatch.setattr(layer_ops, "_worker_count",
                             lambda chunks, k=workers: k)
-        factors = _factor_transmission(mesh, w, w, 0.5)
+        factors = _factor_transmission(mesh, w, w, 0.5, trace=trace)
         chunk_rows = max(1, rows // workers)
         blocks = np.array_split(np.arange(n), workers)
         assert len(calls) == sum(-(-len(b) // chunk_rows) for b in blocks)
@@ -206,25 +245,30 @@ def test_transmission_factors_share_one_kernel_pass(monkeypatch):
         assert np.array_equal(np.bincount(seen, minlength=n), np.ones(n, int))
         assert ([a.tobytes() for a in factors.s_lu]
                 == [a.tobytes() for a in s_lu])
-        assert factors.half_k.tobytes() == half_k.tobytes()
+        assert factors.rhs.tobytes() == rhs.tobytes()
 
 
 def test_transmission_factors_release_s(monkeypatch):
-    # only the LU of S_w is kept: S_w itself is freed before the factors
-    # are returned
-    refs = []
-    original = boundary_calculus.assemble_layer_pair
+    # at z == w the one kernel pass writes S_w and 1/2 + K_w in F order,
+    # and each is factored where it lies: the LU of S_w is S_w's memory and
+    # the LU of M is that of 1/2 + K_w, so the factors keep no operator
+    # beside its LU
+    arrays = []
+    original = boundary_calculus._assemble_layers
 
-    def recorded(mesh, z):
-        s, half_k = original(mesh, z)
-        refs.append(weakref.ref(s))
-        return s, half_k
+    def recorded(*args):
+        pair = original(*args)
+        arrays.extend(pair)
+        return pair
 
-    monkeypatch.setattr(boundary_calculus, "assemble_layer_pair", recorded)
-    factors = _factor_transmission(make_icosphere(1.0, 1), 1.6, 1.6, 0.5)
-    # the factors are alive here and hold no reference to S
-    assert len(refs) == 1 and refs[0]() is None
-    del factors
+    monkeypatch.setattr(boundary_calculus, "_assemble_layers", recorded)
+    mesh = make_icosphere(1.0, 1)
+    factors = _factor_transmission(mesh, 1.6, 1.6, 0.5,
+                                   trace=np.ones(mesh.n_panels))
+    s, half_k = arrays
+    assert s.flags.f_contiguous and half_k.flags.f_contiguous
+    assert factors.s_lu[0] is s and factors.lu[0] is half_k
+    assert factors.s is None and factors.rhs.shape == (mesh.n_panels,)
 
 
 @pytest.mark.parametrize("subdivisions", [1, 2])
@@ -240,8 +284,7 @@ def test_factor_lanes_give_the_factors_of_the_assembled_arrays(
     n, w, kappa = mesh.n_panels, 0.08, 399.0
     stack = None
     if stacked:
-        stack = assemble_series_stack(mesh, 12,
-                                      assemble_single_layer(mesh, 0.0))
+        stack = assemble_series_stack(mesh, 12)
         assert stack.reaches(w)
         s, half_k = stack.single_layer(w), stack.double_layer(w)
     else:
@@ -260,10 +303,16 @@ def test_factor_lanes_give_the_factors_of_the_assembled_arrays(
     monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorder)
     monkeypatch.setattr(layer_ops, "_worker_count",
                         lambda chunks: min(chunks, lanes))
-    factors = _factor_transmission(mesh, w, w, kappa, stack)
+    # the right-hand side is (1/2 + K_w) trace from lane M's F-ordered
+    # 1/2 + K_w, before M overwrites it; for the identity it is 1/2 + K_w
+    trace = np.exp(1j * np.linspace(0.0, 2.0, n))
+    factors = _factor_transmission(mesh, w, w, kappa, stack, trace)
     for got, want in ((factors.s_lu, lu_factor(s)), (factors.lu, lu_factor(m))):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert factors.half_k.tobytes() == half_k.tobytes()
+    assert factors.rhs.tobytes() == (np.asfortranarray(half_k)
+                                     @ trace).tobytes()
+    block = _factor_transmission(mesh, w, w, kappa, stack, np.eye(n)).rhs
+    assert block.tobytes() == half_k.tobytes()
     caller = threading.current_thread()
     assert threads["contrast matrix M"] is caller
     assert (threads["single layer S"] is caller) == (lanes == 1)
@@ -310,11 +359,10 @@ def test_when_both_lanes_trip_the_s_error_is_raised(monkeypatch, m_first):
 
 def test_transmission_factors_peak_memory():
     # bound stated before measuring: at n = 1280 the exact pass returns S_w
-    # and 1/2 + K_w (25 MiB each), S_w's F-ordered copy replaces S_w before
-    # the lanes start and each lane factors its own F-ordered array in
-    # place, so at most three complex n x n arrays (75 MiB) are held at
-    # once, plus temporaries; out-of-place LUs of S_w and M peak at
-    # 112.5 MiB
+    # and 1/2 + K_w in F order (25 MiB each) beside one chunk's
+    # temporaries, 63.4 MiB in a prototype; each lane then factors its
+    # array in place, so the lanes hold 50 MiB.  An F-ordered copy of S_w
+    # or a separate M (75 MiB) would exceed the bound
     mesh = make_icosphere(1.0, 3)
     tracemalloc.start()
     try:
@@ -324,18 +372,17 @@ def test_transmission_factors_peak_memory():
     finally:
         tracemalloc.stop()
     assert factors.s_lu is not None
-    assert peak - start <= 95 * 2 ** 20
+    assert peak - start <= 66 * 2 ** 20
 
 
 def test_stacked_transmission_factors_peak_memory():
     # bound stated before measuring: at n = 320 (1.56 MiB per complex
     # n x n array) each lane holds at most two complex arrays at once: the
-    # two real planes of its matrix product and their complex result, then
-    # (planes released) lane S's C-ordered S_w and its F-ordered copy and
-    # lane M's 1/2 + K_w and M; with one real n x n block per lane for the
-    # 1-norm that is 7.8 MiB, plus small temporaries
+    # two real planes of its matrix product and their complex result, which
+    # the lane then factors in place; with one real n x n block per lane
+    # for the 1-norm that is 7.8 MiB, plus small temporaries
     mesh = make_icosphere(1.0, 2)
-    stack = assemble_series_stack(mesh, 10, assemble_single_layer(mesh, 0.0))
+    stack = assemble_series_stack(mesh, 10)
     w = 0.05 * 1.9
     assert stack.reaches(w)
     tracemalloc.start()
@@ -352,34 +399,31 @@ def test_stacked_transmission_factors_peak_memory():
 def test_stacked_lanes_give_the_same_factors_for_one_and_two_workers(
         monkeypatch):
     # the stack's matrix products run on the lane that reads them: one
-    # lane or two, the factors and 1/2 + K_w are the same bits, here at a
-    # complex w, where both parts of every power of iw are nonzero (the
-    # real w case is the stacked case of the lane test above)
+    # lane or two, the factors and the right-hand side are the same bits,
+    # here at a complex w, where both parts of every power of iw are
+    # nonzero (the real w case is the stacked case of the lane test above)
     mesh, w = make_icosphere(1.0, 2), 0.08 + 0.01j
-    stack = assemble_series_stack(mesh, 12, assemble_single_layer(mesh, 0.0))
+    stack = assemble_series_stack(mesh, 12)
     assert stack.reaches(w)
+    trace = np.linspace(1.0, 2.0, mesh.n_panels)
     factors = []
     for lanes in (1, 2):
         monkeypatch.setattr(layer_ops, "_worker_count",
                             lambda chunks, lanes=lanes: min(chunks, lanes))
-        f = _factor_transmission(mesh, w, w, 399.0, stack)
-        factors.append([a.tobytes() for a in (*f.s_lu, *f.lu, f.half_k)])
+        f = _factor_transmission(mesh, w, w, 399.0, stack, trace)
+        factors.append([a.tobytes() for a in (*f.s_lu, *f.lu, f.rhs)])
     assert factors[0] == factors[1]
 
 
 def test_factoring_leaves_the_kept_arrays_unchanged():
     # the in-place LUs touch only the lanes' own F-ordered arrays: the
-    # static single layer, which a stack also starts from, and the z != w
-    # factors' M S_w and S_w keep their bits through factoring and solves
+    # stack's term blocks and the z != w factors' S_w keep their bits
+    # through factoring and solves, and M S_w is factored as formed
     mesh = make_icosphere(1.0, 1)
     n, kappa = mesh.n_panels, 399.0
-    spectral = spectral_data(mesh)
-    s0 = assemble_single_layer(mesh, 0.0)
-    stack = assemble_series_stack(mesh, 12, spectral.s0)
+    stack = assemble_series_stack(mesh, 12)
     blocks = (stack.single.tobytes(), stack.double.tobytes())
     _factor_transmission(mesh, 0.08, 0.08, kappa, stack)
-    _factor_transmission(mesh, 0.08, 0.08, kappa)
-    assert spectral.s0.tobytes() == s0.tobytes()
     assert (stack.single.tobytes(), stack.double.tobytes()) == blocks
 
     # the order-12 stack reaches z too, so S_z is its product as well
@@ -393,9 +437,10 @@ def test_factoring_leaves_the_kept_arrays_unchanged():
     factors = _factor_transmission(mesh, w, z, kappa, stack)
     rhs = np.linspace(1.0, 2.0, n)
     factors.solve(rhs), factors.m_solve(rhs), factors.m_adjoint_solve(rhs)
-    factors.contrast_matrix()
     assert factors.s.tobytes() == s.tobytes()
-    assert factors.matrix.tobytes() == ms.tobytes()
+    assert ([a.tobytes() for a in factors.lu]
+            == [a.tobytes() for a in lu_factor(ms)])
+    assert (stack.single.tobytes(), stack.double.tobytes()) == blocks
 
 
 @pytest.mark.parametrize("mesh_name", ["sphere", "ellipsoid"])
@@ -414,15 +459,31 @@ def test_stacked_factors_at_z_not_w_match_the_exact_ones(mesh_name, eps,
     spectral = spectral_data(mesh)
     if omega == "resonance":
         omega = k2_resonance_frequency(spectral)
-    stack = assemble_series_stack(mesh, 15, spectral.s0)
-    assert stack.reaches(eps * omega) and stack.reaches(eps * z)
+    stack = assemble_series_stack(mesh, 15)
+    w, kappa = eps * omega, eps ** -2 - 1.0
+    assert stack.reaches(w) and stack.reaches(eps * z)
+
+    def m_s_w(s, half_k, s_z):
+        half_k.flat[::mesh.n_panels + 1] += 0.5
+        ms = half_k @ s_z
+        ms *= kappa
+        ms += s
+        return ms
+
     rhs = np.exp(1j * np.linspace(0.0, 3.0, mesh.n_panels))
     stacked = _contrast_factors(mesh, eps, omega, z, stack)
     exact = _contrast_factors(mesh, eps, omega, z)
-    delta = (np.linalg.norm(stacked.matrix - exact.matrix, 2)
-             / np.linalg.norm(exact.matrix, 2))
+    matrices = (m_s_w(stack.single_layer(w), stack.double_layer(w),
+                      stack.single_layer(eps * z)),
+                m_s_w(*assemble_layer_pair(mesh, w),
+                      assemble_single_layer(mesh, eps * z)))
+    for factors, matrix in zip((stacked, exact), matrices):
+        assert ([a.tobytes() for a in factors.lu]
+                == [a.tobytes() for a in lu_factor(matrix)])
+    delta = (np.linalg.norm(matrices[0] - matrices[1], 2)
+             / np.linalg.norm(matrices[1], 2))
     assert delta <= 1e-14
-    bound = max(1e-12, 2 * np.linalg.cond(exact.matrix) * delta)
+    bound = max(1e-12, 2 * np.linalg.cond(matrices[1]) * delta)
     for name in ("solve", "m_solve", "m_adjoint_solve"):
         got = getattr(stacked, name)(rhs)
         expected = getattr(exact, name)(rhs)
@@ -435,7 +496,7 @@ def test_stack_that_misses_z_assembles_s_z_exactly():
     # products and S_z is assembled exactly, bit for bit
     mesh, kappa, w, z = make_icosphere(1.0, 1), 399.0, 1e-4, 0.5
     n = mesh.n_panels
-    stack = assemble_series_stack(mesh, 3, assemble_single_layer(mesh, 0.0))
+    stack = assemble_series_stack(mesh, 3)
     assert stack.reaches(w) and not stack.reaches(z)
     s, half_k = stack.single_layer(w), stack.double_layer(w)
     half_k.flat[::n + 1] += 0.5
@@ -444,7 +505,8 @@ def test_stack_that_misses_z_assembles_s_z_exactly():
     ms += s
     factors = _factor_transmission(mesh, w, z, kappa, stack)
     assert factors.s.tobytes() == s.tobytes()
-    assert factors.matrix.tobytes() == ms.tobytes()
+    assert ([a.tobytes() for a in factors.lu]
+            == [a.tobytes() for a in lu_factor(ms)])
 
 
 def _dense_coupling(mesh, w, z):
@@ -463,8 +525,9 @@ def _dense_coupling(mesh, w, z):
                                          (0.065, 0.05j, 399.0),
                                          (1.3, 0.7, 0.5)])
 def test_one_lu_factors_at_z_not_w(mesh_name, w, z, kappa):
-    # at z != w the factors hold M S_w and S_w: solve, M^{-1}, M^{-H} and
-    # M itself match the dense S_w^{-1} M^{-1}, M^{-1}, M^{-H} and M
+    # at z != w the factors hold the LU of M S_w and S_w: solve, M^{-1} and
+    # M^{-H} match the dense S_w^{-1} M^{-1}, M^{-1} and M^{-H}, and the
+    # reference M, formed from M S_w, matches the dense M
     mesh = (make_icosphere(1.0, 1) if mesh_name == "sphere"
             else make_ellipsoid((1.0, 1.3, 1.7), 1))
     n = mesh.n_panels
@@ -477,7 +540,7 @@ def test_one_lu_factors_at_z_not_w(mesh_name, w, z, kappa):
     for got, expected in ((factors.solve(ident), np.linalg.solve(s_w, minv)),
                           (factors.m_solve(ident), minv),
                           (factors.m_adjoint_solve(ident), minv.conj().T),
-                          (factors.contrast_matrix(), m)):
+                          (contrast_matrix(mesh, w, z, kappa), m)):
         assert (np.linalg.norm(got - expected)
                 <= 1e-12 * np.linalg.norm(expected))
 
@@ -525,29 +588,53 @@ def test_k2_resonance_close_to_minnaert(sphere2, spectral2):
 
 
 def test_series_averages_share_one_pass(monkeypatch):
+    # one kernel pass sums the rows of B_2 and B_3 and builds no series
+    # stack; the averages match those of an order-3 stack's terms within
+    # 1e-14 (summed in another order) and the S_0^{-1} product within 1e-13
     mesh = make_icosphere(1.0, 1)
     data = spectral_data(mesh)
     orders = []
-    original = boundary_calculus.assemble_series_stack
+    original = boundary_calculus._double_term_row_sums
 
-    def counted(mesh, order, s0):
+    def counted(mesh, order):
         orders.append(order)
-        return original(mesh, order, s0)
+        return original(mesh, order)
 
-    monkeypatch.setattr(boundary_calculus, "assemble_series_stack", counted)
+    def refuse(*args):
+        raise AssertionError("series stack built")
+
+    monkeypatch.setattr(boundary_calculus, "_double_term_row_sums", counted)
+    monkeypatch.setattr(boundary_calculus, "assemble_series_stack", refuse)
     k2, k3 = data.k2_average(), data.k3_average()
     assert (data.k2_average(), data.k3_average()) == (k2, k3)
     assert orders == [3]
     one = np.ones(mesh.n_panels)
-    double = original(mesh, 3, data.s0).double
+    double = assemble_series_stack(mesh, 3).double
     for n, mean in ((2, k2), (3, k3)):
+        stacked = 1j ** n * data.on_constants(double[n] @ one).real
+        assert mean == pytest.approx(stacked, rel=1e-14)
         k_one = 1j ** n * double[n] @ one
         assert mean == pytest.approx(s0_inner(data, one, k_one)
                                      / data.capacitance, rel=1e-13)
 
 
+def test_series_averages_peak_memory(spectral3):
+    # bound stated before measuring: at n = 1280 the pass keeps two row
+    # sums and one chunk's temporaries, 13.4 MiB for an exact pass; an
+    # order-3 stack holds 50 MiB (110 MiB traced)
+    fresh = dataclasses.replace(spectral3, _k_means=None)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fresh.k2_average()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 16 * 2 ** 20
+
+
 # ----------------------------------------------------------------------------
-# block decomposition and its expansions
+# block decomposition (the reference's) and the expansions
 
 
 def test_recomposition(spectral2):
@@ -758,8 +845,8 @@ def test_contrast_family_limit_direction(sphere2, spectral2):
     target = q0 @ (0.5 * np.eye(sphere2.n_panels) + k0) @ q0
     gaps = []
     for eps in (0.04, 0.02, 0.01):
-        factors = _contrast_factors(sphere2, eps, 1.0, 0.7)
-        m = eps ** 2 * factors.contrast_matrix()
+        m = eps ** 2 * contrast_matrix(sphere2, eps * 1.0, eps * 0.7,
+                                       eps ** -2 - 1.0)
         gaps.append(s0_operator_norm(spectral2, m - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-2
@@ -769,7 +856,7 @@ def test_dn_factorization_small_z_consistency(sphere2, spectral2):
     # S_z DN_z - (Q0 (1/2+K0) Q0 + z^2 K_(2)) shrinks at cubic order in z
     # (a fixed quadrature-level floor sets in below z ~ 0.1)
     k0 = assemble_double_layer(sphere2, 0.0)
-    k2 = 1j ** 2 * assemble_series_stack(sphere2, 2, spectral2.s0).double[2]
+    k2 = 1j ** 2 * assemble_series_stack(sphere2, 2).double[2]
     q0 = np.eye(sphere2.n_panels) - _dense_p0(spectral2)
     static = q0 @ (0.5 * np.eye(sphere2.n_panels) + k0) @ q0
     residuals = []

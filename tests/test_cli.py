@@ -481,21 +481,29 @@ def test_verify_suite_passes(tmp_path):
 
 
 def count_kernel_passes(monkeypatch):
-    """Record (wavenumber, single, double) of every exact kernel pass and
-    the order of every series stack built."""
-    calls = {"exact": [], "stack": []}
+    """Record (wavenumber, single, double) of every exact kernel pass, the
+    order of every series stack built and of every row-sum pass of the
+    series averages."""
+    calls = {"exact": [], "stack": [], "sums": []}
     assemble, build = layer_ops._assemble_layers, bc.assemble_series_stack
 
-    def exact(mesh, z, single, double):
+    def exact(mesh, z, single, double, *order):
         calls["exact"].append((z, single, double))
-        return assemble(mesh, z, single, double)
+        return assemble(mesh, z, single, double, *order)
 
-    def stack(mesh, order, s0):
+    def stack(mesh, order):
         calls["stack"].append(order)
-        return build(mesh, order, s0)
+        return build(mesh, order)
 
+    def sums(mesh, order, build=bc._double_term_row_sums):
+        calls["sums"].append(order)
+        return build(mesh, order)
+
+    # boundary_calculus runs its F-ordered passes through its own name
     monkeypatch.setattr(layer_ops, "_assemble_layers", exact)
+    monkeypatch.setattr(bc, "_assemble_layers", exact)
     monkeypatch.setattr(bc, "assemble_series_stack", stack)
+    monkeypatch.setattr(bc, "_double_term_row_sums", sums)
     return calls
 
 
@@ -503,23 +511,23 @@ def test_verify_reads_every_contracted_operator_from_one_stack(
         tmp_path, monkeypatch):
     # S_0 (spectral_data) and K_0 (Gauss identity) are the only exact
     # passes; every contracted S and K comes from one order-15 stack,
-    # beside the order-3 stack of the series averages
+    # beside the one order-3 row-sum pass of the series averages
     calls = count_kernel_passes(monkeypatch)
     assert run(tmp_path / "stack", "verify", "--icosphere", "1.0,2") == EXIT_OK
     assert sorted(calls["exact"]) == [(0, False, True), (0, True, False)]
-    assert calls["stack"] == [3, 15]
+    assert (calls["stack"], calls["sums"]) == ([15], [3])
     manifest = json.loads((tmp_path / "stack" / "manifest.json").read_text())
     assert manifest["warnings"] == []
 
     # with no room for a stack, every contracted operator is assembled
     # exactly: 10 S and K pairs, S_0 and the 10 S_z, K_0; the results agree
     monkeypatch.setattr(bc, "SERIES_STACK_LIMIT", 0)
-    calls["exact"].clear()
-    calls["stack"].clear()
+    for kind in calls.values():
+        kind.clear()
     assert run(tmp_path / "exact", "verify", "--icosphere", "1.0,2") == EXIT_OK
     kinds = Counter((single, double) for _, single, double in calls["exact"])
     assert kinds == {(True, True): 10, (True, False): 11, (False, True): 1}
-    assert calls["stack"] == [3]
+    assert (calls["stack"], calls["sums"]) == ([], [3])
     manifest = json.loads((tmp_path / "exact" / "manifest.json").read_text())
     assert len(manifest["warnings"]) == 1
     assert "above the limit" in manifest["warnings"][0]

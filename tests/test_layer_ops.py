@@ -184,7 +184,7 @@ def test_gauss_identity_on_moved_ellipsoids(axes, angles, shift):
     rotation = Rotation.from_euler("zyz", angles).as_matrix()
     mesh = affine_transform(make_ellipsoid(tuple(axes), 1), rotation, shift)
     ones = np.ones(mesh.n_panels)
-    stack = assemble_series_stack(mesh, 2, np.zeros((mesh.n_panels,) * 2))
+    stack = assemble_series_stack(mesh, 2)
     for k0 in (assemble_double_layer(mesh, 0.0), stack.double[0]):
         assert np.abs(0.5 * ones + k0 @ ones).max() <= 1e-12
 
@@ -206,7 +206,7 @@ def test_k0_degree_one_eigenvalue(sphere3):
 def series_coefficients(mesh, order):
     """S_(n) = i^n A_n and K_(n) = i^n B_n, the coefficients of z^n, for
     n <= order, read from one series stack."""
-    stack = assemble_series_stack(mesh, order, np.zeros((mesh.n_panels,) * 2))
+    stack = assemble_series_stack(mesh, order)
     return tuple([1j ** n * term for n, term in enumerate(terms)]
                  for terms in (stack.single, stack.double))
 
@@ -270,10 +270,9 @@ def test_series_taylor_residual_double_layer(sphere2):
 
 
 def test_series_order_bounds(sphere2):
-    s0 = np.zeros((sphere2.n_panels,) * 2)
     for order in (-1, SERIES_MAX_ORDER + 1):
         with pytest.raises(ValueError, match="series order must be in"):
-            assemble_series_stack(sphere2, order, s0)
+            assemble_series_stack(sphere2, order)
 
 
 # ----------------------------------------------------------------------------
@@ -281,8 +280,7 @@ def test_series_order_bounds(sphere2):
 
 
 def _sub1_stack(mesh):
-    s0 = assemble_single_layer(mesh, 0.0)
-    return mesh, assemble_series_stack(mesh, SERIES_MAX_ORDER, s0)
+    return mesh, assemble_series_stack(mesh, SERIES_MAX_ORDER)
 
 
 SUB1_STACKS = {"sphere": _sub1_stack(make_icosphere(1.0, 1)),
@@ -351,7 +349,7 @@ def test_series_stack_product_is_deterministic():
 
 def test_series_stack_refuses_beyond_its_order():
     mesh, _ = SUB1_STACKS["sphere"]
-    stack = assemble_series_stack(mesh, 4, np.zeros((mesh.n_panels,) * 2))
+    stack = assemble_series_stack(mesh, 4)
     assert stack.order == 4
     with pytest.raises(ValueError, match="does not reach"):
         stack.single_layer(0.5)
@@ -412,7 +410,7 @@ def test_layer_pair_peak_memory(sphere3):
 def test_series_stack_reaches_where_its_order_meets_the_tail_target():
     # the order-4 bound meets the target near |z| * diameter = 0.0048
     mesh, _ = SUB1_STACKS["sphere"]
-    stack = assemble_series_stack(mesh, 4, np.zeros((mesh.n_panels,) * 2))
+    stack = assemble_series_stack(mesh, 4)
     reached = []
     for z in np.linspace(0.0, 0.01, 101) / mesh.diameter:
         reached.append(stack.reaches(z))
@@ -422,12 +420,46 @@ def test_series_stack_reaches_where_its_order_meets_the_tail_target():
 
 
 def test_series_terms_are_slices_of_the_stack(sphere2):
-    stack = assemble_series_stack(sphere2, 3, np.zeros((sphere2.n_panels,) * 2))
+    stack = assemble_series_stack(sphere2, 3)
     # B_1 = 0 is a zero slot of the double-layer block: it adds nothing
     assert stack.double.shape == (4, sphere2.n_panels, sphere2.n_panels)
     assert not stack.double[1].any()
     k0 = assemble_double_layer(sphere2, 0.0)
     assert np.abs(stack.double[0] - k0).max() <= 1e-15 * np.abs(k0).max()
+    # A_0 is formed by the stack's own pass with the static single layer's
+    # chunk arithmetic: the same bits
+    assert stack.single[0].tobytes() == \
+        assemble_single_layer(sphere2, 0.0).tobytes()
+
+
+def test_double_term_row_sums_are_the_stack_terms_row_sums(sphere2):
+    # one pass with no n x n term: B_k 1 for k = 2, 3 as the stack's terms
+    # give them, up to the order of summation
+    stack = assemble_series_stack(sphere2, 3)
+    one = np.ones(sphere2.n_panels)
+    sums = layer_ops._double_term_row_sums(sphere2, 3)
+    assert sums.shape == (2, sphere2.n_panels)
+    for k in (2, 3):
+        expected = stack.double[k] @ one
+        assert np.abs(sums[k - 2] - expected).max() \
+            <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("z", [0.0, 1.6, 0.2 + 0.1j])
+def test_f_ordered_layers_have_the_same_entries(sphere2, z):
+    # the F-ordered pass the factorizations consume writes the entries of
+    # the C-ordered one, bit for bit, and so does a stack's F-ordered sum
+    c_pair = assemble_layer_pair(sphere2, z)
+    f_pair = layer_ops._assemble_layers(sphere2, z, True, True, "F")
+    for c, f in zip(c_pair, f_pair, strict=True):
+        assert f.flags.f_contiguous and np.array_equal(c, f)
+        assert c.tobytes() == np.ascontiguousarray(f).tobytes()
+    stack = assemble_series_stack(sphere2, 12)
+    w = 0.04 * np.exp(0.2j)
+    for terms in (stack.single, stack.double):
+        c, f = stack._sum(terms, w), stack._sum(terms, w, "F")
+        assert f.flags.f_contiguous
+        assert c.tobytes() == np.ascontiguousarray(f).tobytes()
 
 
 # ----------------------------------------------------------------------------
@@ -516,14 +548,13 @@ def test_assembly_independent_of_row_chunk(monkeypatch, chunk):
                               np.full(20, 0.9)])
 
     def matrices():
-        stack = assemble_series_stack(mesh, SERIES_MAX_ORDER,
-                                      np.zeros((mesh.n_panels,) * 2))
+        stack = assemble_series_stack(mesh, SERIES_MAX_ORDER)
         return ([assemble(mesh, z) for z in (0.0, 1.0 + 1.0j)
                  for assemble in (assemble_single_layer,
                                   assemble_double_layer)]
                 + [op for z in (0.0, 1.6, 1.0 + 1.0j)
                    for op in assemble_layer_pair(mesh, z)]
-                + [*stack.single[1:], *stack.double])
+                + [*stack.single, *stack.double])
 
     def potentials():
         return [eval_single_layer_potential(mesh, density, z, points)
@@ -552,13 +583,12 @@ def test_assembly_independent_of_worker_count(monkeypatch, workers):
                               np.full(20, 0.9)])
 
     def results():
-        stack = assemble_series_stack(mesh, SERIES_MAX_ORDER,
-                                      np.zeros((mesh.n_panels,) * 2))
+        stack = assemble_series_stack(mesh, SERIES_MAX_ORDER)
         return ([op for z in (0.0, 1.6, 1.0 + 1.0j, 0.2j)
                  for op in (assemble_single_layer(mesh, z),
                             assemble_double_layer(mesh, z),
                             *assemble_layer_pair(mesh, z))]
-                + [*stack.single[1:], *stack.double]
+                + [*stack.single, *stack.double]
                 + [eval_single_layer_potential(mesh, density, z, at)
                    for z in (0.0, 1.6, 0.2j) for at in (points, points[:5])])
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,9 @@ from bubblebem.layer_ops import (assemble_double_layer, assemble_layer_pair,
 from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
 from bubblebem.mie import mie_monopole_amplitude, mie_solve
 from bubblebem.scattering import (METHODS, FitError, PlaneWave, PointSource,
-                                  ScatteringProblem, frequency_sweep, green_function, interaction_operator,
+                                  ScatteringProblem, far_field_points,
+                                  frequency_sweep, green_function,
+                                  interaction_operator,
                                   lorentzian_halfwidth, nonresonant_amplitude,
                                   point_perturbation_kernel,
                                   resolvent_correction_kernel, resonance_peak,
@@ -91,8 +94,43 @@ def test_interaction_continuous_in_z(sphere2):
     assert max(steps) <= 0.2 * scale        # no spikes across the grid
 
 
+def test_interaction_operator_right_hand_side_is_half_k():
+    # the interaction operator's right-hand side is (1/2 + K_{eps w}) I,
+    # the bits of 1/2 + K_{eps w}; the operator is its solve
+    mesh, eps, omega = make_icosphere(1.0, 1), 0.05, 1.5
+    n = mesh.n_panels
+    f = boundary_calculus._contrast_factors(mesh, eps, omega, omega,
+                                            trace=np.eye(n))
+    half_k = assemble_double_layer(mesh, eps * omega)
+    half_k.flat[::n + 1] += 0.5
+    assert f.rhs.tobytes() == half_k.tobytes()
+    lam = interaction_operator(make_problem(mesh, eps, omega), omega)
+    assert np.array_equal(lam, eps * (eps ** -2 - 1.0) * f.solve(half_k))
+
+
 # ----------------------------------------------------------------------------
 # solvers
+
+
+def test_sub3_solve_peak_memory(sphere3):
+    # bound stated before measuring: spectral_data keeps S_0's LU
+    # (12.5 MiB at n = 1280); the dilated solve's exact pair pass holds
+    # S_w and 1/2 + K_w (25 MiB each) and one chunk's temporaries, and its
+    # lanes factor them in place, about 76 MiB in all.  A kept S_0, an
+    # F-ordered copy of S_w or a separate M adds 12.5 to 25 MiB (102.2 MiB
+    # traced with all three)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        spectral = spectral_data(sphere3)
+        problem = make_problem(sphere3, 0.05, 1.6)
+        fld = scattered_field_dilated(problem, far_field_points(problem)[0],
+                                      spectral)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(fld.scattered))
+    assert peak - start <= 80 * 2 ** 20
 
 
 def test_solver_equivalence(sphere2, spectral2):
@@ -252,9 +290,9 @@ def test_each_contracted_route_factors_once(route, monkeypatch):
     original = boundary_calculus._contrast_factors
     calls = []
 
-    def recorder(mesh, eps, omega, z, stack=None):
+    def recorder(mesh, eps, omega, z, stack=None, trace=None):
         calls.append((mesh, eps, omega, z))
-        return original(mesh, eps, omega, z, stack)
+        return original(mesh, eps, omega, z, stack, trace)
 
     for module in (boundary_calculus, scattering):
         monkeypatch.setattr(module, "_contrast_factors", recorder)
@@ -372,16 +410,18 @@ def test_every_method_gives_the_same_guard_band_note():
 
 
 def test_dn_factors_read_the_stack_only_where_it_reaches():
-    stack = assemble_series_stack(SUB1, 8, SPECTRAL1.s0)
+    stack = assemble_series_stack(SUB1, 8)
     near, far = 0.02, 0.5
     assert stack.reaches(near) and not stack.reaches(far)
+    trace = np.linspace(-1.0, 1.0, SUB1.n_panels)
     for w, s_ref, k_ref in (
             (near, stack.single_layer(near), stack.double_layer(near)),
             (far, assemble_single_layer(SUB1, far),
              assemble_double_layer(SUB1, far))):
-        f = boundary_calculus._factor_transmission(SUB1, w, w, 0.5, stack)
+        f = boundary_calculus._factor_transmission(SUB1, w, w, 0.5, stack,
+                                                   trace)
         k_ref.flat[::SUB1.n_panels + 1] += 0.5
-        assert np.array_equal(f.half_k, k_ref)
+        assert np.array_equal(f.rhs, np.asfortranarray(k_ref) @ trace)
         assert all(np.array_equal(a, b)
                    for a, b in zip(f.s_lu, lu_factor(s_ref)))
 
@@ -643,8 +683,8 @@ def test_sweep_stack_size_estimate_is_the_stack_bytes(monkeypatch):
 
 def count_assemblies(monkeypatch):
     """Record the wavenumber of every exact S assembly and every exact S and
-    K pass made through boundary_calculus and the order of every series
-    stack built."""
+    K pass made through boundary_calculus, public or F-ordered, and the
+    order of every series stack built."""
     calls = {"single": [], "pair": [], "stack": []}
     for kind, module, name in (
             ("single", boundary_calculus, "assemble_single_layer"),
@@ -657,6 +697,13 @@ def count_assemblies(monkeypatch):
             return original(mesh, arg, *rest)
 
         monkeypatch.setattr(module, name, counted)
+    layers = boundary_calculus._assemble_layers
+
+    def f_ordered(mesh, z, single, double, *order):
+        calls["pair" if double else "single"].append(z)
+        return layers(mesh, z, single, double, *order)
+
+    monkeypatch.setattr(boundary_calculus, "_assemble_layers", f_ordered)
     return calls
 
 
