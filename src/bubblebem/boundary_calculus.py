@@ -6,9 +6,10 @@ Dirichlet-to-Neumann map S^{-1}(1/2 + K) (S and M apart at z == w, the one
 product M S_w at z != w), and the small-scale expansions of the contrast
 operator family.
 
-Each factorization on the solve path consumes its operand where it was
-formed: S_0, S_w and M are laid out in F order as they are assembled or
-formed and LAPACK factors them in place.  A caller states the trace whose
+Operators are read only through the public ``layer_ops`` assemblers and
+``SeriesStack`` readers, which return them F-ordered, and every
+factorization (``_guarded_lu``) consumes its operand: LAPACK factors S_0,
+S_w, M and M S_w where they were formed.  A caller states the trace whose
 right-hand side (1/2 + K_w) trace it needs, and that product is formed
 before 1/2 + K_w becomes M, so no S_0, S_w, 1/2 + K_w or layout copy is
 kept once its factor exists: one n x n array per live operator.
@@ -41,10 +42,9 @@ import numpy as np
 from scipy.linalg import (cholesky, lapack, lu_factor, lu_solve,
                           solve_triangular, svd)
 
-from .layer_ops import (SERIES_MAX_ORDER, SeriesStack, _assemble_layers,
-                        _double_term_row_sums, _series_order, _side_by_side,
-                        assemble_layer_pair, assemble_series_stack,
-                        assemble_single_layer)
+from .layer_ops import (SERIES_MAX_ORDER, SeriesStack, _double_term_row_sums,
+                        _series_order, _side_by_side, assemble_layer_pair,
+                        assemble_series_stack, assemble_single_layer)
 from .mesh import _CHUNK_PAIRS, SurfaceMesh
 
 CONDITION_LIMIT = 1e12
@@ -59,19 +59,21 @@ class NumericalGuardError(RuntimeError):
     """A factorization exceeded the condition-number guard."""
 
 
-def _guarded_lu(matrix: np.ndarray, context: str, overwrite: bool = False):
+def _guarded_lu(matrix: np.ndarray, context: str):
     """LU factorization with a 1-norm condition estimate, 1e12 hard limit.
 
+    Consumes its operand: an F-ordered ``matrix``, the layout of every
+    operator ``layer_ops`` returns, is factored in place and becomes the
+    LU, and a caller that reads its matrix afterwards passes a copy.
     ``lu_factor`` checks its input: a non-finite entry raises ValueError,
-    which a sweep records as that row's error.  With ``overwrite`` an
-    F-ordered ``matrix`` is factored in place and becomes the LU.  The
-    1-norm is summed in blocks of columns, the bits of
-    ``np.linalg.norm(matrix, 1)`` without its n x n temporary.
+    which a sweep records as that row's error.  The 1-norm is summed in
+    blocks of columns, the bits of ``np.linalg.norm(matrix, 1)`` without
+    its n x n temporary.
     """
     step = max(1, _CHUNK_PAIRS // len(matrix))
     anorm = max(np.abs(matrix[:, j:j + step]).sum(axis=0).max()
                 for j in range(0, matrix.shape[1], step))
-    lu, piv = lu_factor(matrix, overwrite_a=overwrite)
+    lu, piv = lu_factor(matrix, overwrite_a=True)
     gecon = lapack.zgecon if np.iscomplexobj(matrix) else lapack.dgecon
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:
@@ -164,12 +166,10 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
     and Minnaert frequency of ``mesh``.
 
     The static single layer is assembled real, and is symmetric positive
-    definite up to quadrature error.  It is assembled in F order and
-    factored in place, so LAPACK sees the matrix ``lu_factor`` would copy
-    it into and the LU has the same bits; only the LU is kept.
+    definite up to quadrature error.  It is factored in place, and only the
+    LU is kept.
     """
-    lu = _guarded_lu(_assemble_layers(mesh, 0.0, True, False, "F")[0],
-                     "static single layer", overwrite=True)
+    lu = _guarded_lu(assemble_single_layer(mesh, 0.0), "static single layer")
     q = lu_solve(lu, np.ones(mesh.n_panels))
     cap = float(q @ mesh.areas)
     if cap <= 0:
@@ -289,8 +289,8 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
 
     At z == w, M = I + kappa (1/2 + K_w); S_z is not built, and S_w and M
     are factored in two lanes that ``layer_ops._side_by_side`` runs side by
-    side when two CPUs are usable, else S first.  S_w and 1/2 + K_w are
-    assembled, or summed from the stack, in F order, so that each lane
+    side when two CPUs are usable, else S first.  S_w and 1/2 + K_w,
+    assembled or summed from the stack, are F-ordered, so that each lane
     factors its operand where it lies:
     - lane S: S_w, factored in place;
     - lane M, on the calling thread: 1/2 + K_w, the right-hand side, then
@@ -301,10 +301,11 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     are the same bits either way.
 
     At z != w the one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
-    (one matmul; S_z, the stack's product or an exact assembly, and
-    1/2 + K_w are released right after it) and factored, and S_w is kept
-    for M^{-1} = S_w (M S_w)^{-1}.  Since det(M S_w) = det M det S_w, the
-    guard on M S_w trips when M or S_w is singular.
+    F-ordered (one matmul; S_z, the stack's product or an exact assembly,
+    and 1/2 + K_w are released right after it) and factored in place, and
+    S_w is kept for M^{-1} = S_w (M S_w)^{-1}.  Since
+    det(M S_w) = det M det S_w, the guard on M S_w trips when M or S_w is
+    singular.
 
     This is the only place M or M S_w is factored: the solvers and
     ``expansion_residual`` all read it from here.
@@ -320,10 +321,10 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
                      if stacked else assemble_layer_pair(mesh, w))
         half_k.flat[::n + 1] += 0.5
         rhs = right_hand_side(half_k)
-        ms = half_k @ (stack.single_layer(z)
-                       if stack is not None and stack.reaches(z)
-                       else assemble_single_layer(mesh, z))
-        del half_k
+        s_z = (stack.single_layer(z) if stack is not None and stack.reaches(z)
+               else assemble_single_layer(mesh, z))
+        ms = np.matmul(half_k, s_z, order="F")
+        del half_k, s_z
         ms *= kappa
         ms += s
         lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
@@ -334,22 +335,20 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     else:
         # one kernel pass for both: it holds the two n x n results and one
         # chunk's temporaries (63.4 MiB traced at n = 1280)
-        s, half_k = _assemble_layers(mesh, w, True, True, "F")
+        s, half_k = assemble_layer_pair(mesh, w)
 
     def lane_s():
-        s_w = stack._sum(stack.single, w, "F") if s is None else s
-        return _guarded_lu(s_w, f"single layer S at wavenumber {w:.6g}",
-                           overwrite=True)
+        s_w = stack.single_layer(w) if s is None else s
+        return _guarded_lu(s_w, f"single layer S at wavenumber {w:.6g}")
 
     def lane_m():
-        m = stack._sum(stack.double, w, "F") if half_k is None else half_k
+        m = stack.double_layer(w) if half_k is None else half_k
         m.flat[::n + 1] += 0.5
         rhs = right_hand_side(m)
         m *= kappa
         m.flat[::n + 1] += 1.0
         return rhs, _guarded_lu(m, f"contrast matrix M at wavenumber "
-                                   f"{w:.6g}, spectral parameter {z:.6g}",
-                                overwrite=True)
+                                   f"{w:.6g}, spectral parameter {z:.6g}")
 
     s_lu, (rhs, lu) = _side_by_side([lane_s, lane_m], "factor lane",
                                     caller=1)

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import boundary_calculus as bc
 from . import scattering as sc
+from .boundary_calculus import _series_stack
 from .layer_ops import _check_clearance, assemble_double_layer
 from .mesh import MeshError, load_mesh, make_ellipsoid, make_icosphere
 
@@ -497,7 +498,7 @@ def verification_checks(cfg: RunConfig):
     # S_{eps w}, K_{eps w} and S_{eps z}, at z = 0.7 for the expansions and
     # z = i for the kernels, released when the checks return; each
     # fallback to exact assembly is a warning
-    stack, notes = bc._series_stack(
+    stack, notes = _series_stack(
         spectral, [eps * omega for eps in (0.04, 0.02, *eps_list)
                    for omega in (1.0, what)]
         + [eps * 0.7 for eps in (0.04, 0.02)] + [eps * 1j for eps in eps_list])

@@ -8,10 +8,10 @@ by the regular rule.
 
 Matrix convention: entry (i, j) approximates the integral of the kernel over
 panel j, observed at the centroid of panel i, so matrices act directly on
-per-panel coefficient vectors.  Operators are plain (n, n) arrays, float64
-at z = 0 and complex otherwise, and boundary data are 1-d arrays; each
-function's docstring says whether it takes a trace (Dirichlet data) or a
-density (single-layer charge, flux).
+per-panel coefficient vectors.  Operators are plain F-ordered (n, n)
+arrays, float64 at z = 0 and complex otherwise, and boundary data are 1-d
+arrays; each function's docstring says whether it takes a trace (Dirichlet
+data) or a density (single-layer charge, flux).
 
 Every kernel runs the same pass, ``_row_chunks``: observation points in
 chunks against all quadrature nodes, each chunk handed to a chunk body;
@@ -39,17 +39,19 @@ each chunk computes its distances, ν(y)·(x-y) and e^{izr} once for both
 operators.  ``assemble_single_layer`` and ``assemble_double_layer`` run the
 same chunk body for one operator.
 
-``assemble_series_stack`` builds the real terms of the wavenumber series of
-S_z and K_z in one such pass; a ``SeriesStack`` then gives S_z or K_z by one
-matrix product of its terms with the powers of iz, within a stated
-elementwise tail bound, which is how a frequency sweep assembles its mesh
-only once.  ``_double_term_row_sums`` runs the double-layer half of that
-pass for the row sums B_k 1 alone, keeping no n x n term.
+Every real operator comes from one chunk body, ``_series_pass``: the terms
+A_k and B_k of the wavenumber series S_z = Σ (iz)^k A_k and
+K_z = Σ (iz)^k B_k, handed to its caller row block by row block, and the
+diagonals of A_0 = S_0 and B_0 = K_0.  The exact S_0 and K_0 are its
+order-0 pass; ``assemble_series_stack`` keeps every term up to an order,
+and a ``SeriesStack`` then gives S_z or K_z by one matrix product of its
+terms with the powers of iz, within a stated elementwise tail bound, which
+is how a frequency sweep assembles its mesh only once;
+``_double_term_row_sums`` keeps only the row sums B_k 1, no n x n term.
 
-The private exact pass and a stack's private sum can lay their results out
-in F order, the layout in which LAPACK factors an operator where it lies;
-``boundary_calculus`` takes every operator it factors that way.  The
-entries are the same bits in either layout.
+Every operator is F-ordered, the layout in which LAPACK factors an
+operator where it lies, so a factorization consumes the operator it is
+given and copies nothing.
 
 ``single_layer_monopole`` gives the exact l = 0 coefficient of a
 single-layer potential, a panel sum over the quadrature nodes that needs no
@@ -328,83 +330,73 @@ def _one_minus_izr(z: complex, r: np.ndarray) -> np.ndarray:
 
 
 def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
-                     double: bool, order: str = "C") -> tuple:
-    """S_z if ``single`` and K_z if ``double`` (else None), from one
-    ``_row_chunks`` pass: the chunk body of every exact S and K assembly.
+                     double: bool) -> tuple:
+    """S_z if ``single`` and K_z if ``double`` (else None), F-ordered, from
+    one ``_row_chunks`` pass: the chunk body of every exact S and K
+    assembly.
 
-    With both, each chunk's distances and e^{izr} serve both operators: K's
-    entry static * ((1 - izr) e^{izr}) is formed first, and the same
-    e^{izr} array then becomes S's entry e^{izr}/r * w in place.  At
-    z = 0 both kernels are real and so are the float64 results.  The
-    results are laid out in ``order``; "F" is the layout LAPACK factors in
-    place, and the entries are the same bits either way.
+    At z = 0 both kernels are real: the pass is ``_series_pass`` of order
+    0, which writes S_0 = A_0 and K_0 = B_0 as float64.  Otherwise each
+    chunk's distances and e^{izr} serve both operators: K's entry
+    B_0 * ((1 - izr) e^{izr}), with B_0's node values from
+    ``_double_terms``, is formed first, and the same e^{izr} array then
+    becomes S's entry e^{izr}/r * w in place.
     """
     z = _check_im(z)
-    nodes, weights = panel_quadrature(mesh)
     n = mesh.n_panels
+    s_out, k_out = (np.empty((n, n), complex if z else float, order="F")
+                    if wanted else None for wanted in (single, double))
+    if z == 0:
+        def take(kind, k, rows, block):
+            (s_out, k_out)[kind][rows] = block
+
+        _series_pass(mesh, 0, single, double, take, (s_out, k_out))
+        return s_out, k_out
+    nodes, weights = panel_quadrature(mesh)
     flat_w = weights.reshape(-1)
-    use_complex = z != 0
-    dtype = complex if use_complex else float
-    s_out = np.empty((n, n), dtype=dtype, order=order) if single else None
-    k_out = np.empty((n, n), dtype=dtype, order=order) if double else None
     static_rowsum = np.empty(n)
 
     def body(rows, r, static, work):
         e_izr = None
         if double:
-            # static = ν(y)·(x-y) w / (4π r³), in place of ν(y)·(x-y)
-            static /= 4.0 * np.pi * r ** 3
-            static *= flat_w
-            block0 = _panel_sum(static)
-            if use_complex:
-                # static * ((1 - izr) e^{izr}) in place; complex products
-                # are not bitwise commutative, so (1 - izr) stays the left
-                # factor.  It is formed after e^{izr}, once _expi's real
-                # phase array is freed.
-                e_izr = _expi(z, r, _work_complex(work))
-                vals = _one_minus_izr(z, r)
-                vals *= e_izr
-                vals *= static
-                block = _panel_sum(vals)
-            else:
-                block = block0
-            np.fill_diagonal(block0[:, rows], 0.0)
+            # static becomes B_0's node values, ν(y)·(x-y) w / (4π r³)
+            static_rowsum[rows] = next(_double_terms(
+                rows, r, static, flat_w, 0))[1].sum(axis=1)
+            # static * ((1 - izr) e^{izr}) in place; complex products are
+            # not bitwise commutative, so (1 - izr) stays the left factor.
+            # It is formed after e^{izr}, once _expi's real phase array is
+            # freed.
+            e_izr = _expi(z, r, _work_complex(work))
+            vals = _one_minus_izr(z, r)
+            vals *= e_izr
+            vals *= static
+            block = _panel_sum(vals)
             np.fill_diagonal(block[:, rows], 0.0)
             k_out[rows] = block
-            static_rowsum[rows] = block0.sum(axis=1)
-            del block0, block
+            del block
         if single:
-            if use_complex:
-                vals = (_expi(z, r, _work_complex(work)) if e_izr is None
-                        else e_izr)
-                vals /= r
-            else:
-                vals = np.divide(1.0, r, out=work[0])
+            vals = _expi(z, r, _work_complex(work)) if e_izr is None else e_izr
+            vals /= r
             vals *= flat_w
             s_out[rows] = _panel_sum(vals) / (4.0 * np.pi)
 
     _row_chunks(mesh.centroids, nodes, mesh.normals if double else None,
                 body)
     idx = np.arange(n)
-    if use_complex:
-        diff, rself = _self_offsets(mesh, nodes)
+    diff, rself = _self_offsets(mesh, nodes)
     if single:
         # Self panel: the 1/r part integrates in closed form; the remainder
         # (e^{izr}-1)/(4πr) is bounded and the regular rule applies.
-        diag = _self_panel_inverse_distance(mesh)
-        if use_complex:
-            smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
-            diag = diag + np.sum(smooth * weights, axis=1)
-        s_out[idx, idx] = diag
+        smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
+        s_out[idx, idx] = (_self_panel_inverse_distance(mesh)
+                           + np.sum(smooth * weights, axis=1))
     if double:
-        diag = -0.5 - static_rowsum
-        if use_complex:
-            numer = np.einsum("ijk,ik->ij", diff, mesh.normals)
-            smooth = numer * ((1.0 - 1j * z * rself) * np.exp(1j * z * rself)
-                              - 1.0)
-            smooth /= 4.0 * np.pi * rself ** 3
-            diag = diag + np.sum(smooth * weights, axis=1)
-        k_out[idx, idx] = diag
+        numer = np.einsum("ijk,ik->ij", diff, mesh.normals)
+        smooth = numer * ((1.0 - 1j * z * rself) * np.exp(1j * z * rself)
+                          - 1.0)
+        smooth /= 4.0 * np.pi * rself ** 3
+        k_out[idx, idx] = -0.5 - static_rowsum + np.sum(smooth * weights,
+                                                        axis=1)
     return s_out, k_out
 
 
@@ -491,10 +483,8 @@ class SeriesStack:
         stack's order, so that S_z and K_z may be read from it."""
         return self._needed(z) is not None
 
-    def _sum(self, terms: np.ndarray, z: complex,
-             order: str = "C") -> np.ndarray:
-        """S_z or K_z from one of the term blocks, laid out in ``order``
-        (the same values either way)."""
+    def _sum(self, terms: np.ndarray, z: complex) -> np.ndarray:
+        """S_z or K_z, F-ordered, from one of the term blocks."""
         z = _check_im(z)
         needed = self._needed(z)
         if needed is None:
@@ -503,7 +493,7 @@ class SeriesStack:
         powers = (1j * z) ** np.arange(needed + 1)
         planes = (np.array([powers.real, powers.imag])
                   @ terms[:needed + 1].reshape(needed + 1, -1))
-        out = np.empty(terms.shape[1:], dtype=complex, order=order)
+        out = np.empty(terms.shape[1:], dtype=complex, order="F")
         out.real = planes[0].reshape(out.shape)
         out.imag = planes[1].reshape(out.shape)
         return out
@@ -539,66 +529,85 @@ def _double_terms(rows: slice, r: np.ndarray, k_vals: np.ndarray,
             yield k, block
 
 
-def assemble_series_stack(mesh: SurfaceMesh, order: int) -> SeriesStack:
-    """Series terms of S and K up to ``order`` in one chunked pass.
+def _series_pass(mesh: SurfaceMesh, order: int, single: bool, double: bool,
+                 take, outs: tuple = (None, None)) -> None:
+    """The one chunked pass that forms real operators: the terms A_k if
+    ``single`` and B_k (k != 1) if ``double``, k = 0, ..., ``order``.
 
-    A_0 is the real static single layer, the bits of
-    ``assemble_single_layer(mesh, 0)`` (1/r under the regular rule, the
-    closed-form self panel); the others are A_n = (1/4π n!) |x-y|^{n-1} and
-    B_n = ((1-n)/4π n!) ν(y)·(x-y) |x-y|^{n-3} under the regular rule, the
-    node values raised to successive powers of r in place.  B_0 is the
-    static double layer with its solid-angle diagonal; B_n (n >= 2)
-    vanishes on flat self panels.  B_1 = 0 keeps a zero slot, so
-    ``double[k]`` is B_k for every k.
+    ``take(kind, k, rows, block)`` receives each chunk's row block of A_k
+    (kind 0) or B_k (kind 1).  A_0 is the static single layer, 1/r under
+    the regular rule; A_k = (1/4π k!) |x-y|^{k-1}, and B_0 and B_k from
+    ``_double_terms``, the node values raised to successive powers of r in
+    place.  Once the pass is done the diagonals of ``outs`` = (A_0, B_0),
+    where not None, are set: A_0's to the closed-form self panel, B_0's by
+    the solid-angle rule, each row applied to the constant trace 1 gives
+    -1/2.
+    """
+    nodes, weights = panel_quadrature(mesh)
+    flat_w = weights.reshape(-1)
+    static_rowsum = np.empty(mesh.n_panels)
+
+    def body(rows, r, k_vals, work):
+        if double:
+            for k, block in _double_terms(rows, r, k_vals, flat_w, order):
+                if k == 0:
+                    static_rowsum[rows] = block.sum(axis=1)
+                take(1, k, rows, block)
+        if single:
+            s_vals = np.divide(1.0, r, out=work[0])
+            s_vals *= flat_w
+            take(0, 0, rows, _panel_sum(s_vals) / (4.0 * np.pi))
+            for k in range(1, order + 1):
+                if k == 1:
+                    s_vals[:] = flat_w / (4.0 * np.pi)
+                else:
+                    s_vals *= r
+                take(0, k, rows, _panel_sum(s_vals) / math.factorial(k))
+
+    _row_chunks(mesh.centroids, nodes, mesh.normals if double else None,
+                body)
+    idx = np.arange(mesh.n_panels)
+    s0, k0 = outs
+    if s0 is not None:
+        s0[idx, idx] = _self_panel_inverse_distance(mesh)
+    if k0 is not None:
+        k0[idx, idx] = -0.5 - static_rowsum
+
+
+def assemble_series_stack(mesh: SurfaceMesh, order: int) -> SeriesStack:
+    """Series terms of S and K up to ``order`` in one ``_series_pass``.
+
+    A_0 and B_0 are the real static single and double layers, the bits of
+    ``assemble_layer_pair(mesh, 0)``; B_n (n >= 2) vanishes on flat self
+    panels.  The terms are one (2, order + 1, n, n) block whose halves are
+    ``single`` and ``double``; B_1 = 0 keeps a zero slot, so ``double[k]``
+    is B_k for every k.
     """
     if not 0 <= order <= SERIES_MAX_ORDER:
         raise ValueError(f"series order must be in [0, {SERIES_MAX_ORDER}], "
                          f"got {order}")
-    nodes, weights = panel_quadrature(mesh)
     n = mesh.n_panels
-    flat_w = weights.reshape(-1)
-    single = np.empty((order + 1, n, n))
-    double = np.empty((order + 1, n, n))
-    double[1:2] = 0.0
-    static_rowsum = np.empty(n)
+    terms = np.empty((2, order + 1, n, n))
+    terms[1, 1:2] = 0.0
 
-    def body(rows, r, k_vals, work):
-        for k, block in _double_terms(rows, r, k_vals, flat_w, order):
-            double[k][rows] = block
-            if k == 0:
-                static_rowsum[rows] = block.sum(axis=1)
-        # A_0 as the exact static pass forms it
-        s_vals = np.divide(1.0, r, out=work[1])
-        s_vals *= flat_w
-        single[0][rows] = _panel_sum(s_vals) / (4.0 * np.pi)
-        s_vals = work[0]
-        s_vals[:] = flat_w / (4.0 * np.pi)
-        for k in range(1, order + 1):
-            if k > 1:
-                s_vals *= r
-            single[k][rows] = _panel_sum(s_vals) / math.factorial(k)
+    def take(kind, k, rows, block):
+        terms[kind, k, rows] = block
 
-    _row_chunks(mesh.centroids, nodes, mesh.normals, body)
-    idx = np.arange(n)
-    single[0][idx, idx] = _self_panel_inverse_distance(mesh)
-    double[0][idx, idx] = -0.5 - static_rowsum
-    return SeriesStack(single, double, mesh.diameter)
+    _series_pass(mesh, order, True, True, take, (terms[0, 0], terms[1, 0]))
+    return SeriesStack(terms[0], terms[1], mesh.diameter)
 
 
 def _double_term_row_sums(mesh: SurfaceMesh, order: int) -> np.ndarray:
     """B_k 1 for k = 2, ..., ``order`` (row k - 2 of the result): the row
-    sums of the series stack's double-layer terms from one chunked pass
+    sums of the series stack's double-layer terms from one ``_series_pass``
     that keeps no n x n term, each chunk's blocks summed and dropped."""
-    nodes, weights = panel_quadrature(mesh)
-    flat_w = weights.reshape(-1)
     sums = np.empty((order - 1, mesh.n_panels))
 
-    def body(rows, r, k_vals, _):
-        for k, block in _double_terms(rows, r, k_vals, flat_w, order):
-            if k > 1:
-                sums[k - 2, rows] = block.sum(axis=1)
+    def take(kind, k, rows, block):
+        if k > 1:
+            sums[k - 2, rows] = block.sum(axis=1)
 
-    _row_chunks(mesh.centroids, nodes, mesh.normals, body)
+    _series_pass(mesh, order, False, True, take)
     return sums
 
 

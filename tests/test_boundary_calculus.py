@@ -254,14 +254,14 @@ def test_transmission_factors_release_s(monkeypatch):
     # the LU of M is that of 1/2 + K_w, so the factors keep no operator
     # beside its LU
     arrays = []
-    original = boundary_calculus._assemble_layers
+    original = layer_ops._assemble_layers
 
-    def recorded(*args):
-        pair = original(*args)
+    def recorded(*args, **kwargs):
+        pair = original(*args, **kwargs)
         arrays.extend(pair)
         return pair
 
-    monkeypatch.setattr(boundary_calculus, "_assemble_layers", recorded)
+    monkeypatch.setattr(layer_ops, "_assemble_layers", recorded)
     mesh = make_icosphere(1.0, 1)
     factors = _factor_transmission(mesh, 1.6, 1.6, 0.5,
                                    trace=np.ones(mesh.n_panels))
@@ -373,6 +373,25 @@ def test_transmission_factors_peak_memory():
         tracemalloc.stop()
     assert factors.s_lu is not None
     assert peak - start <= 66 * 2 ** 20
+
+
+def test_exact_contrast_product_peak_memory():
+    # bound stated before measuring: at z != w and n = 1280 the product
+    # M S_w = S_w + kappa (1/2 + K_w) S_z holds four n x n arrays (S_w,
+    # 1/2 + K_w, S_z and the F-ordered product, 25 MiB each) and is then
+    # factored in place, so S_w and the LU (50 MiB) are kept; a fifth
+    # n x n array held beside the four, or kept after, exceeds the bound
+    mesh = make_icosphere(1.0, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        factors = _factor_transmission(mesh, 0.065, 0.035, 399.0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factors.s is not None
+    assert peak - start <= 101 * 2 ** 20
+    assert kept - start <= 51 * 2 ** 20
 
 
 def test_stacked_transmission_factors_peak_memory():

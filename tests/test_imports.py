@@ -35,9 +35,30 @@ def unused_imports(module: str) -> list[str]:
                   if name not in used and (module, name) not in KEPT)
 
 
+def private_reads(module: str) -> list[str]:
+    """Reads of another object's private attribute, ``x._name``: reads
+    through ``self`` or ``cls`` and dunders are not counted."""
+    with open(FILES[module], encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return sorted(
+        f"{ast.unparse(node.value)}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in ("self", "cls")))
+
+
 @pytest.mark.parametrize("module", sorted(FILES))
 def test_every_import_is_used(module):
     assert unused_imports(module) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name, path in FILES.items() if path.startswith(SRC)))
+def test_no_private_attribute_reads(module):
+    # a module reads another's private names by importing them, so the
+    # import check sees them, and no object's private state from outside
+    assert private_reads(module) == []
 
 
 def test_cli_does_not_load_scipy_optimize():

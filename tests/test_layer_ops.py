@@ -447,19 +447,32 @@ def test_double_term_row_sums_are_the_stack_terms_row_sums(sphere2):
 
 @pytest.mark.parametrize("z", [0.0, 1.6, 0.2 + 0.1j])
 def test_f_ordered_layers_have_the_same_entries(sphere2, z):
-    # the F-ordered pass the factorizations consume writes the entries of
-    # the C-ordered one, bit for bit, and so does a stack's F-ordered sum
-    c_pair = assemble_layer_pair(sphere2, z)
-    f_pair = layer_ops._assemble_layers(sphere2, z, True, True, "F")
-    for c, f in zip(c_pair, f_pair, strict=True):
-        assert f.flags.f_contiguous and np.array_equal(c, f)
-        assert c.tobytes() == np.ascontiguousarray(f).tobytes()
+    # every public reader returns an F-ordered operator, the layout LAPACK
+    # factors in place, with the entries of the C-ordered formulation bit
+    # for bit (tobytes() serializes in C order): the exact assemblers those
+    # of the direct formulation, a stack's readers the C-ordered planes of
+    # its one matrix product
+    single, double, _ = _direct_formulation(
+        sphere2, z, np.ones(sphere2.n_panels), np.array([[4.0, 0.0, 0.0]]))
+    got = [assemble_single_layer(sphere2, z), assemble_double_layer(sphere2, z),
+           *assemble_layer_pair(sphere2, z)]
     stack = assemble_series_stack(sphere2, 12)
-    w = 0.04 * np.exp(0.2j)
-    for terms in (stack.single, stack.double):
-        c, f = stack._sum(terms, w), stack._sum(terms, w, "F")
-        assert f.flags.f_contiguous
-        assert c.tobytes() == np.ascontiguousarray(f).tobytes()
+    w = 0.04 * np.exp(0.2j) + z / 100
+    needed = layer_ops._series_order(abs(w) * stack.diameter)
+    powers = (1j * w) ** np.arange(needed + 1)
+    wanted = [single, double, single, double]
+    for read, terms in ((stack.single_layer, stack.single),
+                        (stack.double_layer, stack.double)):
+        got.append(read(w))
+        planes = (np.array([powers.real, powers.imag])
+                  @ terms[:needed + 1].reshape(needed + 1, -1))
+        sum_c = np.empty(terms.shape[1:], dtype=complex)
+        sum_c.real = planes[0].reshape(sum_c.shape)
+        sum_c.imag = planes[1].reshape(sum_c.shape)
+        wanted.append(sum_c)
+    for operator, want in zip(got, wanted, strict=True):
+        assert operator.flags.f_contiguous
+        assert operator.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import bubblebem.scattering as scattering
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          expansion_residual,
                                          k2_resonance_frequency, spectral_data)
+from bubblebem.cli import RunConfig, verification_checks
 from bubblebem.layer_ops import (assemble_double_layer, assemble_layer_pair,
                                  assemble_series_stack, assemble_single_layer,
                                  eval_single_layer_potential)
@@ -683,8 +684,8 @@ def test_sweep_stack_size_estimate_is_the_stack_bytes(monkeypatch):
 
 def count_assemblies(monkeypatch):
     """Record the wavenumber of every exact S assembly and every exact S and
-    K pass made through boundary_calculus, public or F-ordered, and the
-    order of every series stack built."""
+    K pass made through boundary_calculus, and the order of every series
+    stack built."""
     calls = {"single": [], "pair": [], "stack": []}
     for kind, module, name in (
             ("single", boundary_calculus, "assemble_single_layer"),
@@ -697,13 +698,6 @@ def count_assemblies(monkeypatch):
             return original(mesh, arg, *rest)
 
         monkeypatch.setattr(module, name, counted)
-    layers = boundary_calculus._assemble_layers
-
-    def f_ordered(mesh, z, single, double, *order):
-        calls["pair" if double else "single"].append(z)
-        return layers(mesh, z, single, double, *order)
-
-    monkeypatch.setattr(boundary_calculus, "_assemble_layers", f_ordered)
     return calls
 
 
@@ -756,6 +750,30 @@ def test_sweep_past_the_highest_order_is_assembled_exactly(monkeypatch):
     assert len(sweep.warnings) == 1 and "|eps w| = 0.6" in sweep.warnings[0]
     exact = scattered_field_dilated(make_problem(SUB1, 0.3, 2.0), OBS)
     assert sweep.rows[1].amplitude == pytest.approx(exact.amplitude, rel=1e-12)
+
+
+def test_every_factorization_consumes_its_operand(monkeypatch):
+    # every LU the package takes is of an F-ordered operand, in place: the
+    # input of lu_factor is F-contiguous and the LU is that input's memory,
+    # so no factorization copies its matrix, at z == w or z != w, exact or
+    # read from a series stack
+    records = []
+    original = boundary_calculus.lu_factor
+
+    def recorded(matrix, *args, **kwargs):
+        lu, piv = original(matrix, *args, **kwargs)
+        records.append((matrix.flags.f_contiguous,
+                        np.shares_memory(lu, matrix)))
+        return lu, piv
+
+    monkeypatch.setattr(boundary_calculus, "lu_factor", recorded)
+    problem = make_problem(SUB1, 0.05, 1.6)
+    scattered_field_dilated(problem, OBS)
+    scattered_field_direct(problem, OBS, SPECTRAL1)
+    sweep = frequency_sweep(problem, [1.5, 1.6], "dilated", SPECTRAL1)
+    assert all(row.error is None for row in sweep.rows)
+    verification_checks(RunConfig(icosphere=(1.0, 1)))
+    assert records and set(records) == {(True, True)}
 
 
 # ----------------------------------------------------------------------------
