@@ -98,7 +98,9 @@ class SpectralData:
     ``spectral_data`` and passed to every function that needs these
     quantities.  The S_0^{-1} Gram factor and the series averages <K_(2)>,
     <K_(3)> (both from one pass that sums the rows of B_2 and B_3 and keeps
-    no n x n term) are computed on first use and cached.
+    no n x n term) are computed on first use and cached; tasks that share
+    one SpectralData side by side read them once they are filled, since
+    two tasks that found a cache empty would each compute it.
     """
 
     mesh: SurfaceMesh
@@ -302,8 +304,9 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
 
     At z != w the one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
     F-ordered (one matmul; S_z, the stack's product or an exact assembly,
-    and 1/2 + K_w are released right after it) and factored in place, and
-    S_w is kept for M^{-1} = S_w (M S_w)^{-1}.  Since
+    and 1/2 + K_w are released right after it, and a stacked S_w is summed
+    only then) and factored in place, and S_w is kept for
+    M^{-1} = S_w (M S_w)^{-1}.  Since
     det(M S_w) = det M det S_w, the guard on M S_w trips when M or S_w is
     singular.
 
@@ -317,8 +320,10 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
         return None if trace is None else half_k @ trace
 
     if z != w:
-        s, half_k = ((stack.single_layer(w), stack.double_layer(w))
-                     if stacked else assemble_layer_pair(mesh, w))
+        # a stacked S_w is summed once 1/2 + K_w and S_z are released, so
+        # the product holds three n x n arrays
+        s, half_k = ((None, stack.double_layer(w)) if stacked
+                     else assemble_layer_pair(mesh, w))
         half_k.flat[::n + 1] += 0.5
         rhs = right_hand_side(half_k)
         s_z = (stack.single_layer(z) if stack is not None and stack.reaches(z)
@@ -326,6 +331,8 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
         ms = np.matmul(half_k, s_z, order="F")
         del half_k, s_z
         ms *= kappa
+        if s is None:
+            s = stack.single_layer(w)
         ms += s
         lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
                              f"spectral parameter {z:.6g}")

@@ -17,16 +17,22 @@ Every kernel runs the same pass, ``_row_chunks``: observation points in
 chunks against all quadrature nodes, each chunk handed to a chunk body;
 ``_panel_sum`` folds each panel's 6 node values.  The observation points
 are cut into contiguous row blocks, one per CPU in the process's affinity
-mask but never more than the chunks a serial pass would make.  The calling
-thread runs the first block and a thread per call each other one, and
-every thread is joined before the pass returns: ``_side_by_side``, the one
-place threads are started, which also runs the two factorization lanes of
-``boundary_calculus._factor_transmission``.  Each worker chunks at
-``_CHUNK_PAIRS // workers`` (point, node) pairs, so the pairs in flight
-stay at ``_CHUNK_PAIRS`` in total and memory is O(_CHUNK_PAIRS) whatever
-the mesh size.  Chunk bodies write only their own rows and call only
-private helpers and numpy ufuncs, which release the GIL: no BLAS, whose
-threads are set apart, and no public function, which a tracer may wrap.
+mask but never more than the chunks a serial pass would make.  The blocks
+run on ``_side_by_side``, the package's one worker pool and the one place
+threads are started: the calling thread runs the first block and a thread
+per call each other one, and every thread is joined before the pass
+returns.  The same pool runs the two factorization lanes of
+``boundary_calculus._factor_transmission`` and the ten contracted studies
+of ``cli.verification_checks``; a pool call made inside one of its tasks
+runs one task after another, so a pass inside a study runs its blocks on
+that study's worker.  Each worker chunks at ``_CHUNK_PAIRS // workers``
+(point, node) pairs, so the pairs in flight stay at ``_CHUNK_PAIRS`` per
+pass and memory is O(_CHUNK_PAIRS) whatever the mesh size.  Chunk bodies
+write only their own rows and call only private helpers and numpy ufuncs,
+which release the GIL: no BLAS, whose threads are set apart, and no
+public function, which a tracer may wrap with one span stack.  Study
+tasks are the exception: each calls public functions from its own
+worker, so a tracer sees spans from more than one thread at once.
 The pass works on the three coordinate planes of one displacement block,
 held in one workspace per call that also gives chunk bodies their scratch,
 and ``_expi`` evaluates e^{izr} by real trigonometry for real z; both give
@@ -150,9 +156,10 @@ def _check_im(z: complex) -> complex:
 
 def _worker_count(chunks: int) -> int:
     """Workers for ``chunks`` pieces of work that could each run alone (the
-    chunks of a serial pass, the lanes of a factorization): one per CPU in
-    this process's affinity mask (``os.cpu_count()`` on platforms without
-    one), and never more than the pieces."""
+    chunks of a serial pass, the lanes of a factorization, the studies of
+    ``verify``): one per CPU in this process's affinity mask
+    (``os.cpu_count()`` on platforms without one), and never more than the
+    pieces."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return min(cpus, chunks)
@@ -175,10 +182,11 @@ def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
     many as ``_worker_count`` allows for the chunks a serial pass of
     ``_CHUNK_PAIRS`` pairs per chunk makes, so a pass of one chunk starts
     no thread.  ``_side_by_side`` runs them: the calling thread block 0 and
-    a ``threading.Thread`` per call each other block; numpy's ufunc loops
+    a ``threading.Thread`` per call each other block, or, inside a pool
+    task, the calling thread every block in turn; numpy's ufunc loops
     release the GIL, so the blocks share the CPUs.  Each worker chunks at
     ``_CHUNK_PAIRS // workers`` pairs, so the pairs in flight stay at
-    ``_CHUNK_PAIRS`` in total, and the workers' coordinate planes are one
+    ``_CHUNK_PAIRS`` per pass, and the workers' coordinate planes are one
     workspace allocated once per pass.  A body writes only its own rows of
     preallocated outputs and calls only private helpers and numpy ufuncs:
     no BLAS, whose own threads are set apart, and no public function of
@@ -232,37 +240,51 @@ def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
                   "row block")
 
 
-def _side_by_side(tasks: list, name: str, caller: int = 0) -> list:
-    """The results of ``tasks``, calls without arguments, run side by side
-    if ``_worker_count`` gives each a CPU, else one after another.
+# set on a thread while it runs tasks of a ``_side_by_side`` call
+_in_task = threading.local()
 
-    Side by side, ``tasks[caller]`` runs on the calling thread and each
-    other task on a ``threading.Thread`` of its own, named
-    ``bubblebem <name> <index>``.  Every thread is joined before the call
-    returns, on error too, and the error of the lowest-indexed failing task
-    is raised, however the threads were timed.  One after another, the
-    tasks run on the calling thread in index order and the first error
-    stops them.  So either way a failure raises the same error.
+
+def _side_by_side(tasks: list, name: str, caller: int = 0) -> list:
+    """The results of ``tasks``, calls without arguments, in task order:
+    the package's one worker pool, and the one place threads are started.
+
+    N tasks run on W = ``_worker_count(N)`` workers, or on one for a call
+    made inside a task, so workers never nest.  Worker b runs tasks b,
+    b + W, b + 2W, ... in that order and stops at its first error.  The
+    calling thread is worker ``caller`` mod W, so it runs ``tasks[caller]``
+    first when ``caller`` < W; each other worker is a ``threading.Thread``
+    named ``bubblebem <name> <b>``.  With one worker the tasks run on the
+    calling thread in index order, the first error stopping them.  Every
+    thread is joined before the call returns, on error too, and the error
+    raised is that of the lowest-indexed failing task, the one a serial
+    run raises, however the threads were timed.
     """
-    if _worker_count(len(tasks)) < len(tasks):
-        return [task() for task in tasks]
+    nested = getattr(_in_task, "active", False)
+    workers = 1 if nested else min(len(tasks), _worker_count(len(tasks)))
     results, errors = [None] * len(tasks), [None] * len(tasks)
 
-    def run(index: int) -> None:
+    def run(worker: int) -> None:
+        _in_task.active = True
         try:
-            results[index] = tasks[index]()
-        except BaseException as exc:
-            errors[index] = exc
+            for index in range(worker, len(tasks), workers):
+                try:
+                    results[index] = tasks[index]()
+                except BaseException as exc:
+                    errors[index] = exc
+                    return
+        finally:
+            _in_task.active = nested
 
+    home = caller % workers
     threads = []
     try:
-        for index in range(len(tasks)):
-            if index != caller:
-                thread = threading.Thread(target=run, args=(index,),
-                                          name=f"bubblebem {name} {index}")
+        for worker in range(workers):
+            if worker != home:
+                thread = threading.Thread(target=run, args=(worker,),
+                                          name=f"bubblebem {name} {worker}")
                 thread.start()
                 threads.append(thread)
-        run(caller)
+        run(home)
     finally:
         for thread in threads:
             thread.join()

@@ -415,6 +415,29 @@ def test_stacked_transmission_factors_peak_memory():
     assert peak - start <= 9 * 2 ** 20
 
 
+def test_stacked_contrast_product_peak_memory():
+    # bound stated before measuring: at z != w and n = 320 (1.56 MiB per
+    # complex n x n array) the stacked product holds three arrays at once,
+    # 4.7 MiB: 1/2 + K_w, S_z and M S_w, or beside 1/2 + K_w a matrix
+    # product's real planes and complex result, and S_w is summed only
+    # once 1/2 + K_w and S_z are released.  A fourth array held beside
+    # them (6.25 MiB) exceeds the bound; S_w and the LU (3.1 MiB) are kept
+    mesh = make_icosphere(1.0, 2)
+    stack = assemble_series_stack(mesh, 10)
+    w, z = 0.04 * 1.9, 0.04 * 0.7
+    assert stack.reaches(w) and stack.reaches(z)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        factors = _factor_transmission(mesh, w, z, 0.04 ** -2 - 1.0, stack)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factors.s is not None
+    assert peak - start <= 5.5 * 2 ** 20
+    assert kept - start <= 3.5 * 2 ** 20
+
+
 def test_stacked_lanes_give_the_same_factors_for_one_and_two_workers(
         monkeypatch):
     # the stack's matrix products run on the lane that reads them: one

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import tempfile
+import time
 from collections import Counter
 
 import numpy as np
@@ -557,6 +558,55 @@ def test_verify_bytes_independent_of_worker_count(tmp_path):
             code = main(["verify", "--icosphere", "1.0,1", "--out", str(out)])
             outputs.append((code, (out / "verify.csv").read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("limit", [bc.SERIES_STACK_LIMIT, 0],
+                         ids=["stack", "exact"])
+def test_verify_studies_give_the_same_bytes_on_any_worker_count(
+        tmp_path, monkeypatch, limit):
+    # the ten studies run side by side on 1, 2 or 3 workers: verify.csv
+    # and the manifest warnings are the same bytes.  With no room for a
+    # stack (limit 0) each study also runs exact kernel passes, whose row
+    # blocks then run inside the study's task
+    monkeypatch.setattr(bc, "SERIES_STACK_LIMIT", limit)
+    # 7 rows per chunk of a sub-1 mesh: 80 panels, 6 nodes each
+    monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", 7 * 6 * 80)
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(layer_ops, "_worker_count",
+                            lambda chunks, workers=workers: workers)
+        out = tmp_path / str(workers)
+        code = main(["verify", "--icosphere", "1.0,1", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs.append((code, (out / "verify.csv").read_bytes(),
+                        manifest["warnings"]))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0][2]) == (limit == 0)
+
+
+def test_verify_fills_each_spectral_cache_once(tmp_path, monkeypatch):
+    # the studies share one SpectralData: side by side on two workers,
+    # each verify run still takes one Cholesky factor of the Gram matrix
+    # and one row-sum pass of the series averages.  Each call waits a
+    # little, so that a second study reaching an empty cache meanwhile
+    # would be counted
+    calls = Counter()
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("cholesky", "_double_term_row_sums"):
+        monkeypatch.setattr(bc, name, counted(name, getattr(bc, name)))
+    monkeypatch.setattr(layer_ops, "_worker_count",
+                        lambda chunks: min(chunks, 2))
+    for k in range(2):
+        main(["verify", "--icosphere", "1.0,1",
+              "--out", str(tmp_path / str(k))])
+        assert calls == {"cholesky": k + 1, "_double_term_row_sums": k + 1}
 
 
 def test_verify_mutation_fails(monkeypatch):

@@ -70,3 +70,33 @@ def test_cli_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def thread_starts(module: str) -> tuple[bool, list[str]]:
+    """Whether a module imports ``threading``, and the top-level function
+    around each ``threading.Thread(...)`` it constructs."""
+    with open(FILES[module], encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imports = any(
+        isinstance(node, ast.Import)
+        and any(alias.name == "threading" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "threading"
+        for node in ast.walk(tree))
+    owners = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        owners.extend(
+            owner for node in ast.walk(top) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("threading.Thread", "Thread"))
+    return imports, owners
+
+
+def test_threads_start_in_one_place():
+    # the worker pool is the one place threads start: no second pool can
+    # grow beside it
+    found = {module: thread_starts(module) for module, path in FILES.items()
+             if path.startswith(SRC)}
+    assert {m for m, (imports, _) in found.items() if imports} == {
+        "layer_ops"}
+    assert {m: owners for m, (_, owners) in found.items() if owners} == {
+        "layer_ops": ["_side_by_side"]}

@@ -677,6 +677,99 @@ def test_worker_count_follows_the_usable_cpus(monkeypatch):
     assert [layer_ops._worker_count(c) for c in (1, 2, 12)] == [1, 2, 3]
 
 
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Sets the pool's worker count and a short switch interval, so the
+    threads interleave often; checks that no thread outlives the test."""
+    interval, before = sys.getswitchinterval(), threading.active_count()
+
+    def size(workers):
+        monkeypatch.setattr(layer_ops, "_worker_count",
+                            lambda chunks: min(chunks, workers))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        yield size
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_runs_each_task_once_in_its_workers_order(pool_of, workers):
+    # 11 tasks on W workers: worker b runs tasks b, b + W, ... in that
+    # order, the calling thread worker 0, and the results come back in
+    # task order
+    pool_of(workers)
+    runs = []
+
+    def task(index):
+        runs.append((threading.current_thread(), index))
+        return index * index
+
+    assert (layer_ops._side_by_side(
+        [lambda i=i: task(i) for i in range(11)], "test")
+        == [i * i for i in range(11)])
+    assert sorted(index for _, index in runs) == list(range(11))
+    by_thread = {}
+    for thread, index in runs:
+        by_thread.setdefault(thread, []).append(index)
+    expected = {b: list(range(b, 11, workers)) for b in range(workers)}
+    assert by_thread.pop(threading.current_thread()) == expected.pop(0)
+    assert {int(thread.name.split()[-1]): order
+            for thread, order in by_thread.items()} == expected
+    assert all(thread.name.startswith("bubblebem test ")
+               for thread in by_thread)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pool_inside_a_task_starts_no_thread(monkeypatch, pool_of,
+                                               workers):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    pool_of(workers)
+
+    def outer(i):
+        return layer_ops._side_by_side(
+            [lambda j=j: (i, j, threading.current_thread())
+             for j in range(4)], "inner")
+
+    results = layer_ops._side_by_side(
+        [lambda i=i: outer(i) for i in range(2 * workers)], "outer")
+    # the outer call starts W - 1 threads; each inner call runs its tasks
+    # on the thread that runs the outer task, in index order
+    assert sorted(started) == [f"bubblebem outer {b}"
+                               for b in range(1, workers)]
+    for i, inner in enumerate(results):
+        assert [(a, b) for a, b, _ in inner] == [(i, j) for j in range(4)]
+        assert len({thread for *_, thread in inner}) == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("failing, raised", [((3, 6), 3), ((6,), 6)])
+def test_pool_raises_the_lowest_failing_task_error(pool_of, workers,
+                                                   failing, raised):
+    # whichever worker fails first, the error is the one a serial run
+    # raises, and every thread is joined (the fixture checks the count)
+    pool_of(workers)
+
+    def task(index):
+        if index in failing:
+            raise RuntimeError(f"task {index}")
+        return index
+
+    for _ in range(20):
+        with pytest.raises(RuntimeError, match=f"^task {raised}$"):
+            layer_ops._side_by_side(
+                [lambda i=i: task(i) for i in range(8)], "test")
+
+
 def test_potential_at_a_point_is_the_same_alone_and_in_a_set(rng):
     # each point's row is summed on its own, so neither the other points
     # of a call nor their number changes its value
