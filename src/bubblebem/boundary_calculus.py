@@ -16,8 +16,9 @@ kept once its factor exists: one n x n array per live operator.
 
 A study that factors at many contracted wavenumbers, a dilated sweep or
 ``verify``, sizes one wavenumber series stack for all of them by one rule
-(``_series_stack``); ``_factor_transmission`` then reads each of S_w, K_w
-and S_z from it where it reaches and assembles the others exactly.
+(``_series_stack``), from the (eps, omega, z) of each of its contracted
+solves; ``_factor_transmission`` then reads each of S_w, K_w and S_z from
+it where it reaches and assembles the others exactly.
 
 At z == w the two factorizations are independent, so they run side by
 side, one lane each for S and M, when the process may use two CPUs
@@ -231,19 +232,23 @@ class TransmissionFactors(NamedTuple):
         return lu_solve(self.lu, rhs, trans=2)
 
 
-def _series_stack(spectral: SpectralData, wavenumbers) -> tuple:
-    """The series stack of ``spectral.mesh`` that a study reads its
+def _series_stack(spectral: SpectralData, studies) -> tuple:
+    """The series stack of ``spectral.mesh`` that ``studies``, each given
+    as the (eps, omega, z) it hands to ``_contrast_factors``, read their
     contracted operators from, or None, plus a note for every fallback to
     exact assembly.
 
-    The order is the one the tail bound needs at the largest of the
-    contracted ``wavenumbers`` that SERIES_MAX_ORDER reaches; wavenumbers
-    past that, and every wavenumber when the stack would exceed
-    SERIES_STACK_LIMIT bytes, are assembled exactly by
-    ``_factor_transmission``.  The sweep and ``verify`` both build their
-    stack here.
+    Each study is contracted by ``_contract``, the rule
+    ``_contrast_factors`` applies, to the wavenumbers eps*omega and eps*z.
+    The order is the one the tail bound needs at the largest of them that
+    SERIES_MAX_ORDER reaches; wavenumbers past that, and every wavenumber
+    when the stack would exceed SERIES_STACK_LIMIT bytes, are assembled
+    exactly by ``_factor_transmission``.  The sweep and ``verify`` both
+    build their stack here.
     """
     mesh = spectral.mesh
+    # each contracted wavenumber once, in study order
+    wavenumbers = list(dict.fromkeys(k for s in studies for k in _contract(*s)))
     orders = [_series_order(abs(k) * mesh.diameter) for k in wavenumbers]
     reached = [o for o in orders if o is not None]
     notes = []
@@ -400,22 +405,28 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
 
+def _contract(eps: float, omega: complex, z: complex) -> tuple:
+    """The contracted wavenumbers (eps*omega, eps*z) of a study at scale
+    eps: the one place the contraction is written."""
+    check_eps(eps)
+    return eps * omega, eps * z
+
+
 def _contrast_factors(mesh: SurfaceMesh, eps: float, omega: complex,
                       z: complex, stack: SeriesStack | None = None,
                       trace: np.ndarray | None = None) -> TransmissionFactors:
     """``_factor_transmission`` on the reference ``mesh`` at the contracted
-    wavenumbers eps*omega, eps*z and kappa = 1/eps^2 - 1, where eps^2 M is
-    the contrast operator
+    wavenumbers ``_contract(eps, omega, z)`` and kappa = 1/eps^2 - 1, where
+    eps^2 M is the contrast operator
     eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}, with the
     right-hand side of ``trace`` if given.
 
-    The one place the contraction is written: the dilated solve, the
-    interaction operator, the resolvent kernel and ``expansion_residual``
-    all factor through it.
+    The dilated solve, the interaction operator, the resolvent kernel and
+    ``expansion_residual`` all factor through it, and ``_series_stack``
+    sizes a study's stack by the same contraction.
     """
-    check_eps(eps)
-    return _factor_transmission(mesh, eps * omega, eps * z, eps ** -2 - 1.0,
-                                stack, trace)
+    return _factor_transmission(mesh, *_contract(eps, omega, z),
+                                eps ** -2 - 1.0, stack, trace)
 
 
 _GK_TOLERANCE = 1e-12
@@ -477,11 +488,7 @@ class ExpansionResidual:
     error from the scale-expansion error measured by ``residual``.
     """
 
-    eps: float
-    omega: complex
-    z: complex
     resonant: bool
-    order: int
     residual: float
     reference_coefficient: complex
     formula_coefficient: complex
@@ -522,11 +529,11 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
             raise ValueError("the resonant expansion needs z != 0")
         reference = 1.0 / cubic
         formula = (4 * np.pi / spectral.capacitance) * (1j / z)
-        scale, order = eps, 3
+        scale = eps
     else:
         reference = 1.0 / quad
         formula = 1.0 / (1.0 - omega ** 2 / spectral.minnaert_omega ** 2)
-        scale, order = 1.0, 2
+        scale = 1.0
     # T = scale M^{-1} - reference 1 w^T (w = p0_row) has, in the S_0^{-1}
     # norm, the 2-norm of L^T T L^{-T}, with L the Gram Cholesky factor
     ell, w = spectral.gram_cholesky(), spectral.p0_row
@@ -544,8 +551,7 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
     residual = _operator_norm(apply, apply_adjoint, spectral.mesh.n_panels,
                               "expansion residual")
     return ExpansionResidual(
-        eps=eps, omega=complex(omega), z=complex(z), resonant=bool(resonant),
-        order=order, residual=residual,
+        resonant=bool(resonant), residual=residual,
         reference_coefficient=complex(reference),
         formula_coefficient=complex(formula),
     )

@@ -457,10 +457,13 @@ def verification_checks(cfg: RunConfig):
 
     The ten contracted studies, four expansion residuals and then six
     resolvent kernels, are independent: each factors its own M S_w from
-    the one series stack.  They run as tasks of ``layer_ops._side_by_side``,
-    side by side on the usable CPUs, with ``spectral``'s caches filled
-    before they start; their values are read in task order, so the rows do
-    not depend on the worker count.
+    the one series stack, which ``boundary_calculus._series_stack`` sizes
+    from the (eps, omega, z) each study is handed.  The Gauss identity
+    reads K_0 from that stack too, and assembles it exactly only when
+    there is no stack.  The studies run as tasks of
+    ``layer_ops._side_by_side``, side by side on the usable CPUs, with
+    ``spectral``'s caches filled before they start; their values are read
+    in task order, so the rows do not depend on the worker count.
     """
     mesh = cfg.build_mesh()
     x = np.array([1.2, 0.3, -0.4])
@@ -483,8 +486,25 @@ def verification_checks(cfg: RunConfig):
                          f"samples x = {x.tolist()}, y = {y.tolist()}: "
                          f"{exc}") from None
     spectral = bc.spectral_data(mesh)
+    what = bc.k2_resonance_frequency(spectral)
+    res = [_make_problem(cfg, mesh, what, eps=eps, y0=center,
+                         validity_threshold=np.inf) for eps in eps_list]
+    # the studies as the (eps, omega, z) of each expansion residual and the
+    # (problem, z) of each resolvent kernel; one series stack holds every
+    # contracted operator of them all, and K_0, and is released when the
+    # checks return; each fallback to exact assembly is a warning
+    expansions = [(eps, omega, 0.7) for omega in (1.0, what)
+                  for eps in (0.04, 0.02)]
+    kernels = [(prob, 1j) for prob in (*offres, *res)]
+    stack, notes = _series_stack(
+        spectral,
+        expansions + [(prob.eps, prob.omega, z) for prob, z in kernels])
+    for note in notes:
+        warnings.warn(note)
 
-    k0 = assemble_double_layer(mesh, 0.0)
+    # F order, the layout of an exact K_0, keeps the bits of k0 @ ones
+    k0 = (assemble_double_layer(mesh, 0.0) if stack is None
+          else np.asfortranarray(stack.double[0]))
     ones = np.ones(mesh.n_panels)
     gauss = float(np.abs(0.5 * ones + k0 @ ones).max())
     del k0
@@ -503,27 +523,14 @@ def verification_checks(cfg: RunConfig):
 
     lo = DEFAULT_TOLERANCES["expansion_ratio_low"]
     hi = DEFAULT_TOLERANCES["expansion_ratio_high"]
-    what = bc.k2_resonance_frequency(spectral)
-    # one series stack for every contracted operator of both studies:
-    # S_{eps w}, K_{eps w} and S_{eps z}, at z = 0.7 for the expansions and
-    # z = i for the kernels, released when the checks return; each
-    # fallback to exact assembly is a warning
-    stack, notes = _series_stack(
-        spectral, [eps * omega for eps in (0.04, 0.02, *eps_list)
-                   for omega in (1.0, what)]
-        + [eps * 0.7 for eps in (0.04, 0.02)] + [eps * 1j for eps in eps_list])
-    for note in notes:
-        warnings.warn(note)
-    res = [_make_problem(cfg, mesh, what, eps=eps, y0=center,
-                         validity_threshold=np.inf) for eps in eps_list]
     # the averages are cached above; the Gram factor, which every
     # expansion residual reads, is cached here, before the studies share it
     spectral.gram_cholesky()
     studies = _side_by_side(
-        [partial(bc.expansion_residual, spectral, eps, omega, 0.7, stack)
-         for omega in (1.0, what) for eps in (0.04, 0.02)]
-        + [partial(sc.resolvent_correction_kernel, prob, 1j, x, y, stack)
-           for prob in (*offres, *res)], "study")
+        [partial(bc.expansion_residual, spectral, *study, stack)
+         for study in expansions]
+        + [partial(sc.resolvent_correction_kernel, prob, z, x, y, stack)
+           for prob, z in kernels], "study")
     for name, (r_coarse, r_fine) in zip(
             ("offres_expansion_ratio", "res_expansion_ratio"),
             (studies[0:2], studies[2:4])):

@@ -43,7 +43,9 @@ matrix entry or a potential value.
 Exact S_z and K_z at one wavenumber take one pass, ``assemble_layer_pair``:
 each chunk computes its distances, ν(y)·(x-y) and e^{izr} once for both
 operators.  ``assemble_single_layer`` and ``assemble_double_layer`` run the
-same chunk body for one operator.
+same chunk body for one operator.  One rule, ``_set_diagonals``, sets the
+self-panel diagonals of every S_z and K_z; K_z's is -1/2 minus the static
+off-diagonal row sum at every z, so exact and stacked K_z share it.
 
 Every real operator comes from one chunk body, ``_series_pass``: the terms
 A_k and B_k of the wavenumber series S_z = Σ (iz)^k A_k and
@@ -333,21 +335,40 @@ def _panel_sum(vals: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _self_offsets(mesh: SurfaceMesh, nodes: np.ndarray):
-    """Centroid-to-own-node displacements (n, 6, 3) and distances (n, 6)."""
-    diff = mesh.centroids[:, None, :] - nodes
-    return diff, np.linalg.norm(diff, axis=2)
+def _set_diagonals(mesh: SurfaceMesh, z: complex, s: np.ndarray | None,
+                   k: np.ndarray | None, static_rowsum: np.ndarray) -> None:
+    """Set the self-panel diagonals of S_z (``s``) and K_z (``k``), where
+    not None: the one rule for both at every z.
+
+    S's is the closed-form integral of 1/(4π|c - y|) over the panel from
+    its centroid c, plus at z != 0 the regular rule on the bounded
+    remainder (e^{izr}-1)/(4πr).  K's is the solid-angle rule, -1/2 minus
+    the static off-diagonal row sum ``static_rowsum``, so that each row of
+    K_0 applied to the constant trace 1 gives -1/2: every self-panel term
+    of the kernel carries ν(y)·(c - y), which vanishes on a flat panel.
+    """
+    idx = np.arange(mesh.n_panels)
+    if s is not None:
+        s[idx, idx] = _self_panel_inverse_distance(mesh)
+        if z != 0:
+            nodes, weights = panel_quadrature(mesh)
+            rself = np.linalg.norm(mesh.centroids[:, None, :] - nodes, axis=2)
+            smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
+            s[idx, idx] += np.sum(smooth * weights, axis=1)
+    if k is not None:
+        k[idx, idx] = -0.5 - static_rowsum
 
 
 def _one_minus_izr(z: complex, r: np.ndarray) -> np.ndarray:
-    """1 - izr as a new complex array, the same bits as ``1.0 - 1j * z * r``;
-    for real z written as real part 1 and imaginary part -zr, with no
-    complex temporary."""
-    if z.imag != 0:
-        return 1.0 - 1j * z * r
+    """1 - izr as a new complex array with no complex temporary: real part
+    1 + Im z r and imaginary part 0 - Re z r, the bits of
+    ``1.0 - 1j * z * r`` at every z (the 0 - keeps +0.0 where Re z r is
+    0, as the complex product does)."""
     out = np.empty(r.shape, dtype=complex)
-    out.real = 1.0
-    np.multiply(r, -z.real, out=out.imag)
+    np.multiply(r, z.imag, out=out.real)
+    out.real += 1.0
+    np.multiply(r, z.real, out=out.imag)
+    np.subtract(0.0, out.imag, out=out.imag)
     return out
 
 
@@ -362,7 +383,8 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
     chunk's distances and e^{izr} serve both operators: K's entry
     B_0 * ((1 - izr) e^{izr}), with B_0's node values from
     ``_double_terms``, is formed first, and the same e^{izr} array then
-    becomes S's entry e^{izr}/r * w in place.
+    becomes S's entry e^{izr}/r * w in place.  ``_set_diagonals`` sets
+    both diagonals, at z = 0 too.
     """
     z = _check_im(z)
     n = mesh.n_panels
@@ -404,21 +426,7 @@ def _assemble_layers(mesh: SurfaceMesh, z: complex, single: bool,
 
     _row_chunks(mesh.centroids, nodes, mesh.normals if double else None,
                 body)
-    idx = np.arange(n)
-    diff, rself = _self_offsets(mesh, nodes)
-    if single:
-        # Self panel: the 1/r part integrates in closed form; the remainder
-        # (e^{izr}-1)/(4πr) is bounded and the regular rule applies.
-        smooth = np.expm1(1j * z * rself) / (4.0 * np.pi * rself)
-        s_out[idx, idx] = (_self_panel_inverse_distance(mesh)
-                           + np.sum(smooth * weights, axis=1))
-    if double:
-        numer = np.einsum("ijk,ik->ij", diff, mesh.normals)
-        smooth = numer * ((1.0 - 1j * z * rself) * np.exp(1j * z * rself)
-                          - 1.0)
-        smooth /= 4.0 * np.pi * rself ** 3
-        k_out[idx, idx] = -0.5 - static_rowsum + np.sum(smooth * weights,
-                                                        axis=1)
+    _set_diagonals(mesh, z, s_out, k_out, static_rowsum)
     return s_out, k_out
 
 
@@ -432,11 +440,10 @@ def assemble_double_layer(mesh: SurfaceMesh, z: complex) -> np.ndarray:
     """Double-layer boundary operator K_z, kernel ν(y)·∇_y e^{iz r}/(4π r):
     an (n, n) array that takes a trace to a trace.
 
-    The flat-panel self term of the static kernel vanishes, so the diagonal
-    is set by the solid-angle rule: each row applied to the constant trace
-    1 gives -1/2 at z = 0.  For z != 0 the diagonal correction is the regular
-    quadrature of the smooth difference kernel (identically zero on exactly
-    flat panels).
+    Every self-panel term of the kernel carries ν(y)·(x-y), which vanishes
+    on a flat panel, so at every z the diagonal is set by the solid-angle
+    rule: -1/2 minus the static off-diagonal row sum, so that each row of
+    K_0 applied to the constant trace 1 gives -1/2.
     """
     return _assemble_layers(mesh, z, single=False, double=True)[1]
 
@@ -560,10 +567,8 @@ def _series_pass(mesh: SurfaceMesh, order: int, single: bool, double: bool,
     (kind 0) or B_k (kind 1).  A_0 is the static single layer, 1/r under
     the regular rule; A_k = (1/4π k!) |x-y|^{k-1}, and B_0 and B_k from
     ``_double_terms``, the node values raised to successive powers of r in
-    place.  Once the pass is done the diagonals of ``outs`` = (A_0, B_0),
-    where not None, are set: A_0's to the closed-form self panel, B_0's by
-    the solid-angle rule, each row applied to the constant trace 1 gives
-    -1/2.
+    place.  Once the pass is done ``_set_diagonals`` sets the diagonals
+    of ``outs`` = (A_0, B_0), where not None.
     """
     nodes, weights = panel_quadrature(mesh)
     flat_w = weights.reshape(-1)
@@ -588,12 +593,7 @@ def _series_pass(mesh: SurfaceMesh, order: int, single: bool, double: bool,
 
     _row_chunks(mesh.centroids, nodes, mesh.normals if double else None,
                 body)
-    idx = np.arange(mesh.n_panels)
-    s0, k0 = outs
-    if s0 is not None:
-        s0[idx, idx] = _self_panel_inverse_distance(mesh)
-    if k0 is not None:
-        k0[idx, idx] = -0.5 - static_rowsum
+    _set_diagonals(mesh, 0, *outs, static_rowsum)
 
 
 def assemble_series_stack(mesh: SurfaceMesh, order: int) -> SeriesStack:

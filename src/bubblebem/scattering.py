@@ -413,14 +413,15 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     solver failures are recorded in the row and the sweep continues; rows
     inside |omega - omega_M| < guard_constant * eps carry a warning flag
     rather than an error.  A dilated sweep assembles the reference mesh
-    once, as a series stack (``boundary_calculus._series_stack`` at the
-    contracted wavenumbers eps * omega), and hands it to every row; every
-    fallback to exact assembly is listed in the result's warnings.
+    once, as a series stack (``boundary_calculus._series_stack`` of the
+    studies (eps, omega, omega) over the grid), and hands it to every row;
+    every fallback to exact assembly is listed in the result's warnings.
     """
     grid = check_grid(omega_grid)
     if method not in METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
-    stack, notes = (_series_stack(spectral, [problem.eps * w for w in grid])
+    stack, notes = (_series_stack(spectral,
+                                  [(problem.eps, w, w) for w in grid])
                     if method == "dilated" else (None, []))
 
     def one(omega: float) -> SweepRow:
@@ -463,9 +464,10 @@ def resonance_peak(sweep: SweepResult) -> PeakFit:
     The Lorentzian (restricted to its core, |A|^2 >= max/3) sets width and
     height; the peak location is then refined by the vertex of a quadratic
     through the top of the curve, which tracks the true maximizer even when
-    the slowly varying prefactor skews the line shape.  Raises FitError when
-    the grid maximum sits on the boundary (no interior peak) or the fit does
-    not converge.
+    the slowly varying prefactor skews the line shape; the peak location's
+    uncertainty is then that of the vertex, from the quadratic's
+    covariance.  Raises FitError when the grid maximum sits on the boundary
+    (no interior peak) or the fit does not converge.
     """
     omegas = np.array([r.omega for r in sweep.rows if r.abs2 is not None])
     abs2 = np.array([r.abs2 for r in sweep.rows if r.abs2 is not None])
@@ -494,17 +496,20 @@ def resonance_peak(sweep: SweepResult) -> PeakFit:
     except RuntimeError as exc:
         raise FitError(f"peak fit did not converge: {exc}") from exc
     center, width, height = popt
+    sigma = np.sqrt(np.maximum(np.diag(pcov), 0.0))
 
     for frac in (0.9, 0.75):
         top = abs2 >= frac * abs2[imax]
         if top.sum() >= 5:
-            quad = np.polyfit(nu[top], abs2[top], 2)
-            if quad[0] < 0:
-                center = -quad[1] / (2.0 * quad[0])
+            (a, b, _), qcov = np.polyfit(nu[top], abs2[top], 2, cov=True)
+            if a < 0:
+                # the vertex -b/2a, and its sigma propagated to first order
+                center = -b / (2.0 * a)
+                grad = np.array([b / (2.0 * a ** 2), -1.0 / (2.0 * a), 0.0])
+                sigma[0] = np.sqrt(max(grad @ qcov @ grad, 0.0))
             break
     if center <= 0:
         raise FitError(f"peak fit landed at nonphysical omega^2 = {center:g}")
-    sigma = np.sqrt(np.maximum(np.diag(pcov), 0.0))
     # d omega = d nu / (2 omega)
     return PeakFit(omega_peak=float(np.sqrt(center)),
                    width=float(abs(width)), height=float(height),

@@ -509,12 +509,12 @@ def count_kernel_passes(monkeypatch):
 
 def test_verify_reads_every_contracted_operator_from_one_stack(
         tmp_path, monkeypatch):
-    # S_0 (spectral_data) and K_0 (Gauss identity) are the only exact
-    # passes; every contracted S and K comes from one order-15 stack,
-    # beside the one order-3 row-sum pass of the series averages
+    # S_0 (spectral_data) is the only exact pass; every contracted S and K,
+    # and the Gauss identity's K_0, comes from one order-15 stack, beside
+    # the one order-3 row-sum pass of the series averages
     calls = count_kernel_passes(monkeypatch)
     assert run(tmp_path / "stack", "verify", "--icosphere", "1.0,2") == EXIT_OK
-    assert sorted(calls["exact"]) == [(0, False, True), (0, True, False)]
+    assert calls["exact"] == [(0, True, False)]
     assert (calls["stack"], calls["sums"]) == ([15], [3])
     manifest = json.loads((tmp_path / "stack" / "manifest.json").read_text())
     assert manifest["warnings"] == []

@@ -791,7 +791,8 @@ def _direct_formulation(mesh, z, density, points):
     """S_z, K_z and the off-surface potential as one chunk of 3-vector
     displacements with ``np.einsum`` for ν(y)·(x-y) and ``np.exp`` for
     e^{izr}: the formulation the coordinate-plane pass replaces.  S_0 and
-    K_0 are real."""
+    K_0 are real, and K_z's diagonal is -1/2 minus the static
+    off-diagonal row sum at every z."""
     nodes, weights = panel_quadrature(mesh)
     flat_nodes, flat_w = nodes.reshape(-1, 3), weights.reshape(-1)
     flat_nu = np.repeat(mesh.normals, 6, axis=0)
@@ -808,7 +809,7 @@ def _direct_formulation(mesh, z, density, points):
         return vals.reshape(len(vals), -1, 6).sum(axis=2)
 
     r, numer = kernel_pass(mesh.centroids)
-    diff_self, r_self = layer_ops._self_offsets(mesh, nodes)
+    r_self = np.linalg.norm(mesh.centroids[:, None, :] - nodes, axis=2)
 
     vals = np.exp(1j * z * r) / r if z != 0 else 1.0 / r
     vals *= flat_w
@@ -825,14 +826,7 @@ def _direct_formulation(mesh, z, density, points):
     double = (panel_sum(static * ((1.0 - 1j * z * r) * np.exp(1j * z * r)))
               if z != 0 else block0.copy())
     np.fill_diagonal(block0, 0.0)
-    diag = -0.5 - block0.sum(axis=1)
-    if z != 0:
-        numer_self = np.einsum("ijk,ik->ij", diff_self, mesh.normals)
-        smooth = numer_self * ((1.0 - 1j * z * r_self)
-                               * np.exp(1j * z * r_self) - 1.0)
-        smooth /= 4.0 * np.pi * r_self ** 3
-        diag = diag + np.sum(smooth * weights, axis=1)
-    double[idx, idx] = diag
+    double[idx, idx] = -0.5 - block0.sum(axis=1)
 
     r_points, _ = kernel_pass(points)
     vals = np.exp(1j * z * r_points) / (4.0 * np.pi * r_points) * flat_w
@@ -865,3 +859,35 @@ def test_kernel_pass_bitwise_equal_to_direct_formulation(mesh, z):
     assert pair_k.tobytes() == double.tobytes()
     assert (eval_single_layer_potential(mesh, density, z, points).tobytes()
             == potential.tobytes())
+
+
+@pytest.mark.parametrize("mesh", [
+    make_icosphere(1.0, 1), make_icosphere(1.0, 2), make_icosphere(1.0, 3),
+    make_ellipsoid((1.0, 1.3, 1.7), 1), make_ellipsoid((1.0, 1.3, 1.7), 2),
+    affine_transform(make_ellipsoid((1.0, 1.3, 1.7), 1), _MOVED,
+                     np.array([0.3, -0.7, 1.1]))],
+    ids=["sphere1", "sphere2", "sphere3", "ellipsoid1", "ellipsoid2",
+         "moved"])
+def test_self_panel_double_layer_term_is_rounding_noise(mesh):
+    # K_z's diagonal is -1/2 minus the static off-diagonal row sum at every
+    # z, with no z-dependent self-panel term: the regular rule on the
+    # remainder ν(y)·(c-y) ((1 - izr) e^{izr} - 1) / (4π r³) is rounding
+    # noise, since ν(y) ⟂ (c - y) on a flat panel
+    nodes, weights = panel_quadrature(mesh)
+    diff = mesh.centroids[:, None, :] - nodes
+    r = np.linalg.norm(diff, axis=2)
+    numer = np.einsum("ijk,ik->ij", diff, mesh.normals)
+    for z in (0.08, 0.7, 1.6, 3.3, 0.2j, 1j, 0.1 + 0.05j, 0.2 + 0.1j):
+        smooth = numer * ((1.0 - 1j * z * r) * np.exp(1j * z * r) - 1.0)
+        smooth /= 4.0 * np.pi * r ** 3
+        assert np.abs(np.sum(smooth * weights, axis=1)).max() <= 1e-15, z
+
+
+def test_one_minus_izr_is_the_complex_formula_bit_for_bit():
+    # one formula at every z, +0.0 imaginary parts at r = 0 and for purely
+    # imaginary z included
+    r = np.concatenate([[0.0], np.linspace(0.01, 3.0, 40), [1e-300, 7.5]])
+    for z in (0j, 0.7 + 0j, 1.6 + 0j, 0.2j, 1j, 0.05j, 0.1 + 0.05j,
+              -0.3 + 2j):
+        assert (layer_ops._one_minus_izr(z, r).tobytes()
+                == (1.0 - 1j * z * r).tobytes()), z

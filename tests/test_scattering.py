@@ -9,6 +9,7 @@ from scipy.linalg import lu_factor
 from scipy.spatial.transform import Rotation
 
 import bubblebem.boundary_calculus as boundary_calculus
+import bubblebem.layer_ops as layer_ops
 import bubblebem.scattering as scattering
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          expansion_residual,
@@ -620,6 +621,29 @@ def test_peak_fit_on_synthetic_uniform(sphere2, spectral2):
                                        rel=1e-2)
 
 
+def test_peak_uncertainty_is_the_vertex_uncertainty(sphere2, spectral2):
+    # on the fine grid at least 5 points clear 90 % of the maximum, so
+    # omega_peak is the vertex of the quadratic through them; its
+    # uncertainty is the vertex's, which a fit of that quadratic in vertex
+    # form h + c (nu - v)^2 gives directly, not the Lorentzian centre's
+    from scipy.optimize import curve_fit
+    problem = make_problem(sphere2, 0.05, 1.6)
+    sweep = frequency_sweep(problem, np.arange(1.5, 2.0001, 0.005), "uniform",
+                            spectral2)
+    peak = resonance_peak(sweep)
+    nu, abs2 = sweep.column("omega") ** 2, sweep.column("abs2")
+    top = abs2 >= 0.9 * abs2.max()
+    assert top.sum() >= 5
+    (vertex, _, _), cov = curve_fit(
+        lambda x, v, c, h: h + c * (x - v) ** 2, nu[top], abs2[top],
+        p0=(nu[np.argmax(abs2)], -abs2.max(), abs2.max()))
+    assert peak.omega_peak == pytest.approx(np.sqrt(vertex), rel=1e-9)
+    sigma = np.sqrt(cov[0, 0]) / (2 * np.sqrt(vertex))
+    assert peak.uncertainties[0] == pytest.approx(sigma, rel=1e-3)
+    lorentzian = np.sqrt(peak.covariance[0, 0]) / (2 * peak.omega_peak)
+    assert abs(peak.uncertainties[0] - lorentzian) > 0.5 * lorentzian
+
+
 def test_peak_fit_requires_interior_maximum(sphere2, spectral2):
     problem = make_problem(sphere2, 0.05, 1.0)
     grid = np.arange(1.0, 1.2001, 0.02)   # monotone stretch, max at the edge
@@ -671,15 +695,29 @@ def test_dilated_sweep_stack_matches_exact_assembly(sphere2, spectral2,
 
 def test_sweep_stack_size_estimate_is_the_stack_bytes(monkeypatch):
     # the size _series_stack checks against SERIES_STACK_LIMIT for a sweep's
-    # wavenumbers eps * omega is the bytes the stack's two term blocks hold
-    wavenumbers = list(0.05 * np.round(np.arange(1.5, 2.0001, 0.1), 10))
-    stack, notes = boundary_calculus._series_stack(SPECTRAL1, wavenumbers)
+    # studies (eps, omega, omega) is the bytes the stack's two term blocks
+    # hold
+    studies = [(0.05, w, w) for w in np.round(np.arange(1.5, 2.0001, 0.1), 10)]
+    stack, notes = boundary_calculus._series_stack(SPECTRAL1, studies)
     assert notes == []
     monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
-    none, notes = boundary_calculus._series_stack(SPECTRAL1, wavenumbers)
+    none, notes = boundary_calculus._series_stack(SPECTRAL1, studies)
     assert none is None and len(notes) == 1
     size = int(notes[0].split(" needs ")[1].split()[0])
     assert size == stack.single.nbytes + stack.double.nbytes
+
+
+@pytest.mark.parametrize("study", [(0.05, 1.5, 6.0), (0.05, 6.0, 1.5),
+                                   (0.05, 1.5, 6j)])
+def test_series_stack_reaches_the_larger_contracted_wavenumber(study):
+    # a study (eps, omega, z) factors at eps * omega and eps * z, so its
+    # stack has the order the tail bound needs at the larger of the two
+    # moduli, 0.3 here, and reaches both
+    stack, notes = boundary_calculus._series_stack(SPECTRAL1, [study])
+    assert notes == []
+    assert stack.order == layer_ops._series_order(0.3 * SUB1.diameter)
+    assert stack.order > layer_ops._series_order(0.075 * SUB1.diameter)
+    assert stack.reaches(0.3) and stack.reaches(0.075)
 
 
 def count_assemblies(monkeypatch):
