@@ -14,14 +14,22 @@ right-hand side (1/2 + K_w) trace it needs, and that product is formed
 before 1/2 + K_w becomes M, so no S_0, S_w, 1/2 + K_w or layout copy is
 kept once its factor exists: one n x n array per live operator.
 
-A study that factors at many contracted wavenumbers, a dilated sweep or
+A study that solves at many contracted wavenumbers, a dilated sweep or
 ``verify``, sizes one wavenumber series stack for all of them by one rule
 (``_series_stack``), from the (eps, omega, z) of each of its contracted
-solves; ``_factor_transmission`` then reads each of S_w, K_w and S_z from
-it where it reaches and assembles the others exactly.
+solves.  ``verify``'s studies, all at z != w, factor through
+``_factor_transmission``, which reads each of S_w, K_w and S_z from the
+stack where it reaches and assembles the others exactly.  A dilated
+sweep's rows, at z == w, take no factorization where the stack reaches
+them: ``_lockstep_flux`` solves them together by GMRES, each Krylov step
+one product of the stack's terms with a block of rows, preconditioned by
+one guarded LU of M at the grid's centre and by the LU of S_0
+(docs/scaling_identities.md, "The sweep in lockstep"); a row it does not
+accept is factored on its own, exactly.
 
-At z == w the two factorizations are independent, so they run side by
-side, one lane each for S and M, when the process may use two CPUs
+At z == w, in a solve or a sweep row factored on its own, the two
+factorizations are independent, so they run side by side, one lane each
+for S and M, when the process may use two CPUs
 (``layer_ops._side_by_side``); each lane factors its own F-ordered operand
 in place, and the factors are the same bits in either lane order.
 
@@ -60,16 +68,20 @@ class NumericalGuardError(RuntimeError):
     """A factorization exceeded the condition-number guard."""
 
 
-def _guarded_lu(matrix: np.ndarray, context: str):
-    """LU factorization with a 1-norm condition estimate, 1e12 hard limit.
+def _guarded_lu(matrix: np.ndarray, context: str) -> tuple:
+    """LU factorization with a 1-norm condition estimate, 1e12 hard limit:
+    the LU as ``lu_factor`` gives it, the 1-norm of ``matrix`` and the
+    condition estimate 1/rcond it was guarded on.
 
     Consumes its operand: an F-ordered ``matrix``, the layout of every
     operator ``layer_ops`` returns, is factored in place and becomes the
     LU, and a caller that reads its matrix afterwards passes a copy.
     ``lu_factor`` checks its input: a non-finite entry raises ValueError,
     which a sweep records as that row's error.  The 1-norm is summed in
-    blocks of columns, the bits of ``np.linalg.norm(matrix, 1)`` without
-    its n x n temporary.
+    blocks of columns, the bits of ``np.linalg.norm(matrix, 1)`` of the
+    F-ordered matrix without its n x n temporary.  The lockstep sweep
+    reads the norm and the estimate of its preconditioners back
+    (``_lockstep_flux``).
     """
     step = max(1, _CHUNK_PAIRS // len(matrix))
     anorm = max(np.abs(matrix[:, j:j + step]).sum(axis=0).max()
@@ -79,11 +91,11 @@ def _guarded_lu(matrix: np.ndarray, context: str):
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:
         raise NumericalGuardError(f"condition estimate failed for {context}")
-    if rcond == 0.0 or 1.0 / rcond > CONDITION_LIMIT:
-        est = np.inf if rcond == 0.0 else 1.0 / rcond
+    est = np.inf if rcond == 0.0 else 1.0 / rcond
+    if est > CONDITION_LIMIT:
         raise NumericalGuardError(
             f"{context}: condition number {est:.3g} exceeds {CONDITION_LIMIT:.0e}")
-    return lu, piv
+    return (lu, piv), float(anorm), float(est)
 
 
 @dataclass
@@ -109,6 +121,8 @@ class SpectralData:
     minnaert_omega: float
     q_eq: np.ndarray
     s0_lu: tuple
+    s0_norm: float
+    s0_condition: float
     _gram_chol: np.ndarray | None = field(default=None, repr=False)
     _k_means: tuple | None = field(default=None, repr=False)
 
@@ -172,7 +186,8 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
     definite up to quadrature error.  It is factored in place, and only the
     LU is kept.
     """
-    lu = _guarded_lu(assemble_single_layer(mesh, 0.0), "static single layer")
+    lu, norm, condition = _guarded_lu(assemble_single_layer(mesh, 0.0),
+                                      "static single layer")
     q = lu_solve(lu, np.ones(mesh.n_panels))
     cap = float(q @ mesh.areas)
     if cap <= 0:
@@ -183,6 +198,8 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
         minnaert_omega=float(np.sqrt(cap / mesh.volume)),
         q_eq=q,
         s0_lu=lu,
+        s0_norm=norm,
+        s0_condition=condition,
     )
 
 
@@ -278,10 +295,12 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     guard, without forming the Dirichlet-to-Neumann map
     DN_w = S_w^{-1}(1/2 + K_w), and form the right-hand side
     (1/2 + K_w) ``trace`` of a trace or a block of traces, if given.
-    Where a series ``stack`` of ``mesh`` reaches w, S_w and K_w are its
-    matrix products, and so is S_z where it reaches z; everywhere else they
-    are assembled exactly, S_w and K_w in one kernel pass on every usable
-    CPU.  This is the one place that choice is made, operator by operator.
+    At z != w, where a series ``stack`` of ``mesh`` reaches w, S_w and K_w
+    are its matrix products, and so is S_z where it reaches z; everywhere
+    else, and at every z == w, they are assembled exactly, S_w and K_w in
+    one kernel pass on every usable CPU.  This is the one place that choice
+    is made, operator by operator.  (A dilated sweep's stacked rows at
+    z == w take no factorization of their own: ``_lockstep_flux``.)
 
     With M = I + kappa (1/2 + K_w) S_z S_w^{-1}, S_w^{-1} M S_w
     = I + kappa DN_w S_z, so
@@ -296,9 +315,9 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
 
     At z == w, M = I + kappa (1/2 + K_w); S_z is not built, and S_w and M
     are factored in two lanes that ``layer_ops._side_by_side`` runs side by
-    side when two CPUs are usable, else S first.  S_w and 1/2 + K_w,
-    assembled or summed from the stack, are F-ordered, so that each lane
-    factors its operand where it lies:
+    side when two CPUs are usable, else S first.  The kernel pass returns
+    S_w and 1/2 + K_w F-ordered, so that each lane factors its operand
+    where it lies:
     - lane S: S_w, factored in place;
     - lane M, on the calling thread: 1/2 + K_w, the right-hand side, then
       M = I + kappa (1/2 + K_w) in place and factored in place.
@@ -315,11 +334,10 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     det(M S_w) = det M det S_w, the guard on M S_w trips when M or S_w is
     singular.
 
-    This is the only place M or M S_w is factored: the solvers and
-    ``expansion_residual`` all read it from here.
+    This is the only place M or M S_w is factored for one wavenumber: the
+    solvers and ``expansion_residual`` all read it from here.
     """
     n = mesh.n_panels
-    stacked = stack is not None and stack.reaches(w)
 
     def right_hand_side(half_k):
         return None if trace is None else half_k @ trace
@@ -327,6 +345,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     if z != w:
         # a stacked S_w is summed once 1/2 + K_w and S_z are released, so
         # the product holds three n x n arrays
+        stacked = stack is not None and stack.reaches(w)
         s, half_k = ((None, stack.double_layer(w)) if stacked
                      else assemble_layer_pair(mesh, w))
         half_k.flat[::n + 1] += 0.5
@@ -340,27 +359,23 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
             s = stack.single_layer(w)
         ms += s
         lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
-                             f"spectral parameter {z:.6g}")
+                             f"spectral parameter {z:.6g}")[0]
         return TransmissionFactors(rhs, lu, s=s)
-    if stacked:
-        s = half_k = None   # each lane sums its own
-    else:
-        # one kernel pass for both: it holds the two n x n results and one
-        # chunk's temporaries (63.4 MiB traced at n = 1280)
-        s, half_k = assemble_layer_pair(mesh, w)
+    # one kernel pass for both: it holds the two n x n results and one
+    # chunk's temporaries (63.4 MiB traced at n = 1280)
+    s, half_k = assemble_layer_pair(mesh, w)
 
     def lane_s():
-        s_w = stack.single_layer(w) if s is None else s
-        return _guarded_lu(s_w, f"single layer S at wavenumber {w:.6g}")
+        return _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")[0]
 
     def lane_m():
-        m = stack.double_layer(w) if half_k is None else half_k
+        m = half_k
         m.flat[::n + 1] += 0.5
         rhs = right_hand_side(m)
         m *= kappa
         m.flat[::n + 1] += 1.0
         return rhs, _guarded_lu(m, f"contrast matrix M at wavenumber "
-                                   f"{w:.6g}, spectral parameter {z:.6g}")
+                                   f"{w:.6g}, spectral parameter {z:.6g}")[0]
 
     s_lu, (rhs, lu) = _side_by_side([lane_s, lane_m], "factor lane",
                                     caller=1)
@@ -427,6 +442,165 @@ def _contrast_factors(mesh: SurfaceMesh, eps: float, omega: complex,
     """
     return _factor_transmission(mesh, *_contract(eps, omega, z),
                                 eps ** -2 - 1.0, stack, trace)
+
+
+# The dilated sweep in lockstep (docs/scaling_identities.md, "The sweep in
+# lockstep"): the Krylov steps a row may take on each of its two systems,
+# and the normwise backward error it must reach on both
+_LOCKSTEP_STEPS = 10
+_LOCKSTEP_ETA = 1e-14
+
+
+def _lockstep_width(n: int) -> int:
+    """Rows per lockstep block: the Krylov basis of a block, steps + 1
+    vectors of n entries per row, holds no more than one complex n x n
+    array."""
+    return max(1, n // (_LOCKSTEP_STEPS + 1))
+
+
+def _lockstep_gmres(apply, precondition, b: np.ndarray, a_norm: float,
+                    a_condition: float) -> tuple:
+    """Right-preconditioned GMRES (Saad and Schultz, 1986) on the columns
+    of ``b`` at once, column j solving its own system A_j x_j = b_j:
+    ``apply(cols, v)`` gives A_j v_j for the columns ``cols`` of the block
+    and their vectors v, and ``precondition(v)`` gives A_c^{-1} v for a
+    block v, A_c one matrix near every A_j, whose 1-norm and condition
+    estimate are ``a_norm`` and ``a_condition``.
+
+    Each step is one ``apply`` to all columns still running.  A column is
+    accepted once its true normwise backward error
+    ||b - A x|| / (||A_c||_1 ||x|| + ||b||) is at most _LOCKSTEP_ETA (the
+    least-squares residual only says when to compute it) and its condition
+    estimate cond(A_c) cond_2(H_j), H_j its (k + 1) x k Hessenberg matrix,
+    is within CONDITION_LIMIT.  Returns the solutions and, per column,
+    None if it was accepted, else why not.
+    """
+    n, cols = b.shape
+    basis = np.empty((_LOCKSTEP_STEPS + 1, n, cols), dtype=complex)
+    hess = np.zeros((cols, _LOCKSTEP_STEPS + 1, _LOCKSTEP_STEPS),
+                    dtype=complex)
+    b_norm = np.linalg.norm(b, axis=0)
+    basis[0] = b / b_norm
+    x = np.zeros_like(b)
+    why = [f"backward error above {_LOCKSTEP_ETA:g} after "
+           f"{_LOCKSTEP_STEPS} Krylov steps"] * cols
+    run = np.arange(cols)
+    for k in range(_LOCKSTEP_STEPS):
+        if not run.size:
+            break
+        v = basis[:k + 1, :, run]
+        u = apply(run, precondition(v[k]))
+        for _ in range(2):   # classical Gram-Schmidt, twice
+            h = np.einsum("knj,nj->jk", v.conj(), u)
+            u -= np.einsum("knj,jk->nj", v, h)
+            hess[run, :k + 1, k] += h
+        hess[run, k + 1, k] = np.linalg.norm(u, axis=0)
+        basis[k + 1][:, run] = u / hess[run, k + 1, k]
+        # the least-squares problem min ||beta e_1 - H y|| of each column
+        hbar = hess[run, :k + 2, :k + 1]
+        beta = np.zeros((len(run), k + 2, 1), dtype=complex)
+        beta[:, 0, 0] = b_norm[run]
+        q, r = np.linalg.qr(hbar)
+        y = np.linalg.solve(r, q.conj().transpose(0, 2, 1) @ beta)
+        estimate = np.linalg.norm(beta - hbar @ y, axis=(1, 2))
+        xs = precondition(np.einsum("knj,jk->nj", v, y[:, :, 0]))
+        scale = a_norm * np.linalg.norm(xs, axis=0) + b_norm[run]
+        stop = ~np.isfinite(estimate / scale)
+        for j in np.flatnonzero(stop):
+            why[run[j]] = f"non-finite residual at Krylov step {k + 1}"
+        near = np.flatnonzero(estimate <= _LOCKSTEP_ETA * scale)
+        if near.size:
+            true = np.linalg.norm(b[:, run[near]] - apply(run[near],
+                                                          xs[:, near]),
+                                  axis=0) / scale[near]
+            sv = np.linalg.svd(hbar[near], compute_uv=False)
+            condition = a_condition * sv[:, 0] / sv[:, -1]
+            for j, eta, est in zip(near, true, condition):
+                if not np.isfinite(eta):
+                    why[run[j]] = f"non-finite residual at Krylov step {k + 1}"
+                elif eta > _LOCKSTEP_ETA:
+                    continue
+                elif est > CONDITION_LIMIT:
+                    why[run[j]] = (f"condition estimate {est:.3g} exceeds "
+                                   f"{CONDITION_LIMIT:.0e}")
+                else:
+                    why[run[j]] = None
+                    x[:, run[j]] = xs[:, j]
+                stop[j] = True
+        run = run[~stop]
+    return x, why
+
+
+def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
+                   eps: float, omegas, trace):
+    """Yield (j, flux, why) for every study (eps, omegas[j], omegas[j]) whose
+    contracted wavenumber w_j the series ``stack`` reaches: the interior
+    flux S_w^{-1} M^{-1} (1/2 + K_w) trace(j) of the trace ``trace(j)`` and
+    None, or None and why the row is left to its own factorization
+    (``_contrast_factors`` with no stack).
+
+    The rows are solved together, in blocks of ``_lockstep_width`` rows,
+    each by ``_lockstep_gmres`` on M_j y = (1/2 + K_{w_j}) trace, then on
+    S_{w_j} x = y, every operator the stack's products cut at the order
+    the tail bound needs at w_j (``SeriesStack.apply``), so no row sums an
+    operator or takes an LU.  M is preconditioned by the one guarded LU of
+    M at the midpoint of the contracted grid, S by ``spectral.s0_lu``; if
+    the centre's guard trips, every row is left to its own factorization.
+    """
+    if stack is None:
+        return
+    ws = [_contract(eps, omega, omega)[0] for omega in omegas]
+    rows = [j for j, w in enumerate(ws) if stack.reaches(w)]
+    if not rows:
+        return
+    n, kappa = spectral.mesh.n_panels, eps ** -2 - 1.0
+    centre = 0.5 * (ws[rows[0]] + ws[rows[-1]])
+    try:
+        m = stack.double_layer(centre)
+        m.flat[::n + 1] += 0.5
+        m *= kappa
+        m.flat[::n + 1] += 1.0
+        m_lu, m_norm, m_condition = _guarded_lu(
+            m, f"contrast matrix M at wavenumber {centre:.6g}, spectral "
+               f"parameter {centre:.6g}")
+    except (NumericalGuardError, ValueError) as exc:
+        for j in rows:
+            yield j, None, f"centre preconditioner: {exc}"
+        return
+
+    def s0_solve(v):
+        # the real LU solves the real and imaginary planes at once
+        planes = lu_solve(spectral.s0_lu, np.ascontiguousarray(v).view(float))
+        return np.ascontiguousarray(planes).view(complex)
+
+    width = _lockstep_width(n)
+    for lo in range(0, len(rows), width):
+        block = rows[lo:lo + width]
+        zs = np.array([ws[j] for j in block])
+        traces = np.stack([trace(j) for j in block], axis=1)
+
+        def m_apply(cols, v):
+            out = stack.apply("double", zs[cols], v)
+            out += 0.5 * v
+            out *= kappa
+            out += v
+            return out
+
+        rhs = stack.apply("double", zs, traces)
+        rhs += 0.5 * traces
+        y, why = _lockstep_gmres(m_apply, lambda v: lu_solve(m_lu, v), rhs,
+                                 m_norm, m_condition)
+        solved = [c for c, reason in enumerate(why) if reason is None]
+        x, why_s = _lockstep_gmres(
+            lambda cols, v: stack.apply("single", zs[solved][cols], v),
+            s0_solve, y[:, solved], spectral.s0_norm, spectral.s0_condition)
+        for c, j in enumerate(block):
+            if why[c] is not None:
+                yield j, None, f"M system: {why[c]}"
+                continue
+            i = solved.index(c)
+            yield ((j, x[:, i], None) if why_s[i] is None
+                   else (j, None, f"S system: {why_s[i]}"))
 
 
 _GK_TOLERANCE = 1e-12

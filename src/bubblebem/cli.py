@@ -49,6 +49,9 @@ EXIT_VERIFY = 3
 
 OUTDIR_ENV = "BUBBLEBEM_OUTDIR"
 
+# most points a START:STOP:STEP omega grid may expand to
+_GRID_LIMIT = 10 ** 6
+
 # the fixed acceptance windows of ``verify``
 DEFAULT_TOLERANCES = {
     "gauss": 1e-12,
@@ -159,7 +162,13 @@ def _parse_grid(text: str) -> list[float]:
                 and math.isfinite(step) and step > 0):
             raise UsageError(f"omega grid needs finite bounds and a finite "
                              f"positive step, got {text!r}")
-        count = int(round((stop - start) / step)) + 1
+        # the count comes first, as a float, so no list is built before it
+        # is checked
+        steps = (stop - start) / step
+        if not (math.isfinite(steps) and steps + 1 <= _GRID_LIMIT):
+            raise UsageError(f"omega grid {text!r} has more than "
+                             f"{_GRID_LIMIT:d} points")
+        count = int(round(steps)) + 1
         grid = [start + i * step for i in range(count)]
         return [w for w in grid if w <= stop + 1e-12]
     return list(_parse_floats(text))

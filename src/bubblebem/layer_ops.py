@@ -53,8 +53,10 @@ K_z = Σ (iz)^k B_k, handed to its caller row block by row block, and the
 diagonals of A_0 = S_0 and B_0 = K_0.  The exact S_0 and K_0 are its
 order-0 pass; ``assemble_series_stack`` keeps every term up to an order,
 and a ``SeriesStack`` then gives S_z or K_z by one matrix product of its
-terms with the powers of iz, within a stated elementwise tail bound, which
-is how a frequency sweep assembles its mesh only once;
+terms with the powers of iz, within a stated elementwise tail bound, or
+applies them, at one wavenumber per column, to a block of columns by one
+product of its terms with the block, which is how a frequency sweep
+assembles its mesh only once and factors no row;
 ``_double_term_row_sums`` keeps only the row sums B_k 1, no n x n term.
 
 Every operator is F-ordered, the layout in which LAPACK factors an
@@ -491,6 +493,8 @@ class SeriesStack:
     and imaginary parts of (iz)^k times the (N + 1, n^2) view of the first
     N + 1 terms, whose two planes become the real and imaginary parts of
     the complex result, so each evaluation reads each term it needs once.
+    ``apply`` gives the products of S_z or K_z, one z per column, with a
+    block of columns without forming any of them.
     """
 
     single: np.ndarray      # A_0, A_1, ..., A_N
@@ -532,6 +536,34 @@ class SeriesStack:
 
     def double_layer(self, z: complex) -> np.ndarray:
         return self._sum(self.double, z)
+
+    def apply(self, layer: str, zs, block: np.ndarray) -> np.ndarray:
+        """S_z (``layer`` "single") or K_z ("double") at z = ``zs[j]``
+        applied to column j of the complex (n, len(zs)) ``block``, each
+        column's series cut at the order the tail bound needs at its own z,
+        so column j gets the operator ``single_layer(zs[j])`` or
+        ``double_layer(zs[j])`` sums.
+
+        One matrix product of the ((N + 1) n, n) view of the first N + 1
+        terms, N the largest order needed, with the (n, 2 len(zs)) real view
+        of the block: the terms are read once for all columns and never
+        made complex.
+        """
+        zs = [_check_im(z) for z in zs]
+        needed = [self._needed(z) for z in zs]
+        if None in needed:
+            z = zs[needed.index(None)]
+            raise ValueError(f"series stack of order {self.order} does not "
+                             f"reach wavenumber {z:.6g}")
+        top = max(needed)
+        terms = {"single": self.single, "double": self.double}[layer]
+        n = terms.shape[1]
+        planes = (terms[:top + 1].reshape((top + 1) * n, n)
+                  @ np.ascontiguousarray(block).view(float))
+        planes = planes.view(complex).reshape(top + 1, n, len(zs))
+        k = np.arange(top + 1)[:, None]
+        powers = np.where(k <= needed, (1j * np.array(zs)) ** k, 0.0)
+        return np.einsum("kj,knj->nj", powers, planes)
 
 
 def _double_terms(rows: slice, r: np.ndarray, k_vals: np.ndarray,

@@ -15,9 +15,11 @@ and the resolvent correction/point-interaction kernels complete the module.
 
 A dilated sweep reads its contracted S and K from one wavenumber series
 stack, built by the rule it shares with ``verify``
-(``boundary_calculus._series_stack``).  ``scipy.optimize`` is loaded only
-by the peak fit, ``resonance_peak``, so a command that fits no peak does
-not pay for it.
+(``boundary_calculus._series_stack``), and solves the rows the stack
+reaches together, by Krylov passes over the stack preconditioned by one
+factorization at the grid's centre (``boundary_calculus._lockstep_flux``).
+``scipy.optimize`` is loaded only by the peak fit, ``resonance_peak``, so
+a command that fits no peak does not pay for it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .boundary_calculus import (NumericalGuardError, SpectralData,
                                 _contrast_factors, _factor_transmission,
-                                _series_stack, check_eps)
+                                _lockstep_flux, _series_stack, check_eps)
 # assemble_single_layer is not called here; it stays importable from this
 # module because perfbench's tracer test looks it up in every namespace.
 from .layer_ops import (SeriesStack, assemble_single_layer,
@@ -254,8 +256,10 @@ def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
     ``incident`` at the images of the panel centroids and Lambda_z is the
     interaction operator, and u_sc = -(1/eps) SL_{eps z}[charge] o contract as a
     function of physical points.  The factors are released once the flux
-    is solved; S and K come from a series ``stack`` of the reference mesh
-    where it reaches (``boundary_calculus._factor_transmission``)."""
+    is solved; at z != w, S and K come from a series ``stack`` of the
+    reference mesh where it reaches
+    (``boundary_calculus._factor_transmission``;
+    ``resolvent_correction_kernel`` hands on ``verify``'s)."""
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
     charge = eps * problem.kappa * _contrast_factors(
@@ -265,8 +269,8 @@ def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
 
 
 def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
-                            spectral: SpectralData | None = None,
-                            stack: SeriesStack | None = None) -> FieldResult:
+                            spectral: SpectralData | None = None
+                            ) -> FieldResult:
     """Reference-mesh solve: u_sc = -(1/eps) SL_{eps w}[Lambda trace] o contract.
 
     The incident trace is evaluated analytically at the images of the panel
@@ -274,16 +278,20 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     is mapped back to physical coordinates by the similarity.  Since
     G_{eps w}((x - y0)/eps) = eps G_w(x - y0), the amplitude is
     -Σ_j charge_j ∫_{T_j} j_0(eps w |y - y0|) dσ on the reference mesh.
-    Given a series ``stack`` of the reference mesh, S and K are read from
-    it where it reaches.
     """
     omega = problem.omega
     charge, potential = _dilated_solve(
-        problem, omega, lambda pts: problem.incident.evaluate(pts, omega), stack)
-    return _field_result(
-        problem, points, potential,
-        -single_layer_monopole(problem.mesh, charge, problem.eps * omega,
-                               problem.y0), "dilated", spectral)
+        problem, omega, lambda pts: problem.incident.evaluate(pts, omega))
+    return _field_result(problem, points, potential,
+                         _dilated_amplitude(problem, charge), "dilated",
+                         spectral)
+
+
+def _dilated_amplitude(problem: ScatteringProblem, charge) -> complex:
+    """The monopole amplitude of the dilated route's reference-mesh charge:
+    -Σ_j charge_j ∫_{T_j} j_0(eps w |y - y0|) dσ."""
+    return -single_layer_monopole(problem.mesh, charge,
+                                  problem.eps * problem.omega, problem.y0)
 
 
 def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
@@ -346,18 +354,15 @@ def uniform_amplitude(problem: ScatteringProblem,
 
 
 def scattered_field(problem: ScatteringProblem, points: np.ndarray, method: str,
-                    spectral: SpectralData,
-                    stack: SeriesStack | None = None) -> FieldResult:
+                    spectral: SpectralData) -> FieldResult:
     """The field of ``method``, one of METHODS: the direct or the dilated
     solve, or the monopole field A G_omega(. - y0) of the uniform or
     off-resonance asymptotic amplitude A.
-
-    A dilated solve hands ``stack`` on to ``scattered_field_dilated``.
     """
     if method == "direct":
         return scattered_field_direct(problem, points, spectral)
     if method == "dilated":
-        return scattered_field_dilated(problem, points, spectral, stack)
+        return scattered_field_dilated(problem, points, spectral)
     closed_form = {"uniform": uniform_amplitude,
                    "nonresonant": nonresonant_amplitude}
     if method not in closed_form:
@@ -412,41 +417,62 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     closed form's value), so no row samples the field.  Per-frequency
     solver failures are recorded in the row and the sweep continues; rows
     inside |omega - omega_M| < guard_constant * eps carry a warning flag
-    rather than an error.  A dilated sweep assembles the reference mesh
-    once, as a series stack (``boundary_calculus._series_stack`` of the
-    studies (eps, omega, omega) over the grid), and hands it to every row;
-    every fallback to exact assembly is listed in the result's warnings.
+    rather than an error.
+
+    A dilated sweep assembles the reference mesh once, as a series stack
+    (``boundary_calculus._series_stack`` of the studies (eps, omega, omega)
+    over the grid), and solves every row the stack reaches in lockstep
+    (``boundary_calculus._lockstep_flux``): Krylov passes over the stack
+    from one factorization at the grid's centre, no factorization per row.
+    A row the stack does not reach, or that the lockstep solve does not
+    accept, is solved by its own exact factorization, as a single dilated
+    solve is; the result's warnings list the stack's fallbacks and each
+    row the lockstep solve left, with the reason.
     """
     grid = check_grid(omega_grid)
     if method not in METHODS:
         raise ValueError(f"unknown sweep method {method!r}")
-    stack, notes = (_series_stack(spectral,
-                                  [(problem.eps, w, w) for w in grid])
-                    if method == "dilated" else (None, []))
+    subs = [ScatteringProblem(problem.mesh, problem.eps, omega,
+                              problem.incident, y0=problem.y0,
+                              guard_constant=problem.guard_constant,
+                              validity_threshold=np.inf) for omega in grid]
+    amplitudes, notes = {}, []
+    if method == "dilated":
+        stack, notes = _series_stack(
+            spectral, [(sub.eps, sub.omega, sub.omega) for sub in subs])
+        centroids = problem.dilate(problem.mesh.centroids)
+        for j, flux, why in _lockstep_flux(
+                spectral, stack, problem.eps, grid,
+                lambda j: problem.incident.evaluate(centroids, grid[j])):
+            if flux is None:
+                notes.append(f"lockstep sweep: omega = {grid[j]:g} solved by "
+                             f"its own factorization ({why})")
+            else:
+                sub = subs[j]
+                amplitudes[j] = _dilated_amplitude(
+                    sub, sub.eps * sub.kappa * flux)
 
-    def one(omega: float) -> SweepRow:
-        sub = ScatteringProblem(problem.mesh, problem.eps, omega,
-                                problem.incident, y0=problem.y0,
-                                guard_constant=problem.guard_constant,
-                                validity_threshold=np.inf)
+    def one(j: int, sub: ScatteringProblem) -> SweepRow:
         try:
             nonres = nonresonant_amplitude(sub, spectral)
         except ValueError:
             nonres = None
-        row = SweepRow(omega, None, None, uniform_amplitude(sub, spectral),
+        row = SweepRow(sub.omega, None, None, uniform_amplitude(sub, spectral),
                        nonres, resonant_amplitude(sub),
                        sub.in_guard_band(spectral))
         try:
             # the amplitude is a panel sum: a row samples no field
-            row.amplitude = scattered_field(sub, np.empty((0, 3)), method,
-                                            spectral, stack).amplitude
+            row.amplitude = (amplitudes[j] if j in amplitudes
+                             else scattered_field(sub, np.empty((0, 3)),
+                                                  method, spectral).amplitude)
             row.abs2 = float(abs(row.amplitude) ** 2)
         except (NumericalGuardError, ValueError) as exc:
             row.error = str(exc)
         return row
 
     return SweepResult(method=method, eps=problem.eps,
-                       rows=[one(w) for w in grid], warnings=notes)
+                       rows=[one(j, sub) for j, sub in enumerate(subs)],
+                       warnings=notes)
 
 
 @dataclass

@@ -17,10 +17,28 @@ from bubblebem.boundary_calculus import (SpectralData, _discrete_coefficients,
                                          check_eps)
 from bubblebem.layer_ops import (SeriesStack, _check_im, _series_order,
                                  assemble_double_layer, assemble_layer_pair,
-                                 assemble_single_layer)
+                                 assemble_single_layer, single_layer_monopole)
 from bubblebem.mesh import SurfaceMesh
 from bubblebem.scattering import (ScatteringProblem, far_field_points,
                                   scattered_field_dilated)
+
+
+def stacked_row_amplitude(problem: ScatteringProblem,
+                          stack: SeriesStack) -> complex:
+    """The dilated monopole amplitude of ``problem`` with S_w and K_w summed
+    from a series ``stack`` and each LU-factored: the per-row solve of a
+    stacked sweep row before the rows were solved in lockstep, bit for
+    bit."""
+    mesh, eps, kappa = problem.mesh, problem.eps, problem.kappa
+    n, w = mesh.n_panels, eps * problem.omega
+    s, m = stack.single_layer(w), stack.double_layer(w)
+    m.flat[::n + 1] += 0.5
+    rhs = m @ problem.incident.evaluate(problem.dilate(mesh.centroids),
+                                        problem.omega)
+    m *= kappa
+    m.flat[::n + 1] += 1.0
+    flux = lu_solve(lu_factor(s), lu_solve(lu_factor(m), rhs))
+    return -single_layer_monopole(mesh, eps * kappa * flux, w, problem.y0)
 
 
 def s0_inner(spectral: SpectralData, phi: np.ndarray,
@@ -71,8 +89,8 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> np.ndarray:
     """
     s, half_k = assemble_layer_pair(mesh, z)
     half_k.flat[::mesh.n_panels + 1] += 0.5
-    return lu_solve(_guarded_lu(s, f"single layer S at wavenumber {z:.6g}"),
-                    half_k)
+    lu = _guarded_lu(s, f"single layer S at wavenumber {z:.6g}")[0]
+    return lu_solve(lu, half_k)
 
 
 def transmission_residual(problem: ScatteringProblem) -> float:
@@ -175,7 +193,7 @@ def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
     bordered[:n, :n] = m11
     bordered[:n, n] = 1.0
     bordered[n, :n] = w
-    lu = _guarded_lu(bordered, "mean-free block of the contrast operator")
+    lu = _guarded_lu(bordered, "mean-free block of the contrast operator")[0]
     # M_11^{-1} M_10 = (M_11^{-1} (M 1 - w^T M 1)) w^T on the mean-free space
     y = lu_solve(lu, np.append(m_one - w_m_one, 0.0))[:n]
     c00 = np.outer(ones, (w_m_one - mean_free_row @ y) * w)

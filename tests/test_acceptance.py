@@ -14,7 +14,7 @@ import pytest
 
 from bubblebem.boundary_calculus import (expansion_residual,
                                          k2_resonance_frequency, spectral_data)
-from bubblebem.layer_ops import assemble_double_layer
+from bubblebem.layer_ops import _side_by_side, assemble_double_layer
 from bubblebem.mesh import make_ellipsoid, make_icosphere
 from bubblebem.mie import mie_monopole_amplitude, mie_solve
 from bubblebem.scattering import (PlaneWave, ScatteringProblem,
@@ -97,15 +97,23 @@ def test_c03_coefficient_identities():
 
 def test_c04_expansion_ratios(sphere3, spectral3):
     what = k2_resonance_frequency(spectral3)
+    # the eight residuals run on the worker pool, as verify's studies do;
+    # the caches they share are filled first
+    spectral3.gram_cholesky(), spectral3.k3_average()
+    cases = [(omega, tag, z) for omega, tag in ((1.0, "off-resonance"),
+                                                (what, "resonant"))
+             for z in (0.5, 0.7)]
+    residuals = _side_by_side(
+        [lambda omega=omega, z=z, eps=eps:
+         expansion_residual(spectral3, eps, omega, z).residual
+         for omega, _, z in cases for eps in (0.04, 0.02)], "c04 study")
     detail = []
     ok = True
-    for omega, tag in ((1.0, "off-resonance"), (what, "resonant")):
-        for z in (0.5, 0.7):
-            coarse = expansion_residual(spectral3, 0.04, omega, z)
-            fine = expansion_residual(spectral3, 0.02, omega, z)
-            ratio = coarse.residual / fine.residual
-            ok = ok and 1.6 <= ratio <= 2.6
-            detail.append(f"{tag} z={z}: {ratio:.2f}")
+    for (_, tag, z), coarse, fine in zip(cases, residuals[::2],
+                                         residuals[1::2]):
+        ratio = coarse / fine
+        ok = ok and 1.6 <= ratio <= 2.6
+        detail.append(f"{tag} z={z}: {ratio:.2f}")
     report(4, "rescaled-inverse expansion residual halves like O(eps) "
               "(ratio in [1.6, 2.6])", ok, "; ".join(detail))
 
@@ -199,14 +207,17 @@ def test_c09_pointwise_resolvent_rates(sphere3, spectral3):
     limit = 4 * np.pi * green_function(1j, x[None])[0] \
         * green_function(1j, y[None])[0]
     eps_list = (0.2, 0.1, 0.05)
+    cases = (("off-resonance", 1.0, 0.0), ("resonant", what, limit))
+    # the six kernels run on the worker pool, as verify's studies do
+    problems = [plane_problem(sphere3, eps, omega)
+                for _, omega, _ in cases for eps in eps_list]
+    values = _side_by_side(
+        [lambda problem=problem: resolvent_correction_kernel(problem, 1j, x, y)
+         for problem in problems], "c09 study")
     slopes = {}
-    for tag, omega, target in (("off-resonance", 1.0, 0.0),
-                               ("resonant", what, limit)):
-        errors = []
-        for eps in eps_list:
-            problem = plane_problem(sphere3, eps, omega)
-            value = resolvent_correction_kernel(problem, 1j, x, y)
-            errors.append(abs(value - target))
+    for i, (tag, _, target) in enumerate(cases):
+        block = values[i * len(eps_list):(i + 1) * len(eps_list)]
+        errors = [abs(value - target) for value in block]
         slopes[tag] = float(np.polyfit(np.log(eps_list), np.log(errors), 1)[0])
     ok = (abs(slopes["off-resonance"] - 1.0) <= 0.2
           and abs(slopes["resonant"] - 0.5) <= 0.2)

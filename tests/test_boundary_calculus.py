@@ -200,6 +200,33 @@ def test_condition_guard_trips():
         _guarded_lu(nearly_singular, "test matrix")
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_guarded_lu_returns_the_norm_and_estimate_it_guarded_on(dtype):
+    # the 1-norm is np.linalg.norm(matrix, 1)'s and the estimate is
+    # 1/rcond of LAPACK's gecon on the LU, bit for bit, for the F-ordered
+    # matrix the guard factors in place; SpectralData keeps S_0's
+    rng = np.random.default_rng(3)
+    matrix = rng.normal(size=(40, 40)).astype(dtype)
+    if dtype is complex:
+        matrix += 1j * rng.normal(size=(40, 40))
+    matrix = np.asfortranarray(matrix)
+    norm = np.linalg.norm(matrix, 1)
+    lu = lu_factor(matrix)
+    gecon = (boundary_calculus.lapack.zgecon if dtype is complex
+             else boundary_calculus.lapack.dgecon)
+    rcond = gecon(lu[0], norm, norm="1")[0]
+    got_lu, got_norm, got_condition = _guarded_lu(matrix, "test matrix")
+    assert [a.tobytes() for a in got_lu] == [a.tobytes() for a in lu]
+    assert (got_norm, got_condition) == (norm, 1.0 / rcond)
+
+
+def test_spectral_data_keeps_the_s0_guard_figures(sphere2, spectral2):
+    _, norm, condition = _guarded_lu(assemble_single_layer(sphere2, 0.0),
+                                     "static single layer")
+    assert (spectral2.s0_norm, spectral2.s0_condition) == (norm, condition)
+    assert 1.0 < condition <= boundary_calculus.CONDITION_LIMIT
+
+
 def test_guarded_lu_rejects_nonfinite_entries():
     # lu_factor's own finite check: a sweep records the ValueError as that
     # row's error
@@ -279,17 +306,17 @@ def test_factor_lanes_give_the_factors_of_the_assembled_arrays(
     # at z == w, S_w and M are factored in place in two lanes, side by side
     # only when two CPUs are usable: the factors are lu_factor's of the
     # separately assembled S_w and M, bit for bit, either way, and only
-    # lane S ever leaves the calling thread
+    # lane S ever leaves the calling thread.  A series stack that reaches
+    # w is not read at z == w (a sweep's stacked rows run in lockstep), so
+    # with one given the factors are still those of the exact arrays
     mesh = make_icosphere(1.0, subdivisions)
     n, w, kappa = mesh.n_panels, 0.08, 399.0
     stack = None
     if stacked:
         stack = assemble_series_stack(mesh, 12)
         assert stack.reaches(w)
-        s, half_k = stack.single_layer(w), stack.double_layer(w)
-    else:
-        s = assemble_single_layer(mesh, w)
-        half_k = assemble_double_layer(mesh, w)
+    s = assemble_single_layer(mesh, w)
+    half_k = assemble_double_layer(mesh, w)
     half_k.flat[::n + 1] += 0.5
     m = kappa * half_k
     m.flat[::n + 1] += 1.0
@@ -394,27 +421,6 @@ def test_exact_contrast_product_peak_memory():
     assert kept - start <= 51 * 2 ** 20
 
 
-def test_stacked_transmission_factors_peak_memory():
-    # bound stated before measuring: at n = 320 (1.56 MiB per complex
-    # n x n array) each lane holds at most two complex arrays at once: the
-    # two real planes of its matrix product and their complex result, which
-    # the lane then factors in place; with one real n x n block per lane
-    # for the 1-norm that is 7.8 MiB, plus small temporaries
-    mesh = make_icosphere(1.0, 2)
-    stack = assemble_series_stack(mesh, 10)
-    w = 0.05 * 1.9
-    assert stack.reaches(w)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        factors = _factor_transmission(mesh, w, w, 399.0, stack)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert factors.s_lu is not None
-    assert peak - start <= 9 * 2 ** 20
-
-
 def test_stacked_contrast_product_peak_memory():
     # bound stated before measuring: at z != w and n = 320 (1.56 MiB per
     # complex n x n array) the stacked product holds three arrays at once,
@@ -436,25 +442,6 @@ def test_stacked_contrast_product_peak_memory():
     assert factors.s is not None
     assert peak - start <= 5.5 * 2 ** 20
     assert kept - start <= 3.5 * 2 ** 20
-
-
-def test_stacked_lanes_give_the_same_factors_for_one_and_two_workers(
-        monkeypatch):
-    # the stack's matrix products run on the lane that reads them: one
-    # lane or two, the factors and the right-hand side are the same bits,
-    # here at a complex w, where both parts of every power of iw are
-    # nonzero (the real w case is the stacked case of the lane test above)
-    mesh, w = make_icosphere(1.0, 2), 0.08 + 0.01j
-    stack = assemble_series_stack(mesh, 12)
-    assert stack.reaches(w)
-    trace = np.linspace(1.0, 2.0, mesh.n_panels)
-    factors = []
-    for lanes in (1, 2):
-        monkeypatch.setattr(layer_ops, "_worker_count",
-                            lambda chunks, lanes=lanes: min(chunks, lanes))
-        f = _factor_transmission(mesh, w, w, 399.0, stack, trace)
-        factors.append([a.tobytes() for a in (*f.s_lu, *f.lu, f.rhs)])
-    assert factors[0] == factors[1]
 
 
 def test_factoring_leaves_the_kept_arrays_unchanged():

@@ -347,6 +347,19 @@ def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("grid", ["1:1e300:1e-300", "1.5:1.6:1e-12"])
+def test_an_oversized_omega_grid_is_a_usage_error(tmp_path, capsys, grid):
+    # the count is checked as a float before any list is built: an
+    # infinite count or one above 10^6 points ends in error:, at once
+    start = time.perf_counter()
+    code = main(["sweep", "--icosphere", "1,0", "--eps", "0.05",
+                 f"--omega-grid={grid}", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: omega grid {grid!r} has "
+                                       "more than 1000000 points\n")
+
+
 @pytest.mark.parametrize("command, bad, check, value", [
     ("solve", ["--eps", "1.5"], "check_eps", 1.5),
     ("solve", ["--omega", "inf"], "check_omega", float("inf")),

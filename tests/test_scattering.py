@@ -31,7 +31,7 @@ from bubblebem.scattering import (METHODS, FitError, PlaneWave, PointSource,
                                   scattered_field_dilated,
                                   scattered_field_direct, uniform_amplitude)
 from reference import (dirichlet_to_neumann, radiation_defect,
-                       transmission_residual)
+                       stacked_row_amplitude, transmission_residual)
 
 OBS = np.array([[3.0, 1.0, 0.5], [0.0, 4.0, 1.0], [-2.0, 0.0, 3.0]])
 
@@ -412,20 +412,28 @@ def test_every_method_gives_the_same_guard_band_note():
 
 
 def test_dn_factors_read_the_stack_only_where_it_reaches():
+    # at z != w, the one place a single factorization reads a stack, S_w
+    # and K_w are the stack's products where it reaches w and exact
+    # assemblies where it does not; at z == w it is not read at all
     stack = assemble_series_stack(SUB1, 8)
-    near, far = 0.02, 0.5
+    near, far, z = 0.02, 0.5, 0.01
     assert stack.reaches(near) and not stack.reaches(far)
+    assert stack.reaches(z)
     trace = np.linspace(-1.0, 1.0, SUB1.n_panels)
     for w, s_ref, k_ref in (
             (near, stack.single_layer(near), stack.double_layer(near)),
             (far, assemble_single_layer(SUB1, far),
              assemble_double_layer(SUB1, far))):
-        f = boundary_calculus._factor_transmission(SUB1, w, w, 0.5, stack,
+        f = boundary_calculus._factor_transmission(SUB1, w, z, 0.5, stack,
                                                    trace)
         k_ref.flat[::SUB1.n_panels + 1] += 0.5
         assert np.array_equal(f.rhs, np.asfortranarray(k_ref) @ trace)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(f.s_lu, lu_factor(s_ref)))
+        assert np.array_equal(f.s, s_ref)
+    f = boundary_calculus._factor_transmission(SUB1, near, near, 0.5, stack,
+                                               trace)
+    exact = assemble_single_layer(SUB1, near)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(f.s_lu, lu_factor(exact)))
 
 
 # ----------------------------------------------------------------------------
@@ -788,6 +796,135 @@ def test_sweep_past_the_highest_order_is_assembled_exactly(monkeypatch):
     assert len(sweep.warnings) == 1 and "|eps w| = 0.6" in sweep.warnings[0]
     exact = scattered_field_dilated(make_problem(SUB1, 0.3, 2.0), OBS)
     assert sweep.rows[1].amplitude == pytest.approx(exact.amplitude, rel=1e-12)
+
+
+# ----------------------------------------------------------------------------
+# the dilated sweep in lockstep
+
+
+@pytest.mark.parametrize("mesh_name, low, high", [("sphere2", 1.5, 2.0),
+                                                  ("ellipsoid2", 1.2, 1.5)])
+def test_lockstep_sweep_matches_the_per_row_solves(mesh_name, low, high,
+                                                   request):
+    # results contract, stated before measuring: every row the stack
+    # reaches is accepted in lockstep, and its amplitude is within 1e-11,
+    # its |A|^2 within 1e-12, relative, of the per-row solve that sums S_w
+    # and K_w from the same stack and factors both (7.2e-13 and 8.4e-13
+    # measured, on the ellipsoid)
+    mesh = request.getfixturevalue(mesh_name)
+    spectral = spectral_data(mesh)
+    problem = make_problem(mesh, 0.05, low)
+    grid = np.round(np.arange(low, high + 1e-4, 0.02), 10)
+    sweep = frequency_sweep(problem, grid, "dilated", spectral)
+    assert sweep.warnings == []
+    stack, _ = boundary_calculus._series_stack(
+        spectral, [(0.05, w, w) for w in grid])
+    per_row = np.array([stacked_row_amplitude(make_problem(mesh, 0.05, w),
+                                              stack) for w in grid])
+    lockstep = sweep_amplitudes(sweep)
+    assert np.max(np.abs(lockstep - per_row) / np.abs(per_row)) <= 1e-11
+    abs2 = np.abs(per_row) ** 2
+    assert np.max(np.abs(sweep.column("abs2") - abs2) / abs2) <= 1e-12
+
+
+def test_a_row_the_lockstep_solve_misses_is_factored_exactly(monkeypatch):
+    # with one Krylov step no row reaches the backward error: each row is
+    # left to its own exact factorization, listed in the warnings, and the
+    # sweep has the bytes of one with no stack at all
+    problem = make_problem(SUB1, 0.05, 1.5)
+    grid = [1.5, 1.6, 1.7, 1.8]
+    monkeypatch.setattr(boundary_calculus, "_LOCKSTEP_STEPS", 1)
+    missed = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
+    assert all(row.error is None for row in missed.rows)
+    assert missed.warnings == [
+        f"lockstep sweep: omega = {w:g} solved by its own factorization "
+        "(M system: backward error above 1e-14 after 1 Krylov steps)"
+        for w in grid]
+    monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
+    exact = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
+    assert (sweep_amplitudes(missed).tobytes()
+            == sweep_amplitudes(exact).tobytes())
+
+
+def test_lockstep_rows_keep_the_per_row_guard_errors(monkeypatch):
+    # at a condition limit of 1 the centre's guard trips, every row is
+    # factored on its own, and each records the error of the sweep that
+    # reads no stack: S_w's guard, as a single dilated solve reports it
+    problem = make_problem(SUB1, 0.05, 1.5)
+    grid = [1.5, 1.6, 1.7]
+    monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
+    sweep = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
+    assert len(sweep.warnings) == len(grid)
+    assert all("(centre preconditioner: contrast matrix M at wavenumber"
+               in note for note in sweep.warnings)
+    errors = [row.error for row in sweep.rows]
+    for w, error in zip(grid, errors):
+        assert error.startswith(f"single layer S at wavenumber {0.05 * w:.6g}"
+                                ": condition number ")
+    monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
+    exact = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
+    assert errors == [row.error for row in exact.rows]
+
+
+def test_lockstep_sweep_bytes_do_not_depend_on_the_worker_count(
+        monkeypatch, sphere2, spectral2):
+    problem = make_problem(sphere2, 0.05, 1.5)
+    grid = np.round(np.arange(1.5, 2.0001, 0.02), 10)
+    amplitudes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(layer_ops, "_worker_count",
+                            lambda chunks, workers=workers: min(chunks,
+                                                                workers))
+        sweep = frequency_sweep(problem, grid, "dilated", spectral2)
+        assert sweep.warnings == []
+        amplitudes.append(sweep_amplitudes(sweep).tobytes())
+    assert amplitudes[0] == amplitudes[1]
+
+
+def test_lockstep_blocks_keep_their_rows_apart(monkeypatch):
+    # sub 1: n // 11 = 7 rows per block, so these 10 rows run as 7 + 3.
+    # One row per block gives each row's amplitude to 1e-12 relative; not
+    # to the bit, since a BLAS product or a numpy reduction may sum a
+    # column in an order that depends on how many columns the block has
+    # and where the column sits (1.5e-13 measured)
+    problem = make_problem(SUB1, 0.05, 1.5)
+    grid = np.round(np.arange(1.5, 1.951, 0.05), 10)
+    assert boundary_calculus._lockstep_width(SUB1.n_panels) == 7
+    assert len(grid) == 10
+    blocked = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
+    monkeypatch.setattr(boundary_calculus, "_lockstep_width", lambda n: 1)
+    single = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
+    assert blocked.warnings == single.warnings == []
+    a, b = sweep_amplitudes(blocked), sweep_amplitudes(single)
+    assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-12
+
+
+def test_lockstep_sweep_peak_memory(sphere2, spectral2):
+    # bound: at n = 320 a complex n x n array is 1.56 MiB.  The solve holds
+    # the centre's LU, a block's Krylov basis and the copy of its running
+    # vectors (at most one array each) and a stack product's planes and
+    # result (about one): 7 MiB.  A block holds at most n // 11 rows, so
+    # 76 rows in three blocks peak like 26 in one
+    grid = np.round(np.arange(1.5, 2.0001, 0.02), 10)
+    fine = np.round(np.arange(1.5, 2.0001, 0.02 / 3), 10)
+    stack, _ = boundary_calculus._series_stack(
+        spectral2, [(0.05, w, w) for w in fine])
+    incident = PlaneWave(np.array([0.0, 0.0, 1.0]))
+    peaks = []
+    for omegas in (grid, fine):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows = [j for j, flux, why in boundary_calculus._lockstep_flux(
+                spectral2, stack, 0.05, omegas,
+                lambda j: incident.evaluate(0.05 * sphere2.centroids,
+                                            omegas[j]))
+                    if flux is not None]
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert rows == list(range(len(omegas)))
+    assert max(peaks) <= 7 * 2 ** 20
 
 
 def test_every_factorization_consumes_its_operand(monkeypatch):
