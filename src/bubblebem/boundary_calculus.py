@@ -23,9 +23,11 @@ stack where it reaches and assembles the others exactly.  A dilated
 sweep's rows, at z == w, take no factorization where the stack reaches
 them: ``_lockstep_flux`` solves them together by GMRES, each Krylov step
 one product of the stack's terms with a block of rows, preconditioned by
-one guarded LU of M at the grid's centre and by the LU of S_0
-(docs/scaling_identities.md, "The sweep in lockstep"); a row it does not
-accept is factored on its own, exactly.
+one guarded LU of M at the grid's centre and by the LU of S_0, the blocks
+in two lanes side by side (docs/scaling_identities.md, "The sweep in
+lockstep"); a row it does not accept is factored on its own, exactly.
+Every solve passes its own copy of the pivots (``_lu_solve``), so lanes
+and tasks may share a factor.
 
 At z == w, in a solve or a sweep row factored on its own, the two
 factorizations are independent, so they run side by side, one lane each
@@ -66,6 +68,20 @@ SERIES_STACK_LIMIT = 2 ** 29
 
 class NumericalGuardError(RuntimeError):
     """A factorization exceeded the condition-number guard."""
+
+
+def _lu_solve(lu_and_piv: tuple, rhs: np.ndarray, **kwargs) -> np.ndarray:
+    """``lu_solve`` with a copy of the pivots: the one solve of the package.
+
+    scipy's LAPACK wrapper shifts the pivot array it is given to one-based
+    indices and back while it runs, so two threads that solve with one
+    factor's own pivot array corrupt each other's pivots and the heap.  A
+    factor may outlive the task that made it (S_0's in ``SpectralData``,
+    the lockstep sweep's centre LU, which both lanes read), so every solve
+    gets its own copy: O(n) per O(n^2) solve.
+    """
+    lu, piv = lu_and_piv
+    return lu_solve((lu, piv.copy()), rhs, **kwargs)
 
 
 def _guarded_lu(matrix: np.ndarray, context: str) -> tuple:
@@ -113,7 +129,10 @@ class SpectralData:
     <K_(3)> (both from one pass that sums the rows of B_2 and B_3 and keeps
     no n x n term) are computed on first use and cached; tasks that share
     one SpectralData side by side read them once they are filled, since
-    two tasks that found a cache empty would each compute it.
+    two tasks that found a cache empty would each compute it.  Every solve
+    with ``s0_lu``, the Gram fill's included, passes its own copy of the
+    pivots (``_lu_solve``): the shared pivot array is never handed to
+    LAPACK, which writes to it while it solves.
     """
 
     mesh: SurfaceMesh
@@ -151,7 +170,7 @@ class SpectralData:
             n = self.mesh.n_panels
             w = np.zeros((n, n), order="F")
             np.fill_diagonal(w, self.mesh.areas)
-            w = lu_solve(self.s0_lu, w, trans=1, overwrite_b=True)
+            w = _lu_solve(self.s0_lu, w, trans=1, overwrite_b=True)
             step = max(1, _CHUNK_PAIRS // n)
             for j in range(0, n, step):
                 cols = slice(j, j + step)
@@ -188,7 +207,7 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
     """
     lu, norm, condition = _guarded_lu(assemble_single_layer(mesh, 0.0),
                                       "static single layer")
-    q = lu_solve(lu, np.ones(mesh.n_panels))
+    q = _lu_solve(lu, np.ones(mesh.n_panels))
     cap = float(q @ mesh.areas)
     if cap <= 0:
         raise NumericalGuardError(f"nonpositive capacitance {cap:g}")
@@ -228,8 +247,8 @@ class TransmissionFactors(NamedTuple):
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """S_w^{-1} M^{-1} rhs = (M S_w)^{-1} rhs."""
         if self.s is None:
-            return lu_solve(self.s_lu, lu_solve(self.lu, rhs))
-        return lu_solve(self.lu, rhs)
+            return _lu_solve(self.s_lu, _lu_solve(self.lu, rhs))
+        return _lu_solve(self.lu, rhs)
 
     def flux(self) -> np.ndarray:
         """The interior flux of the caller's trace, solve(rhs): a density,
@@ -239,14 +258,14 @@ class TransmissionFactors(NamedTuple):
     def m_solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs, as S_w (M S_w)^{-1} rhs at z != w."""
         if self.s is None:
-            return lu_solve(self.lu, rhs)
-        return self.s @ lu_solve(self.lu, rhs)
+            return _lu_solve(self.lu, rhs)
+        return self.s @ _lu_solve(self.lu, rhs)
 
     def m_adjoint_solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-H} rhs, as (M S_w)^{-H} S_w^H rhs at z != w."""
         if self.s is not None:
             rhs = np.conj(self.s.T @ np.conj(rhs))
-        return lu_solve(self.lu, rhs, trans=2)
+        return _lu_solve(self.lu, rhs, trans=2)
 
 
 def _series_stack(spectral: SpectralData, studies) -> tuple:
@@ -451,11 +470,13 @@ _LOCKSTEP_STEPS = 10
 _LOCKSTEP_ETA = 1e-14
 
 
-def _lockstep_width(n: int) -> int:
-    """Rows per lockstep block: the Krylov basis of a block, steps + 1
-    vectors of n entries per row, holds no more than one complex n x n
-    array."""
-    return max(1, n // (_LOCKSTEP_STEPS + 1))
+def _lockstep_width(n: int, rows: int) -> int:
+    """Rows per lockstep block of a sweep of ``rows`` rows: two blocks are
+    live at once, one per lane, and their Krylov bases, steps + 1 vectors
+    of n entries per row, hold no more than one complex n x n array
+    together; and no more than half the rows, so that both lanes have a
+    block.  It depends on n and the row count only, never on the CPUs."""
+    return max(1, min(n // (2 * (_LOCKSTEP_STEPS + 1)), -(-rows // 2)))
 
 
 def _lockstep_gmres(apply, precondition, b: np.ndarray, a_norm: float,
@@ -539,13 +560,18 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
     None, or None and why the row is left to its own factorization
     (``_contrast_factors`` with no stack).
 
-    The rows are solved together, in blocks of ``_lockstep_width`` rows,
-    each by ``_lockstep_gmres`` on M_j y = (1/2 + K_{w_j}) trace, then on
-    S_{w_j} x = y, every operator the stack's products cut at the order
-    the tail bound needs at w_j (``SeriesStack.apply``), so no row sums an
-    operator or takes an LU.  M is preconditioned by the one guarded LU of
-    M at the midpoint of the contracted grid, S by ``spectral.s0_lu``; if
-    the centre's guard trips, every row is left to its own factorization.
+    The rows are cut into contiguous blocks of ``_lockstep_width`` rows,
+    each solved by ``_lockstep_gmres`` on M_j y = (1/2 + K_{w_j}) trace,
+    then on S_{w_j} x = y, every operator the stack's products cut at the
+    order the tail bound needs at w_j (``SeriesStack.apply``), so no row
+    sums an operator or takes an LU.  M is preconditioned by the one
+    guarded LU of M at the midpoint of the contracted grid, S by
+    ``spectral.s0_lu``; if the centre's guard trips, every row is left to
+    its own factorization.  The blocks run in two lanes on
+    ``layer_ops._side_by_side``, lane b solving blocks b, b + 2, ... in
+    order, each solve with its own copy of the shared pivots
+    (``_lu_solve``); the cut does not depend on the worker count, so
+    neither do the bytes.  The rows are yielded in grid order.
     """
     if stack is None:
         return
@@ -570,12 +596,11 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
 
     def s0_solve(v):
         # the real LU solves the real and imaginary planes at once
-        planes = lu_solve(spectral.s0_lu, np.ascontiguousarray(v).view(float))
+        planes = _lu_solve(spectral.s0_lu,
+                           np.ascontiguousarray(v).view(float))
         return np.ascontiguousarray(planes).view(complex)
 
-    width = _lockstep_width(n)
-    for lo in range(0, len(rows), width):
-        block = rows[lo:lo + width]
+    def solve_block(block):
         zs = np.array([ws[j] for j in block])
         traces = np.stack([trace(j) for j in block], axis=1)
 
@@ -588,19 +613,30 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
 
         rhs = stack.apply("double", zs, traces)
         rhs += 0.5 * traces
-        y, why = _lockstep_gmres(m_apply, lambda v: lu_solve(m_lu, v), rhs,
+        y, why = _lockstep_gmres(m_apply, lambda v: _lu_solve(m_lu, v), rhs,
                                  m_norm, m_condition)
         solved = [c for c, reason in enumerate(why) if reason is None]
         x, why_s = _lockstep_gmres(
             lambda cols, v: stack.apply("single", zs[solved][cols], v),
             s0_solve, y[:, solved], spectral.s0_norm, spectral.s0_condition)
+        out = []
         for c, j in enumerate(block):
             if why[c] is not None:
-                yield j, None, f"M system: {why[c]}"
+                out.append((j, None, f"M system: {why[c]}"))
                 continue
             i = solved.index(c)
-            yield ((j, x[:, i], None) if why_s[i] is None
-                   else (j, None, f"S system: {why_s[i]}"))
+            out.append((j, x[:, i], None) if why_s[i] is None
+                       else (j, None, f"S system: {why_s[i]}"))
+        return out
+
+    width = _lockstep_width(n, len(rows))
+    blocks = [rows[lo:lo + width] for lo in range(0, len(rows), width)]
+    lanes = min(2, len(blocks))
+    by_lane = _side_by_side(
+        [lambda b=b: [solve_block(block) for block in blocks[b::lanes]]
+         for b in range(lanes)], "lockstep lane")
+    for b in range(len(blocks)):
+        yield from by_lane[b % lanes][b // lanes]
 
 
 _GK_TOLERANCE = 1e-12

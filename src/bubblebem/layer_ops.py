@@ -22,8 +22,11 @@ run on ``_side_by_side``, the package's one worker pool and the one place
 threads are started: the calling thread runs the first block and a thread
 per call each other one, and every thread is joined before the pass
 returns.  The same pool runs the two factorization lanes of
-``boundary_calculus._factor_transmission`` and the ten contracted studies
-of ``cli.verification_checks``; a pool call made inside one of its tasks
+``boundary_calculus._factor_transmission``, the two lanes of row blocks of
+the lockstep sweep (``boundary_calculus._lockstep_flux``) and the ten
+contracted studies of ``cli.verification_checks``; no task hands a shared
+pivot array to ``lu_solve``, which writes to it while it solves
+(``boundary_calculus._lu_solve``).  A pool call made inside one of its tasks
 runs one task after another, so a pass inside a study runs its blocks on
 that study's worker.  Each worker chunks at ``_CHUNK_PAIRS // workers``
 (point, node) pairs, so the pairs in flight stay at ``_CHUNK_PAIRS`` per
@@ -487,7 +490,8 @@ class SeriesStack:
     panel), and K_z = Σ (iz)^n B_n with B_1 = 0, so the coefficient of z^n,
     the series coefficient operator S_(n) or K_(n), is i^n single[n] or
     i^n double[n].  Each operator's terms are one contiguous float64 block
-    of shape (order + 1, n, n), B_1 a zero slot, so the stack holds
+    of shape (order + 1, n, n), B_1 a zero slot (which ``apply`` does not
+    multiply), so the stack holds
     16 (order + 1) n^2 bytes.  S_z or K_z at the order N the tail bound
     needs for |z| * diameter is one matrix product: the 2 x (N + 1) real
     and imaginary parts of (iz)^k times the (N + 1, n^2) view of the first
@@ -547,7 +551,8 @@ class SeriesStack:
         One matrix product of the ((N + 1) n, n) view of the first N + 1
         terms, N the largest order needed, with the (n, 2 len(zs)) real view
         of the block: the terms are read once for all columns and never
-        made complex.
+        made complex.  The double layer skips its zero slot B_1, whose rows
+        of the product are 0: B_0 and B_2, ..., B_N take one product each.
         """
         zs = [_check_im(z) for z in zs]
         needed = [self._needed(z) for z in zs]
@@ -558,9 +563,13 @@ class SeriesStack:
         top = max(needed)
         terms = {"single": self.single, "double": self.double}[layer]
         n = terms.shape[1]
-        planes = (terms[:top + 1].reshape((top + 1) * n, n)
-                  @ np.ascontiguousarray(block).view(float))
-        planes = planes.view(complex).reshape(top + 1, n, len(zs))
+        real = np.ascontiguousarray(block).view(float)
+        planes = np.zeros((top + 1, n, real.shape[1]))
+        for lo, hi in ([(0, top + 1)] if layer == "single"
+                       else [(0, 1), (2, top + 1)]):
+            np.matmul(terms[lo:hi].reshape(-1, n), real,
+                      out=planes[lo:hi].reshape(-1, real.shape[1]))
+        planes = planes.view(complex)
         k = np.arange(top + 1)[:, None]
         powers = np.where(k <= needed, (1j * np.array(zs)) ** k, 0.0)
         return np.einsum("kj,knj->nj", powers, planes)

@@ -339,6 +339,27 @@ def test_series_stack_product_matches_horner(name):
                           <= 8 * np.finfo(float).eps * np.abs(horner).max())
 
 
+def test_series_stack_apply_gives_each_column_its_own_operator():
+    # apply cuts each column's series at its own order and skips the
+    # double layer's zero slot B_1: column j is the product with the
+    # operator single_layer(z_j) or double_layer(z_j) sums, within a few
+    # roundings, also where the largest order needed is 0 (z = 0) or 1
+    mesh, stack = SUB1_STACKS["ellipsoid"]
+    rng = np.random.default_rng(7)
+    assert (stack._needed(0.0), stack._needed(1e-8)) == (0, 1)
+    for zs in ([0.0], [1e-8, 0.0],
+               [0.05, 0.5 / mesh.diameter * np.exp(0.4j), 0.9 / mesh.diameter]):
+        block = (rng.normal(size=(mesh.n_panels, len(zs)))
+                 + 1j * rng.normal(size=(mesh.n_panels, len(zs))))
+        for layer, operator in (("single", stack.single_layer),
+                                ("double", stack.double_layer)):
+            got = stack.apply(layer, zs, block)
+            for j, z in enumerate(zs):
+                want = operator(z) @ block[:, j]
+                assert (np.abs(got[:, j] - want).max()
+                        <= 1e-13 * np.abs(want).max())
+
+
 def test_series_stack_product_is_deterministic():
     # two evaluations at the same z give the same bits
     mesh, stack = SUB1_STACKS["ellipsoid"]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -14,7 +15,7 @@ import bubblebem.scattering as scattering
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          expansion_residual,
                                          k2_resonance_frequency, spectral_data)
-from bubblebem.cli import RunConfig, verification_checks
+from bubblebem.cli import RunConfig, main, verification_checks
 from bubblebem.layer_ops import (assemble_double_layer, assemble_layer_pair,
                                  assemble_series_stack, assemble_single_layer,
                                  eval_single_layer_potential)
@@ -882,21 +883,67 @@ def test_lockstep_sweep_bytes_do_not_depend_on_the_worker_count(
 
 
 def test_lockstep_blocks_keep_their_rows_apart(monkeypatch):
-    # sub 1: n // 11 = 7 rows per block, so these 10 rows run as 7 + 3.
+    # sub 1: n // 22 = 3 rows per block, so these 10 rows run as
+    # 3 + 3 + 3 + 1, blocks 0 and 2 in one lane, 1 and 3 in the other.
     # One row per block gives each row's amplitude to 1e-12 relative; not
     # to the bit, since a BLAS product or a numpy reduction may sum a
     # column in an order that depends on how many columns the block has
     # and where the column sits (1.5e-13 measured)
     problem = make_problem(SUB1, 0.05, 1.5)
     grid = np.round(np.arange(1.5, 1.951, 0.05), 10)
-    assert boundary_calculus._lockstep_width(SUB1.n_panels) == 7
+    assert boundary_calculus._lockstep_width(SUB1.n_panels, len(grid)) == 3
     assert len(grid) == 10
     blocked = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
-    monkeypatch.setattr(boundary_calculus, "_lockstep_width", lambda n: 1)
+    monkeypatch.setattr(boundary_calculus, "_lockstep_width",
+                        lambda n, rows: 1)
     single = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
     assert blocked.warnings == single.warnings == []
     a, b = sweep_amplitudes(blocked), sweep_amplitudes(single)
     assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-12
+
+
+def test_lockstep_lanes_write_the_bytes_of_one_block(monkeypatch, tmp_path):
+    # 26 rows at sub 2 run as two blocks of 13, one per lane; the same
+    # sweep as one block of 26 writes the same sweep.csv, byte for byte
+    argv = ["sweep", "--icosphere", "1,2", "--eps", "0.05",
+            "--omega-grid", "1.5:2.0:0.02", "--method", "dilated"]
+    assert boundary_calculus._lockstep_width(320, 26) == 13
+    written = []
+    for width in (boundary_calculus._lockstep_width, lambda n, rows: rows):
+        monkeypatch.setattr(boundary_calculus, "_lockstep_width", width)
+        out = tmp_path / f"run{len(written)}"
+        assert main([*argv, "--out", str(out)]) == 0
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_no_solve_hands_lapack_a_stored_pivot_array(monkeypatch):
+    # LAPACK's wrapper writes to the pivot array it is given while it
+    # solves, so no solve of a lockstep sweep (both lanes share the centre
+    # LU and S_0's) or of a Gram fill gets the array kept in the factor
+    spectral = dataclasses.replace(SPECTRAL1, _gram_chol=None)
+    stored, given = [spectral.s0_lu[1]], []
+    original_lu, original_solve = (boundary_calculus._guarded_lu,
+                                   boundary_calculus.lu_solve)
+
+    def recorded_lu(matrix, context):
+        result = original_lu(matrix, context)
+        stored.append(result[0][1])
+        return result
+
+    def recorded_solve(lu_and_piv, rhs, **kwargs):
+        given.append(lu_and_piv[1])
+        return original_solve(lu_and_piv, rhs, **kwargs)
+
+    monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorded_lu)
+    monkeypatch.setattr(boundary_calculus, "lu_solve", recorded_solve)
+    sweep = frequency_sweep(make_problem(SUB1, 0.05, 1.5),
+                            [1.5, 1.6, 1.7, 1.8], "dilated", spectral)
+    assert sweep.warnings == [] and len(stored) == 2
+    spectral.gram_cholesky()
+    assert given
+    assert not any(np.shares_memory(piv, kept)
+                   for piv in given for kept in stored)
 
 
 def test_lockstep_sweep_peak_memory(sphere2, spectral2):
