@@ -11,16 +11,14 @@ from .layer_ops import (SeriesStack, assemble_double_layer,
                         assemble_layer_pair, assemble_series_stack,
                         assemble_single_layer, eval_single_layer_potential,
                         series_tail_bound, single_layer_monopole)
-from .mesh import (MeshError, SurfaceMesh, affine_transform, build_mesh,
-                   load_mesh, make_ellipsoid, make_icosphere, save_off,
-                   scale_about, surface_centroid)
-from .mie import (MieSolution, load_fixture, mie_eval, mie_monopole_amplitude,
-                  mie_partial_wave_matrix, mie_solve)
+from .mesh import (MeshError, SurfaceMesh, build_mesh, load_mesh,
+                   make_ellipsoid, make_icosphere, scale_about,
+                   surface_centroid)
+from .mie import MieSolution, mie_monopole_amplitude, mie_solve
 from .scattering import (METHODS, FieldResult, FitError, PeakFit, PlaneWave,
                          PointSource, ScatteringProblem, SweepResult,
                          SweepRow, far_field_points, frequency_sweep,
-                         green_function, interaction_operator,
-                         lorentzian_halfwidth, point_perturbation_kernel,
+                         green_function, point_perturbation_kernel,
                          resolvent_correction_kernel, resonance_peak,
                          scattered_field, scattered_field_dilated,
                          scattered_field_direct)

@@ -306,6 +306,22 @@ def _series_stack(spectral: SpectralData, studies) -> tuple:
     return assemble_series_stack(mesh, order), notes
 
 
+def _factor_contrast(k: np.ndarray, kappa: float, w: complex, z: complex,
+                     trace: np.ndarray | None = None) -> tuple:
+    """Form M = I + kappa (1/2 + K_w) from the F-ordered K_w ``k`` in place
+    and factor it in place under the guard: the right-hand side
+    (1/2 + K_w) ``trace``, taken before 1/2 + K_w becomes M, or None, and
+    ``_guarded_lu``'s ((lu, piv), anorm, condition).  ``z`` only names
+    the spectral parameter in the guard's message."""
+    n = len(k)
+    k.flat[::n + 1] += 0.5
+    rhs = None if trace is None else k @ trace
+    k *= kappa
+    k.flat[::n + 1] += 1.0
+    return rhs, _guarded_lu(k, f"contrast matrix M at wavenumber {w:.6g}, "
+                               f"spectral parameter {z:.6g}")
+
+
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
                          kappa: float, stack: SeriesStack | None = None,
                          trace: np.ndarray | None = None
@@ -338,8 +354,8 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     S_w and 1/2 + K_w F-ordered, so that each lane factors its operand
     where it lies:
     - lane S: S_w, factored in place;
-    - lane M, on the calling thread: 1/2 + K_w, the right-hand side, then
-      M = I + kappa (1/2 + K_w) in place and factored in place.
+    - lane M: 1/2 + K_w, the right-hand side, then M = I + kappa
+      (1/2 + K_w) in place and factored in place (``_factor_contrast``).
     So no more than two n x n arrays are held once the kernel pass is done.
     If both guards trip, S_w's error is raised, as in the serial order.
     Each lane's arithmetic does not depend on the other, so the factors
@@ -356,19 +372,14 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     This is the only place M or M S_w is factored for one wavenumber: the
     solvers and ``expansion_residual`` all read it from here.
     """
-    n = mesh.n_panels
-
-    def right_hand_side(half_k):
-        return None if trace is None else half_k @ trace
-
     if z != w:
         # a stacked S_w is summed once 1/2 + K_w and S_z are released, so
         # the product holds three n x n arrays
         stacked = stack is not None and stack.reaches(w)
         s, half_k = ((None, stack.double_layer(w)) if stacked
                      else assemble_layer_pair(mesh, w))
-        half_k.flat[::n + 1] += 0.5
-        rhs = right_hand_side(half_k)
+        half_k.flat[::mesh.n_panels + 1] += 0.5
+        rhs = None if trace is None else half_k @ trace
         s_z = (stack.single_layer(z) if stack is not None and stack.reaches(z)
                else assemble_single_layer(mesh, z))
         ms = np.matmul(half_k, s_z, order="F")
@@ -382,22 +393,10 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
         return TransmissionFactors(rhs, lu, s=s)
     # one kernel pass for both: it holds the two n x n results and one
     # chunk's temporaries (63.4 MiB traced at n = 1280)
-    s, half_k = assemble_layer_pair(mesh, w)
-
-    def lane_s():
-        return _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")[0]
-
-    def lane_m():
-        m = half_k
-        m.flat[::n + 1] += 0.5
-        rhs = right_hand_side(m)
-        m *= kappa
-        m.flat[::n + 1] += 1.0
-        return rhs, _guarded_lu(m, f"contrast matrix M at wavenumber "
-                                   f"{w:.6g}, spectral parameter {z:.6g}")[0]
-
-    s_lu, (rhs, lu) = _side_by_side([lane_s, lane_m], "factor lane",
-                                    caller=1)
+    s, k = assemble_layer_pair(mesh, w)
+    s_lu, (rhs, (lu, _, _)) = _side_by_side(
+        [lambda: _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")[0],
+         lambda: _factor_contrast(k, kappa, w, z, trace)], "factor lane")
     return TransmissionFactors(rhs, lu, s_lu=s_lu)
 
 
@@ -582,13 +581,8 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
     n, kappa = spectral.mesh.n_panels, eps ** -2 - 1.0
     centre = 0.5 * (ws[rows[0]] + ws[rows[-1]])
     try:
-        m = stack.double_layer(centre)
-        m.flat[::n + 1] += 0.5
-        m *= kappa
-        m.flat[::n + 1] += 1.0
-        m_lu, m_norm, m_condition = _guarded_lu(
-            m, f"contrast matrix M at wavenumber {centre:.6g}, spectral "
-               f"parameter {centre:.6g}")
+        _, (m_lu, m_norm, m_condition) = _factor_contrast(
+            stack.double_layer(centre), kappa, centre, centre)
     except (NumericalGuardError, ValueError) as exc:
         for j in rows:
             yield j, None, f"centre preconditioner: {exc}"

@@ -230,12 +230,21 @@ def _apply(cfg: RunConfig, given: list) -> None:
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults (with $BUBBLEBEM_OUTDIR as the default output directory),
-    then the config file at ``path``, then the flags.  A config key that no
-    row of ``_SETTINGS`` declares is a usage error."""
+    then the config file at ``path``, then the flags.  A config file that
+    is not UTF-8 INI, and a config key that no row of ``_SETTINGS``
+    declares, are usage errors.  Values are taken literally: a ``%`` is
+    not an interpolation."""
     cfg = RunConfig(output_dir=os.environ.get(OUTDIR_ENV) or ".")
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not parser.read(path):
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
+        try:
+            found = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # configparser's messages span lines; the error line is one
+            raise UsageError(f"config file {path!r}: "
+                             f"{' '.join(str(exc).split())}") from None
+        if not found:
             raise UsageError(f"config file {path!r} not found")
         known = {(s.section, s.key) for s in _SETTINGS}
         # [DEFAULT] comes first and declares no setting, so a key there

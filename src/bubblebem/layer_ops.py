@@ -19,13 +19,14 @@ chunks against all quadrature nodes, each chunk handed to a chunk body;
 are cut into contiguous row blocks, one per CPU in the process's affinity
 mask but never more than the chunks a serial pass would make.  The blocks
 run on ``_side_by_side``, the package's one worker pool and the one place
-threads are started: the calling thread runs the first block and a thread
-per call each other one, and every thread is joined before the pass
-returns.  The same pool runs the two factorization lanes of
-``boundary_calculus._factor_transmission``, the two lanes of row blocks of
-the lockstep sweep (``boundary_calculus._lockstep_flux``) and the ten
-contracted studies of ``cli.verification_checks``; no task hands a shared
-pivot array to ``lu_solve``, which writes to it while it solves
+threads are started: in every call the calling thread runs the first task
+(here, block) and a thread per call each other one, and every thread is
+joined before the call returns.  The same pool runs the two factorization
+lanes of ``boundary_calculus._factor_transmission`` (lane S first, so on
+the calling thread), the two lanes of row blocks of the lockstep sweep
+(``boundary_calculus._lockstep_flux``) and the ten contracted studies of
+``cli.verification_checks``; no task hands a shared pivot array to
+``lu_solve``, which writes to it while it solves
 (``boundary_calculus._lu_solve``).  A pool call made inside one of its tasks
 runs one task after another, so a pass inside a study runs its blocks on
 that study's worker.  Each worker chunks at ``_CHUNK_PAIRS // workers``
@@ -251,15 +252,14 @@ def _row_chunks(targets: np.ndarray, nodes: np.ndarray,
 _in_task = threading.local()
 
 
-def _side_by_side(tasks: list, name: str, caller: int = 0) -> list:
+def _side_by_side(tasks: list, name: str) -> list:
     """The results of ``tasks``, calls without arguments, in task order:
     the package's one worker pool, and the one place threads are started.
 
     N tasks run on W = ``_worker_count(N)`` workers, or on one for a call
     made inside a task, so workers never nest.  Worker b runs tasks b,
     b + W, b + 2W, ... in that order and stops at its first error.  The
-    calling thread is worker ``caller`` mod W, so it runs ``tasks[caller]``
-    first when ``caller`` < W; each other worker is a ``threading.Thread``
+    calling thread is worker 0; each other worker is a ``threading.Thread``
     named ``bubblebem <name> <b>``.  With one worker the tasks run on the
     calling thread in index order, the first error stopping them.  Every
     thread is joined before the call returns, on error too, and the error
@@ -282,16 +282,14 @@ def _side_by_side(tasks: list, name: str, caller: int = 0) -> list:
         finally:
             _in_task.active = nested
 
-    home = caller % workers
     threads = []
     try:
-        for worker in range(workers):
-            if worker != home:
-                thread = threading.Thread(target=run, args=(worker,),
-                                          name=f"bubblebem {name} {worker}")
-                thread.start()
-                threads.append(thread)
-        run(home)
+        for worker in range(1, workers):
+            thread = threading.Thread(target=run, args=(worker,),
+                                      name=f"bubblebem {name} {worker}")
+            thread.start()
+            threads.append(thread)
+        run(0)
     finally:
         for thread in threads:
             thread.join()

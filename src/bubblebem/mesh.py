@@ -23,9 +23,13 @@ MAX_SUBDIVISIONS = 7
 # Do not shrink it.  Chunk temporaries at least as large as one n = 320
 # complex matrix (1.6 MB) likely raise glibc's dynamic mmap threshold, so
 # later n x n temporaries come from the heap, not from fresh page-faulted
-# mmaps: at a quarter of this size, 26 stack-read S/K factor sets at
-# n = 320 took about a third longer (medians of 4 runs, 0.26 -> 0.34 s, on
-# 2 cores), though they run no chunked pass.
+# mmaps.  Measured when S_w and K_w first shared one kernel pass and a
+# dilated sweep still factored each row from its series stack: at a
+# quarter of this size, 26 such stack-read S/K factor sets at n = 320
+# took about a third longer (medians of 4 runs, 0.26 -> 0.34 s, on 2
+# cores), though they run no chunked pass.  A dilated sweep's stacked
+# rows no longer take factors (they are solved in lockstep), and the
+# effect has not been re-measured on today's paths.
 _CHUNK_PAIRS = 245_760
 
 
@@ -244,24 +248,6 @@ def make_ellipsoid(semi_axes: tuple[float, float, float],
     return build_mesh(sphere.vertices * np.array([a, b, c]), sphere.triangles)
 
 
-def affine_transform(mesh: SurfaceMesh, matrix: np.ndarray | None = None,
-                     shift: np.ndarray | None = None) -> SurfaceMesh:
-    """Rebuild the mesh with vertices mapped through x -> matrix @ x + shift.
-
-    The linear part must be orientation-preserving (det > 0); the rebuilt
-    mesh is re-validated from scratch.
-    """
-    v = mesh.vertices
-    if matrix is not None:
-        matrix = np.asarray(matrix, dtype=float)
-        if np.linalg.det(matrix) <= 0:
-            raise MeshError("transform must preserve orientation (det > 0)")
-        v = v @ matrix.T
-    if shift is not None:
-        v = v + np.asarray(shift, dtype=float)
-    return build_mesh(v, mesh.triangles)
-
-
 def scale_about(mesh: SurfaceMesh, factor: float, center: np.ndarray) -> SurfaceMesh:
     """Uniform scaling x -> center + factor * (x - center)."""
     if factor <= 0:
@@ -388,14 +374,3 @@ def _parse_obj(text: str) -> tuple[list, list]:
     if not vertices or not triangles:
         raise MeshError("OBJ file contains no usable v/f records")
     return vertices, triangles
-
-
-def save_off(mesh: SurfaceMesh, path: str) -> None:
-    """Write the mesh as ASCII OFF (round-trips through load_mesh)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")

@@ -11,15 +11,19 @@ each angular degree couples through a 2x2 transmission system:
 
 with x = omega * eps * radius evaluated at the physical interface, j_l the
 spherical Bessel function and h_l the outgoing spherical Hankel function.
+
+The package keeps the coefficient solve, ``mie_solve``, and the monopole
+amplitude, ``mie_monopole_amplitude``, because the benchmark's solve and
+sweep gates compare against them; the tests' field evaluation,
+partial-wave check and frozen fixtures live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn, spherical_yn
+from scipy.special import spherical_jn, spherical_yn
 
 
 @dataclass(frozen=True)
@@ -94,67 +98,6 @@ def mie_solve(radius: float, eps: float, omega: float, order: int) -> MieSolutio
                        order=int(order), a=a, b=b, system_residuals=residuals)
 
 
-def mie_eval(solution: MieSolution,
-             points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scattered field at exterior points, with a truncation-error bound.
-
-    Returns (values, bound) where bound is the magnitude of the last
-    retained term maximized over the evaluation points.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.linalg.norm(points, axis=1)
-    if np.any(r <= solution.physical_radius):
-        bad = int(np.argmin(r))
-        raise ValueError(f"point {bad} at radius {r[bad]:.3g} is inside the "
-                         f"sphere (radius {solution.physical_radius:.3g})")
-    mu = points[:, 2] / r
-    values = np.zeros(len(points), dtype=complex)
-    last = np.zeros(len(points))
-    for l in range(solution.order + 1):
-        radial = solution.b[l] * (spherical_jn(l, solution.omega * r)
-                                  + 1j * spherical_yn(l, solution.omega * r))
-        contrib = radial * eval_legendre(l, mu)
-        values += contrib
-        last = np.abs(contrib)
-    return values, float(last.max())
-
-
 def mie_monopole_amplitude(solution: MieSolution) -> complex:
     """Coefficient A of e^{i omega r}/(4 pi r) in the far scattered field."""
     return -4j * np.pi * solution.b[0] / solution.omega
-
-
-def mie_partial_wave_matrix(solution: MieSolution) -> np.ndarray:
-    """Per-degree combination 1 + 2 b_l / (i^l (2l+1)).
-
-    For real frequencies the problem is lossless and each entry has unit
-    modulus; useful as an energy sanity check.
-    """
-    ls = np.arange(solution.order + 1)
-    return 1.0 + 2.0 * solution.b / ((1j ** ls) * (2 * ls + 1))
-
-
-# ----------------------------------------------------------------------------
-# Frozen fixtures: the oracle outputs are pinned once so regressions in the
-# solver stack are caught against stored coefficients, not a rerun.  To
-# regenerate one, write fixture_payload(mie_solve(R, eps, omega, L)) to its
-# file and add the payload's sha256 to tests/fixtures/checksums.json.
-
-
-def fixture_payload(solution: MieSolution) -> str:
-    record = {
-        "R": float(solution.radius),
-        "eps": float(solution.eps),
-        "omega": float(solution.omega),
-        "L": int(solution.order),
-        "b": [[float(f"{c.real:.17g}"), float(f"{c.imag:.17g}")]
-              for c in solution.b],
-    }
-    return json.dumps(record, indent=1, sort_keys=True)
-
-
-def load_fixture(path: str) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        record = json.load(fh)
-    record["b"] = np.array([complex(re, im) for re, im in record["b"]])
-    return record

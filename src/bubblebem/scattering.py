@@ -228,26 +228,7 @@ def _field_result(problem, points, scattered_at, amplitude, method, spectral):
 
 
 # ----------------------------------------------------------------------------
-# Interaction operator and the two solver routes
-
-
-def interaction_operator(problem: ScatteringProblem, z: complex) -> np.ndarray:
-    """Frequency-dependent boundary operator of the resolvent difference:
-
-        eps (1 - eps^2) (eps^2 + (1 - eps^2) DN_{eps w} S_{eps z})^{-1} DN_{eps w}
-          = eps kappa S_{eps w}^{-1} M^{-1} (1/2 + K_{eps w}),
-
-    assembled exactly from the discrete contracted-wavenumber operators
-    (M as in ``boundary_calculus._factor_transmission``): an (n, n) array
-    on the reference mesh that takes a trace to a charge, a density.  Its
-    right-hand side is (1/2 + K_{eps w}) I, the bits of 1/2 + K_{eps w},
-    since products with 1 and 0 are exact.  At z != w,
-    S_{eps w}^{-1} M^{-1} = (M S_{eps w})^{-1}, so the n-column solve runs
-    through that one LU.
-    """
-    return problem.eps * problem.kappa * _contrast_factors(
-        problem.mesh, problem.eps, problem.omega, z,
-        trace=np.eye(problem.mesh.n_panels)).flux()
+# The two solver routes
 
 
 def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
@@ -373,12 +354,6 @@ def scattered_field(problem: ScatteringProblem, points: np.ndarray, method: str,
         problem, points,
         lambda pts: amplitude * green_function(problem.omega, pts - problem.y0),
         amplitude, method, spectral)
-
-
-def lorentzian_halfwidth(eps: float, spectral: SpectralData) -> float:
-    """Half-width in omega^2 of the uniform amplitude at resonance:
-    eps * omega_M^3 * capacitance / 4 pi."""
-    return eps * spectral.minnaert_omega ** 3 * spectral.capacitance / (4 * np.pi)
 
 
 # ----------------------------------------------------------------------------

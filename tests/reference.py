@@ -1,24 +1,32 @@
-"""Reference algebra the tests compare the solvers against.
+"""Reference algebra the tests compare the solvers against, and the
+helpers only tests call.
 
 The package never forms these quantities: it factors S and the contrast
 matrix M instead of building the Dirichlet-to-Neumann map or keeping M,
 and applies the S_0^{-1} product through ``SpectralData``.  Each helper
 writes the explicit form out once, so a test can check a solver's shortcut
-against it.
+against it.  The package keeps only what its commands and the benchmark
+run, so the rest lives here too: the dense interaction operator, the
+resonance half-width, an affine mesh map and an OFF writer, and the Mie
+oracle's field evaluation, partial-wave check and frozen fixtures.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
-from bubblebem.boundary_calculus import (SpectralData, _discrete_coefficients,
+from bubblebem.boundary_calculus import (SpectralData, _contrast_factors,
+                                         _discrete_coefficients,
                                          _factor_transmission, _guarded_lu,
                                          check_eps)
 from bubblebem.layer_ops import (SeriesStack, _check_im, _series_order,
                                  assemble_double_layer, assemble_layer_pair,
                                  assemble_single_layer, single_layer_monopole)
-from bubblebem.mesh import SurfaceMesh
+from bubblebem.mesh import MeshError, SurfaceMesh, build_mesh
+from bubblebem.mie import MieSolution
 from bubblebem.scattering import (ScatteringProblem, far_field_points,
                                   scattered_field_dilated)
 
@@ -221,3 +229,125 @@ def radiation_defect(problem: ScatteringProblem, step: float = 1e-4) -> float:
     du = (fld.scattered[n:] - fld.scattered[:n]) / step
     defect = np.abs(du - 1j * problem.omega * fld.scattered[:n])
     return float(defect.max() * radius / np.abs(fld.scattered[:n]).max())
+
+
+def interaction_operator(problem: ScatteringProblem, z: complex) -> np.ndarray:
+    """Frequency-dependent boundary operator of the resolvent difference:
+
+        eps (1 - eps^2) (eps^2 + (1 - eps^2) DN_{eps w} S_{eps z})^{-1} DN_{eps w}
+          = eps kappa S_{eps w}^{-1} M^{-1} (1/2 + K_{eps w}),
+
+    assembled exactly from the discrete contracted-wavenumber operators
+    (M as in ``boundary_calculus._factor_transmission``): an (n, n) array
+    on the reference mesh that takes a trace to a charge, a density.  Its
+    right-hand side is (1/2 + K_{eps w}) I, the bits of 1/2 + K_{eps w},
+    since products with 1 and 0 are exact.  At z != w,
+    S_{eps w}^{-1} M^{-1} = (M S_{eps w})^{-1}, so the n-column solve runs
+    through that one LU.
+    """
+    return problem.eps * problem.kappa * _contrast_factors(
+        problem.mesh, problem.eps, problem.omega, z,
+        trace=np.eye(problem.mesh.n_panels)).flux()
+
+
+def lorentzian_halfwidth(eps: float, spectral: SpectralData) -> float:
+    """Half-width in omega^2 of the uniform amplitude at resonance:
+    eps * omega_M^3 * capacitance / 4 pi."""
+    return eps * spectral.minnaert_omega ** 3 * spectral.capacitance / (4 * np.pi)
+
+
+# ----------------------------------------------------------------------------
+# Meshes
+
+
+def affine_transform(mesh: SurfaceMesh, matrix: np.ndarray | None = None,
+                     shift: np.ndarray | None = None) -> SurfaceMesh:
+    """Rebuild the mesh with vertices mapped through x -> matrix @ x + shift.
+
+    The linear part must be orientation-preserving (det > 0); the rebuilt
+    mesh is re-validated from scratch.
+    """
+    v = mesh.vertices
+    if matrix is not None:
+        matrix = np.asarray(matrix, dtype=float)
+        if np.linalg.det(matrix) <= 0:
+            raise MeshError("transform must preserve orientation (det > 0)")
+        v = v @ matrix.T
+    if shift is not None:
+        v = v + np.asarray(shift, dtype=float)
+    return build_mesh(v, mesh.triangles)
+
+
+def save_off(mesh: SurfaceMesh, path: str) -> None:
+    """Write the mesh as ASCII OFF (round-trips through load_mesh)."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} 0\n")
+        for v in mesh.vertices:
+            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for t in mesh.triangles:
+            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+
+
+# ----------------------------------------------------------------------------
+# The Mie oracle beyond the coefficient solve
+
+
+def mie_eval(solution: MieSolution,
+             points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scattered field at exterior points, with a truncation-error bound.
+
+    Returns (values, bound) where bound is the magnitude of the last
+    retained term maximized over the evaluation points.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.linalg.norm(points, axis=1)
+    if np.any(r <= solution.physical_radius):
+        bad = int(np.argmin(r))
+        raise ValueError(f"point {bad} at radius {r[bad]:.3g} is inside the "
+                         f"sphere (radius {solution.physical_radius:.3g})")
+    mu = points[:, 2] / r
+    values = np.zeros(len(points), dtype=complex)
+    last = np.zeros(len(points))
+    for l in range(solution.order + 1):
+        radial = solution.b[l] * (spherical_jn(l, solution.omega * r)
+                                  + 1j * spherical_yn(l, solution.omega * r))
+        contrib = radial * eval_legendre(l, mu)
+        values += contrib
+        last = np.abs(contrib)
+    return values, float(last.max())
+
+
+def mie_partial_wave_matrix(solution: MieSolution) -> np.ndarray:
+    """Per-degree combination 1 + 2 b_l / (i^l (2l+1)).
+
+    For real frequencies the problem is lossless and each entry has unit
+    modulus; useful as an energy sanity check.
+    """
+    ls = np.arange(solution.order + 1)
+    return 1.0 + 2.0 * solution.b / ((1j ** ls) * (2 * ls + 1))
+
+
+# Frozen fixtures: the oracle outputs are pinned once so regressions in the
+# solver stack are caught against stored coefficients, not a rerun.  To
+# regenerate one, write fixture_payload(mie_solve(R, eps, omega, L)) to its
+# file and add the payload's sha256 to tests/fixtures/checksums.json.
+
+
+def fixture_payload(solution: MieSolution) -> str:
+    record = {
+        "R": float(solution.radius),
+        "eps": float(solution.eps),
+        "omega": float(solution.omega),
+        "L": int(solution.order),
+        "b": [[float(f"{c.real:.17g}"), float(f"{c.imag:.17g}")]
+              for c in solution.b],
+    }
+    return json.dumps(record, indent=1, sort_keys=True)
+
+
+def load_fixture(path: str) -> dict:
+    with open(path, "r", encoding="ascii") as fh:
+        record = json.load(fh)
+    record["b"] = np.array([complex(re, im) for re, im in record["b"]])
+    return record

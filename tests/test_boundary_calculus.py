@@ -20,9 +20,10 @@ from bubblebem.boundary_calculus import (NumericalGuardError,
                                          spectral_data)
 from bubblebem.layer_ops import (assemble_double_layer, assemble_layer_pair,
                                  assemble_series_stack, assemble_single_layer)
-from bubblebem.mesh import affine_transform, make_ellipsoid, make_icosphere
-from reference import (contrast_matrix, dirichlet_to_neumann, s0_inner,
-                       s0_operator_norm, schur_blocks)
+from bubblebem.mesh import make_ellipsoid, make_icosphere
+from reference import (affine_transform, contrast_matrix,
+                       dirichlet_to_neumann, s0_inner, s0_operator_norm,
+                       schur_blocks)
 
 
 # ----------------------------------------------------------------------------
@@ -317,8 +318,8 @@ def test_factor_lanes_give_the_factors_of_the_assembled_arrays(
         monkeypatch, subdivisions, stacked, lanes):
     # at z == w, S_w and M are factored in place in two lanes, side by side
     # only when two CPUs are usable: the factors are lu_factor's of the
-    # separately assembled S_w and M, bit for bit, either way, and only
-    # lane S ever leaves the calling thread.  A series stack that reaches
+    # separately assembled S_w and M, bit for bit, either way, and the
+    # lanes run on two threads only then.  A series stack that reaches
     # w is not read at z == w (a sweep's stacked rows run in lockstep), so
     # with one given the factors are still those of the exact arrays
     mesh = make_icosphere(1.0, subdivisions)
@@ -352,9 +353,8 @@ def test_factor_lanes_give_the_factors_of_the_assembled_arrays(
                                      @ trace).tobytes()
     block = _factor_transmission(mesh, w, w, kappa, stack, np.eye(n)).rhs
     assert block.tobytes() == half_k.tobytes()
-    caller = threading.current_thread()
-    assert threads["contrast matrix M"] is caller
-    assert (threads["single layer S"] is caller) == (lanes == 1)
+    assert ((threads["contrast matrix M"] is threads["single layer S"])
+            == (lanes == 1))
 
 
 @pytest.mark.parametrize("m_first", [False, True])

@@ -16,7 +16,8 @@ from bubblebem import scattering as sc
 from bubblebem.boundary_calculus import spectral_data
 from bubblebem.cli import (EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                            RunConfig, main, verification_checks)
-from bubblebem.mesh import make_icosphere, save_off
+from bubblebem.mesh import make_icosphere
+from reference import load_fixture, save_off
 
 
 def run(tmp_path, *args):
@@ -119,7 +120,6 @@ def test_solve_method_equivalence(tmp_path):
 
 def test_solve_matches_stored_oracle_fixture(tmp_path):
     from conftest import FIXTURE_DIR
-    from bubblebem.mie import load_fixture
     record = load_fixture(os.path.join(FIXTURE_DIR,
                                        "mie_R1_eps0.05_w1.000000.json"))
     reference = -4j * np.pi * record["b"][0] / record["omega"]
@@ -324,6 +324,10 @@ def test_usage_errors(tmp_path):
     ("solve", ["--config", "[run]\nmetod = direct\n"]),
     ("solve", ["--config", "[bogus]\nx = 1\n"]),
     ("verify", ["--config", "[tolerances]\nexpansion_ratio_high = 5\n"]),
+    ("solve", ["--config", "omega = 1.3\n"]),
+    ("solve", ["--config", "[run]\nmethod = uniform\n[run]\n"]),
+    ("solve", ["--config", "[run]\nmethod = uniform\nmethod = direct\n"]),
+    ("solve", ["--config", b"[run]\nmethod = unif\xffrm\n"]),
 ])
 def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                              command, bad):
@@ -336,7 +340,8 @@ def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
     save_off(make_icosphere(1.0, 0), "m.off")
     if bad[0:1] == ["--config"]:
         path = tmp_path / "run.ini"
-        path.write_text(bad[1])
+        path.write_bytes(bad[1] if isinstance(bad[1], bytes)
+                         else bad[1].encode())
         bad = ["--config", str(path)]
     args = [command, "--icosphere", "1.0,0", "--eps", "0.05"]
     if command == "solve" and "--omega" not in bad:
@@ -444,9 +449,9 @@ def test_config_file_round_trip(tmp_path):
         "plane_wave = 0, 0, 1\n"
         "[run]\n"
         "method = uniform\n"
-        f"output_dir = {tmp_path}\n")
+        f"output_dir = {tmp_path / 'a%b'}\n")
     assert main(["solve", "--config", str(cfg_path)]) == EXIT_OK
-    with open(tmp_path / "manifest.json") as fh:
+    with open(tmp_path / "a%b" / "manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["config"]["method"] == "uniform"
 

@@ -8,6 +8,7 @@ import pytest
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src", "bubblebem")
+PERFBENCH = os.path.join(os.path.dirname(TESTS), "perfbench")
 # module name -> path: the package modules but __init__, and every test file
 FILES = {os.path.basename(path)[:-3]: path
          for folder in (SRC, TESTS)
@@ -19,10 +20,14 @@ FILES = {os.path.basename(path)[:-3]: path
 KEPT = {("scattering", "assemble_single_layer")}
 
 
+def _parse(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
 def unused_imports(module: str) -> list[str]:
     """Names a module imports and never reads."""
-    with open(FILES[module], encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(FILES[module])
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -38,8 +43,7 @@ def unused_imports(module: str) -> list[str]:
 def private_reads(module: str) -> list[str]:
     """Reads of another object's private attribute, ``x._name``: reads
     through ``self`` or ``cls`` and dunders are not counted."""
-    with open(FILES[module], encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(FILES[module])
     return sorted(
         f"{ast.unparse(node.value)}.{node.attr}" for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
@@ -75,8 +79,7 @@ def test_cli_does_not_load_scipy_optimize():
 def thread_starts(module: str) -> tuple[bool, list[str]]:
     """Whether a module imports ``threading``, and the top-level function
     around each ``threading.Thread(...)`` it constructs."""
-    with open(FILES[module], encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(FILES[module])
     imports = any(
         isinstance(node, ast.Import)
         and any(alias.name == "threading" for alias in node.names)
@@ -100,3 +103,41 @@ def test_threads_start_in_one_place():
         "layer_ops"}
     assert {m: owners for m, (_, owners) in found.items() if owners} == {
         "layer_ops": ["_side_by_side"]}
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names read under ``tree`` as an ``ast.Name`` or an ``ast.Attribute``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_public_names() -> list[str]:
+    """Top-level public functions and classes of the package that neither
+    package code outside their own definition and ``__init__`` nor a
+    ``perfbench`` file (its ``from bubblebem... import`` names and its
+    attribute reads) references."""
+    bench = set()
+    for path in sorted(glob.glob(os.path.join(PERFBENCH, "*.py"))):
+        tree = _parse(path)
+        bench |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        bench |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("bubblebem")
+                  for alias in node.names}
+    # every top-level statement of the package, with the names it reads
+    tops = [(module, top, _reads(top)) for module, path in FILES.items()
+            if path.startswith(SRC) for top in _parse(path).body]
+    return sorted(
+        f"{module}.{top.name}" for module, top, _ in tops
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not top.name.startswith("_") and top.name not in bench
+        and not any(top.name in names for _, other, names in tops
+                    if other is not top))
+
+
+def test_every_public_name_has_a_caller():
+    # the library keeps only what its callers run: a helper only tests
+    # call lives in tests/reference.py
+    assert unreferenced_public_names() == []

@@ -16,9 +16,8 @@ from bubblebem.layer_ops import (SERIES_MAX_ORDER, SERIES_TAIL_TARGET,
                                  panel_quadrature, series_tail_bound,
                                  single_layer_monopole,
                                  triangle_inverse_distance_integral)
-from bubblebem.mesh import (affine_transform, make_ellipsoid, make_icosphere,
-                            scale_about)
-from reference import series_horner
+from bubblebem.mesh import make_ellipsoid, make_icosphere, scale_about
+from reference import affine_transform, series_horner
 
 
 def duality_opnorm_gap(mesh, matrix):

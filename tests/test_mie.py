@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from bubblebem.mie import (fixture_payload, load_fixture, mie_eval,
-                           mie_monopole_amplitude, mie_partial_wave_matrix,
-                           mie_solve)
+from bubblebem.mie import mie_monopole_amplitude, mie_solve
 
 from conftest import FIXTURE_DIR
+from reference import (fixture_payload, load_fixture, mie_eval,
+                       mie_partial_wave_matrix)
 
 
 def test_no_contrast_means_no_scattering():
