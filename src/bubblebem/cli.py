@@ -232,20 +232,23 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults (with $BUBBLEBEM_OUTDIR as the default output directory),
     then the config file at ``path``, then the flags.  A config file that
     is not UTF-8 INI, and a config key that no row of ``_SETTINGS``
-    declares, are usage errors.  Values are taken literally: a ``%`` is
+    declares, are usage errors, and so is a path that cannot be read as a
+    file, with the system's reason.  Values are taken literally: a ``%`` is
     not an interpolation."""
     cfg = RunConfig(output_dir=os.environ.get(OUTDIR_ENV) or ".")
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                            interpolation=None)
         try:
-            found = parser.read(path, encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except OSError as exc:
+            # the reason alone: the exception's text repeats the path
+            raise UsageError(f"config file {path!r}: {exc.strerror}") from None
         except (configparser.Error, UnicodeDecodeError) as exc:
             # configparser's messages span lines; the error line is one
             raise UsageError(f"config file {path!r}: "
                              f"{' '.join(str(exc).split())}") from None
-        if not found:
-            raise UsageError(f"config file {path!r} not found")
         known = {(s.section, s.key) for s in _SETTINGS}
         # [DEFAULT] comes first and declares no setting, so a key there
         # fails before it shows up in every other section

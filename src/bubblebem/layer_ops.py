@@ -702,7 +702,7 @@ def eval_single_layer_potential(mesh: SurfaceMesh, density: np.ndarray,
 
 
 def single_layer_monopole(mesh: SurfaceMesh, density: np.ndarray,
-                          z: complex, center: np.ndarray) -> complex:
+                          z, center: np.ndarray):
     """The l = 0 coefficient A about ``center`` of the single-layer
     potential of a density q (per-panel coefficients):
     SL_z[q](x) = A G_z(x - center) + (terms of order l >= 1)
@@ -712,10 +712,20 @@ def single_layer_monopole(mesh: SurfaceMesh, density: np.ndarray,
     j_0(z |y - center|) G_z(x - center), j_0(t) = sin t / t
     = ``np.sinc(t / π)``, so A = Σ_j q_j ∫_{T_j} j_0(z |y - center|) dσ(y),
     summed with the panel rule of ``eval_single_layer_potential``.
+
+    A block of densities, one per row, takes one wavenumber per row in
+    ``z`` and gives the array of their coefficients; the rows share the
+    quadrature nodes' distances to the center.
     """
     nodes, weights = panel_quadrature(mesh)
-    zr = _check_im(z) * np.linalg.norm(nodes - center, axis=2)
-    return complex(np.sum(np.sinc(zr / np.pi) * weights, axis=1) @ density)
+    r = np.linalg.norm(nodes - center, axis=2)
+    density = np.asarray(density)
+    amplitudes = [
+        complex(np.sum(np.sinc(_check_im(zj) * r / np.pi) * weights, axis=1)
+                @ q)
+        for zj, q in zip(np.atleast_1d(z), np.atleast_2d(density),
+                         strict=True)]
+    return amplitudes[0] if density.ndim == 1 else np.array(amplitudes)
 
 
 def _check_clearance(mesh: SurfaceMesh, points: np.ndarray) -> None:

@@ -18,8 +18,10 @@ stack, built by the rule it shares with ``verify``
 (``boundary_calculus._series_stack``), and solves the rows the stack
 reaches together, by Krylov passes over the stack preconditioned by one
 factorization at the grid's centre (``boundary_calculus._lockstep_flux``).
-``scipy.optimize`` is loaded only by the peak fit, ``resonance_peak``, so
-a command that fits no peak does not pay for it.
+The peak fit, ``resonance_peak``, is a Levenberg-Marquardt fit written
+in numpy (``_lorentzian_fit``), so no command loads ``scipy.optimize``
+and a process that fits a peak keeps no optimizer resident for the sweeps
+after it.
 """
 
 from __future__ import annotations
@@ -264,15 +266,17 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     charge, potential = _dilated_solve(
         problem, omega, lambda pts: problem.incident.evaluate(pts, omega))
     return _field_result(problem, points, potential,
-                         _dilated_amplitude(problem, charge), "dilated",
-                         spectral)
+                         _dilated_amplitude(problem, charge, omega),
+                         "dilated", spectral)
 
 
-def _dilated_amplitude(problem: ScatteringProblem, charge) -> complex:
-    """The monopole amplitude of the dilated route's reference-mesh charge:
-    -Σ_j charge_j ∫_{T_j} j_0(eps w |y - y0|) dσ."""
+def _dilated_amplitude(problem: ScatteringProblem, charge, omega):
+    """The monopole amplitude of the dilated route's reference-mesh charge
+    at frequency ``omega``: -Σ_j charge_j ∫_{T_j} j_0(eps w |y - y0|) dσ.
+    A block of charges, one row per frequency in ``omega``, gives the array
+    of their amplitudes."""
     return -single_layer_monopole(problem.mesh, charge,
-                                  problem.eps * problem.omega, problem.y0)
+                                  problem.eps * np.asarray(omega), problem.y0)
 
 
 def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
@@ -416,6 +420,7 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
         stack, notes = _series_stack(
             spectral, [(sub.eps, sub.omega, sub.omega) for sub in subs])
         centroids = problem.dilate(problem.mesh.centroids)
+        fluxes = {}
         for j, flux, why in _lockstep_flux(
                 spectral, stack, problem.eps, grid,
                 lambda j: problem.incident.evaluate(centroids, grid[j])):
@@ -423,9 +428,13 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                 notes.append(f"lockstep sweep: omega = {grid[j]:g} solved by "
                              f"its own factorization ({why})")
             else:
-                sub = subs[j]
-                amplitudes[j] = _dilated_amplitude(
-                    sub, sub.eps * sub.kappa * flux)
+                fluxes[j] = flux
+        if fluxes:
+            # one monopole pass for every lockstep row's charge
+            amplitudes = dict(zip(fluxes, map(complex, _dilated_amplitude(
+                problem,
+                problem.eps * problem.kappa * np.array([*fluxes.values()]),
+                [grid[j] for j in fluxes]))))
 
     def one(j: int, sub: ScatteringProblem) -> SweepRow:
         try:
@@ -459,16 +468,113 @@ class PeakFit:
     covariance: np.ndarray
 
 
+# The Lorentzian fit: the steps it may take, and the relative change of
+# every parameter below which a step ends it
+_FIT_STEPS = 500
+_FIT_XTOL = 1e-9
+
+
+def _solve_spd3(a, b):
+    """x with a x = b, by Cholesky, for a symmetric 3 x 3 ``a`` given as
+    nested lists (its upper triangle is read); None if a pivot is not
+    positive."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+    if not a00 > 0:
+        return None
+    l00 = math.sqrt(a00)
+    l10, l20 = a01 / l00, a02 / l00
+    d11 = a11 - l10 * l10
+    if not d11 > 0:
+        return None
+    l11 = math.sqrt(d11)
+    l21 = (a12 - l20 * l10) / l11
+    d22 = a22 - l20 * l20 - l21 * l21
+    if not d22 > 0:
+        return None
+    l22 = math.sqrt(d22)
+    y0 = b[0] / l00
+    y1 = (b[1] - l10 * y0) / l11
+    x2 = (b[2] - l20 * y0 - l21 * y1) / l22 / l22
+    x1 = (y1 - l21 * x2) / l11
+    return (y0 - l10 * x1 - l20 * x2) / l00, x1, x2
+
+
+def _lorentzian_fit(x: np.ndarray, y: np.ndarray,
+                    p0) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of h / (1 + ((x - c) / w)^2) to the points (x, y)
+    from p0 = (c, w, h), and the covariance of (c, w, h).
+
+    Levenberg-Marquardt with the analytic Jacobian J: each step solves
+    (J^T J + mu D) step = -J^T r, D the diagonal of J^T J (Marquardt's
+    scaling), and mu follows Nielsen's rule (Madsen, Nielsen and Tingleff,
+    "Methods for non-linear least squares problems", 2004): after a step
+    that lowers the sum of squared residuals (SSR) it is scaled by
+    max(1/3, 1 - (2 rho - 1)^3), rho (at most 1) the fall in SSR over the
+    fall the linear model predicts; after one that does not it grows by a
+    factor that doubles with each such step in a row.  The fit ends once a
+    step moves no parameter by more than ``_FIT_XTOL`` of its value; a step
+    that cannot lower the SSR any more is that small.  The covariance is
+    curve_fit's: the SVD pseudo-inverse of J^T J at the fit, times
+    SSR / (m - 3).  Raises FitError after ``_FIT_STEPS`` steps or on a
+    singular step.
+    """
+    def at(c, w, h):
+        t = (x - c) / w
+        d = 1.0 / (1.0 + t * t)
+        r = h * d - y
+        u = (2.0 * h / w) * d * d * t
+        # rows: the model's derivatives in c, w and h
+        return r, float(r @ r), np.array([u, u * t, d])
+
+    p = [float(v) for v in p0]
+    r, ssr, jac = at(*p)
+    mu, growth = 1e-3, 2.0
+    for _ in range(_FIT_STEPS):
+        normal = (jac @ jac.T).tolist()
+        grad = (jac @ r).tolist()
+        scale = [normal[i][i] for i in range(3)]
+        for i in range(3):
+            normal[i][i] += mu * scale[i]
+        step = _solve_spd3(normal, [-g for g in grad])
+        if step is None:
+            raise FitError("peak fit did not converge: singular step")
+        trial = [a + b for a, b in zip(p, step)]
+        r_t, ssr_t, jac_t = at(*trial)
+        if ssr_t < ssr:
+            fall = ssr - ssr_t
+            predicted = sum(s * (mu * d * s - g)
+                            for s, d, g in zip(step, scale, grad))
+            # rho past 0.94 scales mu by 1/3 as rho = 1 does
+            rho = 1.0 if fall >= predicted else fall / predicted
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            growth = 2.0
+            p, r, ssr, jac = trial, r_t, ssr_t, jac_t
+        else:
+            mu *= growth
+            growth *= 2.0
+        if all(abs(b) <= _FIT_XTOL * abs(a) for a, b in zip(p, step)):
+            break
+    else:
+        raise FitError(f"peak fit did not converge in {_FIT_STEPS} steps")
+    _, s, vt = np.linalg.svd(jac.T, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+    cov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    return np.array(p), cov * (ssr / (len(x) - 3))
+
+
 def resonance_peak(sweep: SweepResult) -> PeakFit:
     """Lorentzian fit of |A|^2 in omega^2, initialized at the grid maximum.
 
-    The Lorentzian (restricted to its core, |A|^2 >= max/3) sets width and
-    height; the peak location is then refined by the vertex of a quadratic
-    through the top of the curve, which tracks the true maximizer even when
-    the slowly varying prefactor skews the line shape; the peak location's
-    uncertainty is then that of the vertex, from the quadratic's
-    covariance.  Raises FitError when the grid maximum sits on the boundary
-    (no interior peak) or the fit does not converge.
+    The Lorentzian h / (1 + ((nu - c) / w)^2), nu = omega^2, is fitted to
+    its core (|A|^2 >= max/3) by least squares (``_lorentzian_fit``:
+    Levenberg-Marquardt in numpy with the analytic Jacobian) and sets width
+    and height, with curve_fit's covariance, the pseudo-inverse of J^T J
+    times SSR / (m - 3).  The peak location is then refined by the vertex
+    of a quadratic through the top of the curve, which tracks the true
+    maximizer even when the slowly varying prefactor skews the line shape;
+    the peak location's uncertainty is then that of the vertex, from the
+    quadratic's covariance.  Raises FitError when the grid maximum sits on
+    the boundary (no interior peak) or the fit does not converge.
     """
     omegas = np.array([r.omega for r in sweep.rows if r.abs2 is not None])
     abs2 = np.array([r.abs2 for r in sweep.rows if r.abs2 is not None])
@@ -479,9 +585,6 @@ def resonance_peak(sweep: SweepResult) -> PeakFit:
         raise FitError("no interior maximum in the sweep")
     nu = omegas ** 2
 
-    def model(x, center, width, height):
-        return height / (1.0 + ((x - center) / width) ** 2)
-
     core = abs2 >= abs2[imax] / 3.0
     if core.sum() < 5:
         core = np.ones_like(abs2, dtype=bool)
@@ -489,13 +592,7 @@ def resonance_peak(sweep: SweepResult) -> PeakFit:
     above = abs2 >= abs2[imax] / 2.0
     width0 = max(0.5 * (nu[above][-1] - nu[above][0]), span / len(nu))
     p0 = (nu[imax], width0, abs2[imax])
-    # imported here, by the one function that fits, so that the resident
-    # memory and start-up time of scipy.optimize are paid only by a peak fit
-    from scipy.optimize import curve_fit
-    try:
-        popt, pcov = curve_fit(model, nu[core], abs2[core], p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"peak fit did not converge: {exc}") from exc
+    popt, pcov = _lorentzian_fit(nu[core], abs2[core], p0)
     center, width, height = popt
     sigma = np.sqrt(np.maximum(np.diag(pcov), 0.0))
 

@@ -18,7 +18,7 @@ from bubblebem.layer_ops import _side_by_side, assemble_double_layer
 from bubblebem.mesh import make_ellipsoid, make_icosphere
 from bubblebem.mie import mie_monopole_amplitude, mie_solve
 from bubblebem.scattering import (PlaneWave, ScatteringProblem,
-                                  frequency_sweep, green_function,
+                                  green_function,
                                   resolvent_correction_kernel, resonance_peak,
                                   resonant_amplitude, scattered_field_dilated,
                                   scattered_field_direct, uniform_amplitude)
@@ -42,13 +42,6 @@ def plane_problem(mesh, eps, omega):
 @pytest.fixture(scope="module")
 def refinement_spectra():
     return {sub: spectral_data(make_icosphere(1.0, sub)) for sub in (2, 3, 4)}
-
-
-@pytest.fixture(scope="module")
-def bem_sweep(sphere3, spectral3):
-    problem = plane_problem(sphere3, 0.05, 1.6)
-    grid = np.round(np.arange(1.50, 2.0001, 0.02), 10)
-    return frequency_sweep(problem, grid, "dilated", spectral3)
 
 
 def test_c01_capacitance_and_minnaert(refinement_spectra):

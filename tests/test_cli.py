@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pathlib
@@ -397,6 +398,22 @@ def test_help_exits_zero(capsys, argv):
             assert flag in out
         # argparse may wrap the epilog at a hyphen
         assert "--center=-1,0,0." in "".join(out.split())
+
+
+@pytest.mark.parametrize("name, errno_code", [
+    ("folder", "EISDIR"), ("absent.ini", "ENOENT")])
+def test_unreadable_config_path_names_the_cause(tmp_path, capsys, name,
+                                                errno_code):
+    # a --config path that cannot be read as a file is a usage error that
+    # gives the system's reason: a directory is not reported as missing
+    (tmp_path / "folder").mkdir()
+    path = str(tmp_path / name)
+    assert run(tmp_path, "geometry", "--icosphere", "1.0,0",
+               "--config", path) == EXIT_USAGE
+    reason = os.strerror(getattr(errno, errno_code))
+    assert capsys.readouterr().err == (f"error: config file {path!r}: "
+                                       f"{reason}\n")
+    assert not (tmp_path / "geometry.csv").exists()
 
 
 def test_flag_replaces_config_mesh_source(tmp_path, capsys):

@@ -65,15 +65,55 @@ def test_no_private_attribute_reads(module):
     assert private_reads(module) == []
 
 
-def test_cli_does_not_load_scipy_optimize():
-    # only the peak fit needs scipy.optimize, and it loads it itself
+def test_cli_does_not_load_scipy_optimize(tmp_path):
+    # the peak fit is numpy's: a sweep that fits a peak loads no
+    # scipy.optimize, so no later sweep in the process pays for it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    code = "import sys, bubblebem.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, bubblebem.cli as cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "code = cli.main(['sweep', '--icosphere', '1,1', '--eps', '0.05',\n"
+        "                 '--omega-grid', '1.5:1.9:0.05', '--method',\n"
+        f"                 'dilated', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[0] == "False"
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "peak.csv").exists()
+
+
+def optimize_imports(source: str) -> list[str]:
+    """The imports of scipy.optimize, or of a name from it, anywhere in
+    ``source``: at top level or inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[:2] == ["scipy", "optimize"]]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            if any(name.split(".")[:2] == ["scipy", "optimize"]
+                   for name in names):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_no_module_imports_scipy_optimize():
+    # the rule sees an import inside a function as well as at the top
+    assert optimize_imports("import scipy.optimize as so\n"
+                            "def f():\n"
+                            "    from scipy.optimize import curve_fit\n"
+                            "    from scipy import linalg, optimize\n") == [
+        "scipy.optimize", "from scipy.optimize import curve_fit",
+        "from scipy import linalg, optimize"]
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert os.path.join(SRC, "__init__.py") in paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            assert optimize_imports(fh.read()) == [], path
 
 
 def thread_starts(module: str) -> tuple[bool, list[str]]:

@@ -567,6 +567,21 @@ def test_single_layer_monopole_is_the_spherical_mean(sphere2, rng):
     assert abs(mean - amplitude * green) <= 1e-12 * abs(amplitude * green)
 
 
+def test_single_layer_monopole_block_is_each_row(sphere2, rng):
+    # a block of densities, one wavenumber per row, gives each row's own
+    # coefficient bit for bit, and every wavenumber is checked
+    n = sphere2.n_panels
+    block = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    zs, center = [0.075, 0.09 + 0.01j, 1.3], np.array([0.1, -0.2, 0.05])
+    rows = [single_layer_monopole(sphere2, q, z, center)
+            for q, z in zip(block, zs)]
+    assert all(type(a) is complex for a in rows)
+    assert single_layer_monopole(sphere2, block, zs, center).tolist() == rows
+    with pytest.raises(ValueError, match="Im z >= 0"):
+        single_layer_monopole(sphere2, block, [0.075, 0.09 - 0.01j, 1.3],
+                              center)
+
+
 # ----------------------------------------------------------------------------
 # the kernel pass
 

@@ -663,6 +663,74 @@ def test_peak_fit_requires_interior_maximum(sphere2, spectral2):
         resonance_peak(sweep)
 
 
+def lorentzian(x, center, width, height):
+    return height / (1.0 + ((x - center) / width) ** 2)
+
+
+def recorded_fit(sweep, monkeypatch):
+    """resonance_peak's Lorentzian fit of ``sweep``: its core points x and
+    y, its start p0 and the (parameters, covariance) it returned."""
+    fits, fit = [], scattering._lorentzian_fit
+
+    def record(x, y, p0):
+        fits.append((x, y, p0, fit(x, y, p0)))
+        return fits[-1][3]
+
+    monkeypatch.setattr(scattering, "_lorentzian_fit", record)
+    resonance_peak(sweep)
+    (found,) = fits
+    return found
+
+
+def peak_fit_sweep(request, name):
+    if name == "c08":
+        return request.getfixturevalue("bem_sweep")
+    if name == "uniform-sub2":
+        # the synthetic grid of test_peak_fit_on_synthetic_uniform
+        return frequency_sweep(
+            make_problem(request.getfixturevalue("sphere2"), 0.05, 1.6),
+            np.arange(1.5, 2.0001, 0.005), "uniform",
+            request.getfixturevalue("spectral2"))
+    sphere = make_icosphere(1.0, 1)
+    return frequency_sweep(make_problem(sphere, 0.05, 1.6),
+                           np.round(np.arange(1.5, 2.0001, 0.02), 10),
+                           "direct", spectral_data(sphere))
+
+
+@pytest.mark.parametrize("name", ["c08", "uniform-sub2", "direct-sub1"])
+def test_peak_fit_matches_curve_fit(request, monkeypatch, name):
+    # from the same start on the same core points, scipy's curve_fit
+    # (MINPACK, a finite-difference Jacobian, xtol 1.5e-8) reaches the same
+    # Lorentzian with the same uncertainties, and no lower sum of squares
+    from scipy.optimize import curve_fit
+    x, y, p0, (popt, pcov) = recorded_fit(peak_fit_sweep(request, name),
+                                          monkeypatch)
+    ref, ref_cov = curve_fit(lorentzian, x, y, p0=p0, maxfev=20000)
+    assert popt == pytest.approx(ref, rel=1e-6)
+    assert np.sqrt(np.diag(pcov)) == pytest.approx(np.sqrt(np.diag(ref_cov)),
+                                                   rel=1e-5)
+    ssr = np.sum((lorentzian(x, *popt) - y) ** 2)
+    assert ssr <= np.sum((lorentzian(x, *ref) - y) ** 2) * (1 + 1e-12)
+
+
+def test_peak_fit_that_does_not_converge_raises():
+    # |A|^2 flat but for one raised row beside the low edge: the sum of
+    # squares keeps falling as the Lorentzian's centre runs off below the
+    # grid and its width grows (omega^2 = -872, width 3931 after 500
+    # steps), so the fit runs into its step cap.  curve_fit instead
+    # stopped by its relative-reduction test (ier 1, 2957 evaluations) at
+    # omega^2 = -1287.29, width 4716.6, and the sweep ended in FitError as
+    # a nonphysical peak
+    grid = np.round(np.arange(1.5, 2.0001, 0.02), 10)
+    abs2 = np.ones(len(grid))
+    abs2[1] = 1.001
+    sweep = scattering.SweepResult("uniform", 0.05, [
+        scattering.SweepRow(float(w), None, float(a), 0j, None, 0j, False)
+        for w, a in zip(grid, abs2)])
+    with pytest.raises(FitError, match="did not converge in"):
+        resonance_peak(sweep)
+
+
 def test_sweep_monotone_growth_below_resonance(sphere2, spectral2):
     # |A| grows monotonically approaching the resonance from below, outside
     # the peak half-width
