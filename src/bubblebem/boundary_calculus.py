@@ -433,9 +433,12 @@ def _discrete_coefficients(spectral, omega, z):
 
 
 def check_eps(eps: float) -> None:
-    """The scale rule every contracted solve and the CLI apply."""
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    """The scale rule every contracted solve and the CLI apply: eps lies in
+    (0, 1) and its contrast kappa = 1/eps^2 - 1 is a finite float."""
+    # 1/eps^2 overflows a float exactly when eps <= 2^-512
+    if not 2.0 ** -512 < eps < 1:
+        raise ValueError("eps must lie in (0, 1), with 1/eps^2 - 1 a finite "
+                         f"float, got {eps}")
 
 
 def _contract(eps: float, omega: complex, z: complex) -> tuple:

@@ -564,15 +564,11 @@ def verification_checks(cfg: RunConfig):
     for name, kernels, target, expected, gated in (
             ("krein_kernel_offres_rate", studies[4:7], 0.0, 1.0, True),
             ("krein_kernel_res_rate", studies[7:10], glim, 0.5, False)):
-        errs = [abs(kernel - target) for kernel in kernels]
-        logs = np.log(np.asarray(errs))
-        slope, intercept = np.polyfit(np.log(eps_list), logs, 1)
-        resid = logs - (slope * np.log(np.asarray(eps_list)) + intercept)
-        # a line through len(eps_list) points leaves len - 2 degrees of
-        # freedom
-        stderr = float(np.sqrt(np.sum(resid ** 2) / (len(eps_list) - 2))
-                       / np.sqrt(np.sum((np.log(eps_list)
-                                         - np.mean(np.log(eps_list))) ** 2)))
+        logs = np.log([abs(kernel - target) for kernel in kernels])
+        # the covariance is scaled by the residual over len(eps_list) - 2,
+        # the degrees of freedom a line leaves
+        (slope, _), cov = np.polyfit(np.log(eps_list), logs, 1, cov=True)
+        stderr = math.sqrt(cov[0, 0])
         # the resonant rate is reported with its confidence interval
         low, high = ((expected - window, expected + window) if gated
                      else (slope - 2 * stderr, slope + 2 * stderr))

@@ -469,8 +469,12 @@ def series_tail_bound(rho: float, order: int) -> float:
 
     The single layer's tail is smaller by a factor N+1; the double layer's
     carries the (1-n) factor of its terms (docs/scaling_identities.md).
+    A bound past the largest float is inf.
     """
-    return rho ** (order + 1) * math.exp(2.0 * rho) / math.factorial(order)
+    try:
+        return rho ** (order + 1) * math.exp(2.0 * rho) / math.factorial(order)
+    except OverflowError:
+        return math.inf
 
 
 def _series_order(rho: float) -> int | None:

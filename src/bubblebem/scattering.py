@@ -18,10 +18,10 @@ stack, built by the rule it shares with ``verify``
 (``boundary_calculus._series_stack``), and solves the rows the stack
 reaches together, by Krylov passes over the stack preconditioned by one
 factorization at the grid's centre (``boundary_calculus._lockstep_flux``).
-The peak fit, ``resonance_peak``, is a Levenberg-Marquardt fit written
-in numpy (``_lorentzian_fit``), so no command loads ``scipy.optimize``
-and a process that fits a peak keeps no optimizer resident for the sweeps
-after it.
+The peak fit, ``resonance_peak``, is a Levenberg-Marquardt fit on numpy
+arrays (``_lorentzian_fit``), each damped step solved by numpy's Cholesky
+factorization, so no command loads ``scipy.optimize`` and a process that
+fits a peak keeps no optimizer resident for the sweeps after it.
 """
 
 from __future__ import annotations
@@ -99,18 +99,25 @@ class PointSource:
 # center, its guard constant and that a point source lies outside.
 
 
+# the largest omega whose cube, the highest power of omega the closed-form
+# amplitudes take, is a finite float
+_OMEGA_MAX = float(np.finfo(float).max) ** (1 / 3)
+
+
 def check_omega(omega: float) -> None:
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and positive, got {omega}")
+    if not 0 < omega <= _OMEGA_MAX:
+        raise ValueError("omega must be finite and positive, with omega^3 "
+                         f"finite, got {omega}")
 
 
 def check_grid(omega_grid) -> list[float]:
-    """The grid as floats, if it is non-empty, sorted, finite and positive."""
+    """The grid as floats, if it is non-empty and sorted and every omega
+    in it meets ``check_omega``'s rule."""
     grid = [float(w) for w in omega_grid]
-    if (not grid or not all(math.isfinite(w) and w > 0 for w in grid)
+    if (not grid or not all(0 < w <= _OMEGA_MAX for w in grid)
             or grid != sorted(grid)):
         raise ValueError("frequency grid must be non-empty, sorted, finite "
-                         f"and positive, got {grid}")
+                         f"and positive, with omega^3 finite, got {grid}")
     return grid
 
 
@@ -151,7 +158,12 @@ class ScatteringProblem:
         if isinstance(self.incident, PointSource):
             reach = self.eps * np.linalg.norm(self.mesh.vertices - self.y0,
                                               axis=1).max()
-            if np.linalg.norm(self.incident.location - self.y0) <= reach:
+            # the norm squares the components, so a distance past about
+            # 1e154 overflows, and every field of the source with it
+            distance = np.linalg.norm(self.incident.location - self.y0)
+            if not math.isfinite(distance):
+                raise ValueError("point source distance overflows a float")
+            if distance <= reach:
                 raise ValueError("point source lies inside the scatterer")
 
     @property
@@ -474,31 +486,6 @@ _FIT_STEPS = 500
 _FIT_XTOL = 1e-9
 
 
-def _solve_spd3(a, b):
-    """x with a x = b, by Cholesky, for a symmetric 3 x 3 ``a`` given as
-    nested lists (its upper triangle is read); None if a pivot is not
-    positive."""
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
-    if not a00 > 0:
-        return None
-    l00 = math.sqrt(a00)
-    l10, l20 = a01 / l00, a02 / l00
-    d11 = a11 - l10 * l10
-    if not d11 > 0:
-        return None
-    l11 = math.sqrt(d11)
-    l21 = (a12 - l20 * l10) / l11
-    d22 = a22 - l20 * l20 - l21 * l21
-    if not d22 > 0:
-        return None
-    l22 = math.sqrt(d22)
-    y0 = b[0] / l00
-    y1 = (b[1] - l10 * y0) / l11
-    x2 = (b[2] - l20 * y0 - l21 * y1) / l22 / l22
-    x1 = (y1 - l21 * x2) / l11
-    return (y0 - l10 * x1 - l20 * x2) / l00, x1, x2
-
-
 def _lorentzian_fit(x: np.ndarray, y: np.ndarray,
                     p0) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of h / (1 + ((x - c) / w)^2) to the points (x, y)
@@ -506,17 +493,18 @@ def _lorentzian_fit(x: np.ndarray, y: np.ndarray,
 
     Levenberg-Marquardt with the analytic Jacobian J: each step solves
     (J^T J + mu D) step = -J^T r, D the diagonal of J^T J (Marquardt's
-    scaling), and mu follows Nielsen's rule (Madsen, Nielsen and Tingleff,
-    "Methods for non-linear least squares problems", 2004): after a step
-    that lowers the sum of squared residuals (SSR) it is scaled by
-    max(1/3, 1 - (2 rho - 1)^3), rho (at most 1) the fall in SSR over the
-    fall the linear model predicts; after one that does not it grows by a
-    factor that doubles with each such step in a row.  The fit ends once a
-    step moves no parameter by more than ``_FIT_XTOL`` of its value; a step
-    that cannot lower the SSR any more is that small.  The covariance is
-    curve_fit's: the SVD pseudo-inverse of J^T J at the fit, times
-    SSR / (m - 3).  Raises FitError after ``_FIT_STEPS`` steps or on a
-    singular step.
+    scaling), through numpy's Cholesky factor of the damped matrix; a
+    matrix that has none is a singular step.  mu follows Nielsen's rule
+    (Madsen, Nielsen and Tingleff, "Methods for non-linear least squares
+    problems", 2004): after a step that lowers the sum of squared
+    residuals (SSR) it is scaled by max(1/3, 1 - (2 rho - 1)^3), rho (at
+    most 1) the fall in SSR over the fall the linear model predicts; after
+    one that does not it grows by a factor that doubles with each such
+    step in a row.  The fit ends once a step moves no parameter by more
+    than ``_FIT_XTOL`` of its value; a step that cannot lower the SSR any
+    more is that small.  The covariance is curve_fit's: the SVD
+    pseudo-inverse of J^T J at the fit, times SSR / (m - 3).  Raises
+    FitError after ``_FIT_STEPS`` steps or on a singular step.
     """
     def at(c, w, h):
         t = (x - c) / w
@@ -526,24 +514,23 @@ def _lorentzian_fit(x: np.ndarray, y: np.ndarray,
         # rows: the model's derivatives in c, w and h
         return r, float(r @ r), np.array([u, u * t, d])
 
-    p = [float(v) for v in p0]
+    p = np.array(p0, dtype=float)
     r, ssr, jac = at(*p)
     mu, growth = 1e-3, 2.0
     for _ in range(_FIT_STEPS):
-        normal = (jac @ jac.T).tolist()
-        grad = (jac @ r).tolist()
-        scale = [normal[i][i] for i in range(3)]
-        for i in range(3):
-            normal[i][i] += mu * scale[i]
-        step = _solve_spd3(normal, [-g for g in grad])
-        if step is None:
-            raise FitError("peak fit did not converge: singular step")
-        trial = [a + b for a, b in zip(p, step)]
+        normal, grad = jac @ jac.T, jac @ r
+        scale = normal.diagonal()
+        try:
+            lower = np.linalg.cholesky(normal + np.diag(mu * scale))
+        except np.linalg.LinAlgError:
+            raise FitError("peak fit did not converge: singular step") \
+                from None
+        step = -np.linalg.solve(lower.T, np.linalg.solve(lower, grad))
+        trial = p + step
         r_t, ssr_t, jac_t = at(*trial)
         if ssr_t < ssr:
             fall = ssr - ssr_t
-            predicted = sum(s * (mu * d * s - g)
-                            for s, d, g in zip(step, scale, grad))
+            predicted = step @ (mu * scale * step - grad)
             # rho past 0.94 scales mu by 1/3 as rho = 1 does
             rho = 1.0 if fall >= predicted else fall / predicted
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
@@ -552,14 +539,14 @@ def _lorentzian_fit(x: np.ndarray, y: np.ndarray,
         else:
             mu *= growth
             growth *= 2.0
-        if all(abs(b) <= _FIT_XTOL * abs(a) for a, b in zip(p, step)):
+        if np.all(np.abs(step) <= _FIT_XTOL * np.abs(p)):
             break
     else:
         raise FitError(f"peak fit did not converge in {_FIT_STEPS} steps")
     _, s, vt = np.linalg.svd(jac.T, full_matrices=False)
     keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
     cov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
-    return np.array(p), cov * (ssr / (len(x) - 3))
+    return p, cov * (ssr / (len(x) - 3))
 
 
 def resonance_peak(sweep: SweepResult) -> PeakFit:
@@ -574,7 +561,8 @@ def resonance_peak(sweep: SweepResult) -> PeakFit:
     maximizer even when the slowly varying prefactor skews the line shape;
     the peak location's uncertainty is then that of the vertex, from the
     quadratic's covariance.  Raises FitError when the grid maximum sits on
-    the boundary (no interior peak) or the fit does not converge.
+    the boundary (no interior peak) or the fit does not converge, and
+    warns when the peak lies outside the swept grid.
     """
     omegas = np.array([r.omega for r in sweep.rows if r.abs2 is not None])
     abs2 = np.array([r.abs2 for r in sweep.rows if r.abs2 is not None])
@@ -608,10 +596,15 @@ def resonance_peak(sweep: SweepResult) -> PeakFit:
             break
     if center <= 0:
         raise FitError(f"peak fit landed at nonphysical omega^2 = {center:g}")
+    omega_peak = float(np.sqrt(center))
+    low, high = sweep.rows[0].omega, sweep.rows[-1].omega
+    if not low <= omega_peak <= high:
+        warnings.warn(f"fitted peak omega={omega_peak:.6g} lies outside the "
+                      f"swept grid [{low:g}, {high:g}]", stacklevel=2)
     # d omega = d nu / (2 omega)
-    return PeakFit(omega_peak=float(np.sqrt(center)),
-                   width=float(abs(width)), height=float(height),
-                   uncertainties=(float(sigma[0] / (2 * np.sqrt(center))),
+    return PeakFit(omega_peak=omega_peak, width=float(abs(width)),
+                   height=float(height),
+                   uncertainties=(float(sigma[0] / (2 * omega_peak)),
                                   float(sigma[1]), float(sigma[2])),
                    covariance=pcov)
 

@@ -1,5 +1,8 @@
+import contextlib
 import errno
+import io
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -277,6 +280,99 @@ def test_sweep_bytes_independent_of_worker_count(tmp_path, method):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+# the edge values a numeric field is drawn from, beside its ordinary ones
+EDGE_VALUES = [0.0, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf,
+               -math.inf]
+
+
+@st.composite
+def any_argv(draw):
+    """A command line of any command: a sub-0 or sub-1 mesh, the command's
+    frequency, and any of the other numeric settings and the method.  One
+    numeric field, if any, is given and takes edge values, each of its
+    numbers an edge value or an ordinary one and at least one an edge
+    value; the others take ordinary values, so that most draws reach past
+    the input rules.  A START:STOP:STEP grid that the CLI accepts has at
+    most 26 points."""
+    edgy = draw(st.sampled_from(["mesh", "frequency", "eps", "center",
+                                 "incident", "guard-constant", None]))
+
+    def numbers(name, *ordinary, n=1):
+        if name != edgy:
+            values = draw(st.lists(st.sampled_from(ordinary), min_size=n,
+                                   max_size=n))
+        else:
+            values = draw(st.lists(st.sampled_from(
+                [*EDGE_VALUES, *ordinary]), min_size=n - 1, max_size=n - 1))
+            values.insert(draw(st.integers(0, n - 1)),
+                          draw(st.sampled_from(EDGE_VALUES)))
+        return ",".join(map(repr, values))
+
+    command = draw(st.sampled_from(["geometry", "minnaert", "solve", "sweep",
+                                    "verify"]))
+    mesh = draw(st.sampled_from(["icosphere", "ellipsoid"]))
+    sizes = numbers("mesh", 1.0, 0.7, n=1 if mesh == "icosphere" else 3)
+    argv = [command, f"--{mesh}={sizes},{draw(st.sampled_from([0, 1]))}"]
+    if command == "solve":
+        argv.append(f"--omega={numbers('frequency', 1.3, 1.75)}")
+    if command == "sweep":
+        grid = (numbers("frequency", 1.3, n=2) if draw(st.booleans())
+                else ":".join(numbers("frequency", *ordinary) for ordinary
+                              in ((0.5, 1.5), (2.5,), (0.1, 0.5))))
+        argv.append(f"--omega-grid={grid}")
+    incident = draw(st.sampled_from(["plane-wave", "point-source"]))
+    if edgy == "incident" or draw(st.booleans()):
+        argv.append(f"--{incident}={numbers('incident', 0.0, 3.0, n=3)}")
+    for name, ordinary in (("eps", (0.05, 0.3)), ("center", (0.0, 0.2)),
+                           ("guard-constant", (1.0,))):
+        if edgy == name or draw(st.booleans()):
+            argv.append(f"--{name}="
+                        + numbers(name, *ordinary,
+                                  n=3 if name == "center" else 1))
+    if draw(st.booleans()):
+        argv.append(f"--method={draw(st.sampled_from(sc.METHODS))}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=any_argv())
+def test_no_command_line_ends_in_a_traceback(argv):
+    # every command line ends in one of the four exit codes, and a usage
+    # error or a tripped guard says so on its first line
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", tmp])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_VERIFY)
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error:")
+    if code == EXIT_GUARD:
+        assert err.getvalue().startswith("numerical guard:")
+
+
+def test_peak_outside_the_grid_is_a_manifest_warning(tmp_path, monkeypatch):
+    # |A|^2 rising linearly from 1 to 2 over 1.5-2.0, row 24 raised to
+    # 2.1: the Lorentzian's centre lands past the grid's upper end and
+    # takes no vertex refinement.  The peak is written as fitted, and
+    # flagged
+    grid = np.round(np.linspace(1.5, 2.0, 26), 10)
+    abs2 = np.linspace(1.0, 2.0, 26)
+    abs2[24] = 2.1
+    sweep = sc.SweepResult("uniform", 0.05, [
+        sc.SweepRow(float(w), None, float(a), 0j, None, 0j, False)
+        for w, a in zip(grid, abs2)])
+    monkeypatch.setattr(sc, "frequency_sweep", lambda *args: sweep)
+    assert run(tmp_path, "sweep", "--icosphere", "1.0,0", "--eps", "0.05",
+               "--omega-grid", "1.5:2.0:0.02") == EXIT_OK
+    _, rows = read_csv(tmp_path / "peak.csv")
+    omega_peak = float(rows[0][1])
+    assert omega_peak == pytest.approx(2.1265, abs=1e-4)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["warnings"] == [
+        f"fitted peak omega={omega_peak:.6g} lies outside the swept grid "
+        "[1.5, 2]"]
+
+
 def test_usage_errors(tmp_path):
     # omega and omega-grid together
     assert main(["solve", "--icosphere", "1.0,1", "--eps", "0.05",
@@ -329,6 +425,11 @@ def test_usage_errors(tmp_path):
     ("solve", ["--config", "[run]\nmethod = uniform\n[run]\n"]),
     ("solve", ["--config", "[run]\nmethod = uniform\nmethod = direct\n"]),
     ("solve", ["--config", b"[run]\nmethod = unif\xffrm\n"]),
+    # its distance to the scatterer overflows, and its field is nan
+    ("solve", ["--point-source=1e300,0,0"]),
+    ("sweep", ["--omega-grid", "1.5:1.9:0.1", "--method", "dilated",
+               "--point-source=1e300,0,0"]),
+    ("verify", ["--point-source=0,0,1e300"]),
 ])
 def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                              command, bad):
@@ -370,6 +471,12 @@ def test_an_oversized_omega_grid_is_a_usage_error(tmp_path, capsys, grid):
     ("solve", ["--eps", "1.5"], "check_eps", 1.5),
     ("solve", ["--omega", "inf"], "check_omega", float("inf")),
     ("sweep", ["--omega-grid", "1.7,1.5"], "check_grid", [1.7, 1.5]),
+    # 1/eps^2 overflows: the contrast is not a float
+    ("solve", ["--eps", "1e-300"], "check_eps", 1e-300),
+    ("sweep", ["--eps", "1e-160"], "check_eps", 1e-160),
+    # omega^3 in the closed-form amplitudes overflows
+    ("solve", ["--omega", "1e300"], "check_omega", 1e300),
+    ("sweep", ["--omega-grid", "1.5,1e300"], "check_grid", [1.5, 1e300]),
 ])
 def test_frequency_errors_are_the_scattering_rule(tmp_path, capsys, command,
                                                   bad, check, value):

@@ -294,6 +294,14 @@ def test_series_max_order_reaches_the_validity_threshold():
     assert layer_ops._series_order(2.0) is None
 
 
+@pytest.mark.parametrize("rho, order", [(400.0, 0), (1e300, 5)])
+def test_a_tail_bound_past_the_largest_float_is_inf(rho, order):
+    # e^{2 rho} or rho^{N+1} overflows: no order reaches such a wavenumber,
+    # and asking raises nothing
+    assert series_tail_bound(rho, order) == np.inf
+    assert layer_ops._series_order(rho) is None
+
+
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(sorted(SUB1_STACKS)),
        rho=st.floats(0.0, 1.0), angle=st.floats(0.0, np.pi))

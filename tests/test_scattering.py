@@ -731,6 +731,15 @@ def test_peak_fit_that_does_not_converge_raises():
         resonance_peak(sweep)
 
 
+def test_peak_fit_singular_step_raises():
+    # h = 0 zeroes the model's derivatives in c and w, so the damped
+    # normal matrix has no Cholesky factor and the first step is singular
+    x = np.linspace(2.0, 4.0, 9)
+    with pytest.raises(FitError, match="singular step"):
+        scattering._lorentzian_fit(x, lorentzian(x, 3.0, 0.3, 1.0),
+                                   (3.0, 0.3, 0.0))
+
+
 def test_sweep_monotone_growth_below_resonance(sphere2, spectral2):
     # |A| grows monotonically approaching the resonance from below, outside
     # the peak half-width
