@@ -1,10 +1,16 @@
 """Derived boundary objects: the per-mesh spectral data (the LU of the
 real static single layer S_0, equilibrium density, capacitance, Minnaert
-frequency and the series averages <K_(2)>, <K_(3)>), the guarded factors
-of the contrast matrix M that every solver uses in place of the
+frequency and the series averages <K_(2)>, <K_(3)>), the solves with the
+contrast matrix M that every solver uses in place of the
 Dirichlet-to-Neumann map S^{-1}(1/2 + K) (S and M apart at z == w, the one
 product M S_w at z != w), and the small-scale expansions of the contrast
 operator family.
+
+At z == w a single solve, ``_transmission_flux``, solves S_w and M by
+GMRES on the exact operators from one kernel pass, preconditioned by the
+LU of S_0 that ``SpectralData`` keeps, and factors nothing; only where
+GMRES is refused does it take the guarded factors of
+``_factor_transmission``, which every study at z != w factors through.
 
 Operators are read only through the public ``layer_ops`` assemblers and
 ``SeriesStack`` readers, which return them F-ordered, and every
@@ -25,15 +31,15 @@ them: ``_lockstep_flux`` solves them together by GMRES, each Krylov step
 one product of the stack's terms with a block of rows, preconditioned by
 one guarded LU of M at the grid's centre and by the LU of S_0, the blocks
 in two lanes side by side (docs/scaling_identities.md, "The sweep in
-lockstep"); a row it does not accept is factored on its own, exactly.
-Every solve passes its own copy of the pivots (``_lu_solve``), so lanes
-and tasks may share a factor.
+lockstep"); a row it does not accept is solved on its own, exactly, as a
+single solve is.  Every solve passes its own copy of the pivots
+(``_lu_solve``), so lanes and tasks may share a factor.
 
-At z == w, in a solve or a sweep row factored on its own, the two
-factorizations are independent, so they run side by side, one lane each
-for S and M, when the process may use two CPUs
-(``layer_ops._side_by_side``); each lane factors its own F-ordered operand
-in place, and the factors are the same bits in either lane order.
+At z == w, where GMRES is refused, the two factorizations are
+independent, so they run side by side, one lane each for S and M, when
+the process may use two CPUs (``layer_ops._side_by_side``); each lane
+factors its own F-ordered operand in place, and the factors are the same
+bits in either lane order.
 
 All operator-norm statements are evaluated in the norm induced by the
 discrete S_0^{-1} inner product, in which the projector onto constants is
@@ -47,10 +53,11 @@ the factors, one vector at a time: no n x n inverse or SVD is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import (cholesky, lapack, lu_factor, lu_solve,
+from scipy.linalg import (blas, cholesky, lapack, lu_factor, lu_solve,
                           solve_triangular, svd)
 
 from .layer_ops import (SERIES_MAX_ORDER, SeriesStack, _double_term_row_sums,
@@ -84,6 +91,15 @@ def _lu_solve(lu_and_piv: tuple, rhs: np.ndarray, **kwargs) -> np.ndarray:
     return lu_solve((lu, piv.copy()), rhs, **kwargs)
 
 
+def _one_norm(matrix: np.ndarray) -> float:
+    """The 1-norm of ``matrix``, summed in blocks of columns: the bits of
+    ``np.linalg.norm(matrix, 1)`` of an F-ordered matrix without its
+    n x n temporary."""
+    step = max(1, _CHUNK_PAIRS // len(matrix))
+    return max(np.abs(matrix[:, j:j + step]).sum(axis=0).max()
+               for j in range(0, matrix.shape[1], step))
+
+
 def _guarded_lu(matrix: np.ndarray, context: str) -> tuple:
     """LU factorization with a 1-norm condition estimate, 1e12 hard limit:
     the LU as ``lu_factor`` gives it, the 1-norm of ``matrix`` and the
@@ -93,15 +109,12 @@ def _guarded_lu(matrix: np.ndarray, context: str) -> tuple:
     operator ``layer_ops`` returns, is factored in place and becomes the
     LU, and a caller that reads its matrix afterwards passes a copy.
     ``lu_factor`` checks its input: a non-finite entry raises ValueError,
-    which a sweep records as that row's error.  The 1-norm is summed in
-    blocks of columns, the bits of ``np.linalg.norm(matrix, 1)`` of the
-    F-ordered matrix without its n x n temporary.  The lockstep sweep
+    which a sweep records as that row's error.  The 1-norm is
+    ``_one_norm``'s, taken before the factorization.  The lockstep sweep
     reads the norm and the estimate of its preconditioners back
     (``_lockstep_flux``).
     """
-    step = max(1, _CHUNK_PAIRS // len(matrix))
-    anorm = max(np.abs(matrix[:, j:j + step]).sum(axis=0).max()
-                for j in range(0, matrix.shape[1], step))
+    anorm = _one_norm(matrix)
     lu, piv = lu_factor(matrix, overwrite_a=True)
     gecon = lapack.zgecon if np.iscomplexobj(matrix) else lapack.dgecon
     rcond, info = gecon(lu, anorm, norm="1")
@@ -222,6 +235,13 @@ def spectral_data(mesh: SurfaceMesh) -> SpectralData:
     )
 
 
+def _s0_solve(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
+    """S_0^{-1} v for a complex block v, through ``spectral.s0_lu``: the
+    real LU solves the real and imaginary planes at once."""
+    planes = _lu_solve(spectral.s0_lu, np.ascontiguousarray(v).view(float))
+    return np.ascontiguousarray(planes).view(complex)
+
+
 # ----------------------------------------------------------------------------
 # The transmission factors
 
@@ -306,18 +326,26 @@ def _series_stack(spectral: SpectralData, studies) -> tuple:
     return assemble_series_stack(mesh, order), notes
 
 
-def _factor_contrast(k: np.ndarray, kappa: float, w: complex, z: complex,
-                     trace: np.ndarray | None = None) -> tuple:
-    """Form M = I + kappa (1/2 + K_w) from the F-ordered K_w ``k`` in place
-    and factor it in place under the guard: the right-hand side
-    (1/2 + K_w) ``trace``, taken before 1/2 + K_w becomes M, or None, and
-    ``_guarded_lu``'s ((lu, piv), anorm, condition).  ``z`` only names
-    the spectral parameter in the guard's message."""
+def _form_contrast(k: np.ndarray, kappa: float,
+                   trace: np.ndarray | None = None) -> np.ndarray | None:
+    """Form M = I + kappa (1/2 + K_w) from the F-ordered K_w ``k`` in
+    place, and return the right-hand side (1/2 + K_w) ``trace``, taken
+    before 1/2 + K_w becomes M, or None."""
     n = len(k)
     k.flat[::n + 1] += 0.5
     rhs = None if trace is None else k @ trace
     k *= kappa
     k.flat[::n + 1] += 1.0
+    return rhs
+
+
+def _factor_contrast(k: np.ndarray, kappa: float, w: complex, z: complex,
+                     trace: np.ndarray | None = None) -> tuple:
+    """``_form_contrast`` and then the factorization of M in place under
+    the guard: the right-hand side, or None, and ``_guarded_lu``'s
+    ((lu, piv), anorm, condition).  ``z`` only names the spectral
+    parameter in the guard's message."""
+    rhs = _form_contrast(k, kappa, trace)
     return rhs, _guarded_lu(k, f"contrast matrix M at wavenumber {w:.6g}, "
                                f"spectral parameter {z:.6g}")
 
@@ -334,8 +362,9 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     are its matrix products, and so is S_z where it reaches z; everywhere
     else, and at every z == w, they are assembled exactly, S_w and K_w in
     one kernel pass on every usable CPU.  This is the one place that choice
-    is made, operator by operator.  (A dilated sweep's stacked rows at
-    z == w take no factorization of their own: ``_lockstep_flux``.)
+    is made, operator by operator.  (At z == w a solve reaches it only
+    where GMRES is refused, ``_transmission_flux``, and a dilated sweep's
+    stacked rows take no factorization of their own: ``_lockstep_flux``.)
 
     With M = I + kappa (1/2 + K_w) S_z S_w^{-1}, S_w^{-1} M S_w
     = I + kappa DN_w S_z, so
@@ -370,7 +399,8 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     singular.
 
     This is the only place M or M S_w is factored for one wavenumber: the
-    solvers and ``expansion_residual`` all read it from here.
+    solvers, where they factor, and ``expansion_residual`` all read it
+    from here.
     """
     if z != w:
         # a stacked S_w is summed once 1/2 + K_w and S_z are released, so
@@ -470,6 +500,9 @@ def _contrast_factors(mesh: SurfaceMesh, eps: float, omega: complex,
 # and the normwise backward error it must reach on both
 _LOCKSTEP_STEPS = 10
 _LOCKSTEP_ETA = 1e-14
+# The steps each of the two systems of one frequency may take
+# (docs/scaling_identities.md, "One frequency by Krylov")
+_SINGLE_STEPS = 30
 
 
 def _lockstep_width(n: int, rows: int) -> int:
@@ -482,33 +515,35 @@ def _lockstep_width(n: int, rows: int) -> int:
 
 
 def _lockstep_gmres(apply, precondition, b: np.ndarray, a_norm: float,
-                    a_condition: float) -> tuple:
+                    a_condition: float, steps: int) -> tuple:
     """Right-preconditioned GMRES (Saad and Schultz, 1986) on the columns
-    of ``b`` at once, column j solving its own system A_j x_j = b_j:
-    ``apply(cols, v)`` gives A_j v_j for the columns ``cols`` of the block
-    and their vectors v, and ``precondition(v)`` gives A_c^{-1} v for a
-    block v, A_c one matrix near every A_j, whose 1-norm and condition
-    estimate are ``a_norm`` and ``a_condition``.
+    of ``b`` at once, column j solving its own system A_j x_j = b_j in at
+    most ``steps`` steps: ``apply(cols, v)`` gives A_j v_j for the columns
+    ``cols`` of the block and their vectors v, and ``precondition(v)``
+    gives A_c^{-1} v for a block v, A_c one matrix near every A_j, whose
+    condition estimate is ``a_condition``.  ``a_norm`` is the 1-norm the
+    backward error is measured against: the lockstep sweep's rows share
+    A_c's (``_lockstep_flux``), and one frequency's system is measured
+    against its own operator's (``_transmission_flux``).
 
     Each step is one ``apply`` to all columns still running.  A column is
     accepted once its true normwise backward error
-    ||b - A x|| / (||A_c||_1 ||x|| + ||b||) is at most _LOCKSTEP_ETA (the
+    ||b - A x|| / (a_norm ||x|| + ||b||) is at most _LOCKSTEP_ETA (the
     least-squares residual only says when to compute it) and its condition
     estimate cond(A_c) cond_2(H_j), H_j its (k + 1) x k Hessenberg matrix,
     is within CONDITION_LIMIT.  Returns the solutions and, per column,
     None if it was accepted, else why not.
     """
     n, cols = b.shape
-    basis = np.empty((_LOCKSTEP_STEPS + 1, n, cols), dtype=complex)
-    hess = np.zeros((cols, _LOCKSTEP_STEPS + 1, _LOCKSTEP_STEPS),
-                    dtype=complex)
+    basis = np.empty((steps + 1, n, cols), dtype=complex)
+    hess = np.zeros((cols, steps + 1, steps), dtype=complex)
     b_norm = np.linalg.norm(b, axis=0)
     basis[0] = b / b_norm
     x = np.zeros_like(b)
     why = [f"backward error above {_LOCKSTEP_ETA:g} after "
-           f"{_LOCKSTEP_STEPS} Krylov steps"] * cols
+           f"{steps} Krylov steps"] * cols
     run = np.arange(cols)
-    for k in range(_LOCKSTEP_STEPS):
+    for k in range(steps):
         if not run.size:
             break
         v = basis[:k + 1, :, run]
@@ -528,7 +563,8 @@ def _lockstep_gmres(apply, precondition, b: np.ndarray, a_norm: float,
         estimate = np.linalg.norm(beta - hbar @ y, axis=(1, 2))
         xs = precondition(np.einsum("knj,jk->nj", v, y[:, :, 0]))
         scale = a_norm * np.linalg.norm(xs, axis=0) + b_norm[run]
-        stop = ~np.isfinite(estimate / scale)
+        # an operator whose 1-norm overflows has no backward error
+        stop = ~(np.isfinite(estimate) & np.isfinite(scale))
         for j in np.flatnonzero(stop):
             why[run[j]] = f"non-finite residual at Krylov step {k + 1}"
         near = np.flatnonzero(estimate <= _LOCKSTEP_ETA * scale)
@@ -559,8 +595,8 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
     """Yield (j, flux, why) for every study (eps, omegas[j], omegas[j]) whose
     contracted wavenumber w_j the series ``stack`` reaches: the interior
     flux S_w^{-1} M^{-1} (1/2 + K_w) trace(j) of the trace ``trace(j)`` and
-    None, or None and why the row is left to its own factorization
-    (``_contrast_factors`` with no stack).
+    None, or None and why the row is left to be solved on its own from
+    exact operators (``_transmission_flux``, as a single dilated solve).
 
     The rows are cut into contiguous blocks of ``_lockstep_width`` rows,
     each solved by ``_lockstep_gmres`` on M_j y = (1/2 + K_{w_j}) trace,
@@ -591,12 +627,6 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
             yield j, None, f"centre preconditioner: {exc}"
         return
 
-    def s0_solve(v):
-        # the real LU solves the real and imaginary planes at once
-        planes = _lu_solve(spectral.s0_lu,
-                           np.ascontiguousarray(v).view(float))
-        return np.ascontiguousarray(planes).view(complex)
-
     def solve_block(block):
         zs = np.array([ws[j] for j in block])
         traces = np.stack([trace(j) for j in block], axis=1)
@@ -611,11 +641,12 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
         rhs = stack.apply("double", zs, traces)
         rhs += 0.5 * traces
         y, why = _lockstep_gmres(m_apply, lambda v: _lu_solve(m_lu, v), rhs,
-                                 m_norm, m_condition)
+                                 m_norm, m_condition, _LOCKSTEP_STEPS)
         solved = [c for c, reason in enumerate(why) if reason is None]
         x, why_s = _lockstep_gmres(
             lambda cols, v: stack.apply("single", zs[solved][cols], v),
-            s0_solve, y[:, solved], spectral.s0_norm, spectral.s0_condition)
+            partial(_s0_solve, spectral), y[:, solved], spectral.s0_norm,
+            spectral.s0_condition, _LOCKSTEP_STEPS)
         out = []
         for c, j in enumerate(block):
             if why[c] is not None:
@@ -634,6 +665,51 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
          for b in range(lanes)], "lockstep lane")
     for b in range(len(blocks)):
         yield from by_lane[b % lanes][b // lanes]
+
+
+def _transmission_flux(mesh: SurfaceMesh, w: float, kappa: float,
+                       trace: np.ndarray, spectral: SpectralData,
+                       scale: float = 1.0) -> tuple:
+    """The interior flux S_w^{-1} M^{-1} (1/2 + K_w) ``trace`` on ``mesh``
+    at z == w, and None, or, if GMRES does not accept it, the flux of
+    ``_factor_transmission`` and why not (docs/scaling_identities.md, "One
+    frequency by Krylov").  ``mesh`` is ``spectral.mesh`` dilated by
+    ``scale`` about any point, so its S_0 is ``scale`` times
+    ``spectral.mesh``'s.
+
+    One kernel pass gives S_w and K_w, and M is formed from K_w in place
+    after the right-hand side, as ``_factor_contrast`` does.  Then two
+    single-column ``_lockstep_gmres`` solves of at most _SINGLE_STEPS
+    steps each, each measured against its own operator's 1-norm:
+    M y = (1/2 + K_w) trace with no preconditioner, since M is
+    kappa (1/2 + K_w) off the constants, whose spectrum clusters near
+    kappa / 2, and 1 on them; and S_w x = y preconditioned by
+    S_0^{-1} / scale.  No LU is taken.  If either system is refused, S_w
+    and M are released and the flux comes from the two guarded LU lanes
+    of ``_factor_transmission``, which raise their guards' errors as
+    before.
+    """
+    def times(a):
+        # by scipy's BLAS, as the S_0 solves are: numpy and scipy each load
+        # an OpenBLAS, and steps that alternate the two thread pools ran
+        # 100 times slower at n = 80 on two cores
+        return lambda _, v: blas.zgemv(1.0, a, v[:, 0])[:, None]
+
+    s, m = assemble_layer_pair(mesh, w)
+    rhs = _form_contrast(m, kappa, trace)
+    y, (why,) = _lockstep_gmres(times(m), lambda v: v, rhs[:, None],
+                                _one_norm(m), 1.0, _SINGLE_STEPS)
+    if why is None:
+        x, (why,) = _lockstep_gmres(
+            times(s), lambda v: _s0_solve(spectral, v) / scale, y,
+            _one_norm(s), spectral.s0_condition, _SINGLE_STEPS)
+        if why is None:
+            return x[:, 0], None
+        why = f"S system: {why}"
+    else:
+        why = f"M system: {why}"
+    del s, m
+    return _factor_transmission(mesh, w, w, kappa, trace=trace).flux(), why
 
 
 _GK_TOLERANCE = 1e-12

@@ -416,9 +416,12 @@ def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
     points, _ = sc.far_field_points(problem)
     fld = sc.scattered_field(problem, points, cfg.method, spectral)
     # how far the field on the fit sphere is from its monopole part
-    # A G_omega(. - y0); exactly 0 for a closed form, which is that monopole
-    misfit = np.linalg.norm(fld.scattered - fld.amplitude * sc.green_function(
-        problem.omega, points - problem.y0)) / np.linalg.norm(fld.scattered)
+    # A G_omega(. - y0); exactly 0 for a closed form, which is that monopole,
+    # and 0 for a field so small that that distance underflows to 0
+    deviation = np.linalg.norm(fld.scattered - fld.amplitude
+                               * sc.green_function(problem.omega,
+                                                   points - problem.y0))
+    misfit = deviation / np.linalg.norm(fld.scattered) if deviation else 0.0
     writer.write_csv("fields.csv",
                      ["x", "y", "z", "re_incident", "im_incident",
                       "re_scattered", "im_scattered", "re_total", "im_total"],
@@ -439,8 +442,10 @@ def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
 def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> int:
     mesh = cfg.build_mesh()
     # built at the highest frequency, so that its validity warning covers
-    # the whole grid
+    # the whole grid, and at the lowest, so that every input rule holds on
+    # all of it before any solve
     problem = _make_problem(cfg, mesh, cfg.omega_grid[-1])
+    _make_problem(cfg, mesh, cfg.omega_grid[0], validity_threshold=np.inf)
     spectral = bc.spectral_data(mesh)
     sweep = sc.frequency_sweep(problem, cfg.omega_grid, cfg.method, spectral)
     for note in sweep.warnings:

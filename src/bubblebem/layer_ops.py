@@ -23,7 +23,9 @@ threads are started: in every call the calling thread runs the first task
 (here, block) and a thread per call each other one, and every thread is
 joined before the call returns.  The same pool runs the two factorization
 lanes of ``boundary_calculus._factor_transmission`` (lane S first, so on
-the calling thread), the two lanes of row blocks of the lockstep sweep
+the calling thread), which a solve at z == w reaches only where GMRES is
+refused (``boundary_calculus._transmission_flux``), the two lanes of row
+blocks of the lockstep sweep
 (``boundary_calculus._lockstep_flux``) and the ten contracted studies of
 ``cli.verification_checks``; no task hands a shared pivot array to
 ``lu_solve``, which writes to it while it solves

@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary_calculus import (NumericalGuardError, SpectralData,
-                                _contrast_factors, _factor_transmission,
-                                _lockstep_flux, _series_stack, check_eps)
+                                _contract, _contrast_factors, _lockstep_flux,
+                                _series_stack, _transmission_flux, check_eps,
+                                spectral_data)
 # assemble_single_layer is not called here; it stays importable from this
 # module because perfbench's tracer test looks it up in every namespace.
 from .layer_ops import (SeriesStack, assemble_single_layer,
@@ -104,6 +105,13 @@ class PointSource:
 _OMEGA_MAX = float(np.finfo(float).max) ** (1 / 3)
 
 
+# the smallest contracted wavenumber eps * omega: the fit sphere
+# (``far_field_points``), of radius 10/omega, contracted by 1/eps, then has
+# a squared radius of at most half the largest float, so that the squared
+# distances the dilated route's potential takes there are finite
+_CONTRACTED_MIN = 10 * (2 / float(np.finfo(float).max)) ** 0.5
+
+
 def check_omega(omega: float) -> None:
     if not 0 < omega <= _OMEGA_MAX:
         raise ValueError("omega must be finite and positive, with omega^3 "
@@ -141,6 +149,11 @@ class ScatteringProblem:
     def __post_init__(self):
         check_eps(self.eps)
         check_omega(self.omega)
+        if self.eps * self.omega < _CONTRACTED_MIN:
+            raise ValueError(f"eps * omega must be at least "
+                             f"{_CONTRACTED_MIN:.3g}, with the fit sphere's "
+                             "squared radius finite, got "
+                             f"{self.eps * self.omega:g}")
         self.y0 = (surface_centroid(self.mesh) if self.y0 is None
                    else np.asarray(self.y0, dtype=float))
         if not np.all(np.isfinite(self.y0)):
@@ -155,15 +168,17 @@ class ScatteringProblem:
                 f"eps*omega*diameter = {product:.3g} exceeds the validity "
                 f"threshold {self.validity_threshold:g}; the small-bubble "
                 "regime is doubtful", stacklevel=2)
+        # the norm squares the components, so a distance past about 1e154
+        # overflows: the center's to the mesh in the monopole amplitude,
+        # the point source's in every field of the source
+        reach = np.linalg.norm(self.mesh.vertices - self.y0, axis=1).max()
+        if not math.isfinite(reach):
+            raise ValueError("center distance to the mesh overflows a float")
         if isinstance(self.incident, PointSource):
-            reach = self.eps * np.linalg.norm(self.mesh.vertices - self.y0,
-                                              axis=1).max()
-            # the norm squares the components, so a distance past about
-            # 1e154 overflows, and every field of the source with it
             distance = np.linalg.norm(self.incident.location - self.y0)
             if not math.isfinite(distance):
                 raise ValueError("point source distance overflows a float")
-            if distance <= reach:
+            if distance <= self.eps * reach:
                 raise ValueError("point source lies inside the scatterer")
 
     @property
@@ -223,11 +238,13 @@ def far_field_points(problem: ScatteringProblem) -> tuple[np.ndarray, float]:
     return problem.y0 + radius * spherical_point_set(64), radius
 
 
-def _field_result(problem, points, scattered_at, amplitude, method, spectral):
+def _field_result(problem, points, scattered_at, amplitude, method, spectral,
+                  why=None):
     """FieldResult of ``method`` at ``points``, which may be none: the
     scattered field ``scattered_at(points)``, the incident and total fields
     and the monopole ``amplitude``; given ``spectral``, it notes an omega
-    inside the quasi-resonant guard band."""
+    inside the quasi-resonant guard band, and given ``why``, the reason
+    the solve's GMRES was refused."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     uin = problem.incident.evaluate(points, problem.omega)
     scattered = scattered_at(points)
@@ -236,6 +253,9 @@ def _field_result(problem, points, scattered_at, amplitude, method, spectral):
         notes.append(
             f"omega within {problem.guard_constant:g}*eps of the Minnaert "
             "frequency: quasi-resonant guard band")
+    if why is not None:
+        notes.append(f"omega = {problem.omega:g}: GMRES refused ({why}); "
+                     "solved by LU factorization")
     return FieldResult(points=points, incident=uin, scattered=scattered,
                        total=uin + scattered, amplitude=complex(amplitude),
                        method=method, warnings=notes)
@@ -246,21 +266,32 @@ def _field_result(problem, points, scattered_at, amplitude, method, spectral):
 
 
 def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
-                   stack: SeriesStack | None = None) -> tuple:
+                   stack: SeriesStack | None = None,
+                   spectral: SpectralData | None = None) -> tuple:
     """The reference-mesh charge Lambda_z trace, a density, where trace is
     ``incident`` at the images of the panel centroids and Lambda_z is the
-    interaction operator, and u_sc = -(1/eps) SL_{eps z}[charge] o contract as a
-    function of physical points.  The factors are released once the flux
-    is solved; at z != w, S and K come from a series ``stack`` of the
-    reference mesh where it reaches
-    (``boundary_calculus._factor_transmission``;
-    ``resolvent_correction_kernel`` hands on ``verify``'s)."""
+    interaction operator, u_sc = -(1/eps) SL_{eps z}[charge] o contract as
+    a function of physical points, and why GMRES was refused, or None.
+    At z == w the flux is ``boundary_calculus._transmission_flux``'s, by
+    GMRES preconditioned by the LU of S_0 in ``spectral`` (the reference
+    mesh's, which it then needs); at z != w it is the flux of the one LU
+    of M S_w, with S and K from a series ``stack`` of the reference mesh
+    where it reaches (``boundary_calculus._factor_transmission``;
+    ``resolvent_correction_kernel`` hands on ``verify``'s).  The operators
+    are released once the flux is solved."""
     eps, mesh = problem.eps, problem.mesh
     trace = incident(problem.dilate(mesh.centroids))
-    charge = eps * problem.kappa * _contrast_factors(
-        mesh, eps, problem.omega, z, stack, trace).flux()
+    why = None
+    if z == problem.omega:
+        flux, why = _transmission_flux(
+            mesh, _contract(eps, problem.omega, z)[0], problem.kappa, trace,
+            spectral)
+    else:
+        flux = _contrast_factors(mesh, eps, problem.omega, z, stack,
+                                 trace).flux()
+    charge = eps * problem.kappa * flux
     return charge, lambda pts: -eval_single_layer_potential(
-        mesh, charge, eps * z, problem.contract(pts)) / eps
+        mesh, charge, eps * z, problem.contract(pts)) / eps, why
 
 
 def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
@@ -273,13 +304,16 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     is mapped back to physical coordinates by the similarity.  Since
     G_{eps w}((x - y0)/eps) = eps G_w(x - y0), the amplitude is
     -Σ_j charge_j ∫_{T_j} j_0(eps w |y - y0|) dσ on the reference mesh.
+    Without ``spectral``, the reference mesh's is built for the solve.
     """
     omega = problem.omega
-    charge, potential = _dilated_solve(
-        problem, omega, lambda pts: problem.incident.evaluate(pts, omega))
+    charge, potential, why = _dilated_solve(
+        problem, omega, lambda pts: problem.incident.evaluate(pts, omega),
+        spectral=(spectral if spectral is not None
+                  else spectral_data(problem.mesh)))
     return _field_result(problem, points, potential,
                          _dilated_amplitude(problem, charge, omega),
-                         "dilated", spectral)
+                         "dilated", spectral, why)
 
 
 def _dilated_amplitude(problem: ScatteringProblem, charge, omega):
@@ -298,20 +332,25 @@ def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
     Solves (I + kappa DN S) flux = DN trace, kappa = 1/eps^2 - 1, for the
     interior flux as S^{-1} M^{-1} (1/2 + K) trace and represents u_sc as a
     single-layer potential with strength -kappa; the amplitude is
-    -kappa Σ_j flux_j ∫_{T_j} j_0(omega |y - y0|) dσ.  The factors are
-    released once the flux is solved, before the potential is evaluated.
+    -kappa Σ_j flux_j ∫_{T_j} j_0(omega |y - y0|) dσ.  The flux is
+    ``boundary_calculus._transmission_flux``'s: the scaled mesh's S_0 is
+    eps times the reference mesh's, whose LU in ``spectral`` (built here
+    if not given) preconditions S.  The operators are released once the
+    flux is solved, before the potential is evaluated.
     """
     omega, kappa = problem.omega, problem.kappa
     scaled = problem.scaled_mesh()
-    flux = _factor_transmission(
-        scaled, omega, omega, kappa,
-        trace=problem.incident.evaluate(scaled.centroids, omega)).flux()
+    flux, why = _transmission_flux(
+        scaled, omega, kappa, problem.incident.evaluate(scaled.centroids,
+                                                        omega),
+        spectral if spectral is not None else spectral_data(problem.mesh),
+        problem.eps)
     return _field_result(
         problem, points,
         lambda pts: -kappa * eval_single_layer_potential(scaled, flux, omega,
                                                          pts),
         -kappa * single_layer_monopole(scaled, flux, omega, problem.y0),
-        "direct", spectral)
+        "direct", spectral, why)
 
 
 # ----------------------------------------------------------------------------
@@ -416,9 +455,10 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     (``boundary_calculus._lockstep_flux``): Krylov passes over the stack
     from one factorization at the grid's centre, no factorization per row.
     A row the stack does not reach, or that the lockstep solve does not
-    accept, is solved by its own exact factorization, as a single dilated
-    solve is; the result's warnings list the stack's fallbacks and each
-    row the lockstep solve left, with the reason.
+    accept, is solved on its own from exact operators, as a single dilated
+    solve is (``boundary_calculus._transmission_flux``), and so is every
+    row of a direct sweep; the result's warnings list the stack's
+    fallbacks and each row the lockstep solve left, with the reason.
     """
     grid = check_grid(omega_grid)
     if method not in METHODS:
@@ -437,8 +477,8 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                 spectral, stack, problem.eps, grid,
                 lambda j: problem.incident.evaluate(centroids, grid[j])):
             if flux is None:
-                notes.append(f"lockstep sweep: omega = {grid[j]:g} solved by "
-                             f"its own factorization ({why})")
+                notes.append(f"lockstep sweep: omega = {grid[j]:g} solved "
+                             f"on its own ({why})")
             else:
                 fluxes[j] = flux
         if fluxes:
@@ -628,9 +668,9 @@ def resolvent_correction_kernel(problem: ScatteringProblem, z: complex,
         raise ValueError(f"resolvent kernel needs Im z > 0, got z = {z}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _, potential = _dilated_solve(problem, z,
-                                  lambda pts: green_function(z, pts - y),
-                                  stack)
+    _, potential, _ = _dilated_solve(problem, z,
+                                     lambda pts: green_function(z, pts - y),
+                                     stack)
     return complex(potential(x[None, :])[0])
 
 

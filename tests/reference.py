@@ -19,9 +19,9 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 from bubblebem.boundary_calculus import (SpectralData, _contrast_factors,
-                                         _discrete_coefficients,
-                                         _factor_transmission, _guarded_lu,
-                                         check_eps)
+                                         _discrete_coefficients, _guarded_lu,
+                                         _transmission_flux, check_eps,
+                                         spectral_data)
 from bubblebem.layer_ops import (SeriesStack, _check_im, _series_order,
                                  assemble_double_layer, assemble_layer_pair,
                                  assemble_single_layer, single_layer_monopole)
@@ -104,17 +104,17 @@ def dirichlet_to_neumann(mesh: SurfaceMesh, z: complex) -> np.ndarray:
 def transmission_residual(problem: ScatteringProblem) -> float:
     """Interface-condition check of the direct solve: the computed flux must
     equal DN applied to the total boundary trace (relative residual), with
-    DN applied through the solve's own LU of S and a separately assembled
-    1/2 + K.  The trace and the factors are those ``scattered_field_direct``
-    builds, bit for bit."""
+    DN applied through an LU of a separately assembled S and 1/2 + K.  The
+    trace and the flux are those ``scattered_field_direct`` builds, bit for
+    bit."""
     omega = problem.omega
     scaled = problem.scaled_mesh()
     trace = problem.incident.evaluate(scaled.centroids, omega)
-    f = _factor_transmission(scaled, omega, omega, problem.kappa, trace=trace)
-    flux = f.flux()
+    flux, _ = _transmission_flux(scaled, omega, problem.kappa, trace,
+                                 spectral_data(problem.mesh), problem.eps)
     s, half_k = assemble_layer_pair(scaled, omega)
     half_k.flat[::scaled.n_panels + 1] += 0.5
-    dn_total = lu_solve(f.s_lu,
+    dn_total = lu_solve(lu_factor(s),
                         half_k @ (trace - problem.kappa * (s @ flux)))
     return float(np.linalg.norm(dn_total - flux) / np.linalg.norm(flux))
 

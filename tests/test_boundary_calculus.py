@@ -15,12 +15,13 @@ from bubblebem import layer_ops
 from bubblebem.boundary_calculus import (NumericalGuardError,
                                          _contrast_factors,
                                          _factor_transmission, _guarded_lu,
-                                         check_eps, expansion_residual,
+                                         _transmission_flux, check_eps,
+                                         expansion_residual,
                                          k2_resonance_frequency,
                                          spectral_data)
 from bubblebem.layer_ops import (assemble_double_layer, assemble_layer_pair,
                                  assemble_series_stack, assemble_single_layer)
-from bubblebem.mesh import make_ellipsoid, make_icosphere
+from bubblebem.mesh import make_ellipsoid, make_icosphere, scale_about
 from reference import (affine_transform, contrast_matrix,
                        dirichlet_to_neumann, s0_inner, s0_operator_norm,
                        schur_blocks)
@@ -454,6 +455,91 @@ def test_stacked_contrast_product_peak_memory():
     assert factors.s is not None
     assert peak - start <= 5.5 * 2 ** 20
     assert kept - start <= 3.5 * 2 ** 20
+
+
+# ----------------------------------------------------------------------------
+# one frequency by Krylov
+
+
+def krylov_and_lu_fluxes(mesh, spectral, eps, omega, route):
+    """The flux of ``_transmission_flux`` and of the LU lanes on the same
+    problem: the reference mesh at eps * omega (dilated) or the mesh
+    dilated by eps about the origin at omega (direct)."""
+    kappa = eps ** -2 - 1.0
+    scaled = mesh if route == "dilated" else scale_about(mesh, eps,
+                                                         np.zeros(3))
+    w = eps * omega if route == "dilated" else omega
+    trace = np.exp(1j * w * (scaled.centroids @ np.array([0.3, -0.5, 0.8])))
+    flux, why = _transmission_flux(scaled, w, kappa, trace, spectral,
+                                   1.0 if route == "dilated" else eps)
+    return flux, why, _factor_transmission(scaled, w, w, kappa,
+                                           trace=trace).flux()
+
+
+@pytest.mark.parametrize("mesh_name", ["sphere1", "sphere2", "ellipsoid2"])
+@pytest.mark.parametrize("route", ["dilated", "direct"])
+@pytest.mark.parametrize("eps, bound", [(0.05, 1e-11), (0.01, 1e-9)])
+def test_krylov_flux_matches_the_lu_flux(mesh_name, route, eps, bound,
+                                         request):
+    # results contract, stated before measuring: GMRES is accepted and its
+    # flux is within 1e-11 (eps = 0.05) and 1e-9 (eps = 0.01), relative,
+    # of the flux the two LU lanes give, on either route
+    mesh = (make_icosphere(1.0, 1) if mesh_name == "sphere1"
+            else request.getfixturevalue(mesh_name))
+    spectral = spectral_data(mesh)
+    for omega in (1.3, 1.6):
+        flux, why, exact = krylov_and_lu_fluxes(mesh, spectral, eps, omega,
+                                                route)
+        assert why is None
+        assert (np.linalg.norm(flux - exact) / np.linalg.norm(exact)
+                <= bound), omega
+
+
+def test_krylov_flux_takes_no_lu(monkeypatch):
+    # with S_0's LU given, a solve at z == w factors nothing and passes
+    # every operator through one kernel pass
+    mesh = make_icosphere(1.0, 1)
+    spectral = spectral_data(mesh)
+    factored, passes = [], []
+    monkeypatch.setattr(boundary_calculus, "lu_factor",
+                        lambda *args, **kwargs: factored.append(args))
+    original = boundary_calculus.assemble_layer_pair
+    monkeypatch.setattr(boundary_calculus, "assemble_layer_pair",
+                        lambda mesh, z: passes.append(z) or original(mesh, z))
+    _, why = _transmission_flux(mesh, 0.08, 399.0,
+                                np.ones(mesh.n_panels, dtype=complex),
+                                spectral)
+    assert why is None and factored == [] and passes == [0.08]
+
+
+@pytest.mark.parametrize("route", ["dilated", "direct"])
+def test_a_refused_krylov_solve_is_the_lu_flux(route, monkeypatch):
+    # one step is too few for M: the flux is the LU lanes', bit for bit,
+    # and the reason is returned
+    mesh = make_icosphere(1.0, 1)
+    monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
+    flux, why, exact = krylov_and_lu_fluxes(mesh, spectral_data(mesh), 0.05,
+                                            1.6, route)
+    assert why == "M system: backward error above 1e-14 after 1 Krylov steps"
+    assert flux.tobytes() == exact.tobytes()
+
+
+def test_krylov_flux_peak_memory(sphere3, spectral3):
+    # bound stated before measuring, that of the LU lanes
+    # (test_transmission_factors_peak_memory): the kernel pass returns S_w
+    # and 1/2 + K_w (25 MiB each) beside one chunk's temporaries, M is
+    # formed in place, and the two Krylov bases hold 31 vectors each; a
+    # copy of S_w or a separate M (75 MiB) would exceed the bound
+    trace = np.ones(sphere3.n_panels, dtype=complex)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, why = _transmission_flux(sphere3, 0.08, 399.0, trace, spectral3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert why is None
+    assert peak - start <= 66 * 2 ** 20
 
 
 def test_factoring_leaves_the_kept_arrays_unchanged():

@@ -338,11 +338,16 @@ def any_argv(draw):
 @given(argv=any_argv())
 def test_no_command_line_ends_in_a_traceback(argv):
     # every command line ends in one of the four exit codes, and a usage
-    # error or a tripped guard says so on its first line
+    # error or a tripped guard says so on its first line; a solve that
+    # exits 0 writes finite fields
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--out", tmp])
+        if code == EXIT_OK and argv[0] == "solve":
+            _, rows = read_csv(os.path.join(tmp, "fields.csv"))
+            assert not any(math.isnan(float(v)) for row in rows
+                           for v in row), argv
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_VERIFY)
     if code == EXIT_USAGE:
         assert err.getvalue().startswith("error:")
@@ -430,6 +435,13 @@ def test_usage_errors(tmp_path):
     ("sweep", ["--omega-grid", "1.5:1.9:0.1", "--method", "dilated",
                "--point-source=1e300,0,0"]),
     ("verify", ["--point-source=0,0,1e300"]),
+    # the fit sphere, of radius 10/omega, contracted by 1/eps, has a
+    # squared radius past the largest float
+    ("solve", ["--omega", "1e-300"]),
+    # the center's distance to the mesh overflows, and so would the
+    # monopole's
+    ("solve", ["--center=1e300,0,0"]),
+    ("sweep", ["--omega-grid", "1e-300,1.5", "--method", "dilated"]),
 ])
 def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                              command, bad):
@@ -452,6 +464,24 @@ def test_bad_physical_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
         args += ["--method", "uniform"]
     assert main([*args, *bad, "--out", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("method", ["dilated", "direct", "uniform"])
+def test_the_smallest_contracted_wavenumber_writes_finite_values(tmp_path,
+                                                                 method):
+    # at eps * omega just above the rule's bound the fit sphere's squared
+    # distances are finite: the fields are finite, and the misfit, whose
+    # norm underflows to 0 there, is 0
+    omega = 1.1 * sc._CONTRACTED_MIN / 0.05
+    assert run(tmp_path, "solve", "--icosphere", "1,0", "--eps", "0.05",
+               "--omega", repr(omega), "--method", method) == EXIT_OK
+    for name in ("fields.csv", "summary.csv"):
+        _, rows = read_csv(tmp_path / name)
+        assert all(math.isfinite(float(v)) for row in rows
+                   for v in row[-1 if name == "summary.csv" else 0:])
+    with pytest.raises(ValueError, match="eps \\* omega must be at least"):
+        sc.ScatteringProblem(make_icosphere(1.0, 0), 0.05, 0.9 * omega,
+                             sc.PlaneWave(np.array([0.0, 0.0, 1.0])))
 
 
 @pytest.mark.parametrize("grid", ["1:1e300:1e-300", "1.5:1.6:1e-12"])
@@ -545,6 +575,8 @@ def test_solve_route_guards_exit_code(tmp_path, monkeypatch, capsys, method):
     from bubblebem.boundary_calculus import NumericalGuardError
     args = ["solve", "--icosphere", "1.0,0", "--eps", "0.05", "--omega", "1.3",
             "--method", method, "--out", str(tmp_path)]
+    # a solve factors M only where GMRES is refused, as it is in one step
+    monkeypatch.setattr(bc, "_SINGLE_STEPS", 1)
     original = bc._guarded_lu
 
     def trip_m(matrix, context, **kwargs):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from collections import Counter
 
@@ -235,15 +236,15 @@ def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
 SUB1 = make_icosphere(1.0, 1)
 SPECTRAL1 = spectral_data(SUB1)
 ROUTES = {
-    "dilated": lambda p: scattered_field_dilated(p, OBS),
-    "direct": lambda p: scattered_field_direct(p, OBS),
+    "dilated": lambda p: scattered_field_dilated(p, OBS, SPECTRAL1),
+    "direct": lambda p: scattered_field_direct(p, OBS, SPECTRAL1),
     "interaction": lambda p: interaction_operator(p, 0.7),
     "resolvent": lambda p: resolvent_correction_kernel(p, 1j, OBS[0], OBS[1]),
     "expansion": lambda p: expansion_residual(SPECTRAL1, p.eps, p.omega, 0.7),
 }
-# at z == w, S_w and M are factored apart, in two lanes that may run side
-# by side; at z != w the one guarded LU of M S_w covers both, since
-# det(M S_w) = det M det S_w
+# at z == w, S_w and M are solved by GMRES and, where it is refused,
+# factored apart, in two lanes that may run side by side; at z != w the
+# one guarded LU of M S_w covers both, since det(M S_w) = det M det S_w
 GUARDED = {"dilated": ("single layer S", "contrast matrix M"),
            "direct": ("single layer S", "contrast matrix M"),
            "interaction": ("contrast matrix M S_w",),
@@ -253,6 +254,9 @@ GUARDED = {"dilated": ("single layer S", "contrast matrix M"),
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_each_route_guards_s_and_m(route, monkeypatch):
+    # a route at z == w factors only where GMRES is refused: one step is
+    # too few for it, so every such solve reaches the guarded lanes
+    monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
     problem = make_problem(SUB1, 0.05, 1.3)
     original = boundary_calculus._guarded_lu
     contexts = []
@@ -290,22 +294,32 @@ CONTRACTED_Z = {"dilated": 1.3, "interaction": 0.7, "resolvent": 1j,
 @pytest.mark.parametrize("route", CONTRACTED_Z)
 def test_each_contracted_route_factors_once(route, monkeypatch):
     # every route on the reference mesh reaches M through the one
-    # contraction, boundary_calculus._contrast_factors, exactly once
+    # contraction, boundary_calculus._contract, exactly once: by
+    # _contrast_factors at z != w, by _transmission_flux at z == w
     problem = make_problem(SUB1, 0.05, 1.3)
-    original = boundary_calculus._contrast_factors
-    calls = []
+    original = boundary_calculus._contract
+    calls, meshes = [], []
 
-    def recorder(mesh, eps, omega, z, stack=None, trace=None):
-        calls.append((mesh, eps, omega, z))
-        return original(mesh, eps, omega, z, stack, trace)
+    def recorder(eps, omega, z):
+        calls.append((eps, omega, z))
+        return original(eps, omega, z)
 
-    for module in (boundary_calculus, scattering, reference):
-        monkeypatch.setattr(module, "_contrast_factors", recorder)
+    def record_mesh(inner):
+        def recorded(mesh, *args, **kwargs):
+            meshes.append(mesh)
+            return inner(mesh, *args, **kwargs)
+        return recorded
+
+    for module in (boundary_calculus, scattering):
+        monkeypatch.setattr(module, "_contract", recorder)
+    for name in ("_contrast_factors", "_transmission_flux"):
+        recorded = record_mesh(getattr(boundary_calculus, name))
+        for module in (boundary_calculus, scattering, reference):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded)
     ROUTES[route](problem)
-    assert len(calls) == 1
-    mesh, eps, omega, z = calls[0]
-    assert mesh is SUB1
-    assert (eps, omega, z) == (0.05, 1.3, CONTRACTED_Z[route])
+    assert calls == [(0.05, 1.3, CONTRACTED_Z[route])]
+    assert len(meshes) == 1 and meshes[0] is SUB1
 
 
 def test_transmission_residual_small(sphere2):
@@ -909,15 +923,15 @@ def test_lockstep_sweep_matches_the_per_row_solves(mesh_name, low, high,
 
 def test_a_row_the_lockstep_solve_misses_is_factored_exactly(monkeypatch):
     # with one Krylov step no row reaches the backward error: each row is
-    # left to its own exact factorization, listed in the warnings, and the
-    # sweep has the bytes of one with no stack at all
+    # left to its own solve from exact operators, listed in the warnings,
+    # and the sweep has the bytes of one with no stack at all
     problem = make_problem(SUB1, 0.05, 1.5)
     grid = [1.5, 1.6, 1.7, 1.8]
     monkeypatch.setattr(boundary_calculus, "_LOCKSTEP_STEPS", 1)
     missed = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
     assert all(row.error is None for row in missed.rows)
     assert missed.warnings == [
-        f"lockstep sweep: omega = {w:g} solved by its own factorization "
+        f"lockstep sweep: omega = {w:g} solved on its own "
         "(M system: backward error above 1e-14 after 1 Krylov steps)"
         for w in grid]
     monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
@@ -928,8 +942,9 @@ def test_a_row_the_lockstep_solve_misses_is_factored_exactly(monkeypatch):
 
 def test_lockstep_rows_keep_the_per_row_guard_errors(monkeypatch):
     # at a condition limit of 1 the centre's guard trips, every row is
-    # factored on its own, and each records the error of the sweep that
-    # reads no stack: S_w's guard, as a single dilated solve reports it
+    # solved on its own, where GMRES is refused too and the LU lanes
+    # factor it, and each records the error of the sweep that reads no
+    # stack: S_w's guard, as a single dilated solve reports it
     problem = make_problem(SUB1, 0.05, 1.5)
     grid = [1.5, 1.6, 1.7]
     monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
@@ -944,6 +959,43 @@ def test_lockstep_rows_keep_the_per_row_guard_errors(monkeypatch):
     monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
     exact = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
     assert errors == [row.error for row in exact.rows]
+
+
+def test_a_stacked_dilated_sweep_never_solves_a_row_on_its_own(
+        monkeypatch, sphere2, spectral2):
+    # every row of a sub-2 dilated sweep that the stack reaches is solved
+    # in lockstep, so no row enters the one-frequency solve; a direct
+    # sweep enters it once per row
+    calls = []
+    original = boundary_calculus._transmission_flux
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_transmission_flux", counted)
+    problem = make_problem(sphere2, 0.05, 1.5)
+    grid = np.round(np.arange(1.5, 2.0001, 0.02), 10)
+    sweep = frequency_sweep(problem, grid, "dilated", spectral2)
+    assert sweep.warnings == [] and calls == []
+    direct = frequency_sweep(problem, grid[:3], "direct", spectral2)
+    assert all(row.error is None for row in direct.rows)
+    assert calls == list(grid[:3])
+
+
+def test_a_refused_solve_notes_why_in_its_warnings(monkeypatch, tmp_path):
+    # with one Krylov step GMRES is refused: the solve takes the LU lanes'
+    # flux, and the field's warnings, and so the manifest, say why
+    monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
+    note = ("omega = 1.3: GMRES refused (M system: backward error above "
+            "1e-14 after 1 Krylov steps); solved by LU factorization")
+    for route in (scattered_field_dilated, scattered_field_direct):
+        fld = route(make_problem(SUB1, 0.05, 1.3), OBS, SPECTRAL1)
+        assert fld.warnings == [note]
+    assert main(["solve", "--icosphere", "1.0,1", "--eps", "0.05",
+                 "--omega", "1.3", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["warnings"] == [note]
 
 
 def test_lockstep_sweep_bytes_do_not_depend_on_the_worker_count(
