@@ -9,8 +9,9 @@ operator family.
 At z == w a single solve, ``_transmission_flux``, solves S_w and M by
 GMRES on the exact operators from one kernel pass, preconditioned by the
 LU of S_0 that ``SpectralData`` keeps, and factors nothing; only where
-GMRES is refused does it take the guarded factors of
-``_factor_transmission``, which every study at z != w factors through.
+GMRES is refused does it factor the S_w and M it holds, in place under the
+guard, S_w first.  Every other study factors the one product
+M S_w = S_w + kappa (1/2 + K_w) S_z through ``_factor_transmission``.
 
 Operators are read only through the public ``layer_ops`` assemblers and
 ``SeriesStack`` readers, which return them F-ordered, and every
@@ -34,12 +35,6 @@ in two lanes side by side (docs/scaling_identities.md, "The sweep in
 lockstep"); a row it does not accept is solved on its own, exactly, as a
 single solve is.  Every solve passes its own copy of the pivots
 (``_lu_solve``), so lanes and tasks may share a factor.
-
-At z == w, where GMRES is refused, the two factorizations are
-independent, so they run side by side, one lane each for S and M, when
-the process may use two CPUs (``layer_ops._side_by_side``); each lane
-factors its own F-ordered operand in place, and the factors are the same
-bits in either lane order.
 
 All operator-norm statements are evaluated in the norm induced by the
 discrete S_0^{-1} inner product, in which the projector onto constants is
@@ -251,23 +246,17 @@ class TransmissionFactors(NamedTuple):
     the right-hand side (1/2 + K_w) trace of the trace (or block of traces)
     its caller gave, or None.
 
-    At z == w: the LUs of M = I + kappa (1/2 + K_w) and of S_w, each
-    factored in place where it was formed, so none of S_w, 1/2 + K_w and M
-    is kept.  At z != w: S_w itself and the LU of
-    M S_w = S_w + kappa (1/2 + K_w) S_z; neither M nor an LU of S_w is
-    formed.  ``solve``, ``m_solve`` and ``m_adjoint_solve`` apply the same
-    operators on either branch.
+    ``lu`` is the LU of M S_w = S_w + kappa (1/2 + K_w) S_z, factored in
+    place where it was formed, and ``s`` is S_w itself; neither M nor an
+    LU of S_w is formed.
     """
 
     rhs: np.ndarray | None
-    lu: tuple                         # guarded LU of M (z == w), M S_w (z != w)
-    s_lu: tuple | None = None         # z == w: the guarded LU of S_w
-    s: np.ndarray | None = None       # z != w: S_w
+    lu: tuple                         # guarded LU of M S_w
+    s: np.ndarray                     # S_w
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """S_w^{-1} M^{-1} rhs = (M S_w)^{-1} rhs."""
-        if self.s is None:
-            return _lu_solve(self.s_lu, _lu_solve(self.lu, rhs))
         return _lu_solve(self.lu, rhs)
 
     def flux(self) -> np.ndarray:
@@ -276,16 +265,12 @@ class TransmissionFactors(NamedTuple):
         return self.solve(self.rhs)
 
     def m_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs, as S_w (M S_w)^{-1} rhs at z != w."""
-        if self.s is None:
-            return _lu_solve(self.lu, rhs)
+        """M^{-1} rhs, as S_w (M S_w)^{-1} rhs."""
         return self.s @ _lu_solve(self.lu, rhs)
 
     def m_adjoint_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-H} rhs, as (M S_w)^{-H} S_w^H rhs at z != w."""
-        if self.s is not None:
-            rhs = np.conj(self.s.T @ np.conj(rhs))
-        return _lu_solve(self.lu, rhs, trans=2)
+        """M^{-H} rhs, as (M S_w)^{-H} S_w^H rhs."""
+        return _lu_solve(self.lu, np.conj(self.s.T @ np.conj(rhs)), trans=2)
 
 
 def _series_stack(spectral: SpectralData, studies) -> tuple:
@@ -339,15 +324,12 @@ def _form_contrast(k: np.ndarray, kappa: float,
     return rhs
 
 
-def _factor_contrast(k: np.ndarray, kappa: float, w: complex, z: complex,
-                     trace: np.ndarray | None = None) -> tuple:
-    """``_form_contrast`` and then the factorization of M in place under
-    the guard: the right-hand side, or None, and ``_guarded_lu``'s
-    ((lu, piv), anorm, condition).  ``z`` only names the spectral
-    parameter in the guard's message."""
-    rhs = _form_contrast(k, kappa, trace)
-    return rhs, _guarded_lu(k, f"contrast matrix M at wavenumber {w:.6g}, "
-                               f"spectral parameter {z:.6g}")
+def _contrast_lu(m: np.ndarray, w: complex, z: complex) -> tuple:
+    """``_guarded_lu`` of the contrast matrix M, formed in ``m`` by
+    ``_form_contrast``, in place: the one text of M's guard, which names
+    the wavenumber ``w`` and the spectral parameter ``z``."""
+    return _guarded_lu(m, f"contrast matrix M at wavenumber {w:.6g}, "
+                          f"spectral parameter {z:.6g}")
 
 
 def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
@@ -358,13 +340,14 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     guard, without forming the Dirichlet-to-Neumann map
     DN_w = S_w^{-1}(1/2 + K_w), and form the right-hand side
     (1/2 + K_w) ``trace`` of a trace or a block of traces, if given.
-    At z != w, where a series ``stack`` of ``mesh`` reaches w, S_w and K_w
-    are its matrix products, and so is S_z where it reaches z; everywhere
-    else, and at every z == w, they are assembled exactly, S_w and K_w in
-    one kernel pass on every usable CPU.  This is the one place that choice
-    is made, operator by operator.  (At z == w a solve reaches it only
-    where GMRES is refused, ``_transmission_flux``, and a dilated sweep's
-    stacked rows take no factorization of their own: ``_lockstep_flux``.)
+    Where a series ``stack`` of ``mesh`` reaches w, S_w and K_w are its
+    matrix products, and so is S_z where it reaches z; everywhere else
+    they are assembled exactly, S_w and K_w in one kernel pass on every
+    usable CPU.  This is the one place that choice is made, operator by
+    operator.  (A solve at z == w factors nothing unless GMRES is refused,
+    and then the operators it holds: ``_transmission_flux``; a dilated
+    sweep's stacked rows take no factorization of their own:
+    ``_lockstep_flux``.)
 
     With M = I + kappa (1/2 + K_w) S_z S_w^{-1}, S_w^{-1} M S_w
     = I + kappa DN_w S_z, so
@@ -377,20 +360,7 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     would need no product, but loses digits to cancellation in I - M^{-1}
     far below the resonance (docs/scaling_identities.md).
 
-    At z == w, M = I + kappa (1/2 + K_w); S_z is not built, and S_w and M
-    are factored in two lanes that ``layer_ops._side_by_side`` runs side by
-    side when two CPUs are usable, else S first.  The kernel pass returns
-    S_w and 1/2 + K_w F-ordered, so that each lane factors its operand
-    where it lies:
-    - lane S: S_w, factored in place;
-    - lane M: 1/2 + K_w, the right-hand side, then M = I + kappa
-      (1/2 + K_w) in place and factored in place (``_factor_contrast``).
-    So no more than two n x n arrays are held once the kernel pass is done.
-    If both guards trip, S_w's error is raised, as in the serial order.
-    Each lane's arithmetic does not depend on the other, so the factors
-    are the same bits either way.
-
-    At z != w the one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
+    The one matrix M S_w = S_w + kappa (1/2 + K_w) S_z is formed
     F-ordered (one matmul; S_z, the stack's product or an exact assembly,
     and 1/2 + K_w are released right after it, and a stacked S_w is summed
     only then) and factored in place, and S_w is kept for
@@ -398,36 +368,27 @@ def _factor_transmission(mesh: SurfaceMesh, w: complex, z: complex,
     det(M S_w) = det M det S_w, the guard on M S_w trips when M or S_w is
     singular.
 
-    This is the only place M or M S_w is factored for one wavenumber: the
-    solvers, where they factor, and ``expansion_residual`` all read it
-    from here.
+    This is the only place M S_w is factored for one wavenumber: the
+    solvers at z != w and ``expansion_residual`` all read it from here.
     """
-    if z != w:
-        # a stacked S_w is summed once 1/2 + K_w and S_z are released, so
-        # the product holds three n x n arrays
-        stacked = stack is not None and stack.reaches(w)
-        s, half_k = ((None, stack.double_layer(w)) if stacked
-                     else assemble_layer_pair(mesh, w))
-        half_k.flat[::mesh.n_panels + 1] += 0.5
-        rhs = None if trace is None else half_k @ trace
-        s_z = (stack.single_layer(z) if stack is not None and stack.reaches(z)
-               else assemble_single_layer(mesh, z))
-        ms = np.matmul(half_k, s_z, order="F")
-        del half_k, s_z
-        ms *= kappa
-        if s is None:
-            s = stack.single_layer(w)
-        ms += s
-        lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
-                             f"spectral parameter {z:.6g}")[0]
-        return TransmissionFactors(rhs, lu, s=s)
-    # one kernel pass for both: it holds the two n x n results and one
-    # chunk's temporaries (63.4 MiB traced at n = 1280)
-    s, k = assemble_layer_pair(mesh, w)
-    s_lu, (rhs, (lu, _, _)) = _side_by_side(
-        [lambda: _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")[0],
-         lambda: _factor_contrast(k, kappa, w, z, trace)], "factor lane")
-    return TransmissionFactors(rhs, lu, s_lu=s_lu)
+    # a stacked S_w is summed once 1/2 + K_w and S_z are released, so the
+    # product holds three n x n arrays
+    stacked = stack is not None and stack.reaches(w)
+    s, half_k = ((None, stack.double_layer(w)) if stacked
+                 else assemble_layer_pair(mesh, w))
+    half_k.flat[::mesh.n_panels + 1] += 0.5
+    rhs = None if trace is None else half_k @ trace
+    s_z = (stack.single_layer(z) if stack is not None and stack.reaches(z)
+           else assemble_single_layer(mesh, z))
+    ms = np.matmul(half_k, s_z, order="F")
+    del half_k, s_z
+    ms *= kappa
+    if s is None:
+        s = stack.single_layer(w)
+    ms += s
+    lu = _guarded_lu(ms, f"contrast matrix M S_w at wavenumber {w:.6g}, "
+                         f"spectral parameter {z:.6g}")[0]
+    return TransmissionFactors(rhs, lu, s)
 
 
 # ----------------------------------------------------------------------------
@@ -620,8 +581,9 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
     n, kappa = spectral.mesh.n_panels, eps ** -2 - 1.0
     centre = 0.5 * (ws[rows[0]] + ws[rows[-1]])
     try:
-        _, (m_lu, m_norm, m_condition) = _factor_contrast(
-            stack.double_layer(centre), kappa, centre, centre)
+        m = stack.double_layer(centre)
+        _form_contrast(m, kappa)
+        m_lu, m_norm, m_condition = _contrast_lu(m, centre, centre)
     except (NumericalGuardError, ValueError) as exc:
         for j in rows:
             yield j, None, f"centre preconditioner: {exc}"
@@ -671,23 +633,24 @@ def _transmission_flux(mesh: SurfaceMesh, w: float, kappa: float,
                        trace: np.ndarray, spectral: SpectralData,
                        scale: float = 1.0) -> tuple:
     """The interior flux S_w^{-1} M^{-1} (1/2 + K_w) ``trace`` on ``mesh``
-    at z == w, and None, or, if GMRES does not accept it, the flux of
-    ``_factor_transmission`` and why not (docs/scaling_identities.md, "One
+    at z == w, and None, or, if GMRES does not accept it, the flux of the
+    guarded LUs of S_w and M and why not (docs/scaling_identities.md, "One
     frequency by Krylov").  ``mesh`` is ``spectral.mesh`` dilated by
     ``scale`` about any point, so its S_0 is ``scale`` times
     ``spectral.mesh``'s.
 
     One kernel pass gives S_w and K_w, and M is formed from K_w in place
-    after the right-hand side, as ``_factor_contrast`` does.  Then two
+    after the right-hand side (``_form_contrast``).  Then two
     single-column ``_lockstep_gmres`` solves of at most _SINGLE_STEPS
     steps each, each measured against its own operator's 1-norm:
     M y = (1/2 + K_w) trace with no preconditioner, since M is
     kappa (1/2 + K_w) off the constants, whose spectrum clusters near
     kappa / 2, and 1 on them; and S_w x = y preconditioned by
-    S_0^{-1} / scale.  No LU is taken.  If either system is refused, S_w
-    and M are released and the flux comes from the two guarded LU lanes
-    of ``_factor_transmission``, which raise their guards' errors as
-    before.
+    S_0^{-1} / scale.  No LU is taken.  If either system is refused, the
+    S_w and M it holds are factored in place under the guard, S_w first
+    and then M (``_contrast_lu``), so where both guards trip S_w's error
+    is raised, and the flux is S_w^{-1} M^{-1} (1/2 + K_w) trace from
+    those LUs: no second kernel pass, and no thread.
     """
     def times(a):
         # by scipy's BLAS, as the S_0 solves are: numpy and scipy each load
@@ -708,8 +671,8 @@ def _transmission_flux(mesh: SurfaceMesh, w: float, kappa: float,
         why = f"S system: {why}"
     else:
         why = f"M system: {why}"
-    del s, m
-    return _factor_transmission(mesh, w, w, kappa, trace=trace).flux(), why
+    s_lu = _guarded_lu(s, f"single layer S at wavenumber {w:.6g}")[0]
+    return _lu_solve(s_lu, _lu_solve(_contrast_lu(m, w, w)[0], rhs)), why
 
 
 _GK_TOLERANCE = 1e-12

@@ -21,12 +21,9 @@ mask but never more than the chunks a serial pass would make.  The blocks
 run on ``_side_by_side``, the package's one worker pool and the one place
 threads are started: in every call the calling thread runs the first task
 (here, block) and a thread per call each other one, and every thread is
-joined before the call returns.  The same pool runs the two factorization
-lanes of ``boundary_calculus._factor_transmission`` (lane S first, so on
-the calling thread), which a solve at z == w reaches only where GMRES is
-refused (``boundary_calculus._transmission_flux``), the two lanes of row
-blocks of the lockstep sweep
-(``boundary_calculus._lockstep_flux``) and the ten contracted studies of
+joined before the call returns.  The same pool runs the two lanes of row
+blocks of the lockstep sweep (``boundary_calculus._lockstep_flux``) and
+the ten contracted studies of
 ``cli.verification_checks``; no task hands a shared pivot array to
 ``lu_solve``, which writes to it while it solves
 (``boundary_calculus._lu_solve``).  A pool call made inside one of its tasks
@@ -166,8 +163,8 @@ def _check_im(z: complex) -> complex:
 
 def _worker_count(chunks: int) -> int:
     """Workers for ``chunks`` pieces of work that could each run alone (the
-    chunks of a serial pass, the lanes of a factorization, the studies of
-    ``verify``): one per CPU in this process's affinity mask
+    chunks of a serial pass, the lanes of the lockstep sweep, the studies
+    of ``verify``): one per CPU in this process's affinity mask
     (``os.cpu_count()`` on platforms without one), and never more than the
     pieces."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 import threading
 import tracemalloc
 
@@ -252,18 +251,15 @@ def test_guarded_lu_rejects_nonfinite_entries():
 def test_transmission_factors_share_one_kernel_pass(monkeypatch):
     # S_w and K_w come from one pass: one e^{iwr} per chunk of each row
     # block, not one per operator, so each row gets exactly one; and the
-    # factors are those of the separately assembled operators
+    # pair is the bits of the separately assembled operators
     mesh = make_icosphere(1.0, 1)
     n, rows, w = mesh.n_panels, 7, 1.6
     monkeypatch.setattr(layer_ops, "_CHUNK_PAIRS", rows * 6 * n)
     nodes, _ = layer_ops.panel_quadrature(mesh)
     distances = np.linalg.norm(
         mesh.centroids[:, None, :] - nodes.reshape(-1, 3)[None], axis=2)
-    half_k = assemble_double_layer(mesh, w)
-    half_k.flat[::mesh.n_panels + 1] += 0.5
-    trace = np.cos(np.arange(n))
-    rhs = np.asfortranarray(half_k) @ trace
-    s_lu = lu_factor(assemble_single_layer(mesh, w))
+    single = assemble_single_layer(mesh, w).tobytes()
+    double = assemble_double_layer(mesh, w).tobytes()
     original = layer_ops._expi
     calls = []
 
@@ -276,7 +272,7 @@ def test_transmission_factors_share_one_kernel_pass(monkeypatch):
         calls.clear()
         monkeypatch.setattr(layer_ops, "_worker_count",
                             lambda chunks, k=workers: k)
-        factors = _factor_transmission(mesh, w, w, 0.5, trace=trace)
+        s, k = assemble_layer_pair(mesh, w)
         chunk_rows = max(1, rows // workers)
         blocks = np.array_split(np.arange(n), workers)
         assert len(calls) == sum(-(-len(b) // chunk_rows) for b in blocks)
@@ -284,135 +280,7 @@ def test_transmission_factors_share_one_kernel_pass(monkeypatch):
             np.abs(distances[:, None, :] - r[None]).max(axis=2).argmin(axis=0)
             for r in calls])
         assert np.array_equal(np.bincount(seen, minlength=n), np.ones(n, int))
-        assert ([a.tobytes() for a in factors.s_lu]
-                == [a.tobytes() for a in s_lu])
-        assert factors.rhs.tobytes() == rhs.tobytes()
-
-
-def test_transmission_factors_release_s(monkeypatch):
-    # at z == w the one kernel pass writes S_w and 1/2 + K_w in F order,
-    # and each is factored where it lies: the LU of S_w is S_w's memory and
-    # the LU of M is that of 1/2 + K_w, so the factors keep no operator
-    # beside its LU
-    arrays = []
-    original = layer_ops._assemble_layers
-
-    def recorded(*args, **kwargs):
-        pair = original(*args, **kwargs)
-        arrays.extend(pair)
-        return pair
-
-    monkeypatch.setattr(layer_ops, "_assemble_layers", recorded)
-    mesh = make_icosphere(1.0, 1)
-    factors = _factor_transmission(mesh, 1.6, 1.6, 0.5,
-                                   trace=np.ones(mesh.n_panels))
-    s, half_k = arrays
-    assert s.flags.f_contiguous and half_k.flags.f_contiguous
-    assert factors.s_lu[0] is s and factors.lu[0] is half_k
-    assert factors.s is None and factors.rhs.shape == (mesh.n_panels,)
-
-
-@pytest.mark.parametrize("subdivisions", [1, 2])
-@pytest.mark.parametrize("stacked", [False, True])
-@pytest.mark.parametrize("lanes", [1, 2])
-def test_factor_lanes_give_the_factors_of_the_assembled_arrays(
-        monkeypatch, subdivisions, stacked, lanes):
-    # at z == w, S_w and M are factored in place in two lanes, side by side
-    # only when two CPUs are usable: the factors are lu_factor's of the
-    # separately assembled S_w and M, bit for bit, either way, and the
-    # lanes run on two threads only then.  A series stack that reaches
-    # w is not read at z == w (a sweep's stacked rows run in lockstep), so
-    # with one given the factors are still those of the exact arrays
-    mesh = make_icosphere(1.0, subdivisions)
-    n, w, kappa = mesh.n_panels, 0.08, 399.0
-    stack = None
-    if stacked:
-        stack = assemble_series_stack(mesh, 12)
-        assert stack.reaches(w)
-    s = assemble_single_layer(mesh, w)
-    half_k = assemble_double_layer(mesh, w)
-    half_k.flat[::n + 1] += 0.5
-    m = kappa * half_k
-    m.flat[::n + 1] += 1.0
-    original = boundary_calculus._guarded_lu
-    threads = {}
-
-    def recorder(matrix, context, **kwargs):
-        threads[context.split(" at ")[0]] = threading.current_thread()
-        return original(matrix, context, **kwargs)
-
-    monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorder)
-    monkeypatch.setattr(layer_ops, "_worker_count",
-                        lambda chunks: min(chunks, lanes))
-    # the right-hand side is (1/2 + K_w) trace from lane M's F-ordered
-    # 1/2 + K_w, before M overwrites it; for the identity it is 1/2 + K_w
-    trace = np.exp(1j * np.linspace(0.0, 2.0, n))
-    factors = _factor_transmission(mesh, w, w, kappa, stack, trace)
-    for got, want in ((factors.s_lu, lu_factor(s)), (factors.lu, lu_factor(m))):
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert factors.rhs.tobytes() == (np.asfortranarray(half_k)
-                                     @ trace).tobytes()
-    block = _factor_transmission(mesh, w, w, kappa, stack, np.eye(n)).rhs
-    assert block.tobytes() == half_k.tobytes()
-    assert ((threads["contrast matrix M"] is threads["single layer S"])
-            == (lanes == 1))
-
-
-@pytest.mark.parametrize("m_first", [False, True])
-def test_when_both_lanes_trip_the_s_error_is_raised(monkeypatch, m_first):
-    # with the guard at 1 both S_w and M trip; the S_w error is raised, as
-    # in the serial order, in every repeat and also when lane S waits for
-    # lane M to fail first, and no lane thread outlives the call
-    mesh = make_icosphere(1.0, 1)
-    original = boundary_calculus._guarded_lu
-    m_done = threading.Event()
-
-    def ordered(matrix, context, **kwargs):
-        if context.startswith("contrast matrix M"):
-            try:
-                return original(matrix, context, **kwargs)
-            finally:
-                m_done.set()
-        if m_first:
-            assert m_done.wait(timeout=30)
-        return original(matrix, context, **kwargs)
-
-    monkeypatch.setattr(boundary_calculus, "_guarded_lu", ordered)
-    monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
-    monkeypatch.setattr(layer_ops, "_worker_count",
-                        lambda chunks: min(chunks, 2))
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            m_done.clear()
-            with pytest.raises(NumericalGuardError,
-                               match="^single layer S at wavenumber 1.6: "
-                                     "condition number"):
-                _factor_transmission(mesh, 1.6, 1.6, 0.5)
-            assert m_done.is_set()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-
-
-def test_transmission_factors_peak_memory():
-    # bound stated before measuring: at n = 1280 the exact pass returns S_w
-    # and 1/2 + K_w in F order (25 MiB each) beside one chunk's
-    # temporaries, 63.4 MiB in a prototype; each lane then factors its
-    # array in place, so the lanes hold 50 MiB.  An F-ordered copy of S_w
-    # or a separate M (75 MiB) would exceed the bound
-    mesh = make_icosphere(1.0, 3)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        factors = _factor_transmission(mesh, 0.08, 0.08, 399.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert factors.s_lu is not None
-    assert peak - start <= 66 * 2 ** 20
+        assert s.tobytes() == single and k.tobytes() == double
 
 
 def test_exact_contrast_product_peak_memory():
@@ -462,7 +330,8 @@ def test_stacked_contrast_product_peak_memory():
 
 
 def krylov_and_lu_fluxes(mesh, spectral, eps, omega, route):
-    """The flux of ``_transmission_flux`` and of the LU lanes on the same
+    """The flux of ``_transmission_flux`` and S_w^{-1} M^{-1} (1/2 + K_w)
+    trace from the LUs of the public assemblers' S_w and M on the same
     problem: the reference mesh at eps * omega (dilated) or the mesh
     dilated by eps about the origin at omega (direct)."""
     kappa = eps ** -2 - 1.0
@@ -472,8 +341,14 @@ def krylov_and_lu_fluxes(mesh, spectral, eps, omega, route):
     trace = np.exp(1j * w * (scaled.centroids @ np.array([0.3, -0.5, 0.8])))
     flux, why = _transmission_flux(scaled, w, kappa, trace, spectral,
                                    1.0 if route == "dilated" else eps)
-    return flux, why, _factor_transmission(scaled, w, w, kappa,
-                                           trace=trace).flux()
+    n = scaled.n_panels
+    half_k = assemble_double_layer(scaled, w)
+    half_k.flat[::n + 1] += 0.5
+    rhs = half_k @ trace
+    m = kappa * half_k
+    m.flat[::n + 1] += 1.0
+    return flux, why, lu_solve(lu_factor(assemble_single_layer(scaled, w)),
+                               lu_solve(lu_factor(m), rhs))
 
 
 @pytest.mark.parametrize("mesh_name", ["sphere1", "sphere2", "ellipsoid2"])
@@ -483,7 +358,7 @@ def test_krylov_flux_matches_the_lu_flux(mesh_name, route, eps, bound,
                                          request):
     # results contract, stated before measuring: GMRES is accepted and its
     # flux is within 1e-11 (eps = 0.05) and 1e-9 (eps = 0.01), relative,
-    # of the flux the two LU lanes give, on either route
+    # of the flux the LUs of S_w and M give, on either route
     mesh = (make_icosphere(1.0, 1) if mesh_name == "sphere1"
             else request.getfixturevalue(mesh_name))
     spectral = spectral_data(mesh)
@@ -514,19 +389,59 @@ def test_krylov_flux_takes_no_lu(monkeypatch):
 
 @pytest.mark.parametrize("route", ["dilated", "direct"])
 def test_a_refused_krylov_solve_is_the_lu_flux(route, monkeypatch):
-    # one step is too few for M: the flux is the LU lanes', bit for bit,
-    # and the reason is returned
+    # one step is too few for M: the flux is that of the LUs of the public
+    # assemblers' S_w and M, bit for bit, and the reason is returned; the
+    # LUs are taken of the S_w and M the solve holds, so it runs one
+    # kernel pass
     mesh = make_icosphere(1.0, 1)
+    spectral = spectral_data(mesh)
     monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
-    flux, why, exact = krylov_and_lu_fluxes(mesh, spectral_data(mesh), 0.05,
-                                            1.6, route)
+    passes = []
+    original = boundary_calculus.assemble_layer_pair
+    monkeypatch.setattr(boundary_calculus, "assemble_layer_pair",
+                        lambda mesh, z: passes.append(z) or original(mesh, z))
+    flux, why, exact = krylov_and_lu_fluxes(mesh, spectral, 0.05, 1.6, route)
     assert why == "M system: backward error above 1e-14 after 1 Krylov steps"
     assert flux.tobytes() == exact.tobytes()
+    assert len(passes) == 1
+
+
+def test_a_refused_krylov_solve_raises_the_s_guard_on_one_thread(
+        monkeypatch):
+    # with the guard at 1 both S_w and M would trip: S_w is factored
+    # first, so its error is raised and M's guard is not reached, and no
+    # thread starts although two workers are allowed
+    mesh = make_icosphere(1.0, 1)
+    spectral = spectral_data(mesh)
+    monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
+    monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
+    monkeypatch.setattr(layer_ops, "_worker_count",
+                        lambda chunks: min(chunks, 2))
+    original_lu, original_start = (boundary_calculus._guarded_lu,
+                                   threading.Thread.start)
+    contexts, started = [], []
+
+    def recorder(matrix, context, **kwargs):
+        contexts.append(context)
+        return original_lu(matrix, context, **kwargs)
+
+    def start(thread):
+        started.append(thread.name)
+        return original_start(thread)
+
+    monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorder)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(NumericalGuardError,
+                       match="^single layer S at wavenumber 1.6: "
+                             "condition number"):
+        _transmission_flux(mesh, 1.6, 0.5,
+                           np.ones(mesh.n_panels, dtype=complex), spectral)
+    assert contexts == ["single layer S at wavenumber 1.6"]
+    assert started == []
 
 
 def test_krylov_flux_peak_memory(sphere3, spectral3):
-    # bound stated before measuring, that of the LU lanes
-    # (test_transmission_factors_peak_memory): the kernel pass returns S_w
+    # bound stated before measuring: the kernel pass returns S_w
     # and 1/2 + K_w (25 MiB each) beside one chunk's temporaries, M is
     # formed in place, and the two Krylov bases hold 31 vectors each; a
     # copy of S_w or a separate M (75 MiB) would exceed the bound
@@ -542,10 +457,29 @@ def test_krylov_flux_peak_memory(sphere3, spectral3):
     assert peak - start <= 66 * 2 ** 20
 
 
+def test_refused_krylov_solve_peak_memory(sphere3, spectral3, monkeypatch):
+    # bound stated before measuring, that of the accepted solve: a refused
+    # solve factors the S_w and M it holds in place, so it holds the two
+    # n x n arrays (25 MiB each) and the kernel pass's temporaries and
+    # nothing more; a second pass's pair or a copy of either array beside
+    # the two (75 MiB) would exceed the bound
+    monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
+    trace = np.ones(sphere3.n_panels, dtype=complex)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, why = _transmission_flux(sphere3, 0.08, 399.0, trace, spectral3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert why is not None
+    assert peak - start <= 66 * 2 ** 20
+
+
 def test_factoring_leaves_the_kept_arrays_unchanged():
-    # the in-place LUs touch only the lanes' own F-ordered arrays: the
-    # stack's term blocks and the z != w factors' S_w keep their bits
-    # through factoring and solves, and M S_w is factored as formed
+    # the in-place LU touches only its own F-ordered M S_w: the stack's
+    # term blocks and the factors' S_w keep their bits through factoring
+    # and solves, at z == w as at z != w, and M S_w is factored as formed
     mesh = make_icosphere(1.0, 1)
     n, kappa = mesh.n_panels, 399.0
     stack = assemble_series_stack(mesh, 12)
@@ -662,7 +596,6 @@ def test_one_lu_factors_at_z_not_w(mesh_name, w, z, kappa):
     m = np.eye(n) + kappa * coupling
     minv = np.linalg.inv(m)
     factors = _factor_transmission(mesh, w, z, kappa)
-    assert factors.s_lu is None
     ident = np.eye(n, dtype=complex)
     for got, expected in ((factors.solve(ident), np.linalg.solve(s_w, minv)),
                           (factors.m_solve(ident), minv),

@@ -260,7 +260,7 @@ def test_solve_bytes_independent_of_worker_count(mesh, eps, omega, direction,
 
 @pytest.mark.parametrize("method", ["dilated", "direct"])
 def test_sweep_bytes_independent_of_worker_count(tmp_path, method):
-    # neither the kernel pass's row blocks nor the factor lanes change a
+    # neither the kernel pass's row blocks nor the lockstep lanes change a
     # byte of a sweep's CSVs: one worker, two workers and a repeat of two.
     # The dilated sweep reads S and K from its series stack, the direct one
     # assembles them at every frequency

@@ -1,13 +1,11 @@
 import dataclasses
 import json
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor
 from scipy.spatial.transform import Rotation
 
 import bubblebem.boundary_calculus as boundary_calculus
@@ -121,10 +119,9 @@ def test_interaction_operator_right_hand_side_is_half_k():
 def test_sub3_solve_peak_memory(sphere3):
     # bound stated before measuring: spectral_data keeps S_0's LU
     # (12.5 MiB at n = 1280); the dilated solve's exact pair pass holds
-    # S_w and 1/2 + K_w (25 MiB each) and one chunk's temporaries, and its
-    # lanes factor them in place, about 76 MiB in all.  A kept S_0, an
-    # F-ordered copy of S_w or a separate M adds 12.5 to 25 MiB (102.2 MiB
-    # traced with all three)
+    # S_w and 1/2 + K_w (25 MiB each) and one chunk's temporaries, about
+    # 76 MiB in all.  A kept S_0, an F-ordered copy of S_w or a separate M
+    # adds 12.5 to 25 MiB (102.2 MiB traced with all three)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -243,8 +240,8 @@ ROUTES = {
     "expansion": lambda p: expansion_residual(SPECTRAL1, p.eps, p.omega, 0.7),
 }
 # at z == w, S_w and M are solved by GMRES and, where it is refused,
-# factored apart, in two lanes that may run side by side; at z != w the
-# one guarded LU of M S_w covers both, since det(M S_w) = det M det S_w
+# factored apart, S_w first; at z != w the one guarded LU of M S_w covers
+# both, since det(M S_w) = det M det S_w
 GUARDED = {"dilated": ("single layer S", "contrast matrix M"),
            "direct": ("single layer S", "contrast matrix M"),
            "interaction": ("contrast matrix M S_w",),
@@ -255,7 +252,7 @@ GUARDED = {"dilated": ("single layer S", "contrast matrix M"),
 @pytest.mark.parametrize("route", ROUTES)
 def test_each_route_guards_s_and_m(route, monkeypatch):
     # a route at z == w factors only where GMRES is refused: one step is
-    # too few for it, so every such solve reaches the guarded lanes
+    # too few for it, so every such solve reaches the guarded LUs
     monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
     problem = make_problem(SUB1, 0.05, 1.3)
     original = boundary_calculus._guarded_lu
@@ -267,9 +264,7 @@ def test_each_route_guards_s_and_m(route, monkeypatch):
 
     monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorder)
     ROUTES[route](problem)
-    # the lanes record from two threads, so the order is not fixed
-    assert (Counter(c.split(" at ")[0] for c in contexts)
-            == Counter(GUARDED[route]))
+    assert [c.split(" at ")[0] for c in contexts] == list(GUARDED[route])
 
     for name in GUARDED[route]:
         def trip(matrix, context, name=name, **kwargs):
@@ -429,28 +424,25 @@ def test_every_method_gives_the_same_guard_band_note():
 
 
 def test_dn_factors_read_the_stack_only_where_it_reaches():
-    # at z != w, the one place a single factorization reads a stack, S_w
-    # and K_w are the stack's products where it reaches w and exact
-    # assemblies where it does not; at z == w it is not read at all
+    # a single factorization reads a stack by one rule at every (w, z):
+    # S_w and K_w are the stack's products where it reaches w and exact
+    # assemblies where it does not, at z == w as at z != w
     stack = assemble_series_stack(SUB1, 8)
     near, far, z = 0.02, 0.5, 0.01
     assert stack.reaches(near) and not stack.reaches(far)
     assert stack.reaches(z)
     trace = np.linspace(-1.0, 1.0, SUB1.n_panels)
-    for w, s_ref, k_ref in (
-            (near, stack.single_layer(near), stack.double_layer(near)),
-            (far, assemble_single_layer(SUB1, far),
+    for w, zs, s_ref, k_ref in (
+            (near, (z, near), stack.single_layer(near),
+             stack.double_layer(near)),
+            (far, (z, far), assemble_single_layer(SUB1, far),
              assemble_double_layer(SUB1, far))):
-        f = boundary_calculus._factor_transmission(SUB1, w, z, 0.5, stack,
-                                                   trace)
         k_ref.flat[::SUB1.n_panels + 1] += 0.5
-        assert np.array_equal(f.rhs, np.asfortranarray(k_ref) @ trace)
-        assert np.array_equal(f.s, s_ref)
-    f = boundary_calculus._factor_transmission(SUB1, near, near, 0.5, stack,
-                                               trace)
-    exact = assemble_single_layer(SUB1, near)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(f.s_lu, lu_factor(exact)))
+        for spectral_z in zs:
+            f = boundary_calculus._factor_transmission(SUB1, w, spectral_z,
+                                                       0.5, stack, trace)
+            assert np.array_equal(f.rhs, np.asfortranarray(k_ref) @ trace)
+            assert np.array_equal(f.s, s_ref)
 
 
 # ----------------------------------------------------------------------------
@@ -942,8 +934,8 @@ def test_a_row_the_lockstep_solve_misses_is_factored_exactly(monkeypatch):
 
 def test_lockstep_rows_keep_the_per_row_guard_errors(monkeypatch):
     # at a condition limit of 1 the centre's guard trips, every row is
-    # solved on its own, where GMRES is refused too and the LU lanes
-    # factor it, and each records the error of the sweep that reads no
+    # solved on its own, where GMRES is refused too and S_w and M are
+    # factored, and each records the error of the sweep that reads no
     # stack: S_w's guard, as a single dilated solve reports it
     problem = make_problem(SUB1, 0.05, 1.5)
     grid = [1.5, 1.6, 1.7]
@@ -984,8 +976,9 @@ def test_a_stacked_dilated_sweep_never_solves_a_row_on_its_own(
 
 
 def test_a_refused_solve_notes_why_in_its_warnings(monkeypatch, tmp_path):
-    # with one Krylov step GMRES is refused: the solve takes the LU lanes'
-    # flux, and the field's warnings, and so the manifest, say why
+    # with one Krylov step GMRES is refused: the solve takes the flux of
+    # the LUs of S_w and M, and the field's warnings, and so the manifest,
+    # say why
     monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
     note = ("omega = 1.3: GMRES refused (M system: backward error above "
             "1e-14 after 1 Krylov steps); solved by LU factorization")
