@@ -406,20 +406,30 @@ def test_a_refused_krylov_solve_is_the_lu_flux(route, monkeypatch):
     assert len(passes) == 1
 
 
-def test_a_refused_krylov_solve_raises_the_s_guard_on_one_thread(
-        monkeypatch):
-    # with the guard at 1 both S_w and M would trip: S_w is factored
-    # first, so its error is raised and M's guard is not reached, and no
-    # thread starts although two workers are allowed
+@pytest.mark.parametrize("s_refused", [False, True])
+def test_when_both_lanes_trip_the_s_error_is_raised(monkeypatch, s_refused):
+    # with the guard at 1 once GMRES refuses, both S_w's and M's guards
+    # would trip: whether GMRES refuses the M system or, M accepted, the S
+    # system, S_w is factored first, so its error is raised and M's guard
+    # is not reached, and no thread starts although two workers are allowed
     mesh = make_icosphere(1.0, 1)
     spectral = spectral_data(mesh)
-    monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
-    monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
     monkeypatch.setattr(layer_ops, "_worker_count",
                         lambda chunks: min(chunks, 2))
-    original_lu, original_start = (boundary_calculus._guarded_lu,
-                                   threading.Thread.start)
-    contexts, started = [], []
+    original_gmres, original_lu, original_start = (
+        boundary_calculus._lockstep_gmres, boundary_calculus._guarded_lu,
+        threading.Thread.start)
+    systems, contexts, started = [], [], []
+
+    def gmres(*args):
+        # the M system is solved first, then the S system; only the one
+        # chosen is refused
+        systems.append(len(systems))
+        x, _ = original_gmres(*args)
+        if len(systems) < (2 if s_refused else 1):
+            return x, [None]
+        monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
+        return x, ["refused"]
 
     def recorder(matrix, context, **kwargs):
         contexts.append(context)
@@ -429,6 +439,7 @@ def test_a_refused_krylov_solve_raises_the_s_guard_on_one_thread(
         started.append(thread.name)
         return original_start(thread)
 
+    monkeypatch.setattr(boundary_calculus, "_lockstep_gmres", gmres)
     monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorder)
     monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(NumericalGuardError,
@@ -436,6 +447,7 @@ def test_a_refused_krylov_solve_raises_the_s_guard_on_one_thread(
                              "condition number"):
         _transmission_flux(mesh, 1.6, 0.5,
                            np.ones(mesh.n_panels, dtype=complex), spectral)
+    assert len(systems) == (2 if s_refused else 1)
     assert contexts == ["single layer S at wavenumber 1.6"]
     assert started == []
 
