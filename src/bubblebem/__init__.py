@@ -4,9 +4,9 @@ the frequency-dependent interaction operator with its small-scale
 expansions, full finite-contrast scattered fields, closed-form asymptotic
 amplitudes, and the point-interaction resolvent limit."""
 
-from .boundary_calculus import (ExpansionResidual, NumericalGuardError,
-                                SpectralData, expansion_residual,
-                                k2_resonance_frequency, spectral_data)
+from .boundary_calculus import (NumericalGuardError, SpectralData,
+                                expansion_residual, k2_resonance_frequency,
+                                spectral_data)
 from .layer_ops import (SeriesStack, assemble_double_layer,
                         assemble_layer_pair, assemble_series_stack,
                         assemble_single_layer, eval_single_layer_potential,

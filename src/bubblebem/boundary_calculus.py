@@ -425,11 +425,17 @@ def _discrete_coefficients(spectral, omega, z):
 
 def check_eps(eps: float) -> None:
     """The scale rule every contracted solve and the CLI apply: eps lies in
-    (0, 1) and its contrast kappa = 1/eps^2 - 1 is a finite float."""
+    (0, 1) and its contrast ``_kappa(eps)`` is a finite float."""
     # 1/eps^2 overflows a float exactly when eps <= 2^-512
     if not 2.0 ** -512 < eps < 1:
         raise ValueError("eps must lie in (0, 1), with 1/eps^2 - 1 a finite "
                          f"float, got {eps}")
+
+
+def _kappa(eps: float) -> float:
+    """The contrast kappa = 1/eps^2 - 1 of the transmission problem at scale
+    eps: the one place it is written."""
+    return eps ** -2 - 1.0
 
 
 def _contract(eps: float, omega: complex, z: complex) -> tuple:
@@ -443,8 +449,8 @@ def _contrast_factors(mesh: SurfaceMesh, eps: float, omega: complex,
                       z: complex, stack: SeriesStack | None = None,
                       trace: np.ndarray | None = None) -> TransmissionFactors:
     """``_factor_transmission`` on the reference ``mesh`` at the contracted
-    wavenumbers ``_contract(eps, omega, z)`` and kappa = 1/eps^2 - 1, where
-    eps^2 M is the contrast operator
+    wavenumbers ``_contract(eps, omega, z)`` and kappa = ``_kappa(eps)``,
+    where eps^2 M is the contrast operator
     eps^2 + (1-eps^2)(1/2 + K_{eps w}) S_{eps z} S_{eps w}^{-1}, with the
     right-hand side of ``trace`` if given.
 
@@ -453,7 +459,7 @@ def _contrast_factors(mesh: SurfaceMesh, eps: float, omega: complex,
     sizes a study's stack by the same contraction.
     """
     return _factor_transmission(mesh, *_contract(eps, omega, z),
-                                eps ** -2 - 1.0, stack, trace)
+                                _kappa(eps), stack, trace)
 
 
 # The dilated sweep in lockstep (docs/scaling_identities.md, "The sweep in
@@ -578,7 +584,7 @@ def _lockstep_flux(spectral: SpectralData, stack: SeriesStack | None,
     rows = [j for j, w in enumerate(ws) if stack.reaches(w)]
     if not rows:
         return
-    n, kappa = spectral.mesh.n_panels, eps ** -2 - 1.0
+    n, kappa = spectral.mesh.n_panels, _kappa(eps)
     centre = 0.5 * (ws[rows[0]] + ws[rows[-1]])
     try:
         m = stack.double_layer(centre)
@@ -724,33 +730,13 @@ def _operator_norm(apply, apply_adjoint, n: int, context: str) -> float:
                               f"converge in {steps} steps")
 
 
-@dataclass
-class ExpansionResidual:
-    """Distance of the rescaled inverse contrast operator from its limit.
-
-    ``reference_coefficient`` is the limit coefficient of the discrete
-    operator family itself; ``formula_coefficient`` is the closed-form value
-    from capacitance and volume.  Their relative gap isolates discretization
-    error from the scale-expansion error measured by ``residual``.
-    """
-
-    resonant: bool
-    residual: float
-    reference_coefficient: complex
-    formula_coefficient: complex
-
-    @property
-    def coefficient_gap(self) -> float:
-        return abs(self.reference_coefficient - self.formula_coefficient) \
-            / abs(self.formula_coefficient)
-
-
 def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
-                       z: complex,
-                       stack: SeriesStack | None = None) -> ExpansionResidual:
-    """Residual of M^{-1} ~ P_0/E (off resonance) or of
-    eps M^{-1} ~ coefficient * P_0 (at resonance), in the S_0^{-1} norm,
-    with M = eps^{-2} times the contrast operator (``_factor_transmission``).
+                       z: complex, stack: SeriesStack | None = None) -> float:
+    """Distance of the rescaled inverse contrast operator from its limit:
+    the residual of M^{-1} ~ P_0/E (off resonance) or of
+    eps M^{-1} ~ coefficient * P_0 (at resonance) in the S_0^{-1} norm, a
+    float, with M = eps^{-2} times the contrast operator
+    (``_factor_transmission``).
 
     The norm is ||L^T T L^{-T}||_2 for T = scale M^{-1} - coefficient P_0
     and L the Gram Cholesky factor, taken by ``_operator_norm``
@@ -764,22 +750,19 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
     vanishes to 1e-8, as it does at ``k2_resonance_frequency``.  Off
     resonance the limit coefficient is the reciprocal of the discrete
     quadratic coefficient; at resonance it is the reciprocal of the discrete
-    cubic coefficient (the closed forms 1/E_w^0 and (4 pi / c) i/z are
-    reported alongside).
+    cubic coefficient.  Their closed forms, 1/(1 - omega^2/omega_M^2) and
+    (4 pi / c) i/z, follow from the capacitance c and the Minnaert
+    frequency omega_M that ``spectral`` holds, so they are not computed
+    here; the gap between a limit coefficient and its closed form is
+    discretization error, apart from the scale-expansion error the
+    residual measures (``tests/reference.py``, ``expansion_coefficients``).
     """
     quad, cubic = _discrete_coefficients(spectral, omega, z)
-    resonant = abs(quad) < 1e-8
     f = _contrast_factors(spectral.mesh, eps, omega, z, stack)
-    if resonant:
-        if z == 0:
-            raise ValueError("the resonant expansion needs z != 0")
-        reference = 1.0 / cubic
-        formula = (4 * np.pi / spectral.capacitance) * (1j / z)
-        scale = eps
-    else:
-        reference = 1.0 / quad
-        formula = 1.0 / (1.0 - omega ** 2 / spectral.minnaert_omega ** 2)
-        scale = 1.0
+    resonant = abs(quad) < 1e-8
+    if resonant and z == 0:
+        raise ValueError("the resonant expansion needs z != 0")
+    reference, scale = (1.0 / cubic, eps) if resonant else (1.0 / quad, 1.0)
     # T = scale M^{-1} - reference 1 w^T (w = p0_row) has, in the S_0^{-1}
     # norm, the 2-norm of L^T T L^{-T}, with L the Gram Cholesky factor
     ell, w = spectral.gram_cholesky(), spectral.p0_row
@@ -794,10 +777,5 @@ def expansion_residual(spectral: SpectralData, eps: float, omega: complex,
                                 - np.conj(reference) * y.sum() * w,
                                 lower=True)
 
-    residual = _operator_norm(apply, apply_adjoint, spectral.mesh.n_panels,
-                              "expansion residual")
-    return ExpansionResidual(
-        resonant=bool(resonant), residual=residual,
-        reference_coefficient=complex(reference),
-        formula_coefficient=complex(formula),
-    )
+    return _operator_norm(apply, apply_adjoint, spectral.mesh.n_panels,
+                          "expansion residual")

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary_calculus import (NumericalGuardError, SpectralData,
-                                _contract, _contrast_factors, _lockstep_flux,
-                                _series_stack, _transmission_flux, check_eps,
-                                spectral_data)
+                                _contract, _contrast_factors, _kappa,
+                                _lockstep_flux, _series_stack,
+                                _transmission_flux, check_eps, spectral_data)
 # assemble_single_layer is not called here; it stays importable from this
 # module because perfbench's tracer test looks it up in every namespace.
 from .layer_ops import (SeriesStack, assemble_single_layer,
@@ -184,7 +184,7 @@ class ScatteringProblem:
     @property
     def kappa(self) -> float:
         """Contrast factor 1/eps^2 - 1 of the transmission problem."""
-        return self.eps ** -2 - 1.0
+        return _kappa(self.eps)
 
     def contract(self, points: np.ndarray) -> np.ndarray:
         """Physical coordinates -> reference coordinates."""
@@ -242,9 +242,9 @@ def _field_result(problem, points, scattered_at, amplitude, method, spectral,
                   why=None):
     """FieldResult of ``method`` at ``points``, which may be none: the
     scattered field ``scattered_at(points)``, the incident and total fields
-    and the monopole ``amplitude``; given ``spectral``, it notes an omega
-    inside the quasi-resonant guard band, and given ``why``, the reason
-    the solve's GMRES was refused."""
+    and the monopole ``amplitude``; given ``spectral``, it notes first an
+    omega inside the quasi-resonant guard band, and given ``why``, then the
+    reason the solve's GMRES was refused."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     uin = problem.incident.evaluate(points, problem.omega)
     scattered = scattered_at(points)
@@ -265,33 +265,17 @@ def _field_result(problem, points, scattered_at, amplitude, method, spectral,
 # The two solver routes
 
 
-def _dilated_solve(problem: ScatteringProblem, z: complex, incident,
-                   stack: SeriesStack | None = None,
-                   spectral: SpectralData | None = None) -> tuple:
-    """The reference-mesh charge Lambda_z trace, a density, where trace is
-    ``incident`` at the images of the panel centroids and Lambda_z is the
-    interaction operator, u_sc = -(1/eps) SL_{eps z}[charge] o contract as
-    a function of physical points, and why GMRES was refused, or None.
-    At z == w the flux is ``boundary_calculus._transmission_flux``'s, by
-    GMRES preconditioned by the LU of S_0 in ``spectral`` (the reference
-    mesh's, which it then needs); at z != w it is the flux of the one LU
-    of M S_w, with S and K from a series ``stack`` of the reference mesh
-    where it reaches (``boundary_calculus._factor_transmission``;
-    ``resolvent_correction_kernel`` hands on ``verify``'s).  The operators
-    are released once the flux is solved."""
-    eps, mesh = problem.eps, problem.mesh
-    trace = incident(problem.dilate(mesh.centroids))
-    why = None
-    if z == problem.omega:
-        flux, why = _transmission_flux(
-            mesh, _contract(eps, problem.omega, z)[0], problem.kappa, trace,
-            spectral)
-    else:
-        flux = _contrast_factors(mesh, eps, problem.omega, z, stack,
-                                 trace).flux()
+def _dilated_potential(problem: ScatteringProblem, flux: np.ndarray,
+                       z: complex) -> tuple:
+    """The reference-mesh charge eps kappa ``flux`` of an interior flux of
+    the contracted problem at spectral parameter ``z``, and its scattered
+    field u_sc = -(1/eps) SL_{eps z}[charge] o contract as a function of
+    physical points: the tail the dilated solve and the resolvent kernel
+    share."""
+    eps = problem.eps
     charge = eps * problem.kappa * flux
     return charge, lambda pts: -eval_single_layer_potential(
-        mesh, charge, eps * z, problem.contract(pts)) / eps, why
+        problem.mesh, charge, eps * z, problem.contract(pts)) / eps
 
 
 def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
@@ -300,17 +284,21 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     """Reference-mesh solve: u_sc = -(1/eps) SL_{eps w}[Lambda trace] o contract.
 
     The incident trace is evaluated analytically at the images of the panel
-    centroids; the single-layer potential at contracted wavenumber eps*omega
-    is mapped back to physical coordinates by the similarity.  Since
+    centroids, and the interior flux at the contracted wavenumber eps*omega
+    is ``boundary_calculus._transmission_flux``'s, by GMRES preconditioned
+    by the LU of S_0 in ``spectral`` (the reference mesh's, built for the
+    solve if not given); the operators are released once it is solved.
+    The single-layer potential of the charge eps kappa flux at eps*omega is
+    mapped back to physical coordinates by the similarity.  Since
     G_{eps w}((x - y0)/eps) = eps G_w(x - y0), the amplitude is
     -Σ_j charge_j ∫_{T_j} j_0(eps w |y - y0|) dσ on the reference mesh.
-    Without ``spectral``, the reference mesh's is built for the solve.
     """
-    omega = problem.omega
-    charge, potential, why = _dilated_solve(
-        problem, omega, lambda pts: problem.incident.evaluate(pts, omega),
-        spectral=(spectral if spectral is not None
-                  else spectral_data(problem.mesh)))
+    omega, mesh = problem.omega, problem.mesh
+    flux, why = _transmission_flux(
+        mesh, _contract(problem.eps, omega, omega)[0], problem.kappa,
+        problem.incident.evaluate(problem.dilate(mesh.centroids), omega),
+        spectral if spectral is not None else spectral_data(mesh))
+    charge, potential = _dilated_potential(problem, flux, omega)
     return _field_result(problem, points, potential,
                          _dilated_amplitude(problem, charge, omega),
                          "dilated", spectral, why)
@@ -458,7 +446,9 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     accept, is solved on its own from exact operators, as a single dilated
     solve is (``boundary_calculus._transmission_flux``), and so is every
     row of a direct sweep; the result's warnings list the stack's
-    fallbacks and each row the lockstep solve left, with the reason.
+    fallbacks and each row the lockstep solve left, with the reason, and
+    then, in grid order, the note of each row solved on its own whose
+    GMRES was refused, in the single solve's words.
     """
     grid = check_grid(omega_grid)
     if method not in METHODS:
@@ -497,10 +487,14 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                        nonres, resonant_amplitude(sub),
                        sub.in_guard_band(spectral))
         try:
-            # the amplitude is a panel sum: a row samples no field
-            row.amplitude = (amplitudes[j] if j in amplitudes
-                             else scattered_field(sub, np.empty((0, 3)),
-                                                  method, spectral).amplitude)
+            if j not in amplitudes:
+                # the amplitude is a panel sum: a row samples no field
+                fld = scattered_field(sub, np.empty((0, 3)), method, spectral)
+                amplitudes[j] = fld.amplitude
+                # a refused solve's note; the guard band, noted first, is
+                # a column
+                notes.extend(fld.warnings[row.guard_band:])
+            row.amplitude = amplitudes[j]
             row.abs2 = float(abs(row.amplitude) ** 2)
         except (NumericalGuardError, ValueError) as exc:
             row.error = str(exc)
@@ -660,17 +654,21 @@ def resolvent_correction_kernel(problem: ScatteringProblem, z: complex,
 
     Realized as -(1/eps) times the single-layer potential (contracted
     wavenumber eps z) of the interaction operator applied to the boundary
-    trace of G_z(. - y) composed with the dilation.  Given a series
-    ``stack`` of the reference mesh, S and K are read from it where it
-    reaches.
+    trace of G_z(. - y) composed with the dilation: the charge of the flux
+    of the one LU of M S_w at the contracted wavenumbers (eps omega, eps z)
+    (``boundary_calculus._contrast_factors``).  Given a series ``stack`` of
+    the reference mesh, S and K are read from it where it reaches
+    (``verify`` hands on its own).  The operators are released once the
+    flux is solved.
     """
     if complex(z).imag <= 0:
         raise ValueError(f"resolvent kernel needs Im z > 0, got z = {z}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _, potential, _ = _dilated_solve(problem, z,
-                                     lambda pts: green_function(z, pts - y),
-                                     stack)
+    trace = green_function(z, problem.dilate(problem.mesh.centroids) - y)
+    flux = _contrast_factors(problem.mesh, problem.eps, problem.omega, z,
+                             stack, trace).flux()
+    _, potential = _dilated_potential(problem, flux, z)
     return complex(potential(x[None, :])[0])
 
 

@@ -7,8 +7,10 @@ and applies the S_0^{-1} product through ``SpectralData``.  Each helper
 writes the explicit form out once, so a test can check a solver's shortcut
 against it.  The package keeps only what its commands and the benchmark
 run, so the rest lives here too: the dense interaction operator, the
-resonance half-width, an affine mesh map and an OFF writer, and the Mie
-oracle's field evaluation, partial-wave check and frozen fixtures.
+expansion residual's limit coefficients with their closed forms from the
+capacitance and Minnaert frequency, the resonance half-width, an affine
+mesh map and an OFF writer, and the Mie oracle's field evaluation,
+partial-wave check and frozen fixtures.
 """
 
 import json
@@ -214,6 +216,25 @@ def schur_blocks(spectral: SpectralData, eps: float, omega: complex,
         quadratic_coefficient=quad,
         cubic_coefficient=cubic,
     )
+
+
+def expansion_coefficients(spectral: SpectralData, omega: complex,
+                           z: complex) -> tuple:
+    """(resonant, reference, formula) for ``expansion_residual`` at
+    ``omega`` and ``z``: whether it counts ``omega`` as resonant (the
+    discrete quadratic coefficient vanishes to 1e-8), the limit coefficient
+    it subtracts (the reciprocal of the discrete quadratic coefficient off
+    resonance, of the discrete cubic one at resonance), and that
+    coefficient's closed form from the capacitance c and Minnaert frequency
+    omega_M of ``spectral``: 1/(1 - omega^2/omega_M^2) off resonance,
+    (4 pi / c) i/z at resonance.  The relative gap of the last two is
+    discretization error."""
+    quad, cubic = _discrete_coefficients(spectral, omega, z)
+    if abs(quad) < 1e-8:
+        return (True, 1.0 / cubic,
+                (4 * np.pi / spectral.capacitance) * (1j / z))
+    return (False, 1.0 / quad,
+            1.0 / (1.0 - omega ** 2 / spectral.minnaert_omega ** 2))
 
 
 def radiation_defect(problem: ScatteringProblem, step: float = 1e-4) -> float:

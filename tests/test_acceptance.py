@@ -98,7 +98,7 @@ def test_c04_expansion_ratios(sphere3, spectral3):
              for z in (0.5, 0.7)]
     residuals = _side_by_side(
         [lambda omega=omega, z=z, eps=eps:
-         expansion_residual(spectral3, eps, omega, z).residual
+         expansion_residual(spectral3, eps, omega, z)
          for omega, _, z in cases for eps in (0.04, 0.02)], "c04 study")
     detail = []
     ok = True

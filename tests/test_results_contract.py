@@ -1,7 +1,9 @@
 """The results contract: the reference command lines of
 ``tools/ref_outputs.py`` write the CSVs committed under
 ``tests/fixtures/reference/<command>/``, value by value within the bounds
-below.
+below, and note in each manifest's ``warnings`` what the committed
+``tests/fixtures/reference/warnings.json`` lists for that command, word
+for word.
 
 The tool runs in a subprocess, where it pins OpenBLAS to one thread before
 numpy loads it, so the bits do not depend on how a product is split
@@ -12,10 +14,12 @@ repository root:
 
     python3 tools/ref_outputs.py tests/fixtures/reference
 
-(the manifests it writes beside the CSVs hold timings and are not kept),
-and records the gaps ``tools/ref_gaps.py`` reports against the old ones.
+(the manifests it writes beside the CSVs hold timings and are not kept;
+their notes are, in warnings.json), and records the gaps
+``tools/ref_gaps.py`` reports against the old ones.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -76,3 +80,15 @@ def test_reference_csv_within_its_bound(written, path):
                 over.append(f"{column} row {i}: {a!r} -> {b!r} (gap "
                             f"{gap:.3g})")
     assert not over, "\n".join(over)
+
+
+def test_reference_commands_write_the_committed_notes(written):
+    with open(os.path.join(REFERENCE, "warnings.json"),
+              encoding="ascii") as fh:
+        committed = json.load(fh)
+    with open(os.path.join(written, "warnings.json"), encoding="ascii") as fh:
+        assert json.load(fh) == committed
+    for name, notes in committed.items():
+        with open(os.path.join(written, name, "manifest.json"),
+                  encoding="ascii") as fh:
+            assert json.load(fh)["warnings"] == notes, name

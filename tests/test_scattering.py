@@ -991,6 +991,34 @@ def test_a_refused_solve_notes_why_in_its_warnings(monkeypatch, tmp_path):
     assert manifest["warnings"] == [note]
 
 
+@pytest.mark.parametrize("method", ["direct", "dilated"])
+def test_a_refused_sweep_row_notes_why_in_its_warnings(monkeypatch, tmp_path,
+                                                       method):
+    # with one Krylov step every row is left to its own solve, whose GMRES
+    # is refused: the sweep's warnings, and so its manifest, carry the
+    # single solve's note once per row, after the lockstep's notes; the
+    # guard band of the row at 1.8 stays a column
+    monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
+    monkeypatch.setattr(boundary_calculus, "_LOCKSTEP_STEPS", 1)
+    grid = [1.7, 1.8, 1.9]
+    refused = [f"omega = {w:g}: GMRES refused (M system: backward error "
+               "above 1e-14 after 1 Krylov steps); solved by LU factorization"
+               for w in grid]
+    sweep = frequency_sweep(make_problem(SUB1, 0.05, 1.7), grid, method,
+                            SPECTRAL1)
+    assert [row.guard_band for row in sweep.rows] == [False, True, False]
+    assert all(row.error is None for row in sweep.rows)
+    lockstep = sweep.warnings[:-len(grid)]
+    assert len(lockstep) == (len(grid) if method == "dilated" else 0)
+    assert all(note.startswith("lockstep sweep: ") for note in lockstep)
+    assert sweep.warnings[-len(grid):] == refused
+    assert main(["sweep", "--icosphere", "1.0,1", "--eps", "0.05",
+                 "--omega-grid", "1.7,1.8,1.9", "--method", method,
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["warnings"][:len(sweep.warnings)] == sweep.warnings
+
+
 def test_lockstep_sweep_bytes_do_not_depend_on_the_worker_count(
         monkeypatch, sphere2, spectral2):
     problem = make_problem(sphere2, 0.05, 1.5)

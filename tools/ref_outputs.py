@@ -8,7 +8,9 @@ Each command runs in-process through ``bubblebem.cli.main`` (the package is
 imported from ./src) with OpenBLAS pinned to one thread, and writes into its
 own subdirectory of OUT_DIR.  One ``sha256  path`` line is printed per CSV,
 with paths relative to OUT_DIR, so two checkouts' outputs compare with
-``diff``.  The exit status is 1 if any command fails.
+``diff``, and OUT_DIR/warnings.json maps each command that ran to the
+``warnings`` of its manifest, the run notes.  The exit status is 1 if any
+command fails.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
@@ -78,7 +81,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from bubblebem.cli import main as cli_main
 
-    failed = []
+    failed, notes = [], {}
     for name, argv_cmd in COMMANDS:
         target = os.path.join(out_dir, name)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -86,10 +89,17 @@ def main(argv: list[str]) -> int:
         if code != 0:
             failed.append(f"{name}: exit {code}")
             continue
+        with open(os.path.join(target, "manifest.json"),
+                  encoding="ascii") as fh:
+            notes[name] = json.load(fh)["warnings"]
         for fname in sorted(os.listdir(target)):
             if fname.endswith(".csv"):
                 print(f"{sha256(os.path.join(target, fname))}  "
                       f"{name}/{fname}")
+    with open(os.path.join(out_dir, "warnings.json"), "w",
+              encoding="ascii") as fh:
+        json.dump(notes, fh, indent=1, sort_keys=True)
+        fh.write("\n")
     for line in failed:
         print(f"FAIL  {line}", file=sys.stderr)
     return 1 if failed else 0
