@@ -47,6 +47,7 @@ the factors, one vector at a time: no n x n inverse or SVD is formed.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -273,11 +274,11 @@ class TransmissionFactors(NamedTuple):
         return _lu_solve(self.lu, np.conj(self.s.T @ np.conj(rhs)), trans=2)
 
 
-def _series_stack(spectral: SpectralData, studies) -> tuple:
+def _series_stack(spectral: SpectralData, studies) -> SeriesStack | None:
     """The series stack of ``spectral.mesh`` that ``studies``, each given
     as the (eps, omega, z) it hands to ``_contrast_factors``, read their
-    contracted operators from, or None, plus a note for every fallback to
-    exact assembly.
+    contracted operators from, or None; every fallback to exact assembly
+    is a warning.
 
     Each study is contracted by ``_contract``, the rule
     ``_contrast_factors`` applies, to the wavenumbers eps*omega and eps*z.
@@ -292,23 +293,22 @@ def _series_stack(spectral: SpectralData, studies) -> tuple:
     wavenumbers = list(dict.fromkeys(k for s in studies for k in _contract(*s)))
     orders = [_series_order(abs(k) * mesh.diameter) for k in wavenumbers]
     reached = [o for o in orders if o is not None]
-    notes = []
     if len(reached) < len(orders):
         beyond = min(abs(k) for k, o in zip(wavenumbers, orders) if o is None)
-        notes.append(f"series stack: {len(orders) - len(reached)} contracted "
-                     f"wavenumbers from |eps w| = {beyond:g} need more than "
-                     f"{SERIES_MAX_ORDER} terms; S and K assembled exactly "
-                     "there")
+        warnings.warn(f"series stack: {len(orders) - len(reached)} contracted "
+                      f"wavenumbers from |eps w| = {beyond:g} need more than "
+                      f"{SERIES_MAX_ORDER} terms; S and K assembled exactly "
+                      "there")
     if not reached:
-        return None, notes
+        return None
     order = max(reached)
     size = 16 * (order + 1) * mesh.n_panels ** 2
     if size > SERIES_STACK_LIMIT:
-        notes.append(f"series stack of order {order} needs {size:d} bytes, "
-                     f"above the limit of {SERIES_STACK_LIMIT:d}; S and K "
-                     "assembled exactly at every wavenumber")
-        return None, notes
-    return assemble_series_stack(mesh, order), notes
+        warnings.warn(f"series stack of order {order} needs {size:d} bytes, "
+                      f"above the limit of {SERIES_STACK_LIMIT:d}; S and K "
+                      "assembled exactly at every wavenumber")
+        return None
+    return assemble_series_stack(mesh, order)
 
 
 def _form_contrast(k: np.ndarray, kappa: float,

@@ -11,8 +11,10 @@ point_source): a member that one source gives replaces the whole group,
 and one source giving two members of a group is a usage error.
 Each command writes its artifacts as CSV (17 significant digits, complex
 values as re/im column pairs, a missing one nan in both) plus a manifest
-with sha256 checksums; re-running with --check verifies the artifacts
-against the manifest.
+with sha256 checksums and the run's notes; re-running with --check
+verifies the artifacts against the manifest.  Every run note is a Python
+warning, and ``main`` alone collects them: it prints each and records
+them in the manifest in the order the run raised them.
 
 Exit codes: 0 pass, 1 usage error, 2 numerical guard tripped,
 3 verification failure.
@@ -280,25 +282,19 @@ def _fmt(value) -> str:
 
 
 class ArtifactWriter:
-    """Collects CSV artifacts and warnings and finalizes a checksummed
-    manifest.  The output directory is created on the first write."""
+    """Collects CSV artifacts and finalizes a checksummed manifest.  The
+    output directory is created on the first write."""
 
     def __init__(self, outdir: str, command: str, config: RunConfig):
         self.outdir = outdir
         self.command = command
         self.config = config
         self.files: dict[str, str] = {}
-        self.warnings: list[str] = []
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
 
     def _path(self, name: str) -> str:
         os.makedirs(self.outdir, exist_ok=True)
         return os.path.join(self.outdir, name)
-
-    def warn(self, note: str) -> None:
-        """Record a note in the manifest and print it as a warning."""
-        self.warnings.append(note)
-        print(f"warning: {note}")
 
     def write_csv(self, name: str, header: list[str], rows) -> str:
         """Write one CSV artifact.  Each column pair re_X, im_X of the
@@ -321,7 +317,8 @@ class ArtifactWriter:
         self.files[name] = hashlib.sha256(payload.encode("ascii")).hexdigest()
         return path
 
-    def finalize(self) -> str:
+    def finalize(self, notes: list[str]) -> str:
+        """Write the manifest, with the run's ``notes`` as its warnings."""
         echo = self.config.echo()
         run_id = hashlib.sha256(
             json.dumps({"command": self.command, "config": echo},
@@ -331,8 +328,8 @@ class ArtifactWriter:
             "command": self.command,
             "config": echo,
             "artifacts": self.files,
-            "timing_seconds": time.time() - self.t0,
-            "warnings": self.warnings,
+            "timing_seconds": time.perf_counter() - self.t0,
+            "warnings": notes,
         }
         path = self._path("manifest.json")
         with open(path, "w", encoding="ascii") as fh:
@@ -341,20 +338,40 @@ class ArtifactWriter:
 
 
 def check_manifest(outdir: str) -> list[str]:
-    """Compare artifact checksums against the manifest; returns problems."""
+    """Compare artifact checksums against the manifest; returns problems.
+
+    A manifest that cannot be read as ASCII JSON, is not an object or does
+    not map artifact names to checksum strings is one problem, and so is
+    each artifact name that is not a plain file name in ``outdir`` and
+    each artifact that cannot be read as a file.
+    """
     path = os.path.join(outdir, "manifest.json")
-    if not os.path.exists(path):
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
         return [f"no manifest at {path}"]
-    with open(path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: UnicodeDecodeError and json's JSONDecodeError; json
+        # recurses once per level of nesting
+        return [f"manifest {path} cannot be read as ASCII JSON: {exc}"]
+    artifacts = isinstance(manifest, dict) and manifest.get("artifacts", {})
+    if not (isinstance(artifacts, dict)
+            and all(isinstance(v, str) for v in artifacts.values())):
+        return [f"manifest {path} does not map artifact names to checksums"]
     problems = []
-    for name, expected in manifest.get("artifacts", {}).items():
-        fpath = os.path.join(outdir, name)
-        if not os.path.exists(fpath):
-            problems.append(f"missing artifact {name}")
+    for name, expected in artifacts.items():
+        if (os.path.basename(name) != name or name in ("", ".", "..")
+                or "\0" in name):
+            problems.append(f"artifact name {name!r} is not a file name in "
+                            f"{outdir}")
             continue
-        with open(fpath, "rb") as fh:
-            actual = hashlib.sha256(fh.read()).hexdigest()
+        try:
+            with open(os.path.join(outdir, name), "rb") as fh:
+                actual = hashlib.sha256(fh.read()).hexdigest()
+        except OSError as exc:
+            problems.append(f"artifact {name} cannot be read: {exc.strerror}")
+            continue
         if actual != expected:
             problems.append(f"checksum mismatch for {name}")
     return problems
@@ -413,6 +430,10 @@ def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
     mesh = cfg.build_mesh()
     problem = _make_problem(cfg, mesh, cfg.omega)
     spectral = bc.spectral_data(mesh)
+    guard_band = problem.in_guard_band(spectral)
+    if guard_band:
+        warnings.warn(f"omega within {problem.guard_constant:g}*eps of the "
+                      "Minnaert frequency: quasi-resonant guard band")
     points, _ = sc.far_field_points(problem)
     fld = sc.scattered_field(problem, points, cfg.method, spectral)
     # how far the field on the fit sphere is from its monopole part
@@ -432,9 +453,7 @@ def cmd_solve(cfg: RunConfig, writer: ArtifactWriter) -> int:
                      [("re_amplitude", fld.amplitude.real),
                       ("im_amplitude", fld.amplitude.imag),
                       ("fit_residual", misfit),
-                      ("guard_band", problem.in_guard_band(spectral))])
-    for note in fld.warnings:
-        writer.warn(note)
+                      ("guard_band", guard_band)])
     print(f"amplitude={fld.amplitude:.10g} residual={misfit:.3g}")
     return EXIT_OK
 
@@ -448,10 +467,9 @@ def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> int:
     _make_problem(cfg, mesh, cfg.omega_grid[0], validity_threshold=np.inf)
     spectral = bc.spectral_data(mesh)
     sweep = sc.frequency_sweep(problem, cfg.omega_grid, cfg.method, spectral)
-    for note in sweep.warnings:
-        writer.warn(note)
-    writer.warnings.extend(f"omega={r.omega}: {r.error}"
-                           for r in sweep.rows if r.error)
+    for r in sweep.rows:
+        if r.error:
+            warnings.warn(f"omega={r.omega}: {r.error}")
     writer.write_csv("sweep.csv",
                      ["omega", "re_amplitude", "im_amplitude", "abs2",
                       "re_uniform", "im_uniform", "re_nonresonant",
@@ -470,7 +488,7 @@ def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> int:
         print(f"peak omega={peak.omega_peak:.6g} width={peak.width:.6g} "
               f"height={peak.height:.6g}")
     except sc.FitError as exc:
-        writer.warn(f"peak fit skipped: {exc}")
+        warnings.warn(f"peak fit skipped: {exc}")
     print(f"swept {len(sweep.rows)} frequencies with method={cfg.method}")
     return EXIT_OK
 
@@ -525,11 +543,9 @@ def verification_checks(cfg: RunConfig):
     expansions = [(eps, omega, 0.7) for omega in (1.0, what)
                   for eps in (0.04, 0.02)]
     kernels = [(prob, 1j) for prob in (*offres, *res)]
-    stack, notes = _series_stack(
+    stack = _series_stack(
         spectral,
         expansions + [(prob.eps, prob.omega, z) for prob, z in kernels])
-    for note in notes:
-        warnings.warn(note)
 
     # F order, the layout of an exact K_0, keeps the bits of k0 @ ones
     k0 = (assemble_double_layer(mesh, 0.0) if stack is None
@@ -651,12 +667,15 @@ def main(argv: list[str] | None = None) -> int:
                    "solve": cmd_solve, "sweep": cmd_sweep,
                    "verify": cmd_verify}[args.command]
         writer = ArtifactWriter(cfg.output_dir, args.command, cfg)
+        # every run note is a warning: printed and kept in the manifest in
+        # the order the run raised them
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = handler(cfg, writer)
-        for w in caught:
-            writer.warn(str(w.message))
-        writer.finalize()
+        notes = [str(w.message) for w in caught]
+        for note in notes:
+            print(f"warning: {note}")
+        writer.finalize(notes)
         return code
     except (UsageError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)

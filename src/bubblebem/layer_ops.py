@@ -521,13 +521,21 @@ class SeriesStack:
         stack's order, so that S_z and K_z may be read from it."""
         return self._needed(z) is not None
 
-    def _sum(self, terms: np.ndarray, z: complex) -> np.ndarray:
-        """S_z or K_z, F-ordered, from one of the term blocks."""
-        z = _check_im(z)
-        needed = self._needed(z)
-        if needed is None:
+    def _reach(self, zs) -> tuple[list, list[int]]:
+        """The checked wavenumbers ``zs`` and the order the tail bound
+        needs at each; a wavenumber this stack does not reach is an
+        error."""
+        zs = [_check_im(z) for z in zs]
+        needed = [self._needed(z) for z in zs]
+        if None in needed:
+            z = zs[needed.index(None)]
             raise ValueError(f"series stack of order {self.order} does not "
                              f"reach wavenumber {z:.6g}")
+        return zs, needed
+
+    def _sum(self, terms: np.ndarray, z: complex) -> np.ndarray:
+        """S_z or K_z, F-ordered, from one of the term blocks."""
+        (z,), (needed,) = self._reach([z])
         powers = (1j * z) ** np.arange(needed + 1)
         planes = (np.array([powers.real, powers.imag])
                   @ terms[:needed + 1].reshape(needed + 1, -1))
@@ -555,12 +563,7 @@ class SeriesStack:
         made complex.  The double layer skips its zero slot B_1, whose rows
         of the product are 0: B_0 and B_2, ..., B_N take one product each.
         """
-        zs = [_check_im(z) for z in zs]
-        needed = [self._needed(z) for z in zs]
-        if None in needed:
-            z = zs[needed.index(None)]
-            raise ValueError(f"series stack of order {self.order} does not "
-                             f"reach wavenumber {z:.6g}")
+        zs, needed = self._reach(zs)
         top = max(needed)
         terms = {"single": self.single, "double": self.double}[layer]
         n = terms.shape[1]

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary_calculus import (NumericalGuardError, SpectralData,
                                 _contract, _contrast_factors, _kappa,
                                 _lockstep_flux, _series_stack,
-                                _transmission_flux, check_eps, spectral_data)
+                                _transmission_flux, check_eps)
 # assemble_single_layer is not called here; it stays importable from this
 # module because perfbench's tracer test looks it up in every namespace.
 from .layer_ops import (SeriesStack, assemble_single_layer,
@@ -220,7 +220,6 @@ class FieldResult:
     total: np.ndarray
     amplitude: complex
     method: str
-    warnings: list[str] = field(default_factory=list)
 
 
 def spherical_point_set(n: int) -> np.ndarray:
@@ -238,27 +237,23 @@ def far_field_points(problem: ScatteringProblem) -> tuple[np.ndarray, float]:
     return problem.y0 + radius * spherical_point_set(64), radius
 
 
-def _field_result(problem, points, scattered_at, amplitude, method, spectral,
-                  why=None):
+def _field_result(problem, points, scattered_at, amplitude, method):
     """FieldResult of ``method`` at ``points``, which may be none: the
     scattered field ``scattered_at(points)``, the incident and total fields
-    and the monopole ``amplitude``; given ``spectral``, it notes first an
-    omega inside the quasi-resonant guard band, and given ``why``, then the
-    reason the solve's GMRES was refused."""
+    and the monopole ``amplitude``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     uin = problem.incident.evaluate(points, problem.omega)
     scattered = scattered_at(points)
-    notes = []
-    if spectral is not None and problem.in_guard_band(spectral):
-        notes.append(
-            f"omega within {problem.guard_constant:g}*eps of the Minnaert "
-            "frequency: quasi-resonant guard band")
-    if why is not None:
-        notes.append(f"omega = {problem.omega:g}: GMRES refused ({why}); "
-                     "solved by LU factorization")
     return FieldResult(points=points, incident=uin, scattered=scattered,
                        total=uin + scattered, amplitude=complex(amplitude),
-                       method=method, warnings=notes)
+                       method=method)
+
+
+def _warn_refused(omega: float, why: str | None) -> None:
+    """Warn, given ``why``, that a solve's GMRES was refused and why."""
+    if why is not None:
+        warnings.warn(f"omega = {omega:g}: GMRES refused ({why}); solved by "
+                      "LU factorization")
 
 
 # ----------------------------------------------------------------------------
@@ -279,15 +274,14 @@ def _dilated_potential(problem: ScatteringProblem, flux: np.ndarray,
 
 
 def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
-                            spectral: SpectralData | None = None
-                            ) -> FieldResult:
+                            spectral: SpectralData) -> FieldResult:
     """Reference-mesh solve: u_sc = -(1/eps) SL_{eps w}[Lambda trace] o contract.
 
     The incident trace is evaluated analytically at the images of the panel
     centroids, and the interior flux at the contracted wavenumber eps*omega
     is ``boundary_calculus._transmission_flux``'s, by GMRES preconditioned
-    by the LU of S_0 in ``spectral`` (the reference mesh's, built for the
-    solve if not given); the operators are released once it is solved.
+    by the LU of S_0 in ``spectral``, the reference mesh's; the operators
+    are released once it is solved, and a refused GMRES is a warning.
     The single-layer potential of the charge eps kappa flux at eps*omega is
     mapped back to physical coordinates by the similarity.  Since
     G_{eps w}((x - y0)/eps) = eps G_w(x - y0), the amplitude is
@@ -297,11 +291,12 @@ def scattered_field_dilated(problem: ScatteringProblem, points: np.ndarray,
     flux, why = _transmission_flux(
         mesh, _contract(problem.eps, omega, omega)[0], problem.kappa,
         problem.incident.evaluate(problem.dilate(mesh.centroids), omega),
-        spectral if spectral is not None else spectral_data(mesh))
+        spectral)
+    _warn_refused(omega, why)
     charge, potential = _dilated_potential(problem, flux, omega)
     return _field_result(problem, points, potential,
                          _dilated_amplitude(problem, charge, omega),
-                         "dilated", spectral, why)
+                         "dilated")
 
 
 def _dilated_amplitude(problem: ScatteringProblem, charge, omega):
@@ -314,7 +309,7 @@ def _dilated_amplitude(problem: ScatteringProblem, charge, omega):
 
 
 def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
-                           spectral: SpectralData | None = None) -> FieldResult:
+                           spectral: SpectralData) -> FieldResult:
     """Physical-boundary solve of the transmission integral equation.
 
     Solves (I + kappa DN S) flux = DN trace, kappa = 1/eps^2 - 1, for the
@@ -322,23 +317,23 @@ def scattered_field_direct(problem: ScatteringProblem, points: np.ndarray,
     single-layer potential with strength -kappa; the amplitude is
     -kappa Σ_j flux_j ∫_{T_j} j_0(omega |y - y0|) dσ.  The flux is
     ``boundary_calculus._transmission_flux``'s: the scaled mesh's S_0 is
-    eps times the reference mesh's, whose LU in ``spectral`` (built here
-    if not given) preconditions S.  The operators are released once the
-    flux is solved, before the potential is evaluated.
+    eps times the reference mesh's, whose LU in ``spectral`` preconditions
+    S.  The operators are released once the flux is solved, before the
+    potential is evaluated, and a refused GMRES is a warning.
     """
     omega, kappa = problem.omega, problem.kappa
     scaled = problem.scaled_mesh()
     flux, why = _transmission_flux(
         scaled, omega, kappa, problem.incident.evaluate(scaled.centroids,
                                                         omega),
-        spectral if spectral is not None else spectral_data(problem.mesh),
-        problem.eps)
+        spectral, problem.eps)
+    _warn_refused(omega, why)
     return _field_result(
         problem, points,
         lambda pts: -kappa * eval_single_layer_potential(scaled, flux, omega,
                                                          pts),
         -kappa * single_layer_monopole(scaled, flux, omega, problem.y0),
-        "direct", spectral, why)
+        "direct")
 
 
 # ----------------------------------------------------------------------------
@@ -396,7 +391,7 @@ def scattered_field(problem: ScatteringProblem, points: np.ndarray, method: str,
     return _field_result(
         problem, points,
         lambda pts: amplitude * green_function(problem.omega, pts - problem.y0),
-        amplitude, method, spectral)
+        amplitude, method)
 
 
 # ----------------------------------------------------------------------------
@@ -420,7 +415,6 @@ class SweepResult:
     method: str
     eps: float
     rows: list[SweepRow]
-    warnings: list[str] = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
@@ -445,10 +439,10 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
     A row the stack does not reach, or that the lockstep solve does not
     accept, is solved on its own from exact operators, as a single dilated
     solve is (``boundary_calculus._transmission_flux``), and so is every
-    row of a direct sweep; the result's warnings list the stack's
-    fallbacks and each row the lockstep solve left, with the reason, and
-    then, in grid order, the note of each row solved on its own whose
-    GMRES was refused, in the single solve's words.
+    row of a direct sweep.  The stack's fallbacks and each row the
+    lockstep solve left, with the reason, are warnings, and then, in grid
+    order, so is each refused GMRES of a row solved on its own, in the
+    single solve's words.
     """
     grid = check_grid(omega_grid)
     if method not in METHODS:
@@ -457,9 +451,9 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                               problem.incident, y0=problem.y0,
                               guard_constant=problem.guard_constant,
                               validity_threshold=np.inf) for omega in grid]
-    amplitudes, notes = {}, []
+    amplitudes = {}
     if method == "dilated":
-        stack, notes = _series_stack(
+        stack = _series_stack(
             spectral, [(sub.eps, sub.omega, sub.omega) for sub in subs])
         centroids = problem.dilate(problem.mesh.centroids)
         fluxes = {}
@@ -467,8 +461,8 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
                 spectral, stack, problem.eps, grid,
                 lambda j: problem.incident.evaluate(centroids, grid[j])):
             if flux is None:
-                notes.append(f"lockstep sweep: omega = {grid[j]:g} solved "
-                             f"on its own ({why})")
+                warnings.warn(f"lockstep sweep: omega = {grid[j]:g} solved "
+                              f"on its own ({why})")
             else:
                 fluxes[j] = flux
         if fluxes:
@@ -489,11 +483,8 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
         try:
             if j not in amplitudes:
                 # the amplitude is a panel sum: a row samples no field
-                fld = scattered_field(sub, np.empty((0, 3)), method, spectral)
-                amplitudes[j] = fld.amplitude
-                # a refused solve's note; the guard band, noted first, is
-                # a column
-                notes.extend(fld.warnings[row.guard_band:])
+                amplitudes[j] = scattered_field(sub, np.empty((0, 3)), method,
+                                                spectral).amplitude
             row.amplitude = amplitudes[j]
             row.abs2 = float(abs(row.amplitude) ** 2)
         except (NumericalGuardError, ValueError) as exc:
@@ -501,8 +492,7 @@ def frequency_sweep(problem: ScatteringProblem, omega_grid, method: str,
         return row
 
     return SweepResult(method=method, eps=problem.eps,
-                       rows=[one(j, sub) for j, sub in enumerate(subs)],
-                       warnings=notes)
+                       rows=[one(j, sub) for j, sub in enumerate(subs)])
 
 
 @dataclass

@@ -9,11 +9,12 @@ against it.  The package keeps only what its commands and the benchmark
 run, so the rest lives here too: the dense interaction operator, the
 expansion residual's limit coefficients with their closed forms from the
 capacitance and Minnaert frequency, the resonance half-width, an affine
-mesh map and an OFF writer, and the Mie oracle's field evaluation,
-partial-wave check and frozen fixtures.
+mesh map and an OFF writer, the Mie oracle's field evaluation,
+partial-wave check and frozen fixtures, and the recorder of run notes.
 """
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +238,18 @@ def expansion_coefficients(spectral: SpectralData, omega: complex,
             1.0 / (1.0 - omega ** 2 / spectral.minnaert_omega ** 2))
 
 
-def radiation_defect(problem: ScatteringProblem, step: float = 1e-4) -> float:
+def with_notes(call, *args, **kwargs) -> tuple:
+    """``call(*args, **kwargs)`` and the run notes it warned, in the order
+    it warned them: the package's one channel for notes is ``warnings``,
+    which ``cli.main`` records the same way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+def radiation_defect(problem: ScatteringProblem, spectral: SpectralData,
+                     step: float = 1e-4) -> float:
     """Discrete outgoing-wave check on the fit sphere (dilated solve).
 
     Returns max |d u_sc/dr - i omega u_sc| * r / max|u_sc|; an exact outgoing
@@ -245,7 +257,8 @@ def radiation_defect(problem: ScatteringProblem, step: float = 1e-4) -> float:
     """
     pts, radius = far_field_points(problem)
     rays = (pts - problem.y0) / radius
-    fld = scattered_field_dilated(problem, np.vstack([pts, pts + step * rays]))
+    fld = scattered_field_dilated(problem, np.vstack([pts, pts + step * rays]),
+                                  spectral)
     n = len(pts)
     du = (fld.scattered[n:] - fld.scattered[:n]) / step
     defect = np.abs(du - 1j * problem.omega * fld.scattered[:n])

@@ -114,7 +114,7 @@ def test_c04_expansion_ratios(sphere3, spectral3):
 def test_c05_solver_equivalence(sphere3, spectral3, ellipsoid2):
     points = np.array([[3.0, 1.0, 0.5], [0.0, 4.0, 1.0], [-2.0, 0.0, 3.0]])
     cases = [(sphere3, spectral3, 0.05, 1.0), (sphere3, spectral3, 0.05, SQRT3),
-             (ellipsoid2, None, 0.08, 1.2)]
+             (ellipsoid2, spectral_data(ellipsoid2), 0.08, 1.2)]
     gaps = []
     for mesh, data, eps, omega in cases:
         problem = ScatteringProblem(mesh, eps, omega,

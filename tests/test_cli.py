@@ -194,6 +194,24 @@ def test_sweep_validity_warning_covers_the_highest_frequency(tmp_path,
     assert any("exceeds the validity threshold" in w for w in recorded)
 
 
+def test_manifest_records_notes_in_the_order_they_happen(tmp_path, capsys):
+    # the validity warning, raised as the problem is built, comes before
+    # the series stack's note, raised by the sweep, and the peak fit's,
+    # raised last; each is printed too
+    assert main(["sweep", "--icosphere", "1,1", "--eps", "0.3",
+                 "--omega-grid", "1.0:2.0:0.5",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    notes = json.loads((tmp_path / "manifest.json").read_text())["warnings"]
+    assert len(notes) == 3
+    assert "exceeds the validity threshold" in notes[0]
+    assert notes[1].startswith("series stack: ")
+    assert notes[2].startswith("peak fit skipped: ")
+    printed = [line[len("warning: "):] for line in
+               capsys.readouterr().out.splitlines()
+               if line.startswith("warning: ")]
+    assert printed == notes
+
+
 def test_missing_complex_value_is_nan_in_both_columns(tmp_path):
     # the off-resonance formula is undefined at omega_M: that row fails
     wm = spectral_data(make_icosphere(1.0, 1)).minnaert_omega
@@ -208,14 +226,42 @@ def test_missing_complex_value_is_nan_in_both_columns(tmp_path):
     assert all(v != "nan" for v in dict(zip(header, rows[0])).values())
 
 
-def test_manifest_check_detects_tampering(tmp_path):
-    assert run(tmp_path, "geometry", "--icosphere", "1.0,1") == EXIT_OK
-    assert run(tmp_path, "geometry", "--icosphere", "1.0,1",
-               "--check") == EXIT_OK
-    with open(tmp_path / "geometry.csv", "a") as fh:
-        fh.write("tampered,1\n")
-    assert run(tmp_path, "geometry", "--icosphere", "1.0,1",
-               "--check") == EXIT_VERIFY
+# each way an output directory can fail --check: a tampered artifact
+# (None), and manifests that do not vouch for plain files in the directory
+TAMPERED = {
+    "csv": None, "not-json": b"not json",
+    "not-ascii": b'{"artifacts": {"geometry.csv": "\xff"}}',
+    "list": b"[1,2]", "nested": b"[" * 100000,
+    "artifact-list": b'{"artifacts": ["geometry.csv"]}',
+    "checksum-number": b'{"artifacts": {"geometry.csv": 1}}',
+    "absolute": b'{"artifacts": {"/etc/hostname": "0"}}',
+    "dotdot": b'{"artifacts": {"..": "0"}}',
+    "dotdot-path": b'{"artifacts": {"../geometry.csv": "0"}}',
+    "separator": b'{"artifacts": {"sub/geometry.csv": "0"}}',
+    "nul": b'{"artifacts": {"nul\\u0000.csv": "0"}}',
+    "directory": b'{"artifacts": {"sub": "0"}}',
+    "missing": b'{"artifacts": {"absent.csv": "0"}}',
+}
+
+
+def test_manifest_check_detects_tampering(tmp_path, capsys):
+    # each case is one FAIL line and exit 3, not a traceback
+    for case, manifest in TAMPERED.items():
+        out = tmp_path / case
+        assert run(out, "geometry", "--icosphere", "1.0,1") == EXIT_OK
+        assert run(out, "geometry", "--icosphere", "1.0,1",
+                   "--check") == EXIT_OK
+        if manifest is None:
+            with open(out / "geometry.csv", "a") as fh:
+                fh.write("tampered,1\n")
+        else:
+            (out / "sub").mkdir()
+            (out / "manifest.json").write_bytes(manifest)
+        capsys.readouterr()
+        assert run(out, "geometry", "--icosphere", "1.0,1",
+                   "--check") == EXIT_VERIFY, case
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("FAIL  "), (case, lines)
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -181,3 +181,42 @@ def test_every_public_name_has_a_caller():
     # the library keeps only what its callers run: a helper only tests
     # call lives in tests/reference.py
     assert unreferenced_public_names() == []
+
+
+
+def note_handling(source: str) -> list[str]:
+    """Each call of ``print`` or ``catch_warnings`` in ``source``, as
+    "call in owner" with the top-level definition around it, and each
+    ``warnings`` field its classes declare, as "Class.warnings"."""
+    tree = ast.parse(source)
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        found += [f"{ast.unparse(node.func)} in {owner}"
+                  for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in ("print", "catch_warnings",
+                                                 "warnings.catch_warnings")]
+    found += [f"{node.name}.warnings" for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef)
+              for item in node.body if isinstance(item, ast.AnnAssign)
+              and ast.unparse(item.target) == "warnings"]
+    return found
+
+
+def test_only_main_collects_run_notes():
+    # a run note is a Python warning that cli.main records: no other
+    # module prints or collects one, no other cli function collects one,
+    # and no result carries a list of them
+    assert note_handling("@dataclass\nclass R:\n    warnings: list\n"
+                         "def f():\n    with catch_warnings():\n"
+                         "        print(1)\n") == [
+        "catch_warnings in f", "print in f", "R.warnings"]
+    for module, path in FILES.items():
+        if path.startswith(SRC):
+            with open(path, encoding="utf-8") as fh:
+                found = note_handling(fh.read())
+            if module == "cli":
+                found = [f for f in found if not f.startswith("print in ")]
+                assert found == ["warnings.catch_warnings in main"]
+            else:
+                assert found == [], module

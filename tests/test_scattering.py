@@ -33,7 +33,7 @@ import reference
 from reference import (affine_transform, dirichlet_to_neumann,
                        interaction_operator, lorentzian_halfwidth,
                        radiation_defect, stacked_row_amplitude,
-                       transmission_residual)
+                       transmission_residual, with_notes)
 
 OBS = np.array([[3.0, 1.0, 0.5], [0.0, 4.0, 1.0], [-2.0, 0.0, 3.0]])
 
@@ -203,6 +203,7 @@ def rel_gap(value, reference):
 @pytest.mark.parametrize("omega", [1.3, 1.7])
 def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
     mesh = request.getfixturevalue(mesh_name)
+    spectral = spectral_data(mesh)
     eps = 0.05
     kappa = eps ** -2 - 1.0
     problem = make_problem(mesh, eps, omega)
@@ -218,7 +219,7 @@ def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
         mesh, eps * omega, eps * omega, eps ** 2, 1 - eps ** 2, trace)
     reference = -eval_single_layer_potential(
         mesh, charge, eps * omega, problem.contract(OBS)) / eps
-    dilated = scattered_field_dilated(problem, OBS)
+    dilated = scattered_field_dilated(problem, OBS, spectral)
     assert rel_gap(dilated.scattered, reference) <= 1e-10
 
     scaled = problem.scaled_mesh()
@@ -226,7 +227,7 @@ def test_factored_solves_match_explicit_dn(mesh_name, omega, request):
     flux = explicit_core_solve(scaled, omega, omega, 1.0, kappa, trace)
     reference = -kappa * eval_single_layer_potential(
         scaled, flux, omega, OBS)
-    direct = scattered_field_direct(problem, OBS)
+    direct = scattered_field_direct(problem, OBS, spectral)
     assert rel_gap(direct.scattered, reference) <= 1e-10
 
 
@@ -322,9 +323,9 @@ def test_transmission_residual_small(sphere2):
     assert transmission_residual(problem) <= 1e-8
 
 
-def test_radiation_defect_outgoing(sphere2):
+def test_radiation_defect_outgoing(sphere2, spectral2):
     problem = make_problem(sphere2, 0.05, 1.5)
-    defect = radiation_defect(problem, step=1e-3)
+    defect = radiation_defect(problem, spectral2, step=1e-3)
     # an exact outgoing monopole gives 1; an incoming wave would give
     # about 2 omega r >> 1
     assert defect <= 2.0
@@ -365,8 +366,9 @@ def test_direct_and_dilated_agree_on_moved_ellipsoids(axes, angles, shift,
     problem = make_problem(mesh, eps, size / (eps * mesh.diameter),
                            direction=(0.3, -0.5, 0.8))
     points = problem.y0 + OBS
-    dilated = scattered_field_dilated(problem, points)
-    direct = scattered_field_direct(problem, points)
+    spectral = spectral_data(mesh)
+    dilated = scattered_field_dilated(problem, points, spectral)
+    direct = scattered_field_direct(problem, points, spectral)
     assert np.abs(dilated.scattered - direct.scattered).max() \
         <= 1e-6 * np.abs(direct.scattered).max()
     assert abs(dilated.amplitude - direct.amplitude) \
@@ -374,10 +376,9 @@ def test_direct_and_dilated_agree_on_moved_ellipsoids(axes, angles, shift,
 
 
 def test_validity_warning():
-    from bubblebem.mesh import make_icosphere
-    mesh = make_icosphere(1.0, 1)
-    with pytest.warns(UserWarning, match="validity"):
-        ScatteringProblem(mesh, 0.5, 2.0, PlaneWave(np.array([0, 0, 1.0])))
+    _, notes = with_notes(ScatteringProblem, SUB1, 0.5, 2.0,
+                          PlaneWave(np.array([0, 0, 1.0])))
+    assert len(notes) == 1 and "validity" in notes[0]
 
 
 @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0])
@@ -411,16 +412,25 @@ def test_scattered_field_rejects_an_unknown_method():
                         SPECTRAL1)
 
 
-def test_every_method_gives_the_same_guard_band_note():
+def test_every_method_gives_the_same_guard_band_note(tmp_path):
+    # a solve notes the guard band once, before it solves, whatever its
+    # method, and notes nothing outside it
     omega = SPECTRAL1.minnaert_omega + 0.01
-    notes = {tuple(scattered_field(make_problem(SUB1, 0.05, omega), OBS,
-                                   method, SPECTRAL1).warnings)
-             for method in METHODS}
+    notes = set()
+    for method in METHODS:
+        out = tmp_path / method
+        assert main(["solve", "--icosphere", "1.0,1", "--eps", "0.05",
+                     "--omega", repr(omega), "--method", method,
+                     "--out", str(out)]) == 0
+        notes.add(tuple(json.loads((out / "manifest.json").read_text())
+                        ["warnings"]))
     assert notes == {("omega within 1*eps of the Minnaert frequency: "
                       "quasi-resonant guard band",)}
-    outside = scattered_field(make_problem(SUB1, 0.05, 1.3), OBS, "uniform",
-                              SPECTRAL1)
-    assert outside.warnings == []
+    assert main(["solve", "--icosphere", "1.0,1", "--eps", "0.05",
+                 "--omega", "1.3", "--method", "uniform",
+                 "--out", str(tmp_path / "outside")]) == 0
+    manifest = json.loads((tmp_path / "outside" / "manifest.json").read_text())
+    assert manifest["warnings"] == []
 
 
 def test_dn_factors_read_the_stack_only_where_it_reaches():
@@ -556,7 +566,9 @@ def test_uniform_halfwidth_matches_lorentzian_algebra(sphere2, spectral2):
 
 @pytest.mark.parametrize("route", [scattered_field_dilated,
                                    scattered_field_direct])
-def test_amplitude_does_not_depend_on_the_incidence_direction(sphere2, route):
+def test_amplitude_does_not_depend_on_the_incidence_direction(sphere2,
+                                                              spectral2,
+                                                              route):
     # on a sphere about y0 the monopole response to a unit plane wave is
     # the same for every direction; the icosphere's symmetry breaks that
     # only from degree 6 on, O((eps omega)^6) below the amplitude
@@ -565,7 +577,8 @@ def test_amplitude_does_not_depend_on_the_incidence_direction(sphere2, route):
     for omega in (1.0, 1.6, np.sqrt(3)):
         amps = [abs(route(make_problem(sphere2, 0.05, omega, direction=d,
                                        y0=np.zeros(3)),
-                          np.empty((0, 3))).amplitude) for d in directions]
+                          np.empty((0, 3)), spectral2).amplitude)
+                for d in directions]
         assert np.ptp(amps) <= 1e-11 * max(amps), omega
 
 
@@ -777,12 +790,14 @@ def test_dilated_sweep_stack_matches_exact_assembly(sphere2, spectral2,
                                                     monkeypatch):
     problem = make_problem(sphere2, 0.05, 1.5, y0=np.zeros(3))
     grid = np.round(np.arange(1.5, 2.0001, 0.1), 10)
-    stacked = frequency_sweep(problem, grid, "dilated", spectral2)
-    assert stacked.warnings == []
+    stacked, notes = with_notes(frequency_sweep, problem, grid, "dilated",
+                                spectral2)
+    assert notes == []
     monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
-    exact = frequency_sweep(problem, grid, "dilated", spectral2)
-    assert len(exact.warnings) == 1
-    assert "assembled exactly at every wavenumber" in exact.warnings[0]
+    exact, notes = with_notes(frequency_sweep, problem, grid, "dilated",
+                              spectral2)
+    assert len(notes) == 1
+    assert "assembled exactly at every wavenumber" in notes[0]
     a, b = sweep_amplitudes(stacked), sweep_amplitudes(exact)
     assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
@@ -792,10 +807,12 @@ def test_sweep_stack_size_estimate_is_the_stack_bytes(monkeypatch):
     # studies (eps, omega, omega) is the bytes the stack's two term blocks
     # hold
     studies = [(0.05, w, w) for w in np.round(np.arange(1.5, 2.0001, 0.1), 10)]
-    stack, notes = boundary_calculus._series_stack(SPECTRAL1, studies)
+    stack, notes = with_notes(boundary_calculus._series_stack, SPECTRAL1,
+                              studies)
     assert notes == []
     monkeypatch.setattr(boundary_calculus, "SERIES_STACK_LIMIT", 0)
-    none, notes = boundary_calculus._series_stack(SPECTRAL1, studies)
+    none, notes = with_notes(boundary_calculus._series_stack, SPECTRAL1,
+                             studies)
     assert none is None and len(notes) == 1
     size = int(notes[0].split(" needs ")[1].split()[0])
     assert size == stack.single.nbytes + stack.double.nbytes
@@ -807,7 +824,8 @@ def test_series_stack_reaches_the_larger_contracted_wavenumber(study):
     # a study (eps, omega, z) factors at eps * omega and eps * z, so its
     # stack has the order the tail bound needs at the larger of the two
     # moduli, 0.3 here, and reaches both
-    stack, notes = boundary_calculus._series_stack(SPECTRAL1, [study])
+    stack, notes = with_notes(boundary_calculus._series_stack, SPECTRAL1,
+                              [study])
     assert notes == []
     assert stack.order == layer_ops._series_order(0.3 * SUB1.diameter)
     assert stack.order > layer_ops._series_order(0.075 * SUB1.diameter)
@@ -875,12 +893,14 @@ def test_sweep_past_the_highest_order_is_assembled_exactly(monkeypatch):
     # eps * omega * diameter = 0.6 is within the stack's reach, 1.2 is not
     problem = make_problem(SUB1, 0.3, 1.0)
     calls = count_assemblies(monkeypatch)
-    sweep = frequency_sweep(problem, [1.0, 2.0], "dilated", SPECTRAL1)
+    sweep, notes = with_notes(frequency_sweep, problem, [1.0, 2.0],
+                              "dilated", SPECTRAL1)
     assert all(row.error is None for row in sweep.rows)
     assert len(calls["stack"]) == 1
     assert (calls["single"], calls["pair"]) == ([], [0.6])
-    assert len(sweep.warnings) == 1 and "|eps w| = 0.6" in sweep.warnings[0]
-    exact = scattered_field_dilated(make_problem(SUB1, 0.3, 2.0), OBS)
+    assert len(notes) == 1 and "|eps w| = 0.6" in notes[0]
+    exact = scattered_field_dilated(make_problem(SUB1, 0.3, 2.0), OBS,
+                                    SPECTRAL1)
     assert sweep.rows[1].amplitude == pytest.approx(exact.amplitude, rel=1e-12)
 
 
@@ -901,9 +921,10 @@ def test_lockstep_sweep_matches_the_per_row_solves(mesh_name, low, high,
     spectral = spectral_data(mesh)
     problem = make_problem(mesh, 0.05, low)
     grid = np.round(np.arange(low, high + 1e-4, 0.02), 10)
-    sweep = frequency_sweep(problem, grid, "dilated", spectral)
-    assert sweep.warnings == []
-    stack, _ = boundary_calculus._series_stack(
+    sweep, notes = with_notes(frequency_sweep, problem, grid, "dilated",
+                              spectral)
+    assert notes == []
+    stack = boundary_calculus._series_stack(
         spectral, [(0.05, w, w) for w in grid])
     per_row = np.array([stacked_row_amplitude(make_problem(mesh, 0.05, w),
                                               stack) for w in grid])
@@ -920,9 +941,10 @@ def test_a_row_the_lockstep_solve_misses_is_factored_exactly(monkeypatch):
     problem = make_problem(SUB1, 0.05, 1.5)
     grid = [1.5, 1.6, 1.7, 1.8]
     monkeypatch.setattr(boundary_calculus, "_LOCKSTEP_STEPS", 1)
-    missed = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
+    missed, notes = with_notes(frequency_sweep, problem, grid, "dilated",
+                               SPECTRAL1)
     assert all(row.error is None for row in missed.rows)
-    assert missed.warnings == [
+    assert notes == [
         f"lockstep sweep: omega = {w:g} solved on its own "
         "(M system: backward error above 1e-14 after 1 Krylov steps)"
         for w in grid]
@@ -940,10 +962,11 @@ def test_lockstep_rows_keep_the_per_row_guard_errors(monkeypatch):
     problem = make_problem(SUB1, 0.05, 1.5)
     grid = [1.5, 1.6, 1.7]
     monkeypatch.setattr(boundary_calculus, "CONDITION_LIMIT", 1.0)
-    sweep = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
-    assert len(sweep.warnings) == len(grid)
+    sweep, notes = with_notes(frequency_sweep, problem, grid, "dilated",
+                              SPECTRAL1)
+    assert len(notes) == len(grid)
     assert all("(centre preconditioner: contrast matrix M at wavenumber"
-               in note for note in sweep.warnings)
+               in note for note in notes)
     errors = [row.error for row in sweep.rows]
     for w, error in zip(grid, errors):
         assert error.startswith(f"single layer S at wavenumber {0.05 * w:.6g}"
@@ -968,8 +991,9 @@ def test_a_stacked_dilated_sweep_never_solves_a_row_on_its_own(
     monkeypatch.setattr(scattering, "_transmission_flux", counted)
     problem = make_problem(sphere2, 0.05, 1.5)
     grid = np.round(np.arange(1.5, 2.0001, 0.02), 10)
-    sweep = frequency_sweep(problem, grid, "dilated", spectral2)
-    assert sweep.warnings == [] and calls == []
+    _, notes = with_notes(frequency_sweep, problem, grid, "dilated",
+                          spectral2)
+    assert notes == [] and calls == []
     direct = frequency_sweep(problem, grid[:3], "direct", spectral2)
     assert all(row.error is None for row in direct.rows)
     assert calls == list(grid[:3])
@@ -977,14 +1001,14 @@ def test_a_stacked_dilated_sweep_never_solves_a_row_on_its_own(
 
 def test_a_refused_solve_notes_why_in_its_warnings(monkeypatch, tmp_path):
     # with one Krylov step GMRES is refused: the solve takes the flux of
-    # the LUs of S_w and M, and the field's warnings, and so the manifest,
-    # say why
+    # the LUs of S_w and M, and warns why, and so the manifest says why
     monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
     note = ("omega = 1.3: GMRES refused (M system: backward error above "
             "1e-14 after 1 Krylov steps); solved by LU factorization")
     for route in (scattered_field_dilated, scattered_field_direct):
-        fld = route(make_problem(SUB1, 0.05, 1.3), OBS, SPECTRAL1)
-        assert fld.warnings == [note]
+        _, notes = with_notes(route, make_problem(SUB1, 0.05, 1.3), OBS,
+                              SPECTRAL1)
+        assert notes == [note]
     assert main(["solve", "--icosphere", "1.0,1", "--eps", "0.05",
                  "--omega", "1.3", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -995,28 +1019,29 @@ def test_a_refused_solve_notes_why_in_its_warnings(monkeypatch, tmp_path):
 def test_a_refused_sweep_row_notes_why_in_its_warnings(monkeypatch, tmp_path,
                                                        method):
     # with one Krylov step every row is left to its own solve, whose GMRES
-    # is refused: the sweep's warnings, and so its manifest, carry the
-    # single solve's note once per row, after the lockstep's notes; the
-    # guard band of the row at 1.8 stays a column
+    # is refused: the sweep warns, and so its manifest carries, the single
+    # solve's note once per row, after the lockstep's notes; the guard
+    # band of the row at 1.8 stays a column
     monkeypatch.setattr(boundary_calculus, "_SINGLE_STEPS", 1)
     monkeypatch.setattr(boundary_calculus, "_LOCKSTEP_STEPS", 1)
     grid = [1.7, 1.8, 1.9]
     refused = [f"omega = {w:g}: GMRES refused (M system: backward error "
                "above 1e-14 after 1 Krylov steps); solved by LU factorization"
                for w in grid]
-    sweep = frequency_sweep(make_problem(SUB1, 0.05, 1.7), grid, method,
-                            SPECTRAL1)
+    sweep, notes = with_notes(frequency_sweep,
+                              make_problem(SUB1, 0.05, 1.7), grid, method,
+                              SPECTRAL1)
     assert [row.guard_band for row in sweep.rows] == [False, True, False]
     assert all(row.error is None for row in sweep.rows)
-    lockstep = sweep.warnings[:-len(grid)]
+    lockstep = notes[:-len(grid)]
     assert len(lockstep) == (len(grid) if method == "dilated" else 0)
     assert all(note.startswith("lockstep sweep: ") for note in lockstep)
-    assert sweep.warnings[-len(grid):] == refused
+    assert notes[-len(grid):] == refused
     assert main(["sweep", "--icosphere", "1.0,1", "--eps", "0.05",
                  "--omega-grid", "1.7,1.8,1.9", "--method", method,
                  "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["warnings"][:len(sweep.warnings)] == sweep.warnings
+    assert manifest["warnings"][:len(notes)] == notes
 
 
 def test_lockstep_sweep_bytes_do_not_depend_on_the_worker_count(
@@ -1028,8 +1053,9 @@ def test_lockstep_sweep_bytes_do_not_depend_on_the_worker_count(
         monkeypatch.setattr(layer_ops, "_worker_count",
                             lambda chunks, workers=workers: min(chunks,
                                                                 workers))
-        sweep = frequency_sweep(problem, grid, "dilated", spectral2)
-        assert sweep.warnings == []
+        sweep, notes = with_notes(frequency_sweep, problem, grid, "dilated",
+                                  spectral2)
+        assert notes == []
         amplitudes.append(sweep_amplitudes(sweep).tobytes())
     assert amplitudes[0] == amplitudes[1]
 
@@ -1045,11 +1071,13 @@ def test_lockstep_blocks_keep_their_rows_apart(monkeypatch):
     grid = np.round(np.arange(1.5, 1.951, 0.05), 10)
     assert boundary_calculus._lockstep_width(SUB1.n_panels, len(grid)) == 3
     assert len(grid) == 10
-    blocked = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
+    blocked, blocked_notes = with_notes(frequency_sweep, problem, grid,
+                                        "dilated", SPECTRAL1)
     monkeypatch.setattr(boundary_calculus, "_lockstep_width",
                         lambda n, rows: 1)
-    single = frequency_sweep(problem, grid, "dilated", SPECTRAL1)
-    assert blocked.warnings == single.warnings == []
+    single, single_notes = with_notes(frequency_sweep, problem, grid,
+                                      "dilated", SPECTRAL1)
+    assert blocked_notes == single_notes == []
     a, b = sweep_amplitudes(blocked), sweep_amplitudes(single)
     assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-12
 
@@ -1089,9 +1117,9 @@ def test_no_solve_hands_lapack_a_stored_pivot_array(monkeypatch):
 
     monkeypatch.setattr(boundary_calculus, "_guarded_lu", recorded_lu)
     monkeypatch.setattr(boundary_calculus, "lu_solve", recorded_solve)
-    sweep = frequency_sweep(make_problem(SUB1, 0.05, 1.5),
-                            [1.5, 1.6, 1.7, 1.8], "dilated", spectral)
-    assert sweep.warnings == [] and len(stored) == 2
+    _, notes = with_notes(frequency_sweep, make_problem(SUB1, 0.05, 1.5),
+                          [1.5, 1.6, 1.7, 1.8], "dilated", spectral)
+    assert notes == [] and len(stored) == 2
     spectral.gram_cholesky()
     assert given
     assert not any(np.shares_memory(piv, kept)
@@ -1106,7 +1134,7 @@ def test_lockstep_sweep_peak_memory(sphere2, spectral2):
     # 76 rows in three blocks peak like 26 in one
     grid = np.round(np.arange(1.5, 2.0001, 0.02), 10)
     fine = np.round(np.arange(1.5, 2.0001, 0.02 / 3), 10)
-    stack, _ = boundary_calculus._series_stack(
+    stack = boundary_calculus._series_stack(
         spectral2, [(0.05, w, w) for w in fine])
     incident = PlaneWave(np.array([0.0, 0.0, 1.0]))
     peaks = []
@@ -1142,7 +1170,7 @@ def test_every_factorization_consumes_its_operand(monkeypatch):
 
     monkeypatch.setattr(boundary_calculus, "lu_factor", recorded)
     problem = make_problem(SUB1, 0.05, 1.6)
-    scattered_field_dilated(problem, OBS)
+    scattered_field_dilated(problem, OBS, SPECTRAL1)
     scattered_field_direct(problem, OBS, SPECTRAL1)
     sweep = frequency_sweep(problem, [1.5, 1.6], "dilated", SPECTRAL1)
     assert all(row.error is None for row in sweep.rows)
