@@ -31,8 +31,9 @@ import os
 import sys
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,16 +54,6 @@ OUTDIR_ENV = "BUBBLEBEM_OUTDIR"
 
 # most points a START:STOP:STEP omega grid may expand to
 _GRID_LIMIT = 10 ** 6
-
-# the fixed acceptance windows of ``verify``
-DEFAULT_TOLERANCES = {
-    "gauss": 1e-12,
-    "coefficient_identity": 0.02,
-    "expansion_ratio_low": 1.6,
-    "expansion_ratio_high": 2.6,
-    "kernel_rate_window": 0.2,
-}
-
 
 class UsageError(Exception):
     pass
@@ -170,9 +161,14 @@ def _parse_grid(text: str) -> list[float]:
         if not (math.isfinite(steps) and steps + 1 <= _GRID_LIMIT):
             raise UsageError(f"omega grid {text!r} has more than "
                              f"{_GRID_LIMIT:d} points")
-        count = int(round(steps)) + 1
-        grid = [start + i * step for i in range(count)]
-        return [w for w in grid if w <= stop + 1e-12]
+        # STOP ends the grid when the count falls short of a whole number
+        # by no more than the rounding of the bounds and the step, measured
+        # in steps (half a step at most, where the bounds' floats are
+        # coarser than that): the points are START + i STEP, and none lies
+        # past STOP by more than that rounding
+        steps += min(0.5, 4 * sys.float_info.epsilon
+                     * (abs(start) + abs(stop)) / step)
+        return [start + i * step for i in range(math.floor(steps) + 1)]
     return list(_parse_floats(text))
 
 
@@ -493,59 +489,95 @@ def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> int:
     return EXIT_OK
 
 
+# a check of ``verify`` that runs one study per eps: an expansion residual
+# (kind "ratio") or a resolvent kernel ("rate"), at the omega given, or at
+# the resonance centre for None, and z; a rate's window may be None, and
+# the value is then reported with its confidence interval
+_Study = namedtuple("_Study", "name kind eps omega z window")
+
+# the study rows of verify.csv, in its order; README lists them as a table
+_STUDIES = (
+    _Study("offres_expansion_ratio", "ratio", (0.04, 0.02), 1.0, 0.7,
+           (1.6, 2.6)),
+    _Study("res_expansion_ratio", "ratio", (0.04, 0.02), None, 0.7,
+           (1.6, 2.6)),
+    _Study("krein_kernel_offres_rate", "rate", (0.2, 0.1, 0.05), 1.0, 1j,
+           (0.8, 1.2)),
+    _Study("krein_kernel_res_rate", "rate", (0.2, 0.1, 0.05), None, 1j,
+           None),
+)
+
+
 def verification_checks(cfg: RunConfig):
     """The identity/expansion/kernel suite behind ``verify``: one
     (name, value, low, high, gated) row per check, the columns of
     verify.csv.  A gated check passes when low <= value <= high; the
     others are reported with a confidence interval [low, high].
 
-    The ten contracted studies, four expansion residuals and then six
-    resolvent kernels, are independent: each factors its own M S_w from
-    the one series stack, which ``boundary_calculus._series_stack`` sizes
-    from the (eps, omega, z) each study is handed.  The Gauss identity
-    reads K_0 from that stack too, and assembles it exactly only when
-    there is no stack.  The studies run as tasks of
-    ``layer_ops._side_by_side``, side by side on the usable CPUs, with
-    ``spectral``'s caches filled before they start; their values are read
-    in task order, so the rows do not depend on the worker count.
+    The Gauss, quadratic and cubic coefficient identities come first, then
+    one row per entry of ``_STUDIES``: its name, kind, eps list, omega
+    (fixed, or the centre ``k2_resonance_frequency`` gives), z and window
+    (none: the value is reported with its 2-sigma interval).  A ratio
+    divides the expansion residual at its first eps by that at its second;
+    a rate fits log |kernel - limit| against log eps, with the resolvent
+    kernel at the samples x = (1.2, 0.3, -0.4), y = (-0.8, 0.9, 1.1) and
+    its limit 0 at a fixed omega, and at the centre the point-interaction
+    correction 4 pi (i/z) G_z(x - y0) G_z(y - y0), read from
+    ``point_perturbation_kernel``.  The kernel problems at a fixed omega
+    are built, and the samples checked against them, before any solve.
+
+    Each eps of a row is one contracted study.  The studies are
+    independent: each factors its own M S_w from the one series stack,
+    which ``boundary_calculus._series_stack`` sizes from the
+    (eps, omega, z) each study is handed.  The Gauss identity reads K_0
+    from that stack too, and assembles it exactly only when there is no
+    stack.  The studies run as tasks of ``layer_ops._side_by_side``, side
+    by side on the usable CPUs, with ``spectral``'s caches filled before
+    they start; their values are read in task order, so the rows do not
+    depend on the worker count.
     """
     mesh = cfg.build_mesh()
-    x = np.array([1.2, 0.3, -0.4])
-    y = np.array([-0.8, 0.9, 1.1])
-    center = np.asarray(cfg.center) if cfg.center is not None \
-        else np.zeros(3)
-    eps_list = (0.2, 0.1, 0.05)
-    # built before any solve: they apply every input rule, the
-    # eps-dependent point-source check too
-    offres = [_make_problem(cfg, mesh, 1.0, eps=eps, y0=center,
-                            validity_threshold=np.inf) for eps in eps_list]
-    # the kernel samples x, y must clear the contracted mesh at every eps
-    # and differ from the center, the point-interaction kernel's rule; its
-    # correction 4 pi (i/z) G_z(x - y0) G_z(y - y0) at z = i is the limit
-    # the resonant kernels approach
-    try:
-        glim = (sc.point_perturbation_kernel(1j, center, x, y)
-                - sc.green_function(1j, (x - y)[None, :])[0])
-        for prob in offres:
-            _check_clearance(mesh, prob.contract(np.stack([x, y])))
-    except ValueError as exc:
-        raise UsageError(f"center {center.tolist()} breaks the kernel "
-                         f"samples x = {x.tolist()}, y = {y.tolist()}: "
-                         f"{exc}") from None
+    x, y = samples = np.array([[1.2, 0.3, -0.4], [-0.8, 0.9, 1.1]])
+    center = np.asarray(cfg.center or (0.0, 0.0, 0.0))
+
+    def checked(rule, *args):
+        # a rule of the kernel samples that the center breaks is a usage
+        # error
+        try:
+            return rule(*args)
+        except ValueError as exc:
+            raise UsageError(f"center {center.tolist()} breaks the kernel "
+                             f"samples x = {x.tolist()}, y = {y.tolist()}: "
+                             f"{exc}") from None
+
+    @cache
+    def pose(eps, omega):
+        # a kernel problem applies every input rule, the eps-dependent
+        # point-source check too, and the samples must clear its contracted
+        # mesh
+        prob = _make_problem(cfg, mesh, omega, eps=eps, y0=center,
+                             validity_threshold=np.inf)
+        checked(_check_clearance, mesh, prob.contract(samples))
+        return prob
+
+    # each rate's limit; the point interaction's needs x, y off the center
+    limits = {row: 0.0 if row.omega is not None else
+              checked(sc.point_perturbation_kernel, row.z, center, x, y)
+              - sc.green_function(row.z, (x - y)[None, :])[0]
+              for row in _STUDIES if row.kind == "rate"}
+    # the problems at a fixed omega are posed before any solve
+    for row in limits:
+        for eps in row.eps if row.omega is not None else ():
+            pose(eps, row.omega)
     spectral = bc.spectral_data(mesh)
-    what = bc.k2_resonance_frequency(spectral)
-    res = [_make_problem(cfg, mesh, what, eps=eps, y0=center,
-                         validity_threshold=np.inf) for eps in eps_list]
-    # the studies as the (eps, omega, z) of each expansion residual and the
-    # (problem, z) of each resolvent kernel; one series stack holds every
-    # contracted operator of them all, and K_0, and is released when the
-    # checks return; each fallback to exact assembly is a warning
-    expansions = [(eps, omega, 0.7) for omega in (1.0, what)
-                  for eps in (0.04, 0.02)]
-    kernels = [(prob, 1j) for prob in (*offres, *res)]
-    stack = _series_stack(
-        spectral,
-        expansions + [(prob.eps, prob.omega, z) for prob, z in kernels])
+    centre = bc.k2_resonance_frequency(spectral)
+    # each study as its row and the (eps, omega, z) it is handed
+    studies = [(row, eps, centre if row.omega is None else row.omega, row.z)
+               for row in _STUDIES for eps in row.eps]
+    # one series stack holds every contracted operator of the studies, and
+    # K_0, and is released when the checks return; each fallback to exact
+    # assembly is a warning
+    stack = _series_stack(spectral, [study[1:] for study in studies])
 
     # F order, the layout of an exact K_0, keeps the bits of k0 @ ones
     k0 = (assemble_double_layer(mesh, 0.0) if stack is None
@@ -560,47 +592,40 @@ def verification_checks(cfg: RunConfig):
                    for w in (0.5, 1.0, 2.0))
     cubic_err = abs(k3 + 1j * mesh.volume / (4 * np.pi)) \
         / (mesh.volume / (4 * np.pi))
-    tol = DEFAULT_TOLERANCES["coefficient_identity"]
-    checks = [("gauss_identity", gauss, -math.inf, DEFAULT_TOLERANCES["gauss"],
+    # the identities' fixed windows
+    checks = [("gauss_identity", gauss, -math.inf, 1e-12, True),
+              ("quadratic_coefficient_identity", quad_err, -math.inf, 0.02,
                True),
-              ("quadratic_coefficient_identity", quad_err, -math.inf, tol, True),
-              ("cubic_coefficient_identity", cubic_err, -math.inf, tol, True)]
+              ("cubic_coefficient_identity", cubic_err, -math.inf, 0.02, True)]
 
-    lo = DEFAULT_TOLERANCES["expansion_ratio_low"]
-    hi = DEFAULT_TOLERANCES["expansion_ratio_high"]
     # the averages are cached above; the Gram factor, which every
     # expansion residual reads, is cached here, before the studies share it
     spectral.gram_cholesky()
-    studies = _side_by_side(
-        [partial(bc.expansion_residual, spectral, *study, stack)
-         for study in expansions]
-        + [partial(sc.resolvent_correction_kernel, prob, z, x, y, stack)
-           for prob, z in kernels], "study")
-    for name, (r_coarse, r_fine) in zip(
-            ("offres_expansion_ratio", "res_expansion_ratio"),
-            (studies[0:2], studies[2:4])):
-        checks.append((name, r_coarse / r_fine, lo, hi, True))
-
-    window = DEFAULT_TOLERANCES["kernel_rate_window"]
-    for name, kernels, target, expected, gated in (
-            ("krein_kernel_offres_rate", studies[4:7], 0.0, 1.0, True),
-            ("krein_kernel_res_rate", studies[7:10], glim, 0.5, False)):
-        logs = np.log([abs(kernel - target) for kernel in kernels])
-        # the covariance is scaled by the residual over len(eps_list) - 2,
-        # the degrees of freedom a line leaves
-        (slope, _), cov = np.polyfit(np.log(eps_list), logs, 1, cov=True)
-        stderr = math.sqrt(cov[0, 0])
-        # the resonant rate is reported with its confidence interval
-        low, high = ((expected - window, expected + window) if gated
-                     else (slope - 2 * stderr, slope + 2 * stderr))
-        checks.append((name, float(slope), low, high, gated))
+    values = iter(_side_by_side([
+        partial(bc.expansion_residual, spectral, eps, omega, z, stack)
+        if row.kind == "ratio" else partial(sc.resolvent_correction_kernel,
+                                            pose(eps, omega), z, x, y, stack)
+        for row, eps, omega, z in studies], "study"))
+    for row in _STUDIES:
+        found = [next(values) for _ in row.eps]
+        if row.kind == "ratio":
+            checks.append((row.name, found[0] / found[1], *row.window, True))
+            continue
+        logs = np.log([abs(kernel - limits[row]) for kernel in found])
+        slope = float(np.polyfit(np.log(row.eps), logs, 1)[0])
+        if row.window is None:
+            # 2 sigma, the covariance scaled by the residual over
+            # len(eps) - 2, the degrees of freedom a line leaves
+            half = 2 * math.sqrt(
+                np.polyfit(np.log(row.eps), logs, 1, cov=True)[1][0, 0])
+        window = row.window or (slope - half, slope + half)
+        checks.append((row.name, slope, *window, row.window is not None))
     return checks
 
 
 def cmd_verify(cfg: RunConfig, writer: ArtifactWriter) -> int:
-    checks = verification_checks(cfg)
     rows = []
-    for name, value, low, high, gated in checks:
+    for name, value, low, high, gated in verification_checks(cfg):
         ok = not gated or low <= value <= high
         rows.append((name, value, low, high, ok))
         bounds = (f"in [{low:g}, {high:g}]" if gated

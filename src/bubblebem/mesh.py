@@ -116,7 +116,18 @@ def build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> SurfaceMesh:
         raise MeshError("a closed surface needs at least 4 triangles")
 
     _check_manifold(triangles)
+    return _with_geometry(vertices, triangles)
 
+
+def _with_geometry(vertices: np.ndarray, triangles: np.ndarray,
+                   diameter: float | None = None) -> SurfaceMesh:
+    """The SurfaceMesh of finite ``vertices`` on ``triangles`` whose indices
+    and topology are checked, with its panel geometry, and ``diameter``
+    (None: the largest vertex distance, ``_diameter``).
+
+    Raises MeshError on degenerate panels, inward orientation, or an area,
+    volume or diameter that overflows.
+    """
     v0 = vertices[triangles[:, 0]]
     v1 = vertices[triangles[:, 1]]
     v2 = vertices[triangles[:, 2]]
@@ -130,7 +141,8 @@ def build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> SurfaceMesh:
     centroids = (v0 + v1 + v2) / 3.0
 
     volume = float(np.sum(np.einsum("ij,ij->i", centroids, normals) * areas) / 3.0)
-    area, diameter = float(areas.sum()), _diameter(vertices)
+    area = float(areas.sum())
+    diameter = _diameter(vertices) if diameter is None else float(diameter)
     if not np.isfinite([area, volume, diameter]).all():
         raise MeshError(f"geometry is not finite: area {area:g}, volume "
                         f"{volume:g}, diameter {diameter:g}")
@@ -249,11 +261,21 @@ def make_ellipsoid(semi_axes: tuple[float, float, float],
 
 
 def scale_about(mesh: SurfaceMesh, factor: float, center: np.ndarray) -> SurfaceMesh:
-    """Uniform scaling x -> center + factor * (x - center)."""
+    """Uniform scaling x -> center + factor * (x - center).
+
+    The triangles are ``mesh``'s, whose topology is checked, and the
+    diameter is factor times ``mesh``'s; the panel geometry is computed
+    from the scaled vertices as ``build_mesh`` computes it, under the same
+    checks: a factor that makes a panel degenerate, or a vertex, the area,
+    volume or diameter overflow, raises MeshError.
+    """
     if factor <= 0:
         raise MeshError(f"scale factor must be positive, got {factor}")
     center = np.asarray(center, dtype=float)
-    return build_mesh(center + factor * (mesh.vertices - center), mesh.triangles)
+    vertices = center + factor * (mesh.vertices - center)
+    if not np.isfinite(vertices).all():
+        raise MeshError("vertex coordinates must be finite")
+    return _with_geometry(vertices, mesh.triangles, factor * mesh.diameter)
 
 
 def surface_centroid(mesh: SurfaceMesh) -> np.ndarray:

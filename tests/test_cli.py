@@ -5,16 +5,20 @@ import json
 import math
 import os
 import pathlib
+import re
+import sys
 import tempfile
 import time
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bubblebem import boundary_calculus as bc
+from bubblebem import cli
 from bubblebem import layer_ops
 from bubblebem import scattering as sc
 from bubblebem.boundary_calculus import spectral_data
@@ -530,6 +534,34 @@ def test_the_smallest_contracted_wavenumber_writes_finite_values(tmp_path,
                              sc.PlaneWave(np.array([0.0, 0.0, 1.0])))
 
 
+@pytest.mark.parametrize("grid, expected", [
+    # at this magnitude a float's rounding is above 1e-12: STOP is kept
+    ("85740.6:85740.62:0.02", [85740.6, 85740.6 + 0.02]),
+    # steps far below 1e-12: the grid stops at 3e-13, as 1:3.6:1 stops at 3
+    ("1e-13:3.6e-13:1e-13", [1e-13, 1e-13 + 1e-13, 1e-13 + 2 * 1e-13]),
+    ("1:3.6:1", [1.0, 2.0, 3.0]),
+    ("1.5:1.9:0.1", [1.5 + i * 0.1 for i in range(5)]),
+])
+def test_omega_grid_ends_at_stop(grid, expected):
+    assert cli._parse_grid(grid) == expected
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(start=st.tuples(st.integers(1, 10 ** 11), st.integers(-15, 0)),
+       step=st.tuples(st.integers(1, 10 ** 6), st.integers(-15, 0)),
+       n=st.integers(0, 40))
+def test_a_grid_typed_to_end_on_a_step_has_every_point(start, step, n):
+    # START:START+n*STEP:STEP, typed as decimals, expands to the n + 1
+    # points START + i STEP, the last within the bounds' rounding of STOP
+    start, step = (Decimal(m).scaleb(e) for m, e in (start, step))
+    assume(start / step <= 10 ** 12)
+    stop = start + n * step
+    grid = cli._parse_grid(f"{start}:{stop}:{step}")
+    assert grid == [float(start) + i * float(step) for i in range(n + 1)]
+    rounding = 4 * sys.float_info.epsilon * (float(start) + float(stop))
+    assert grid[-1] <= float(stop) + rounding
+
+
 @pytest.mark.parametrize("grid", ["1:1e300:1e-300", "1.5:1.6:1e-12"])
 def test_an_oversized_omega_grid_is_a_usage_error(tmp_path, capsys, grid):
     # the count is checked as a float before any list is built: an
@@ -845,3 +877,35 @@ def test_verify_mutation_fails(monkeypatch):
                for name, value, low, high, gated in checks}
     value, bound, gated = by_name["quadratic_coefficient_identity"]
     assert gated and value > bound
+
+
+def test_a_study_row_changes_only_the_table(tmp_path, monkeypatch):
+    # one more kernel rate in verify's table, between the expansion ratios
+    # and the kernel rates: verify.csv gains exactly that row at its table
+    # position and keeps every other row's bytes, and the new studies read
+    # the one series stack, with S_0 still the only exact pass
+    main(["verify", "--icosphere", "1.0,1", "--out", str(tmp_path / "a")])
+    extra = cli._Study("krein_kernel_extra_rate", "rate", (0.2, 0.1), 1.0,
+                       1j, (0.8, 1.2))
+    monkeypatch.setattr(cli, "_STUDIES",
+                        (*cli._STUDIES[:2], extra, *cli._STUDIES[2:]))
+    calls = count_kernel_passes(monkeypatch)
+    main(["verify", "--icosphere", "1.0,1", "--out", str(tmp_path / "b")])
+    before = (tmp_path / "a" / "verify.csv").read_text().splitlines()
+    after = (tmp_path / "b" / "verify.csv").read_text().splitlines()
+    # the header and three identity rows come first
+    assert after[:6] + after[7:] == before
+    name, value, low, high, passed = after[6].split(",")
+    assert (name, (float(low), float(high))) == (extra.name, extra.window)
+    assert 0.8 <= float(value) <= 1.2 and passed == "1"
+    assert calls["exact"] == [(0, True, False)]
+    assert len(calls["stack"]) == 1 and calls["sums"] == [3]
+
+
+def test_readme_lists_every_check_verify_writes(tmp_path):
+    # README's verify table names each verify.csv row, in the same order
+    main(["verify", "--icosphere", "1.0,1", "--out", str(tmp_path)])
+    _, rows = read_csv(tmp_path / "verify.csv")
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    listed = re.findall(r"^\| `(\w+)` \|", readme.read_text(), re.MULTILINE)
+    assert [row[0] for row in rows] == listed

@@ -94,6 +94,38 @@ def test_uniform_scaling_moments():
     assert scaled.diameter == pytest.approx(s * mesh.diameter, rel=1e-13)
 
 
+@pytest.mark.parametrize("source", [make_icosphere(1.0, 2),
+                                    make_ellipsoid((1.0, 1.3, 1.7), 1)],
+                         ids=["icosphere", "ellipsoid"])
+@pytest.mark.parametrize("factor", [0.05, 3.0])
+def test_scaling_keeps_the_geometry_build_mesh_gives(source, factor):
+    # the scaled mesh reuses the source's triangles and scales its
+    # diameter; every other field is the one build_mesh computes from the
+    # scaled vertices, bit for bit, and the diameter is within rounding of
+    # the vertex scan's
+    center = np.array([0.1, -0.2, 0.05])
+    scaled = scale_about(source, factor, center)
+    built = build_mesh(center + factor * (source.vertices - center),
+                       source.triangles)
+    for name in ("vertices", "triangles", "centroids", "areas", "normals"):
+        assert np.array_equal(getattr(scaled, name), getattr(built, name))
+        assert not getattr(scaled, name).flags.writeable
+    assert (scaled.area, scaled.volume) == (built.area, built.volume)
+    assert abs(scaled.diameter - built.diameter) <= 1e-15 * built.diameter
+
+
+def test_scaling_to_degenerate_panels_is_a_mesh_error():
+    # the source's topology is reused, but its panels are measured again:
+    # a factor that shrinks them below the degenerate-area floor raises,
+    # and so does one whose vertices overflow
+    mesh = make_icosphere(1.0, 1)
+    with pytest.raises(MeshError, match="degenerate"):
+        scale_about(mesh, 1e-8, np.zeros(3))
+    with np.errstate(over="ignore"), pytest.raises(MeshError,
+                                                   match="finite"):
+        scale_about(mesh, 1e308, np.full(3, -1e308))
+
+
 def test_subdivision_guard():
     with pytest.raises(MeshError):
         make_icosphere(1.0, 8)

@@ -55,7 +55,7 @@ def written(tmp_path_factory):
 
 
 def test_reference_commands_write_the_committed_csvs(written):
-    assert len(COMMITTED) == 33
+    assert len(COMMITTED) == 34
     assert sorted(csv_files(written)) == COMMITTED
 
 

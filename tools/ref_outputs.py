@@ -63,6 +63,10 @@ COMMANDS = (
         ["sweep", "--icosphere", "1,1", "--eps", "0.3",
          "--omega-grid", "1.0:2.0:0.5"])]
     + [("verify-sub2", ["verify", "--icosphere", "1,2"]),
+       # off the default centre: the kernel samples' clearance and limit
+       # move with it
+       ("verify-sub2-off-centre",
+        ["verify", "--icosphere", "1,2", "--center", "0.05,-0.02,0.03"]),
        ("minnaert-sub2", ["minnaert", "--icosphere", "1,2"]),
        ("geometry-ellipsoid", ["geometry", "--ellipsoid", "1,1.3,1.7,1"])]
 )
